@@ -24,7 +24,7 @@ here to the paper's feature-construction stage as well.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
     "intersection_counts",
     "packed_ones",
     "scatter_bits",
+    "pattern_covers",
+    "class_counts",
 ]
 
 WORD_BITS = 64
@@ -51,6 +53,10 @@ _POPCOUNT8 = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1
 ).sum(axis=1).astype(np.int64)
 _BITWISE_COUNT = getattr(np, "bitwise_count", None)
+#: Byte budget of one block of covers from :func:`pattern_covers`: bounds
+#: the transient ``(block, n_words)`` uint64 buffer of every batched cover
+#: and count, however many itemsets the batch holds.
+_COVER_BLOCK_BYTES = 4 << 20
 
 
 def word_count(n_bits: int) -> int:
@@ -167,6 +173,68 @@ def packed_ones(n_bits: int) -> np.ndarray:
     if words.size and tail:
         words[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
     return words
+
+
+def pattern_covers(
+    item_bits: "BitMatrix", itemsets: Sequence[Sequence[int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Coverage masks of many itemsets, one bounded block at a time.
+
+    Yields ``(positions, covers)`` pairs: ``covers[r]`` is the AND of the
+    item masks of ``itemsets[positions[r]]`` (the all-ones mask for the
+    empty itemset), exactly :meth:`BitMatrix.and_reduce` of that itemset.
+    Every position appears in exactly one block.  Itemsets are grouped by
+    length — the grouping of the compiled serving matcher — so a block of
+    ``length``-item patterns costs ``length`` gathers and ANDs over whole
+    ``(block, n_words)`` arrays, not a Python call per pattern.  A block
+    holds at most ``_COVER_BLOCK_BYTES`` of words, so no ``(k, n_words)``
+    buffer is built for ``k`` itemsets.
+
+    Raises ``IndexError`` for an item outside ``[0, n_masks)``.
+    """
+    item_words = item_bits.words
+    n_words = item_words.shape[1]
+    groups: dict[int, list[int]] = {}
+    for position, items in enumerate(itemsets):
+        groups.setdefault(len(items), []).append(position)
+    block = max(1, _COVER_BLOCK_BYTES // max(1, n_words * 8))
+    session = _obs._ACTIVE
+    for length in sorted(groups):
+        positions = np.asarray(groups[length], dtype=np.intp)
+        gather = np.asarray([itemsets[p] for p in groups[length]], dtype=np.intp)
+        if gather.size and (gather.min() < 0 or gather.max() >= item_bits.n_masks):
+            raise IndexError(f"itemset items outside [0, {item_bits.n_masks})")
+        for start in range(0, len(positions), block):
+            columns = gather[start : start + block]
+            if length == 0:
+                covers = np.tile(packed_ones(item_bits.n_bits), (len(columns), 1))
+            else:
+                covers = item_words[columns[:, 0]]
+                for column in range(1, length):
+                    covers &= item_words[columns[:, column]]
+            if session is not None:
+                session.observe("bitset.kernel_batch_words", covers.size)
+            yield positions[start : start + block], covers
+
+
+def class_counts(
+    item_bits: "BitMatrix",
+    label_words: np.ndarray,
+    itemsets: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """``(k, m)`` counts ``popcount(label_words[c] & cover(itemsets[j]))``.
+
+    The per-class support kernel of the pipeline: contingency tables,
+    recounts, stream shard and out-of-core shard counts all reduce to it.
+    Covers come blockwise from :func:`pattern_covers`, so the transient
+    memory is one block whatever ``k`` is.
+    """
+    label_words = np.asarray(label_words)
+    counts = np.zeros((len(itemsets), label_words.shape[0]), dtype=np.int64)
+    for positions, covers in pattern_covers(item_bits, itemsets):
+        for label, words in enumerate(label_words):
+            counts[positions, label] = popcount(covers & words)
+    return counts
 
 
 class BitMatrix:

@@ -246,9 +246,13 @@ class FrequentPatternClassifier:
                     n_jobs=self.n_jobs,
                     on_guard=self.on_guard,
                 )
-                self.mined_patterns_ = self._cap_candidates(
-                    mined.patterns, transactions
-                )
+                with _obs.span(
+                    "pipeline.cap", candidates=len(mined.patterns)
+                ) as cap_span:
+                    self.mined_patterns_ = self._cap_candidates(
+                        mined.patterns, transactions
+                    )
+                    cap_span.set(kept=len(self.mined_patterns_))
                 with _obs.span("pipeline.select", strategy=self.selection):
                     selected = self._select(transactions)
             else:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix
+from ..core.bitset import BitMatrix, pattern_covers
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 from ..obs import core as _obs
@@ -89,22 +89,26 @@ class PatternFeaturizer:
         self, data: TransactionDataset | Sequence[Sequence[int]]
     ) -> BitMatrix:
         """Packed pattern-coverage masks: mask ``j`` marks the rows that
-        contain pattern ``j`` (one AND-reduction over item masks each).
+        contain pattern ``j``.
 
-        This is the *naive per-pattern subset-check path* — the reference
-        semantics the compiled serving matcher (:mod:`repro.serving`) is
-        differential-tested against.
+        The masks come from the grouped cover kernel
+        (:func:`~repro.core.bitset.pattern_covers`), which is property-tested
+        against one :meth:`~repro.core.bitset.BitMatrix.and_reduce` per
+        pattern; this is the reference semantics the compiled serving
+        matcher (:mod:`repro.serving`) is differential-tested against.
         """
-        item_bits, n_rows = self._item_bits(data)
-        if not self.patterns:
-            return BitMatrix(
-                np.zeros((0, item_bits.words.shape[1]), dtype=item_bits.words.dtype),
-                n_rows,
-            )
-        pattern_words = np.stack(
-            [item_bits.and_reduce(p.items) for p in self.patterns]
+        item_bits, _ = self._item_bits(data)
+        return self._pattern_bits(item_bits)
+
+    def _pattern_bits(self, item_bits: BitMatrix) -> BitMatrix:
+        pattern_words = np.empty(
+            (len(self.patterns), item_bits.words.shape[1]),
+            dtype=item_bits.words.dtype,
         )
-        return BitMatrix(pattern_words, n_rows)
+        itemsets = [p.items for p in self.patterns]
+        for positions, covers in pattern_covers(item_bits, itemsets):
+            pattern_words[positions] = covers
+        return BitMatrix(pattern_words, item_bits.n_bits)
 
     def match_matrix(
         self, data: TransactionDataset | Sequence[Sequence[int]]
@@ -117,8 +121,8 @@ class PatternFeaturizer:
     ) -> np.ndarray:
         """Binary design matrix (n_rows, n_features) as float64.
 
-        Built from packed item bitsets; each pattern column is an
-        AND-reduction over item masks (see :meth:`match_bits`).
+        Built from packed item bitsets; the pattern columns are the
+        coverage masks of :meth:`match_bits`.
         """
         with _obs.span(
             "features.transform",
@@ -132,10 +136,7 @@ class PatternFeaturizer:
             if self.include_items:
                 blocks.append(item_bits.to_dense().T.astype(np.float64))
             if self.patterns:
-                pattern_words = np.stack(
-                    [item_bits.and_reduce(p.items) for p in self.patterns]
-                )
-                pattern_bits = BitMatrix(pattern_words, n_rows)
+                pattern_bits = self._pattern_bits(item_bits)
                 blocks.append(pattern_bits.to_dense().T.astype(np.float64))
             if not blocks:
                 return np.zeros((n_rows, 0))

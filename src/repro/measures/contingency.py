@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import popcount
+from ..core.bitset import class_counts, popcount
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 from ..obs import core as _obs
@@ -25,11 +25,6 @@ __all__ = [
     "batch_pattern_stats",
     "batch_contingency_tables",
 ]
-
-#: Patterns per chunk when building batched tables: bounds the transient
-#: ``(chunk, n_classes, n_words)`` uint64 intersection buffer.
-_TABLE_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class PatternStats:
@@ -200,10 +195,10 @@ def batch_contingency_tables(
     """Contingency tables for many patterns as ``(k, m)`` count arrays.
 
     The array-returning variant of :func:`batch_pattern_stats`: the same
-    cached packed bitsets feed one stacked AND + popcount per chunk, so the
-    per-class counts of a whole candidate set land in two int64 arrays
-    ready for the vectorized measure kernels — no per-pattern Python
-    objects on the hot path.
+    cached packed bitsets feed the grouped cover kernel
+    (:func:`~repro.core.bitset.class_counts`), so the per-class counts of a
+    whole candidate set land in two int64 arrays ready for the vectorized
+    measure kernels — no per-pattern Python objects on the hot path.
     """
     session = _obs._ACTIVE
     if session is not None:
@@ -218,15 +213,7 @@ def batch_contingency_tables(
     label_words = data.label_bits().words
     class_totals = data.class_counts().astype(np.int64)
 
-    present = np.empty((len(patterns), n_classes), dtype=np.int64)
-    for start in range(0, len(patterns), _TABLE_CHUNK):
-        chunk = patterns[start : start + _TABLE_CHUNK]
-        covers = np.stack([item_bits.and_reduce(p.items) for p in chunk])
-        if session is not None:
-            session.observe("bitset.kernel_batch_words", covers.size)
-        present[start : start + len(chunk)] = popcount(
-            covers[:, np.newaxis, :] & label_words[np.newaxis, :, :]
-        )
+    present = class_counts(item_bits, label_words, [p.items for p in patterns])
     return ContingencyTables(
         present=present, absent=class_totals[np.newaxis, :] - present
     )

@@ -42,6 +42,9 @@ import time
 from functools import partial
 from typing import TYPE_CHECKING, Literal, Sequence
 
+import numpy as np
+
+from ..core.bitset import class_counts, packed_ones
 from ..core.parallel import RetryPolicy, parallel_map, resolve_n_jobs
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
@@ -76,13 +79,18 @@ def recount_supports(
     itemsets: Sequence[tuple[int, ...]],
     data: TransactionDataset,
 ) -> list[Pattern]:
-    """Support of each itemset over the whole dataset (packed popcounts)."""
+    """Support of each itemset over the whole dataset (packed popcounts).
+
+    One :func:`~repro.core.bitset.class_counts` pass against the all-rows
+    mask, so the supports come from the grouped cover kernel.
+    """
     if not itemsets:
         return []
-    item_bits = data.item_bits()
+    everything = packed_ones(data.n_rows)[np.newaxis, :]
+    supports = class_counts(data.item_bits(), everything, itemsets)[:, 0]
     return [
-        Pattern(items=items, support=item_bits.support(items))
-        for items in itemsets
+        Pattern(items=items, support=support)
+        for items, support in zip(itemsets, supports.tolist())
     ]
 
 
@@ -387,7 +395,8 @@ def mine_class_patterns(
             )
             merged = set(sorted(merged)[:max_patterns])
 
-        patterns = recount_supports(sorted(merged), data)
+        with _obs.span("mining.recount", patterns=len(merged)):
+            patterns = recount_supports(sorted(merged), data)
         patterns.sort(key=lambda p: (p.length, p.items))
         generate_span.set(
             partitions=len(jobs),

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from ..core.bitset import popcount
+from ..core.bitset import class_counts
 from ..core.parallel import RetryPolicy, parallel_map, resolve_n_jobs
 from ..core.shards import ShardHandle, ShardSet
 from ..obs import core as _obs
@@ -141,16 +141,13 @@ def _count_shard(candidates: list, job: tuple) -> list[list[int]]:
     """
     shard_index, handle = job
     _faults.fault_point("shard", f"count:{shard_index}")
-    item_bits = handle.item_bits()
-    label_words = np.asarray(handle.label_words())
-    out = np.zeros((len(candidates), handle.n_classes), dtype=np.int64)
     with _obs.span(
         "mining.sharded.count", shard=shard_index, candidates=len(candidates)
     ):
-        for row, items in enumerate(candidates):
-            cover = item_bits.and_reduce(items)
-            out[row] = popcount(label_words & cover)
-    return out.tolist()
+        counts = class_counts(
+            handle.item_bits(), handle.label_words(), candidates
+        )
+    return counts.tolist()
 
 
 def _mine_key(

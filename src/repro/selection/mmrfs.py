@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.bitset import pack_bits, popcount, unpack_bits
+from ..core.bitset import pack_bits, pattern_covers, popcount, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
 from ..measures.contingency import batch_contingency_tables
@@ -170,9 +170,11 @@ def _mmrfs_run(
     # same round reuse it unchanged.
     if engine == "bitset":
         item_bits = data.item_bits()
-        coverage_words = np.stack(
-            [item_bits.and_reduce(p.items) for p in patterns]
+        coverage_words = np.empty(
+            (len(patterns), item_bits.words.shape[1]), dtype=item_bits.words.dtype
         )
+        for positions, covers in pattern_covers(item_bits, [p.items for p in patterns]):
+            coverage_words[positions] = covers
         # correct_words[k]: rows pattern k covers *and* whose label matches
         # the pattern's majority class — packed.
         if data.n_classes:

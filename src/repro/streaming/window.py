@@ -26,7 +26,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, popcount
+from ..core.bitset import BitMatrix, class_counts
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 
@@ -89,11 +89,7 @@ class _WindowShard:
         """(k, m) per-class supports of ``patterns`` within this shard."""
         if self._counts is None:
             item_bits, label_words = self._bits()
-            counts = np.zeros((len(patterns), self.n_classes), dtype=np.int64)
-            for i, items in enumerate(patterns):
-                cover = item_bits.and_reduce(items)
-                counts[i] = popcount(label_words & cover)
-            self._counts = counts
+            self._counts = class_counts(item_bits, label_words, patterns)
         return self._counts
 
     def invalidate_counts(self) -> None:

@@ -14,18 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import bitset
 from repro.core.bitset import (
     WORD_BITS,
     BitMatrix,
+    class_counts,
     intersection_counts,
     pack_bits,
     packed_ones,
+    pattern_covers,
     popcount,
     scatter_bits,
     unpack_bits,
     word_count,
 )
-from repro.mining.closed import occurrence_matrix
+from repro.mining.closed import closed_fpgrowth, occurrence_matrix
 from repro.selection.redundancy import batch_redundancy, batch_redundancy_packed
 
 #: Widths straddling the word size: 1 word exactly, off-by-one both ways,
@@ -298,3 +301,136 @@ class TestVerticalPacking:
         tracemalloc.stop()
         dense_bytes = n_rows * n_items
         assert peak < dense_bytes // 4
+
+
+@st.composite
+def cover_batches(draw):
+    """Item masks, packed label masks and itemsets of mixed lengths.
+
+    Row counts straddle the word size (0, 1, 63, 64, 65) or are random;
+    itemsets include the empty one and repeat lengths so groups form.
+    """
+    n_rows = draw(st.sampled_from([0, 1, 63, 64, 65]) | st.integers(2, 200))
+    n_items = draw(st.integers(min_value=1, max_value=10))
+    n_classes = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    items = BitMatrix.from_dense(rng.random((n_items, n_rows)) < 0.6)
+    labels = rng.integers(0, n_classes, size=n_rows)
+    label_words = pack_bits(labels[np.newaxis, :] == np.arange(n_classes)[:, None])
+    itemsets = draw(
+        st.lists(
+            st.lists(st.integers(0, n_items - 1), max_size=4).map(tuple),
+            max_size=40,
+        )
+    )
+    return items, label_words, itemsets
+
+
+class TestPatternCoverKernel:
+    """The grouped cover kernel against one ``and_reduce`` per itemset."""
+
+    @staticmethod
+    def _check(items, label_words, itemsets):
+        seen = []
+        for positions, covers in pattern_covers(items, itemsets):
+            assert covers.shape == (len(positions), items.words.shape[1])
+            for position, cover in zip(positions, covers):
+                assert np.array_equal(cover, items.and_reduce(itemsets[position]))
+            seen.extend(positions.tolist())
+        assert sorted(seen) == list(range(len(itemsets)))
+        expected = np.array(
+            [popcount(label_words & items.and_reduce(s)) for s in itemsets],
+            dtype=np.int64,
+        ).reshape(len(itemsets), label_words.shape[0])
+        assert np.array_equal(class_counts(items, label_words, itemsets), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=cover_batches())
+    def test_matches_and_reduce(self, batch):
+        self._check(*batch)
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=cover_batches())
+    def test_more_itemsets_than_one_block(self, batch):
+        with pytest.MonkeyPatch.context() as patch:
+            # At most 3 covers of up to 4 words per block.
+            patch.setattr(bitset, "_COVER_BLOCK_BYTES", 3 * 4 * 8)
+            self._check(*batch)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65])
+    def test_empty_itemset_covers_every_row(self, n_rows):
+        items = BitMatrix.from_dense(np.zeros((2, n_rows), dtype=bool))
+        blocks = list(pattern_covers(items, [(), ()]))
+        assert len(blocks) == 1
+        positions, covers = blocks[0]
+        assert positions.tolist() == [0, 1]
+        for cover in covers:
+            # All ones, and the tail bits past n_rows stay zero.
+            assert np.array_equal(cover, packed_ones(n_rows))
+            assert int(popcount(cover)) == n_rows
+        label_words = packed_ones(n_rows)[np.newaxis, :]
+        assert class_counts(items, label_words, [()]).tolist() == [[n_rows]]
+
+    def test_no_itemsets(self):
+        items = BitMatrix.from_dense(np.ones((2, 10), dtype=bool))
+        assert list(pattern_covers(items, [])) == []
+        label_words = pack_bits(np.ones((2, 10), dtype=bool))
+        assert class_counts(items, label_words, []).shape == (0, 2)
+
+    @pytest.mark.parametrize("itemset", [(0, 3), (5,), (1, -1)])
+    def test_out_of_range_item_raises(self, itemset):
+        items = BitMatrix.from_dense(np.ones((3, 70), dtype=bool))
+        if max(itemset) >= 3:
+            with pytest.raises(IndexError):
+                items.and_reduce(itemset)
+        with pytest.raises(IndexError):
+            list(pattern_covers(items, [(0,), itemset]))
+        with pytest.raises(IndexError):
+            class_counts(items, packed_ones(70)[np.newaxis, :], [itemset])
+
+
+class TestTransientBuffersBounded:
+    """Wide databases where an unblocked buffer would exceed 256 MB."""
+
+    BOUND = 64 << 20
+
+    def test_kernel_counts_without_a_k_by_words_buffer(self):
+        rng = np.random.default_rng(1)
+        n_rows, n_items, k = 1 << 20, 16, 2100
+        items = BitMatrix(
+            rng.integers(0, 2**63, (n_items, word_count(n_rows)), dtype=np.uint64),
+            n_rows,
+        )
+        label_words = items.words[:2].copy()
+        itemsets = [
+            tuple(rng.choice(n_items, 2, replace=False).tolist()) for _ in range(k)
+        ]
+        assert k * word_count(n_rows) * 8 > 256 << 20
+        tracemalloc.start()
+        try:
+            counts = class_counts(items, label_words, itemsets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND
+        for j in (0, k - 1):
+            cover = items.and_reduce(itemsets[j])
+            assert counts[j].tolist() == popcount(label_words & cover).tolist()
+
+    def test_closed_miner_blocks_its_closure_buffer(self):
+        rng = np.random.default_rng(2)
+        n_rows, n_items = 8256, 512
+        dense = rng.random((n_rows, n_items)) < 0.05
+        transactions = [tuple(np.flatnonzero(row).tolist()) for row in dense]
+        del dense
+        # Every item extends the root, and every item is free to join
+        # each extension's closure.
+        assert n_items * n_items * word_count(n_rows) * 8 > 256 << 20
+        tracemalloc.start()
+        try:
+            result = closed_fpgrowth(transactions, 1, max_length=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND
+        assert result.patterns

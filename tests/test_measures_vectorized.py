@@ -262,10 +262,12 @@ class TestBatchContingencyTables:
         assert len(tables) == 0
         assert tables.n_classes == tiny_transactions.n_classes
 
-    def test_chunking_boundary(self, rng):
-        """More patterns than one chunk: rows must land in order."""
-        from repro.measures.contingency import _TABLE_CHUNK
+    def test_chunking_boundary(self, rng, monkeypatch):
+        """More patterns than one cover block: rows must land in order."""
+        from repro.core import bitset
 
+        # 16 one-word covers per block, so the batch spans many blocks.
+        monkeypatch.setattr(bitset, "_COVER_BLOCK_BYTES", 16 * 8)
         n_items = 6
         transactions = [
             tuple(int(i) for i in np.where(rng.random(n_items) < 0.5)[0])
@@ -275,7 +277,7 @@ class TestBatchContingencyTables:
         data = TransactionDataset(transactions, labels, n_items=n_items)
         patterns = [
             Pattern(items=(int(i) % n_items,), support=0)
-            for i in range(_TABLE_CHUNK + 5)
+            for i in range(16 * 4 + 5)
         ]
         tables = batch_contingency_tables(patterns, data)
         stats = batch_pattern_stats(patterns, data)
