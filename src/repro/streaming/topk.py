@@ -33,6 +33,16 @@ Exactness is pinned by the hypothesis differential suite
 batch at the implied min_sup, rank by IG, take k" — the same oracle
 discipline the bitset, vectorized-scoring and serving layers used.
 
+The frontier is expanded in pop batches of up to ``_POP_BATCH`` nodes:
+popping stops early at the first entry whose bound is strictly below
+the current k-th best IG, every (node, child) pair of the batch is
+counted and scored in one vectorized pass, and the pairs are then walked
+in pop order with the one-at-a-time offer/push logic and live-threshold
+pruning.  A batch may expand a node that a strict one-at-a-time search
+would have pruned after an earlier node of the batch raised the
+threshold; that only offers more true candidates, so the result stays
+exact.
+
 Memory is O(k + frontier): the best-k list is bounded by construction,
 frontier entries store only an item tuple plus its bound (tidsets are
 re-derived from the cached vertical bitsets at pop time), and an
@@ -51,7 +61,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.bitset import packed_ones, popcount
+from ..core.bitset import pattern_covers, popcount
 from ..datasets.transactions import TransactionDataset
 from ..measures.bounds import BoundMode
 from ..measures.vectorized import ig_upper_bound_batch, information_gain_batch
@@ -70,11 +80,11 @@ __all__ = [
 class FrontierCapExceeded(RuntimeError):
     """The best-first frontier outgrew its declared memory cap.
 
-    Raised *after* provably-useless entries (bound below the current
-    k-th best IG) have been compacted away, so the cap measures live
-    candidates only.  ``size`` is the frontier size that tripped the
-    cap — always a strict lower bound on what an uncapped run would
-    have held.
+    Checked after each pop batch, and raised *after* provably-useless
+    entries (bound below the current k-th best IG) have been compacted
+    away, so the cap measures live candidates only.  ``size`` is the
+    frontier size that tripped the cap — never more than the frontier
+    peak an uncapped run reaches.
     """
 
     def __init__(self, cap: int, size: int) -> None:
@@ -86,6 +96,10 @@ class FrontierCapExceeded(RuntimeError):
 
 
 _PRUNE_SLACK = 1e-9
+#: Frontier entries expanded together in one vectorized pass.
+_POP_BATCH = 32
+#: Bytes of (node, child) cover words one counting block may hold.
+_PAIR_BLOCK_BYTES = 4 << 20
 
 
 def rank_key(ig: float, items: tuple[int, ...]) -> tuple:
@@ -313,11 +327,16 @@ class TopKMiner:
         if n == 0 or data.n_items == 0:
             return TopKResult([], k=self.k, n_rows=n)
         item_bits = data.item_bits()
+        item_words = item_bits.words
         label_words = data.label_bits().words
         class_totals = data.class_counts().astype(np.int64)
         priors = class_totals / n
         h_class = _class_entropy(class_totals)
         n_items = data.n_items
+        n_words = item_words.shape[1]
+        # Pair rows per counting block: each row holds its cover words and
+        # one masked copy per class.
+        block = max(1, _PAIR_BLOCK_BYTES // (8 * n_words * (1 + len(class_totals))))
 
         # best: ascending by rank key, at most k entries.  Keys are unique
         # (they end in the itemset), so tuple comparison never reaches the
@@ -349,49 +368,61 @@ class TopKMiner:
             if len(best) > self.k:
                 best.pop()
 
-        def expand(items: tuple[int, ...], tidset: np.ndarray) -> None:
-            nonlocal nodes_expanded, candidates_scored
-            nodes_expanded += 1
-            start = items[-1] + 1 if items else 0
-            if start >= n_items:
-                return
-            child_words = item_bits.words[start:] & tidset
-            supports = popcount(child_words)
-            present = np.empty((child_words.shape[0], len(class_totals)))
-            for c in range(len(class_totals)):
-                present[:, c] = popcount(child_words & label_words[c])
-            igs = information_gain_batch(
-                present, class_totals[np.newaxis, :] - present
+        def expand(nodes: list[tuple[int, ...]]) -> None:
+            """Score every child of ``nodes`` at once, then walk them in order."""
+            nonlocal nodes_expanded, candidates_scored, subtrees_pruned
+            tidsets = np.empty((len(nodes), n_words), dtype=item_words.dtype)
+            for positions, covers in pattern_covers(item_bits, nodes):
+                tidsets[positions] = covers
+            # Pairs run node by node, children in item order.
+            starts = np.array([items[-1] + 1 if items else 0 for items in nodes])
+            widths = n_items - starts
+            owner = np.repeat(np.arange(len(nodes)), widths)
+            child_item = np.arange(owner.size) + np.repeat(
+                starts - (np.cumsum(widths) - widths), widths
             )
+            supports = np.empty(owner.size, dtype=np.int64)
+            present_blocks = []
+            for lo in range(0, owner.size, block):
+                words = item_words[child_item[lo : lo + block]]
+                words &= tidsets[owner[lo : lo + block]]
+                supports[lo : lo + block] = block_supports = popcount(words)
+                live_words = words[block_supports >= 1]
+                present_blocks.append(
+                    popcount(live_words[:, np.newaxis, :] & label_words)
+                )
             live = np.flatnonzero(supports >= 1)
             candidates_scored += int(live.size)
-            child_len = len(items) + 1
-            expandable = (
-                self.max_length is None or child_len < self.max_length
-            )
-            if expandable and live.size:
-                thetas = supports[live] / n
-                bounds = self._subtree_bounds(thetas, priors, h_class)
-            for j, idx in enumerate(live):
-                item = start + int(idx)
-                child = items + (item,)
-                counts = tuple(int(c) for c in present[idx])
-                if self.max_length is None or child_len <= self.max_length:
-                    offer(child, float(igs[idx]), counts)
-                if expandable and item < n_items - 1:
-                    bound = float(bounds[j])
-                    # Strict comparison: a subtree whose bound *equals*
-                    # the k-th best IG may still hold a tie that wins on
-                    # the deterministic tie-break, so only strictly
-                    # dominated subtrees are pruned.
-                    if len(best) == self.k and bound < worst_ig():
-                        nonlocal_pruned()
-                        continue
-                    heapq.heappush(frontier, (-bound, child_len, child))
-
-        def nonlocal_pruned() -> None:
-            nonlocal subtrees_pruned
-            subtrees_pruned += 1
+            present = np.concatenate(present_blocks)
+            igs = information_gain_batch(
+                present, class_totals[np.newaxis, :] - present
+            ).tolist()
+            bounds = self._subtree_bounds(supports[live] / n, priors, h_class).tolist()
+            live_items = child_item[live].tolist()
+            live_counts = present.tolist()
+            ends = np.cumsum(np.bincount(owner[live], minlength=len(nodes))).tolist()
+            first = 0
+            for items, end in zip(nodes, ends):
+                nodes_expanded += 1
+                child_len = len(items) + 1
+                # Nodes are pushed only below max_length, so every child
+                # is within the length window and may be offered.
+                expandable = self.max_length is None or child_len < self.max_length
+                for j in range(first, end):
+                    item = live_items[j]
+                    child = items + (item,)
+                    offer(child, igs[j], tuple(live_counts[j]))
+                    if expandable and item < n_items - 1:
+                        bound = bounds[j]
+                        # Strict comparison: a subtree whose bound *equals*
+                        # the k-th best IG may still hold a tie that wins on
+                        # the deterministic tie-break, so only strictly
+                        # dominated subtrees are pruned.
+                        if len(best) == self.k and bound < worst_ig():
+                            subtrees_pruned += 1
+                            continue
+                        heapq.heappush(frontier, (-bound, child_len, child))
+                first = end
 
         def compact_frontier() -> None:
             """Drop frontier entries strictly below the current threshold."""
@@ -404,15 +435,19 @@ class TopKMiner:
             heapq.heapify(kept)
             frontier = kept
 
-        expand((), packed_ones(n))
+        expand([()])
         frontier_peak = len(frontier)
         while frontier:
-            neg_bound, _, items = heapq.heappop(frontier)
-            if len(best) == self.k and -neg_bound < worst_ig():
-                # Bound-ordered pop: every remaining subtree is dominated.
-                subtrees_pruned += 1 + len(frontier)
+            batch: list[tuple[int, ...]] = []
+            while frontier and len(batch) < _POP_BATCH:
+                if len(best) == self.k and -frontier[0][0] < worst_ig():
+                    break
+                batch.append(heapq.heappop(frontier)[2])
+            if not batch:
+                # Bound-ordered heap: every remaining subtree is dominated.
+                subtrees_pruned += len(frontier)
                 break
-            expand(items, item_bits.and_reduce(items))
+            expand(batch)
             if len(frontier) > frontier_peak:
                 frontier_peak = len(frontier)
             if self.frontier_cap is not None and len(frontier) > self.frontier_cap:

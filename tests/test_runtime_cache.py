@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import shutil
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ def cache(tmp_path) -> ArtifactCache:
 
 
 PAYLOAD = {"patterns": [[0, 1], [2]], "supports": [5, 3], "degraded": None}
+#: An envelope written by the earlier indented-JSON ``put``.
+LEGACY_ENVELOPE = Path(__file__).parent / "data" / "cache_envelope_indented_v1.json"
 
 
 class TestKeys:
@@ -97,6 +103,84 @@ class TestRoundTrip:
         assert counters["runtime.cache.misses"] == 1
         assert counters["runtime.cache.writes"] == 1
         assert counters["runtime.cache.hits"] == 1
+
+    def test_put_records_latency_and_bytes(self, cache):
+        key = fingerprint(stage="mine", partition=4)
+        with _obs.session() as sess:
+            path = cache.put("mine", key, PAYLOAD)
+            cache.put("mine", key, PAYLOAD)
+            exported = sess.export()
+        size = path.stat().st_size
+        assert exported["counters"]["runtime.cache.bytes_written"] == 2 * size
+        assert exported["histograms"]["runtime.cache.put_s"]["count"] == 2
+
+    def test_concurrent_puts_of_one_key(self, cache):
+        key = fingerprint(stage="models", model="same")
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(5):
+                    cache.put("models", key, PAYLOAD)
+            except OSError as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.get("models", key) == PAYLOAD
+        assert [p.name for p in cache.path_for("models", key).parent.iterdir()] == [
+            f"{key}.json"
+        ]
+
+    def test_failed_write_leaves_no_temp_file(self, cache, monkeypatch):
+        key = fingerprint(stage="mine", partition=5)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.runtime.cache.os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put("mine", key, PAYLOAD)
+        assert list(cache.path_for("mine", key).parent.iterdir()) == []
+
+
+class TestFormat:
+    def test_file_is_the_canonical_envelope(self, cache):
+        key = fingerprint(stage="mine", partition=6)
+        path = cache.put("mine", key, PAYLOAD)
+        envelope = {
+            "format_version": 1,
+            "stage": "mine",
+            "key": key,
+            "sha256": content_key(PAYLOAD),
+            "payload": PAYLOAD,
+        }
+        assert path.read_bytes() == canonical_json(envelope).encode("ascii")
+
+    def test_non_ascii_payload_round_trips(self, cache):
+        key = fingerprint(stage="mine", partition=7)
+        payload = {"name": "café ✓", "weights": [0.1, -2.5e-300]}
+        cache.put("mine", key, payload)
+        assert cache.get("mine", key) == payload
+
+    def test_indented_envelope_from_earlier_writer_still_reads(self, cache):
+        envelope = json.loads(LEGACY_ENVELOPE.read_text(encoding="utf-8"))
+        stage, key = envelope["stage"], envelope["key"]
+        path = cache.path_for(stage, key)
+        path.parent.mkdir(parents=True)
+        shutil.copyfile(LEGACY_ENVELOPE, path)
+        assert cache.get(stage, key) == envelope["payload"]
+        assert envelope["sha256"] == content_key(envelope["payload"])
 
 
 class TestCorruptionDetection:

@@ -31,7 +31,9 @@ from hypothesis import strategies as st
 from repro.datasets.transactions import TransactionDataset
 from repro.measures.vectorized import information_gain_batch
 from repro.mining.fpgrowth import fpgrowth
+from repro.obs import core as _obs
 from repro.selection.minsup import suggest_min_support
+from repro.streaming import topk as topk_module
 from repro.streaming.topk import (
     FrontierCapExceeded,
     TopKMiner,
@@ -230,7 +232,8 @@ class TestEdges:
         with pytest.raises(ValueError):
             TopKMiner(k=1, frontier_cap=0)
 
-    def test_frontier_cap_trips_loudly(self):
+    @staticmethod
+    def _unprunable():
         # Uniform labels make every IG zero, so nothing can be pruned and
         # the frontier must grow past any tiny cap.
         rng = np.random.default_rng(3)
@@ -238,11 +241,31 @@ class TestEdges:
             tuple(sorted(rng.choice(12, size=6, replace=False).tolist()))
             for _ in range(40)
         ]
-        data = TransactionDataset(transactions, [0] * 40, n_items=12, n_classes=2)
+        return TransactionDataset(transactions, [0] * 40, n_items=12, n_classes=2)
+
+    def test_frontier_cap_trips_loudly(self):
+        data = self._unprunable()
         with pytest.raises(FrontierCapExceeded) as excinfo:
             TopKMiner(k=2, frontier_cap=4).mine(data)
         assert excinfo.value.cap == 4
         assert excinfo.value.size > 4
+        # Checked after each pop batch: the tripping size never exceeds
+        # the frontier an uncapped run holds.
+        assert excinfo.value.size <= TopKMiner(k=2).mine(data).frontier_peak
+
+    def test_frontier_cap_trips_at_batch_granularity(self, monkeypatch):
+        data = self._unprunable()
+        sizes = {}
+        for pop_batch in (1, 4, topk_module._POP_BATCH):
+            monkeypatch.setattr(topk_module, "_POP_BATCH", pop_batch)
+            with pytest.raises(FrontierCapExceeded) as excinfo:
+                TopKMiner(k=2, frontier_cap=20).mine(data)
+            sizes[pop_batch] = excinfo.value.size
+        # The root leaves 11 entries; the check runs only once a whole
+        # batch has been expanded, so bigger batches trip at bigger sizes.
+        assert all(size > 20 for size in sizes.values())
+        assert sizes[1] <= sizes[4] <= sizes[topk_module._POP_BATCH]
+        assert sizes[1] < sizes[topk_module._POP_BATCH]
 
     def test_generous_frontier_cap_does_not_change_results(self):
         rng = np.random.default_rng(4)
@@ -258,6 +281,67 @@ class TestEdges:
         capped = TopKMiner(k=5, frontier_cap=10_000).mine(data)
         free = TopKMiner(k=5).mine(data)
         assert as_rows(capped) == as_rows(free)
+
+    def test_pop_batch_straddling_a_threshold_rise_with_ties(self, monkeypatch):
+        # Every item has an identical twin, so IG ties are everywhere, and
+        # the k-th best IG rises while one pop batch is being walked.
+        rng = np.random.default_rng(15)
+        labels = rng.integers(0, 2, size=30)
+        transactions = []
+        for label in labels:
+            base = [
+                i for i in range(4)
+                if rng.random() < (0.6 if i % 2 == label else 0.3)
+            ]
+            transactions.append(tuple(sorted(base + [i + 4 for i in base])))
+        data = TransactionDataset(transactions, labels.tolist(), n_items=8)
+        batched = TopKMiner(k=6, max_length=3).mine(data)
+        monkeypatch.setattr(topk_module, "_POP_BATCH", 1)
+        one_at_a_time = TopKMiner(k=6, max_length=3).mine(data)
+        ties = [s for s in batched.ranked if s.ig == batched.threshold_ig]
+        assert len(ties) >= 2
+        # The batch expanded nodes a one-at-a-time search pruned ...
+        assert batched.nodes_expanded > one_at_a_time.nodes_expanded
+        # ... and both still equal the oracle, tie order included.
+        expected = oracle_topk(data, 6, max_length=3)
+        assert as_rows(batched) == expected
+        assert as_rows(one_at_a_time) == expected
+
+    def test_pair_counting_blocks_do_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 3, size=60).tolist()
+        transactions = [
+            tuple(sorted(set(rng.choice(10, size=4).tolist()))) for _ in labels
+        ]
+        data = TransactionDataset(transactions, labels, n_items=10, n_classes=3)
+        whole = TopKMiner(k=8).mine(data)
+        # One (node, child) pair per counting block.
+        monkeypatch.setattr(topk_module, "_PAIR_BLOCK_BYTES", 1)
+        blocked = TopKMiner(k=8).mine(data)
+        assert as_rows(blocked) == as_rows(whole) == oracle_topk(data, 8)
+        assert blocked.nodes_expanded == whole.nodes_expanded
+
+    def test_search_counters_repeat_exactly(self):
+        data = TransactionDataset(
+            [(0, 1, 3), (0, 2), (1, 2, 3), (0, 1), (2, 3), (0, 3)] * 4,
+            [0, 0, 1, 0, 1, 1] * 4,
+            n_items=4,
+        )
+
+        def counters():
+            with _obs.session() as session:
+                TopKMiner(k=3).mine(data)
+                exported = session.export()["counters"]
+            return {
+                name: value
+                for name, value in exported.items()
+                if name.startswith("streaming.topk.")
+            }
+
+        first = counters()
+        assert first["streaming.topk.runs"] == 1
+        assert first["streaming.topk.nodes_expanded"] > 0
+        assert counters() == first
 
     def test_mining_result_view(self):
         data = TransactionDataset(
