@@ -1,10 +1,12 @@
-"""Overhead bound for live serving telemetry: enabled vs plain frontend.
+"""Overhead bound for configured serving telemetry: enabled vs plain.
 
-The telemetry sidecar promises it is cheap enough to leave on in a
-serving process: the same workload, run through a frontend with a
-:class:`~repro.serving.telemetry.ServingTelemetry` attached (windowed
-histograms, rate counters, sampling, SLO evaluation), may cost at most
-10% more CPU than the bare frontend.
+Every frontend records each request once into a
+:class:`~repro.serving.telemetry.ServingTelemetry`; ``telemetry=None``
+gives it the default one (windowed histograms and rate counters, no SLO
+rules, no event log).  That is the *plain* side here.  The *telemetry*
+side passes a configured instance — an SLO rule evaluated per window
+rotation and 1-in-16 trace sampling on a 1 s slice — and may cost at
+most 10% more CPU than the plain side.
 
 Measured with the interleaved paired-run technique from
 ``test_obs_overhead.py``: plain/telemetry samples alternate inside one
@@ -148,8 +150,8 @@ def test_telemetry_overhead_under_budget(report_lines, trend):
 
 
 def test_telemetry_run_records_real_signals():
-    """Sanity: the timed telemetry run actually exercises the sidecar
-    (otherwise the bound above is vacuous)."""
+    """Sanity: the timed telemetry run actually exercises the configured
+    telemetry (otherwise the bound above is vacuous)."""
     pipeline, data = fitted_pipeline("svm")
     compiled = compile_model(pipeline)
     telemetry = _make_telemetry()

@@ -728,8 +728,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _build_telemetry(args: argparse.Namespace):
     """A ServingTelemetry from the serve flags, or None when every
-    telemetry-facing flag is at its off default (keeps the plain
-    ``repro serve`` path exactly as cheap as before)."""
+    telemetry-facing flag is at its off default: the frontend then
+    builds its own default telemetry (no SLO rules, no event log), which
+    still backs ``stats()`` but stays out of the ``--json`` output."""
     from .obs.live import SloRule
     from .serving import ServingTelemetry, TelemetryConfig, TraceEventLog
 

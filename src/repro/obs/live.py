@@ -17,6 +17,9 @@ adds the *live* counterparts:
   really is "the last minute", not "since boot".
 * :class:`WindowedCounter` — the rate half: per-slice sums with a
   windowed total and a requests-per-second style :meth:`rate`.
+* ``lifetime()`` on both: evicted slices (and observations already too
+  old on arrival) fold into a retired part, so one observation per
+  event answers both "the last minute" and "since boot".
 * :class:`SloRule` / :class:`SloMonitor` — declarative thresholds over
   a mapping of live metric values (p99 latency, error rate, queue
   saturation), evaluated per window rotation, with firing/resolved
@@ -28,7 +31,8 @@ Every method takes an optional explicit ``now`` and every class an
 injectable ``clock`` (default ``time.monotonic``), so the rotation and
 eviction semantics are deterministic under test — the property suite in
 ``tests/test_obs_live.py`` proves merged-slice quantiles equal a single
-histogram of the same live observations, in any observation order.
+histogram of the same live observations, and the lifetime view equals a
+single histogram of *all* observations, in any observation order.
 
 Like everything in ``repro.obs``, this module uses only the standard
 library and must not import from the rest of ``repro``.
@@ -73,6 +77,7 @@ class _SliceRing:
     recording or read.  Keying by the maximum epoch (rather than a
     mutable cursor) makes retention a pure function of the observation
     timestamps — the property the order-invariance tests pin down.
+    Evicted slices go to the subclass's ``_retire`` (its lifetime part).
     """
 
     __slots__ = (
@@ -80,6 +85,7 @@ class _SliceRing:
         "slice_seconds",
         "_clock",
         "_slices",
+        "_retired",
         "_latest_epoch",
         "_first_now",
         "_lock",
@@ -114,27 +120,23 @@ class _SliceRing:
         return math.floor(now / self.slice_seconds)
 
     def _advance(self, epoch: int) -> None:
-        """Update the latest epoch and evict slices that fell out of the
+        """Update the latest epoch and retire slices that fell out of the
         window.  Caller holds the lock."""
         if self._latest_epoch is None or epoch > self._latest_epoch:
             self._latest_epoch = epoch
         floor = self._latest_epoch - self.n_slices
-        if any(key <= floor for key in self._slices):
-            self._slices = {
-                key: value for key, value in self._slices.items() if key > floor
-            }
+        for key in [key for key in self._slices if key <= floor]:
+            self._retire(self._slices.pop(key))
 
-    def _slot(self, epoch: int, factory: Callable[[], Any]) -> Any | None:
-        """The live slice for ``epoch``, or None if it already rotated
-        out of the window.  Caller holds the lock."""
+    def _live_epoch(self, now: float) -> int | None:
+        """Advance to ``now``'s epoch and return it, or None when ``now``
+        is already older than the window (an out-of-order arrival).
+        Caller holds the lock."""
+        if self._first_now is None or now < self._first_now:
+            self._first_now = now
+        epoch = self.epoch(now)
         self._advance(epoch)
-        assert self._latest_epoch is not None
-        if epoch <= self._latest_epoch - self.n_slices:
-            return None  # an out-of-order observation older than the window
-        slot = self._slices.get(epoch)
-        if slot is None:
-            slot = self._slices[epoch] = factory()
-        return slot
+        return epoch if epoch > self._latest_epoch - self.n_slices else None
 
     def _covered_seconds(self, now: float) -> float:
         """Seconds of real time the live window currently spans.
@@ -156,7 +158,8 @@ class WindowedHistogram(_SliceRing):
     :meth:`merged` folds the live slices into one
     :class:`~repro.obs.metrics.Histogram` via the order-invariant bucket
     merge, so :meth:`summary` reports p50/p90/p99 *of the window* with
-    the base instrument's accuracy bound.
+    the base instrument's accuracy bound; :meth:`lifetime` is the same
+    since construction.
     """
 
     __slots__ = ("subdiv",)
@@ -170,15 +173,22 @@ class WindowedHistogram(_SliceRing):
     ) -> None:
         super().__init__(n_slices, slice_seconds, clock)
         self.subdiv = int(subdiv)
+        self._retired = Histogram(self.subdiv)
+
+    def _retire(self, slot: Histogram) -> None:
+        self._retired.merge(slot)
 
     def observe(self, value: float, now: float | None = None) -> None:
         now = self._now(now)
         with self._lock:
-            if self._first_now is None or now < self._first_now:
-                self._first_now = now
-            slot = self._slot(self.epoch(now), lambda: Histogram(self.subdiv))
-            if slot is not None:
-                slot.observe(value)
+            epoch = self._live_epoch(now)
+            if epoch is None:
+                self._retired.observe(value)
+                return
+            slot = self._slices.get(epoch)
+            if slot is None:
+                slot = self._slices[epoch] = Histogram(self.subdiv)
+            slot.observe(value)
 
     def merged(self, now: float | None = None) -> Histogram:
         """One histogram of everything still inside the window."""
@@ -194,6 +204,14 @@ class WindowedHistogram(_SliceRing):
         """Rolling count/sum/min/max/p50/p90/p99 of the live window."""
         return self.merged(now).summary()
 
+    def lifetime(self) -> Histogram:
+        """One histogram of every observation ever made."""
+        with self._lock:
+            out = self._retired.copy()
+            for slot in self._slices.values():
+                out.merge(slot)
+        return out
+
 
 class WindowedCounter(_SliceRing):
     """A rolling-window rate counter: per-slice sums plus a rate view."""
@@ -207,16 +225,17 @@ class WindowedCounter(_SliceRing):
         clock: Callable[[], float] | None = None,
     ) -> None:
         super().__init__(n_slices, slice_seconds, clock)
+        self._retired = 0
+
+    def _retire(self, slot: float) -> None:
+        self._retired += slot
 
     def add(self, value: float = 1, now: float | None = None) -> None:
         now = self._now(now)
         with self._lock:
-            if self._first_now is None or now < self._first_now:
-                self._first_now = now
-            epoch = self.epoch(now)
-            self._advance(epoch)
-            assert self._latest_epoch is not None
-            if epoch <= self._latest_epoch - self.n_slices:
+            epoch = self._live_epoch(now)
+            if epoch is None:
+                self._retired += value
                 return
             self._slices[epoch] = self._slices.get(epoch, 0) + value
 
@@ -239,6 +258,11 @@ class WindowedCounter(_SliceRing):
             self._advance(self.epoch(now))
             total = float(sum(self._slices.values()))
             return total / self._covered_seconds(now)
+
+    def lifetime(self) -> float:
+        """Sum of everything ever recorded (int when every add was)."""
+        with self._lock:
+            return self._retired + sum(self._slices.values())
 
 
 @dataclass(frozen=True)

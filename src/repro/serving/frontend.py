@@ -17,19 +17,18 @@ Delivery contract, enforced by the stress suite
 * after :meth:`close`, new submissions are rejected but every already
   accepted request is drained before workers stop.
 
-Telemetry is three-layered.  Every request carries a monotonic
+Every request is recorded once.  It carries a monotonic
 ``request_id`` and its latency is split at the claim point into
 **queue wait** (time actually spent in the bounded queue — stamped at
 the moment the request lands in the queue, *not* when ``submit`` was
 called, so back-pressure blocking is never mis-charged to queue
-latency) and **execute** (model time).  The frontend always records
-cumulative :class:`~repro.obs.metrics.Histogram` instruments
-(`stats()` reports p50/p90/p99 for total/queue-wait/execute), mirrors
-observations into the active :mod:`repro.obs` session when one is
-installed, and — when a :class:`~repro.serving.telemetry
-.ServingTelemetry` is attached — reports each completed request
-(outcome, row count, dropped unknown items, the latency split) for
-windowed metrics, trace sampling and SLO evaluation.
+latency) and **execute** (model time).  Workers, ``close(drain=False)``
+and the worker-death path hand that record to the frontend's
+:class:`~repro.serving.telemetry.ServingTelemetry` — the one account of
+the frontend's requests.  :meth:`ServingFrontend.stats` (p50/p90/p99
+for total/queue-wait/execute since start), the telemetry's windowed
+snapshot and the ``serving.*`` metrics of the active :mod:`repro.obs`
+session are all views of it, so they agree by construction.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from concurrent.futures import Future
 from typing import Any, Sequence
 
 from ..obs import core as _obs
-from ..obs.metrics import Histogram
 from ..testing.faults import InjectedFault, fault_point
 from .compiled import CompiledModel, sanitize_transactions
 from .telemetry import ServingTelemetry
@@ -85,10 +83,11 @@ class ServingFrontend:
         Maximum requests buffered; :meth:`submit` blocks once the queue
         is full (bounded-memory back-pressure under burst load).
     telemetry:
-        Optional :class:`~repro.serving.telemetry.ServingTelemetry` that
-        receives one record per completed request (windowed metrics,
-        trace sampling, SLO evaluation).  ``None`` keeps the frontend
-        exactly as cheap as before.
+        The :class:`~repro.serving.telemetry.ServingTelemetry` that
+        receives one record per request that reached an outcome
+        (windowed metrics, trace sampling, SLO evaluation) and that
+        :meth:`stats` reads.  ``None`` builds a default one: no SLO
+        rules, no event log.
     """
 
     def __init__(
@@ -105,7 +104,7 @@ class ServingFrontend:
         self.model = model
         self.n_workers = int(n_workers)
         self.queue_size = int(queue_size)
-        self.telemetry = telemetry
+        self.telemetry = telemetry or ServingTelemetry()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._closed = threading.Event()
         self._stopped = threading.Event()
@@ -113,18 +112,7 @@ class ServingFrontend:
         self._workers: list[threading.Thread] = []
         self._next_worker_id = 0
         self._next_request_id = 0
-        self._requests = 0
-        self._rows = 0
-        self._errors = 0
-        self._cancelled = 0
-        self._dropped_unknown = 0
-        self._worker_deaths = 0
-        self._latency = Histogram()
-        self._queue_wait = Histogram()
-        self._execute = Histogram()
-        self._batch_rows = Histogram()
-        if telemetry is not None:
-            telemetry.bind_queue(self._queue.qsize, self.queue_size)
+        self.telemetry.bind_queue(self._queue.qsize, self.queue_size)
         for _ in range(self.n_workers):
             self._spawn_worker()
 
@@ -145,44 +133,6 @@ class ServingFrontend:
             )
             self._workers.append(worker)
         worker.start()
-
-    def _finish_request(
-        self,
-        request: _Request,
-        rows: int,
-        queue_wait: float,
-        execute: float,
-        dropped: int,
-        outcome: str,
-        error: str | None = None,
-    ) -> None:
-        """Shared accounting for every completed (ok/error) request."""
-        latency = queue_wait + execute
-        with self._lock:
-            self._requests += 1
-            self._rows += rows
-            self._dropped_unknown += dropped
-            if outcome == "error":
-                self._errors += 1
-            self._latency.observe(latency)
-            self._queue_wait.observe(queue_wait)
-            self._execute.observe(execute)
-            self._batch_rows.observe(rows)
-        _obs.observe("serving.request_latency_s", latency)
-        _obs.observe("serving.queue_wait_s", queue_wait)
-        _obs.observe("serving.execute_s", execute)
-        _obs.observe("serving.batch_rows", rows)
-        _obs.add("serving.requests_served")
-        if self.telemetry is not None:
-            self.telemetry.record_request(
-                request_id=request.request_id,
-                rows=rows,
-                queue_wait_s=queue_wait,
-                execute_s=execute,
-                dropped_unknown=dropped,
-                outcome=outcome,
-                error=error,
-            )
 
     def _worker_loop(self, worker_id: int) -> None:
         while True:
@@ -213,11 +163,7 @@ class ServingFrontend:
                 # what the SLO latency tests lean on.
                 fault_point("serve_worker", "claim")
             except InjectedFault:
-                with self._lock:
-                    self._worker_deaths += 1
-                _obs.add("serving.worker_deaths")
-                if self.telemetry is not None:
-                    self.telemetry.record_worker_death()
+                self.telemetry.record_worker_death()
                 # Replacement FIRST: with the queue full, the re-enqueue
                 # below blocks until a consumer takes an item — if every
                 # worker died holding a request, no consumer would exist
@@ -226,35 +172,27 @@ class ServingFrontend:
                 self._queue.put(request)  # hand the claimed request back
                 self._queue.task_done()  # ...and close out our claim
                 return
-            rows = len(request.transactions)
             dropped = 0
+            error = None
             try:
                 sanitized, dropped = sanitize_transactions(
                     request.transactions, model.n_items
                 )
-                result = model.predict(sanitized, sanitize=False)
-                request.future.set_result(result)
+                request.future.set_result(
+                    model.predict(sanitized, sanitize=False)
+                )
             except BaseException as exc:  # a request error is a result
                 request.future.set_exception(exc)
-                self._finish_request(
-                    request,
-                    rows,
-                    queue_wait,
-                    time.perf_counter() - claimed_at,
-                    dropped,
-                    "error",
-                    error=type(exc).__name__,
-                )
-            else:
-                if dropped:
-                    _obs.add("serving.unknown_items_dropped", dropped)
-                self._finish_request(
-                    request,
-                    rows,
-                    queue_wait,
-                    time.perf_counter() - claimed_at,
-                    dropped,
-                    "ok",
+                error = type(exc).__name__
+            try:
+                self.telemetry.record_request(
+                    request_id=request.request_id,
+                    rows=len(request.transactions),
+                    queue_wait_s=queue_wait,
+                    execute_s=time.perf_counter() - claimed_at,
+                    dropped_unknown=dropped,
+                    outcome="ok" if error is None else "error",
+                    error=error,
                 )
             finally:
                 self._queue.task_done()
@@ -330,18 +268,15 @@ class ServingFrontend:
                 request.future.set_exception(
                     ServingClosedError("frontend closed before execution")
                 )
-                with self._lock:
-                    self._cancelled += 1
-                if self.telemetry is not None:
-                    self.telemetry.record_request(
-                        request_id=request.request_id,
-                        rows=len(request.transactions),
-                        queue_wait_s=max(
-                            time.perf_counter() - request.enqueued_at, 0.0
-                        ),
-                        execute_s=0.0,
-                        outcome="cancelled",
-                    )
+                self.telemetry.record_request(
+                    request_id=request.request_id,
+                    rows=len(request.transactions),
+                    queue_wait_s=max(
+                        time.perf_counter() - request.enqueued_at, 0.0
+                    ),
+                    execute_s=0.0,
+                    outcome="cancelled",
+                )
                 self._queue.task_done()
         self._stopped.set()
         with self._lock:
@@ -365,25 +300,26 @@ class ServingFrontend:
         return self._closed.is_set()
 
     def stats(self) -> dict[str, Any]:
-        """Serving counters and latency/batch-size rollups (p50/p90/p99).
+        """Serving counters and latency/batch-size rollups (p50/p90/p99)
+        since start: a view of the telemetry's lifetime totals plus the
+        frontend's own pool and queue geometry.
 
         Keys are stable — ``tests/test_cli_serving.py`` pins the set —
         because the ``repro serve --json`` output and the HTTP snapshot
-        both build on this dict.
+        both build on this dict.  ``requests`` and ``rows`` count every
+        request that reached an outcome, cancelled ones included; the
+        latency rollups cover the requests that ran.
         """
-        with self._lock:
-            return {
-                "requests": self._requests,
-                "rows": self._rows,
-                "errors": self._errors,
-                "cancelled": self._cancelled,
-                "dropped_unknown_items": self._dropped_unknown,
-                "worker_deaths": self._worker_deaths,
-                "n_workers": self.n_workers,
-                "queue_capacity": self.queue_size,
-                "queue_depth": self._queue.qsize(),
-                "latency_s": self._latency.summary(),
-                "queue_wait_s": self._queue_wait.summary(),
-                "execute_s": self._execute.summary(),
-                "batch_rows": self._batch_rows.summary(),
-            }
+        telemetry = self.telemetry
+        totals = telemetry.totals()
+        del totals["sampled_traces"]
+        return {
+            **totals,
+            "n_workers": self.n_workers,
+            "queue_capacity": self.queue_size,
+            "queue_depth": self._queue.qsize(),
+            "latency_s": telemetry.latency.lifetime().summary(),
+            "queue_wait_s": telemetry.queue_wait.lifetime().summary(),
+            "execute_s": telemetry.execute.lifetime().summary(),
+            "batch_rows": telemetry.batch_rows.lifetime().summary(),
+        }

@@ -1,16 +1,19 @@
 """Live serving telemetry: windowed metrics, request traces, SLO alerts.
 
-:class:`ServingTelemetry` is the observability sidecar of a
-:class:`~repro.serving.frontend.ServingFrontend`.  The frontend's own
-histograms are cumulative-since-start (right for ``repro serve``'s exit
-summary); this object answers the operational questions — *what is p99
-right now*, *did the error rate move in the last minute* — for a
-long-running process:
+:class:`ServingTelemetry` is the one account of a
+:class:`~repro.serving.frontend.ServingFrontend`'s requests:
+:meth:`~ServingTelemetry.record_request` records each one once, and
+``stats()``, the snapshot, ``/metrics``, the event-log rollup and the
+active :mod:`repro.obs` session's ``serving.*`` metrics are views of
+that record.  It answers "since start" as well as the operational
+questions — *what is p99 right now*, *did the error rate move in the
+last minute* — for a long-running process:
 
 * **windowed instruments** (:mod:`repro.obs.live`): rolling-window
   latency / queue-wait / execute / batch-size histograms plus
-  requests/rows/errors rate counters, all sliced into N rotating
-  epochs so old traffic ages out;
+  requests/rows/errors rate counters, all sliced into rotating epochs
+  so old traffic ages out of the window into each instrument's
+  lifetime part;
 * **per-request tracing**: the frontend reports every completed request
   (monotonic ``request_id``, queue-wait vs execute split, row count,
   dropped-unknown-item count, outcome ok/error/cancelled).  A
@@ -43,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from ..obs import core as _obs
 from ..obs.live import (
     DEFAULT_SLICE_SECONDS,
     DEFAULT_SLICES,
@@ -74,21 +78,22 @@ SLO_METRICS = (
 )
 
 
+#: Sampled request records kept in memory for the snapshot.
+_RING_SIZE = 256
+
+
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Window geometry, sampling, and SLO rules for one telemetry unit."""
+    """Slice width, sampling, and SLO rules for one telemetry unit (the
+    window always holds :data:`~repro.obs.live.DEFAULT_SLICES` slices)."""
 
-    n_slices: int = DEFAULT_SLICES
     slice_seconds: float = DEFAULT_SLICE_SECONDS
     sample_every: int = 16
-    ring_size: int = 256
     slos: tuple[SloRule, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if self.ring_size < 1:
-            raise ValueError("ring_size must be >= 1")
 
 
 class TraceEventLog:
@@ -176,9 +181,7 @@ class ServingTelemetry:
         self.config = config or TelemetryConfig()
         self._clock = clock if clock is not None else time.monotonic
         geometry = dict(
-            n_slices=self.config.n_slices,
-            slice_seconds=self.config.slice_seconds,
-            clock=self._clock,
+            slice_seconds=self.config.slice_seconds, clock=self._clock
         )
         self.latency = WindowedHistogram(**geometry)
         self.queue_wait = WindowedHistogram(**geometry)
@@ -190,10 +193,8 @@ class ServingTelemetry:
         self.slo = SloMonitor(self.config.slos)
         self.event_log = event_log
         self._lock = threading.Lock()
+        # requests/rows/errors totals are the rate counters' lifetimes.
         self._cumulative: dict[str, int] = {
-            "requests": 0,
-            "rows": 0,
-            "errors": 0,
             "cancelled": 0,
             "dropped_unknown_items": 0,
             "worker_deaths": 0,
@@ -225,7 +226,9 @@ class ServingTelemetry:
         error: str | None = None,
         now: float | None = None,
     ) -> None:
-        """One completed request, reported by the frontend worker."""
+        """One request that reached an outcome (ok, error or cancelled);
+        the only writer of request accounting.  The histograms skip
+        cancelled requests, which never ran."""
         now = self._clock() if now is None else float(now)
         latency_s = queue_wait_s + execute_s
         sampled = request_id % self.config.sample_every == 0
@@ -241,19 +244,18 @@ class ServingTelemetry:
         if error is not None:
             record["error"] = error
         with self._lock:
-            self._cumulative["requests"] += 1
-            self._cumulative["rows"] += rows
             self._cumulative["dropped_unknown_items"] += dropped_unknown
-            if outcome == "error":
-                self._cumulative["errors"] += 1
-            elif outcome == "cancelled":
+            if outcome == "cancelled":
                 self._cumulative["cancelled"] += 1
             if sampled:
                 self._cumulative["sampled_traces"] += 1
                 self._ring.append(record)
-                del self._ring[: -self.config.ring_size]
+                del self._ring[:-_RING_SIZE]
         self.requests.add(1, now)
         self.rows.add(rows, now)
+        _obs.add("serving.requests_served")
+        if dropped_unknown:
+            _obs.add("serving.unknown_items_dropped", dropped_unknown)
         if outcome == "error":
             self.errors.add(1, now)
         if outcome != "cancelled":
@@ -261,6 +263,10 @@ class ServingTelemetry:
             self.queue_wait.observe(queue_wait_s, now)
             self.execute.observe(execute_s, now)
             self.batch_rows.observe(rows, now)
+            _obs.observe("serving.request_latency_s", latency_s)
+            _obs.observe("serving.queue_wait_s", queue_wait_s)
+            _obs.observe("serving.execute_s", execute_s)
+            _obs.observe("serving.batch_rows", rows)
         if sampled and self.event_log is not None:
             self.event_log.append_event(
                 "serving.request",
@@ -270,13 +276,24 @@ class ServingTelemetry:
             )
         self.maybe_evaluate(now)
 
-    def record_worker_death(self, now: float | None = None) -> None:
+    def record_worker_death(self) -> None:
         with self._lock:
             self._cumulative["worker_deaths"] += 1
+        _obs.add("serving.worker_deaths")
         if self.event_log is not None:
             self.event_log.append_event(
                 "serving.worker_death", "worker died and was respawned", {}
             )
+
+    def totals(self) -> dict[str, int]:
+        """Lifetime counters since construction (the snapshot's
+        ``cumulative`` section and the trace rollup's counters)."""
+        with self._lock:
+            totals = dict(self._cumulative)
+        totals["requests"] = int(self.requests.lifetime())
+        totals["rows"] = int(self.rows.lifetime())
+        totals["errors"] = int(self.errors.lifetime())
+        return totals
 
     # -- SLO evaluation ------------------------------------------------
     def slo_values(self, now: float | None = None) -> dict[str, float | None]:
@@ -333,8 +350,8 @@ class ServingTelemetry:
         """Everything a scraper needs, as one JSON-stable plain dict."""
         now = self._clock() if now is None else float(now)
         self.maybe_evaluate(now)
+        cumulative = self.totals()
         with self._lock:
-            cumulative = dict(self._cumulative)
             samples = [dict(r) for r in self._ring]
         window_requests = self.requests.total(now)
         window_errors = self.errors.total(now)
@@ -351,9 +368,9 @@ class ServingTelemetry:
             "time_unix": time.time(),
             "uptime_s": max(now - self._started, 0.0),
             "window": {
-                "n_slices": self.config.n_slices,
+                "n_slices": DEFAULT_SLICES,
                 "slice_seconds": self.config.slice_seconds,
-                "seconds": self.config.n_slices * self.config.slice_seconds,
+                "seconds": self.latency.window_seconds,
                 "sample_every": self.config.sample_every,
             },
             "cumulative": cumulative,
@@ -382,11 +399,10 @@ class ServingTelemetry:
     def close(self) -> None:
         """Finalize the event log (writes the trace rollup line)."""
         if self.event_log is not None:
-            with self._lock:
-                counters = {
-                    f"serving.{name}": value
-                    for name, value in self._cumulative.items()
-                }
+            counters = {
+                f"serving.{name}": value
+                for name, value in self.totals().items()
+            }
             self.event_log.close(counters=counters)
 
 

@@ -84,6 +84,18 @@ class TestWindowedHistogramProperty:
             got, want = merged.quantile(q), reference.quantile(q)
             assert got == want or (math.isnan(got) and math.isnan(want))
 
+        # The lifetime view loses nothing: slices evicted by rotation and
+        # observations too old on arrival are folded into the retired
+        # part, so it equals one histogram of *every* observation.
+        everything = Histogram()
+        everything.observe_many(value for _, value in observations)
+        lifetime = windowed.lifetime()
+        assert lifetime.counts == everything.counts
+        assert lifetime.zeros == everything.zeros
+        assert lifetime.count == everything.count == len(observations)
+        assert lifetime.min == everything.min
+        assert lifetime.max == everything.max
+
     def test_rotation_evicts_old_slices(self):
         clock = FakeClock()
         windowed = WindowedHistogram(n_slices=3, slice_seconds=10.0, clock=clock)
@@ -127,6 +139,10 @@ class TestWindowedCounter:
         assert counter.total(now=15.0) == 12.0
         counter.add(1, now=25.0)  # epoch 2: epoch 0 evicted
         assert counter.total(now=25.0) == 8.0
+        counter.add(4, now=3.0)  # epoch 0 again: too old on arrival
+        assert counter.total(now=25.0) == 8.0
+        # The lifetime total keeps the evicted and the too-old adds.
+        assert counter.lifetime() == 17
 
     def test_rate_uses_elapsed_time_before_window_fills(self):
         # 2 s into life with 10 events the rate must read ~5/s, not

@@ -11,11 +11,18 @@ seam).
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.serving import ServingClosedError, ServingFrontend, compile_model
+from repro import obs
+from repro.serving import (
+    ServingClosedError,
+    ServingFrontend,
+    ServingTelemetry,
+    compile_model,
+)
 from repro.testing.faults import Fault, injected_faults
 from tests.serving_common import fitted_pipeline
 
@@ -214,7 +221,7 @@ class TestLatencyAttribution:
         queue.  Staged with one slow worker (sleep fault) holding the
         single-slot queue full while a third client blocks in submit().
         """
-        from repro.serving import ServingTelemetry, TelemetryConfig
+        from repro.serving import TelemetryConfig
 
         telemetry = ServingTelemetry(TelemetryConfig(sample_every=1))
         faults = [
@@ -259,3 +266,85 @@ class TestLatencyAttribution:
         assert stats["queue_wait_s"]["count"] == 3
         assert stats["execute_s"]["count"] == 3
         assert stats["execute_s"]["max"] >= 0.55
+
+
+class _FailingModel:
+    """Serves one item space like a compiled model, but every predict
+    fails — after the frontend's sanitize pass has already dropped the
+    request's unknown ids."""
+
+    n_items = 4
+
+    def predict(self, transactions, sanitize=True):
+        raise RuntimeError("model failure")
+
+
+class TestOneAccount:
+    """``stats()``, the telemetry snapshot and the active obs session
+    are views of one per-request record, so they agree by construction."""
+
+    def test_cancelled_requests_agree_with_snapshot(self, compiled, tmp_path):
+        faults = [
+            Fault(point="serve_worker:claim", action="sleep", seconds=0.3)
+        ]
+        telemetry = ServingTelemetry()
+        with injected_faults(faults, tmp_path / "fault-state"):
+            frontend = ServingFrontend(
+                compiled, n_workers=1, queue_size=16, telemetry=telemetry
+            )
+            futures = [frontend.submit([(0,)]) for _ in range(6)]
+            # Let the one worker claim (and sleep on) the first request,
+            # so the close below cancels the other five.
+            while frontend.stats()["queue_depth"] == 6:
+                time.sleep(0.005)
+            frontend.close(drain=False)
+        assert futures[0].result(timeout=5) is not None
+        for future in futures[1:]:
+            with pytest.raises(ServingClosedError):
+                future.result(timeout=5)
+        stats = frontend.stats()
+        cumulative = telemetry.snapshot()["cumulative"]
+        assert stats["cancelled"] == 5
+        for key in ("requests", "rows", "cancelled"):
+            assert stats[key] == cumulative[key]
+        assert stats["requests"] == 6
+        assert (
+            stats["latency_s"]["count"]
+            == stats["requests"] - stats["cancelled"]
+        )
+
+    def test_session_counters_equal_stats(self, tmp_path):
+        faults = [Fault(point="serve_worker:claim", action="raise", times=1)]
+        with obs.session() as session:
+            with injected_faults(faults, tmp_path / "fault-state"):
+                with ServingFrontend(_FailingModel(), n_workers=1) as frontend:
+                    futures = [
+                        frontend.submit([(0, 1, 99), (2, 77)])
+                        for _ in range(3)
+                    ]
+                    for future in futures:
+                        with pytest.raises(RuntimeError):
+                            future.result(timeout=30)
+        stats = frontend.stats()
+        assert stats["errors"] == 3
+        assert stats["dropped_unknown_items"] == 6
+        assert stats["worker_deaths"] == 1
+        counters = {
+            name: value
+            for name, value in session.counters.items()
+            if name.startswith("serving.")
+        }
+        assert counters == {
+            "serving.requests_served": stats["requests"],
+            "serving.unknown_items_dropped": stats["dropped_unknown_items"],
+            "serving.worker_deaths": stats["worker_deaths"],
+        }
+        histograms = session.histograms
+        for name, key in (
+            ("serving.request_latency_s", "latency_s"),
+            ("serving.queue_wait_s", "queue_wait_s"),
+            ("serving.execute_s", "execute_s"),
+            ("serving.batch_rows", "batch_rows"),
+        ):
+            assert histograms[name].count == stats[key]["count"] == 3
+            assert histograms[name].max == stats[key]["max"]

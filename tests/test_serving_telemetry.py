@@ -19,6 +19,7 @@ from repro.serving import (
     TraceEventLog,
     render_prometheus,
 )
+from repro.serving.telemetry import _RING_SIZE
 
 
 class FakeClock:
@@ -120,8 +121,6 @@ class TestSnapshot:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TelemetryConfig(sample_every=0)
-        with pytest.raises(ValueError):
-            TelemetryConfig(ring_size=0)
 
 
 class TestSampling:
@@ -137,13 +136,16 @@ class TestSampling:
         assert snapshot["cumulative"]["sampled_traces"] == 5
 
     def test_sample_ring_is_bounded(self):
-        telemetry = make_telemetry(sample_every=1, ring_size=8)
-        for i in range(50):
+        telemetry = make_telemetry(sample_every=1)
+        total = _RING_SIZE + 50
+        for i in range(total):
             telemetry.record_request(
                 request_id=i, rows=1, queue_wait_s=0.0, execute_s=0.001
             )
         samples = telemetry.snapshot()["samples"]
-        assert [s["request_id"] for s in samples] == list(range(42, 50))
+        assert [s["request_id"] for s in samples] == list(
+            range(total - _RING_SIZE, total)
+        )
 
 
 class TestTraceEventLog:
