@@ -23,7 +23,8 @@ from repro.mining import (
     mine_class_patterns,
 )
 from repro.selection import mmrfs, suggest_min_support
-from repro.selection.redundancy import batch_redundancy, batch_redundancy_packed
+from repro.selection.redundancy import batch_redundancy_packed
+from tests.oracles.mmrfs_dense import batch_redundancy
 
 
 @pytest.fixture(scope="module")
@@ -66,17 +67,6 @@ def test_bench_mmrfs(benchmark, workload):
     mined = mine_class_patterns(workload, min_support=0.15)
     result = benchmark.pedantic(
         mmrfs, args=(mined.patterns, workload), kwargs=dict(delta=3),
-        rounds=3, iterations=1,
-    )
-    assert len(result) > 0
-
-
-def test_bench_mmrfs_dense(benchmark, workload):
-    """The dense reference engine on the same selection workload."""
-    mined = mine_class_patterns(workload, min_support=0.15)
-    result = benchmark.pedantic(
-        mmrfs, args=(mined.patterns, workload),
-        kwargs=dict(delta=3, engine="dense"),
         rounds=3, iterations=1,
     )
     assert len(result) > 0

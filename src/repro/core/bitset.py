@@ -57,6 +57,9 @@ _BITWISE_COUNT = getattr(np, "bitwise_count", None)
 #: the transient ``(block, n_words)`` uint64 buffer of every batched cover
 #: and count, however many itemsets the batch holds.
 _COVER_BLOCK_BYTES = 4 << 20
+#: Byte budget of one block of ``masks & mask`` in
+#: :func:`intersection_counts` (MMRFS's per-acceptance redundancy refresh).
+_INTERSECTION_BLOCK_BYTES = 1 << 20
 
 
 def word_count(n_bits: int) -> int:
@@ -125,11 +128,19 @@ def intersection_counts(masks: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``popcount(masks[k] & mask)`` for every row of ``masks``.
 
     The packed form of ``dense_masks[:, dense_mask].sum(axis=1)`` — one AND
-    plus a table gather instead of a boolean fancy-index per row.
+    plus a table gather instead of a boolean fancy-index per row.  A stack
+    of masks is ANDed in row blocks of at most ``_INTERSECTION_BLOCK_BYTES``,
+    so the transient buffer is bounded however many masks there are.
     """
     if _obs._ACTIVE is not None:
         _obs._ACTIVE.add("bitset.intersection_calls", 1)
-    return popcount(masks & mask)
+    block = max(1, _INTERSECTION_BLOCK_BYTES // max(1, mask.size * 8))
+    if masks.ndim == 1 or len(masks) <= block:
+        return popcount(masks & mask)
+    counts = np.empty(len(masks), dtype=np.int64)
+    for start in range(0, len(masks), block):
+        counts[start : start + block] = popcount(masks[start : start + block] & mask)
+    return counts
 
 
 def scatter_bits(

@@ -16,9 +16,8 @@ import numpy as np
 from ..classifiers.base import Classifier
 from ..classifiers.linear_svm import LinearSVM
 from ..datasets.graphs import GraphDataset
-from ..measures.information_gain import information_gain_from_counts
 from ..mining.gspan import GraphPattern, contains_subgraph, gspan
-from ..selection.redundancy import batch_redundancy
+from ..selection.mmrfs import mmrfs_indices
 
 __all__ = ["GraphPatternClassifier"]
 
@@ -94,70 +93,6 @@ class GraphPatternClassifier:
                     matrix[pattern_index, row_index] = True
         return matrix
 
-    def _select(
-        self,
-        candidates: list[nx.Graph],
-        coverage: np.ndarray,
-        data: GraphDataset,
-    ) -> list[int]:
-        """Greedy MMR selection with the coverage-delta stopping rule."""
-        n_rows = data.n_rows
-        class_one_hot = np.zeros((n_rows, data.n_classes), dtype=np.int64)
-        class_one_hot[np.arange(n_rows), data.labels] = 1
-        class_totals = class_one_hot.sum(axis=0)
-
-        supports = coverage.sum(axis=1)
-        relevances = np.empty(len(candidates))
-        majority = np.zeros(len(candidates), dtype=np.int64)
-        for index in range(len(candidates)):
-            present = class_one_hot[coverage[index]].sum(axis=0)
-            relevances[index] = information_gain_from_counts(
-                present, class_totals - present
-            )
-            majority[index] = int(np.argmax(present)) if present.sum() else 0
-
-        correct = coverage & (majority[:, np.newaxis] == data.labels)
-        coverage_counts = np.zeros(n_rows, dtype=np.int64)
-        max_redundancy = np.zeros(len(candidates))
-        available = np.ones(len(candidates), dtype=bool)
-        chosen: list[int] = []
-
-        def take(index: int) -> None:
-            available[index] = False
-            coverage_counts[correct[index]] += 1
-            chosen.append(index)
-            np.maximum(
-                max_redundancy,
-                batch_redundancy(
-                    coverage,
-                    supports,
-                    relevances,
-                    coverage[index],
-                    int(supports[index]),
-                    float(relevances[index]),
-                ),
-                out=max_redundancy,
-            )
-
-        if not candidates:
-            return chosen
-        take(int(np.argmax(relevances)))
-        while True:
-            if self.max_selected is not None and len(chosen) >= self.max_selected:
-                break
-            if (coverage_counts >= self.delta).all() or not available.any():
-                break
-            gains = np.where(available, relevances - max_redundancy, -np.inf)
-            best = int(np.argmax(gains))
-            if not np.isfinite(gains[best]):
-                break
-            useful = correct[best] & (coverage_counts < self.delta)
-            if useful.any():
-                take(best)
-            else:
-                available[best] = False
-        return chosen
-
     # ------------------------------------------------------------------
     def _design(self, data: GraphDataset) -> np.ndarray:
         design = np.zeros((data.n_rows, len(self.selected_)))
@@ -171,7 +106,9 @@ class GraphPatternClassifier:
         candidates = self._mine_candidates(data)
         self.mined_count_ = len(candidates)
         coverage = self._coverage_matrix(candidates, data)
-        chosen = self._select(candidates, coverage, data)
+        chosen = mmrfs_indices(
+            coverage, data.labels, data.n_classes, self.delta, self.max_selected
+        )
         self.selected_ = [
             GraphPattern(candidates[i], int(coverage[i].sum())) for i in chosen
         ]

@@ -3,7 +3,7 @@
 from .direct import DirectMiningResult, ddpmine, ig_superset_bound
 from .minsup import MinSupSuggestion, suggest_min_support
 from .mmrfs import SelectedFeature, SelectionResult, mmrfs, top_k_by_relevance
-from .redundancy import batch_redundancy, jaccard, weighted_jaccard_redundancy
+from .redundancy import jaccard, weighted_jaccard_redundancy
 from .relevance import (
     ChiSquareRelevance,
     FisherScoreRelevance,
@@ -23,7 +23,6 @@ __all__ = [
     "SelectionResult",
     "jaccard",
     "weighted_jaccard_redundancy",
-    "batch_redundancy",
     "RelevanceMeasure",
     "InformationGainRelevance",
     "FisherScoreRelevance",

@@ -13,21 +13,26 @@ Greedy selection over the mined pattern set F:
 classification (CMAR): pattern alpha covers instance i if i contains alpha,
 and the cover is *correct* if alpha's majority class equals i's label.
 
-The per-iteration gain update is incremental: selecting beta can only
-*raise* each candidate's max-redundancy, so one vectorized
-``batch_redundancy`` call per iteration maintains all gains exactly.
-Candidate scoring is vectorized too: one
+Candidate scoring is vectorized: one
 :func:`~repro.measures.contingency.batch_contingency_tables` pass yields
-the relevance vector, supports and majority classes of the whole set
-(:func:`~repro.selection.relevance.batch_relevance` falls back to the
-scalar loop for plain-callable measures).  The packed under-coverage mask
-is maintained as selections land, not repacked per candidate probe.
+the relevance vector, supports and majority classes of the whole set, and
+every coverage mask is kept packed 64 rows per uint64 word.
 
-Two coverage engines implement the same algorithm: ``"bitset"`` (default)
-keeps every coverage mask packed 64 rows per uint64 word and runs the
-redundancy update as AND + popcount; ``"dense"`` is the original boolean
-matrix path.  Both perform identical floating-point arithmetic, so their
-selections agree bit-for-bit (locked in by tests).
+The greedy loop works in *epochs*, one per accepted pattern.  Between two
+acceptances the gains and the under-covered rows are fixed, so the
+candidates the one-at-a-time loop would reject in that epoch are exactly
+the prefix of the ``(-gain, index)`` order that correctly covers no
+under-covered row.  Each epoch therefore takes the top chunk of live
+candidates (doubling the chunk while it accepts nothing), sorts it, and
+finds the first useful candidate with one AND + popcount; everything
+before it is rejected in bulk.  Selecting beta can only *raise* each
+candidate's max-redundancy, so an acceptance re-scores only the candidates
+still live, with one :func:`batch_redundancy_packed` call over the live
+arrays, which are compacted (in index order, so ties still go to the
+lowest index) once rejections thin them out.  The result — patterns,
+order, gain floats, coverage and the round counters — is exactly that of
+the one-round-per-candidate loop, which the test suite keeps as its
+oracle.
 """
 
 from __future__ import annotations
@@ -40,12 +45,25 @@ from ..core.bitset import pack_bits, pattern_covers, popcount, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
 from ..measures.contingency import batch_contingency_tables
-from ..mining.closed import occurrence_matrix
+from ..measures.information_gain import information_gain_from_counts
 from ..mining.itemsets import Pattern
-from .redundancy import batch_redundancy, batch_redundancy_packed
+from .redundancy import batch_redundancy_packed
 from .relevance import RelevanceMeasure, batch_relevance, get_relevance
 
-__all__ = ["SelectedFeature", "SelectionResult", "mmrfs", "top_k_by_relevance"]
+__all__ = [
+    "SelectedFeature",
+    "SelectionResult",
+    "mmrfs",
+    "mmrfs_indices",
+    "top_k_by_relevance",
+]
+
+#: Candidates in an epoch's first scan chunk; the chunk doubles while it
+#: accepts nothing.
+_SCAN_CHUNK = 256
+#: The live arrays are compacted once fewer than this share of their rows
+#: is still live.
+_COMPACT_BELOW = 0.75
 
 
 @dataclass(frozen=True)
@@ -87,7 +105,6 @@ def mmrfs(
     relevance: str | RelevanceMeasure = "information_gain",
     delta: int = 1,
     max_selected: int | None = None,
-    engine: str = "bitset",
 ) -> SelectionResult:
     """Run Algorithm 1 over mined patterns.
 
@@ -106,10 +123,6 @@ def mmrfs(
     max_selected:
         Optional hard cap on |Fs| (the paper leaves this to delta; the cap
         exists for ablations and runaway protection).
-    engine:
-        ``"bitset"`` (default) keeps coverage masks packed and shares the
-        dataset's cached item bitsets; ``"dense"`` is the original boolean
-        matrix path.  Both produce bit-for-bit identical selections.
 
     Returns
     -------
@@ -118,8 +131,6 @@ def mmrfs(
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    if engine not in ("bitset", "dense"):
-        raise ValueError(f"engine must be 'bitset' or 'dense', got {engine!r}")
     score = get_relevance(relevance)
     if not patterns:
         return SelectionResult(
@@ -129,15 +140,9 @@ def mmrfs(
             considered=0,
         )
     with _obs.span(
-        "selection.mmrfs",
-        candidates=len(patterns),
-        delta=delta,
-        engine=engine,
-        rows=data.n_rows,
+        "selection.mmrfs", candidates=len(patterns), delta=delta, rows=data.n_rows
     ) as selection_span:
-        result = _mmrfs_run(
-            patterns, data, score, delta, max_selected, engine
-        )
+        result = _mmrfs_run(patterns, data, score, delta, max_selected)
         selection_span.set(
             selected=len(result), fully_covered=result.fully_covered
         )
@@ -150,160 +155,218 @@ def _mmrfs_run(
     score,
     delta: int,
     max_selected: int | None,
-    engine: str,
 ) -> SelectionResult:
     """Algorithm 1 proper (validation and the obs span live in the caller)."""
-    session = _obs._ACTIVE
-    # One vectorized pass over the batched contingency tables yields the
-    # relevance vector, supports and majority classes for every candidate.
     tables = batch_contingency_tables(patterns, data)
     relevances = batch_relevance(score, tables)
-    supports = tables.supports
     majority = tables.majority_classes()
-
-    n_rows = data.n_rows
-    coverage_counts = np.zeros(n_rows, dtype=np.int64)
-
-    # Coverage only changes inside select(), so the under-coverage mask
-    # (rows still short of the delta target) is maintained there rather
-    # than recomputed on every candidate probe — rejected probes in the
-    # same round reuse it unchanged.
-    if engine == "bitset":
-        item_bits = data.item_bits()
-        coverage_words = np.empty(
-            (len(patterns), item_bits.words.shape[1]), dtype=item_bits.words.dtype
-        )
-        for positions, covers in pattern_covers(item_bits, [p.items for p in patterns]):
-            coverage_words[positions] = covers
-        # correct_words[k]: rows pattern k covers *and* whose label matches
-        # the pattern's majority class — packed.
-        if data.n_classes:
-            correct_words = coverage_words & data.label_bits().words[majority]
-        else:
-            correct_words = np.zeros_like(coverage_words)
-        under_words = pack_bits(coverage_counts < delta)
-
-        def correct_mask(index: int) -> np.ndarray:
-            return unpack_bits(correct_words[index], n_rows)
-
-        def redundancy_against(index: int) -> np.ndarray:
-            return batch_redundancy_packed(
-                coverage_words,
-                supports,
-                relevances,
-                coverage_words[index],
-                int(supports[index]),
-                float(relevances[index]),
+    coverage_words, correct_words = _packed_coverage(patterns, data, majority)
+    run = _greedy(
+        coverage_words,
+        correct_words,
+        tables.supports,
+        relevances,
+        data.n_rows,
+        delta,
+        max_selected,
+    )
+    session = _obs._ACTIVE
+    if session is not None:
+        session.add_many(
+            (
+                ("selection.mmrfs.gain_evaluations", run.gain_evaluations),
+                ("selection.mmrfs.candidates", len(patterns)),
+                ("selection.mmrfs.rounds", run.rounds),
+                ("selection.mmrfs.accepted", len(run.chosen)),
+                ("selection.mmrfs.rejected", run.rejected),
             )
-
-        def covers_undercovered(index: int) -> bool:
-            return int(popcount(correct_words[index] & under_words)) > 0
-
-        def refresh_undercovered() -> None:
-            nonlocal under_words
-            under_words = pack_bits(coverage_counts < delta)
-
-    else:
-        matrix = occurrence_matrix(data.transactions, n_items=data.n_items)
-        coverage = np.stack(
-            [
-                matrix[:, list(p.items)].all(axis=1)
-                if p.items
-                else np.ones(n_rows, dtype=bool)
-                for p in patterns
-            ]
         )
-        # correct_coverage[k, i]: pattern k covers row i, predicts its label.
-        correct_coverage = coverage & (majority[:, np.newaxis] == data.labels)
-        undercovered = coverage_counts < delta
-
-        def correct_mask(index: int) -> np.ndarray:
-            return correct_coverage[index]
-
-        def redundancy_against(index: int) -> np.ndarray:
-            return batch_redundancy(
-                coverage,
-                supports,
-                relevances,
-                coverage[index],
-                int(supports[index]),
-                float(relevances[index]),
-            )
-
-        def covers_undercovered(index: int) -> bool:
-            return bool((correct_coverage[index] & undercovered).any())
-
-        def refresh_undercovered() -> None:
-            nonlocal undercovered
-            undercovered = coverage_counts < delta
-
-    max_redundancy = np.zeros(len(patterns), dtype=float)
-    available = np.ones(len(patterns), dtype=bool)
-    selected: list[SelectedFeature] = []
-
-    def select(index: int, gain: float) -> None:
-        available[index] = False
-        coverage_counts[correct_mask(index)] += 1
-        refresh_undercovered()
-        selected.append(
+        for covered in run.covered_rows:
+            session.record("selection.mmrfs.covered_rows", covered)
+    return SelectionResult(
+        selected=[
             SelectedFeature(
                 pattern=patterns[index],
                 relevance=float(relevances[index]),
-                gain=float(gain),
+                gain=gain,
                 majority_class=int(majority[index]),
-                order=len(selected),
+                order=order,
             )
-        )
-        # Update every candidate's max-redundancy in one vectorized pass
-        # (unavailable rows are masked at argmax time, so updating them too
-        # is cheaper than slicing the coverage matrix).
-        np.maximum(max_redundancy, redundancy_against(index), out=max_redundancy)
-        if session is not None:
-            # Each selection re-scores every candidate's gain; the coverage
-            # series tracks rows that reached the delta target per round.
-            session.add("selection.mmrfs.gain_evaluations", len(patterns))
-            session.record(
-                "selection.mmrfs.covered_rows",
-                int((coverage_counts >= delta).sum()),
-            )
-
-    # Line 1-2: seed with the most relevant pattern.
-    first = int(np.argmax(relevances))
-    select(first, gain=float(relevances[first]))
-
-    rounds = 0
-    rejected = 0
-    while True:
-        if max_selected is not None and len(selected) >= max_selected:
-            break
-        if (coverage_counts >= delta).all():
-            break
-        if not available.any():
-            break
-        rounds += 1
-        gains = np.where(available, relevances - max_redundancy, -np.inf)
-        best = int(np.argmax(gains))
-        if not np.isfinite(gains[best]):
-            break
-        # Line 5: accept only if it correctly covers an under-covered row.
-        if covers_undercovered(best):
-            select(best, gain=float(gains[best]))
-        else:
-            available[best] = False  # discard: cannot advance coverage
-            rejected += 1
-
-    if session is not None:
-        session.add("selection.mmrfs.candidates", len(patterns))
-        session.add("selection.mmrfs.rounds", rounds)
-        session.add("selection.mmrfs.accepted", len(selected))
-        session.add("selection.mmrfs.rejected", rejected)
-
-    return SelectionResult(
-        selected=selected,
-        coverage_counts=coverage_counts,
+            for order, (index, gain) in enumerate(zip(run.chosen, run.gains))
+        ],
+        coverage_counts=run.coverage_counts,
         delta=delta,
         considered=len(patterns),
     )
+
+
+def _packed_coverage(
+    patterns: list[Pattern], data: TransactionDataset, majority: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed coverage words of each pattern, and its *correct* cover words
+    (covered rows whose label is the pattern's majority class)."""
+    item_bits = data.item_bits()
+    coverage_words = np.empty(
+        (len(patterns), item_bits.words.shape[1]), dtype=item_bits.words.dtype
+    )
+    for positions, covers in pattern_covers(item_bits, [p.items for p in patterns]):
+        coverage_words[positions] = covers
+    if not data.n_classes:
+        return coverage_words, np.zeros_like(coverage_words)
+    # AND in place into the gathered label masks: one (n, n_words) buffer.
+    correct_words = data.label_bits().words[majority]
+    correct_words &= coverage_words
+    return coverage_words, correct_words
+
+
+def mmrfs_indices(
+    coverage: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    delta: int,
+    max_selected: int | None,
+) -> list[int]:
+    """Algorithm 1 over a boolean ``(n_candidates, n_rows)`` coverage matrix.
+
+    The selection of the sequence and graph pipelines, whose candidates are
+    not itemsets: information-gain relevance, majority class by count
+    (ties to the lowest class).  Returns the chosen candidate indices in
+    selection order.
+    """
+    present = coverage.astype(np.int64) @ np.eye(n_classes, dtype=np.int64)[labels]
+    absent = np.bincount(labels, minlength=n_classes) - present
+    relevances = np.array(
+        [information_gain_from_counts(p, a) for p, a in zip(present, absent)],
+        dtype=float,
+    )
+    majority = present.argmax(axis=1)
+    return _greedy(
+        pack_bits(coverage),
+        pack_bits(coverage & (majority[:, np.newaxis] == labels)),
+        coverage.sum(axis=1),
+        relevances,
+        coverage.shape[1],
+        delta,
+        max_selected,
+    ).chosen
+
+
+@dataclass
+class _GreedyRun:
+    """What the greedy loop chose, and the work it did."""
+
+    coverage_counts: np.ndarray
+    chosen: list[int] = field(default_factory=list)
+    gains: list[float] = field(default_factory=list)
+    #: Rows at the delta target after each acceptance.
+    covered_rows: list[int] = field(default_factory=list)
+    #: Rounds of the one-candidate-per-round loop: one per rejection, one
+    #: per acceptance after the seed, one for a non-finite stop.
+    rounds: int = 0
+    rejected: int = 0
+    #: Candidate rows re-scored against accepted patterns.
+    gain_evaluations: int = 0
+
+
+def _greedy(
+    coverage_words: np.ndarray,
+    correct_words: np.ndarray,
+    supports: np.ndarray,
+    relevances: np.ndarray,
+    n_rows: int,
+    delta: int,
+    max_selected: int | None,
+) -> _GreedyRun:
+    """The greedy loop of Algorithm 1 over packed coverage.
+
+    ``coverage_words[k]``/``correct_words[k]`` are candidate k's packed
+    cover and correct-cover masks.  The caller hands ``coverage_words``
+    over: compaction reuses its leading rows in place.
+    """
+    run = _GreedyRun(coverage_counts=np.zeros(n_rows, dtype=np.int64))
+    if not len(relevances):
+        return run
+    # The live arrays: row r is candidate ids[r]; live[r] is False once
+    # it is accepted or rejected.
+    ids = np.arange(len(relevances))
+    live = np.ones(len(ids), dtype=bool)
+    n_live = len(ids)
+    max_redundancy = np.zeros(len(ids))
+    row = int(np.argmax(relevances))  # Line 1-2: seed with the most relevant
+    gain = float(relevances[row])
+    while True:
+        live[row] = False
+        n_live -= 1
+        run.coverage_counts[unpack_bits(correct_words[ids[row]], n_rows)] += 1
+        run.chosen.append(int(ids[row]))
+        run.gains.append(gain)
+        run.covered_rows.append(int((run.coverage_counts >= delta).sum()))
+        if max_selected is not None and len(run.chosen) >= max_selected:
+            break
+        under = run.coverage_counts < delta
+        if not under.any() or not n_live:
+            break
+        under_words = pack_bits(under)
+
+        accepted = (
+            coverage_words[row].copy(), int(supports[row]), float(relevances[row])
+        )
+        if n_live < _COMPACT_BELOW * len(ids):
+            keep = np.flatnonzero(live)
+            coverage_words[: len(keep)] = coverage_words[keep]
+            coverage_words = coverage_words[: len(keep)]
+            ids, supports, relevances, max_redundancy = (
+                ids[keep], supports[keep], relevances[keep], max_redundancy[keep]
+            )
+            live = np.ones(len(keep), dtype=bool)
+        np.maximum(
+            max_redundancy,
+            batch_redundancy_packed(coverage_words, supports, relevances, *accepted),
+            out=max_redundancy,
+        )
+        run.gain_evaluations += len(ids)
+
+        # The epoch: gains are fixed until the next acceptance.
+        rows = np.flatnonzero(live)
+        gains = relevances[rows] - max_redundancy[rows]
+        if np.isnan(gains).any():
+            run.rounds += 1  # the one-at-a-time argmax lands on the NaN
+            break
+        chunk = _SCAN_CHUNK
+        while True:
+            if chunk < len(rows):
+                # Every candidate at or above the chunk's cut gain: ties at
+                # the cut are all in, so the head is a prefix of the order.
+                cut = np.partition(gains, len(rows) - chunk)[len(rows) - chunk]
+                head = np.flatnonzero(gains >= cut)
+            else:
+                head = np.arange(len(rows))
+            head = head[np.argsort(-gains[head], kind="stable")]
+            stops = ~np.isfinite(gains[head]) | (
+                popcount(correct_words[ids[rows[head]]] & under_words) > 0
+            )
+            hit = int(np.argmax(stops))
+            if stops[hit]:
+                break
+            live[rows[head]] = False
+            n_live -= len(head)
+            run.rounds += len(head)
+            run.rejected += len(head)
+            if not n_live:
+                return run
+            rest = np.ones(len(rows), dtype=bool)
+            rest[head] = False
+            rows, gains = rows[rest], gains[rest]
+            chunk *= 2
+        live[rows[head[:hit]]] = False
+        n_live -= hit
+        run.rounds += hit + 1
+        run.rejected += hit
+        gain = float(gains[head[hit]])
+        if not np.isfinite(gain):
+            break
+        row = int(rows[head[hit]])
+    return run
 
 
 def top_k_by_relevance(
@@ -331,14 +394,11 @@ def top_k_by_relevance(
     relevances = batch_relevance(score, tables)
     majority = tables.majority_classes()
     order = np.argsort(-relevances, kind="stable")[:k]
-
-    coverage_counts = np.zeros(data.n_rows, dtype=np.int64)
-    selected = []
-    for rank, index in enumerate(order):
-        index = int(index)
-        mask = data.covers(patterns[index].items)
-        coverage_counts[mask & (data.labels == majority[index])] += 1
-        selected.append(
+    _, correct_words = _packed_coverage(
+        [patterns[index] for index in order], data, majority[order]
+    )
+    return SelectionResult(
+        selected=[
             SelectedFeature(
                 pattern=patterns[index],
                 relevance=float(relevances[index]),
@@ -346,10 +406,11 @@ def top_k_by_relevance(
                 majority_class=int(majority[index]),
                 order=rank,
             )
-        )
-    return SelectionResult(
-        selected=selected,
-        coverage_counts=coverage_counts,
+            for rank, index in enumerate(order)
+        ],
+        coverage_counts=unpack_bits(correct_words, data.n_rows).sum(
+            axis=0, dtype=np.int64
+        ),
         delta=1,
         considered=len(patterns),
     )

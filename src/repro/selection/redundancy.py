@@ -20,7 +20,6 @@ from ..core.bitset import intersection_counts
 __all__ = [
     "jaccard",
     "weighted_jaccard_redundancy",
-    "batch_redundancy",
     "batch_redundancy_packed",
 ]
 
@@ -49,36 +48,6 @@ def weighted_jaccard_redundancy(
     return jaccard(count_a, count_b, count_both) * min(relevance_a, relevance_b)
 
 
-def batch_redundancy(
-    coverage: np.ndarray,
-    supports: np.ndarray,
-    relevances: np.ndarray,
-    new_coverage: np.ndarray,
-    new_support: int,
-    new_relevance: float,
-) -> np.ndarray:
-    """R(alpha_k, beta) for every candidate alpha_k against one pattern beta.
-
-    Parameters
-    ----------
-    coverage:
-        Boolean matrix (n_candidates, n_rows): candidate coverage masks.
-    supports, relevances:
-        Per-candidate absolute supports and relevance scores.
-    new_coverage, new_support, new_relevance:
-        The newly selected pattern beta.
-
-    Vectorized so MMRFS's per-iteration update is O(n_candidates * |D_beta|).
-    """
-    if new_support == 0:
-        return np.zeros(len(supports), dtype=float)
-    joint = coverage[:, new_coverage].sum(axis=1).astype(float)
-    union = supports.astype(float) + float(new_support) - joint
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jaccard_values = np.where(union > 0, joint / union, 0.0)
-    return jaccard_values * np.minimum(relevances, new_relevance)
-
-
 def batch_redundancy_packed(
     coverage_words: np.ndarray,
     supports: np.ndarray,
@@ -87,13 +56,13 @@ def batch_redundancy_packed(
     new_support: int,
     new_relevance: float,
 ) -> np.ndarray:
-    """Packed-bitset twin of :func:`batch_redundancy`.
+    """R(alpha_k, beta) for every candidate alpha_k against one pattern beta.
 
     ``coverage_words`` is the uint64-packed coverage matrix
     (n_candidates, n_words) and ``new_words`` the packed mask of the newly
-    selected pattern.  The joint counts come from AND + popcount instead of
-    a boolean fancy-index; every arithmetic step past the counts is
-    *identical* to the dense version, so the two paths agree bit-for-bit.
+    selected pattern beta; ``supports``/``relevances`` are per candidate.
+    The joint counts are one AND + popcount, so MMRFS's per-acceptance
+    update is O(n_candidates * n_words).
     """
     if new_support == 0:
         return np.zeros(len(supports), dtype=float)

@@ -8,6 +8,7 @@ them).
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from repro.core.bitset import (
     word_count,
 )
 from repro.mining.closed import closed_fpgrowth, occurrence_matrix
-from repro.selection.redundancy import batch_redundancy, batch_redundancy_packed
+from repro.selection.redundancy import batch_redundancy_packed
+from tests.oracles.mmrfs_dense import batch_redundancy
 
 #: Widths straddling the word size: 1 word exactly, off-by-one both ways,
 #: multiple words, and a sub-byte width.
@@ -116,11 +118,19 @@ class TestIntersection:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(dense=bool_matrices())
-    def test_intersection_counts_match_dense(self, dense):
+    @given(dense=bool_matrices(), block_rows=st.sampled_from([None, 1, 2]))
+    def test_intersection_counts_match_dense(self, dense, block_rows):
+        """Also with row blocks of 1-2 masks, so the blocked loop runs."""
         packed = pack_bits(dense)
         expected = (dense & dense[-1]).sum(axis=1)
-        assert np.array_equal(intersection_counts(packed, packed[-1]), expected)
+        budget = (
+            bitset._INTERSECTION_BLOCK_BYTES
+            if block_rows is None
+            else block_rows * packed.shape[1] * 8
+        )
+        with mock.patch.object(bitset, "_INTERSECTION_BLOCK_BYTES", budget):
+            counts = intersection_counts(packed, packed[-1])
+        assert np.array_equal(counts, expected)
 
     @settings(max_examples=100, deadline=None)
     @given(dense=bool_matrices())

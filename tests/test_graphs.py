@@ -140,6 +140,30 @@ class TestGraphDataset:
         assert subset.graphs[1] is data.graphs[3]
 
 
+def test_graph_selection_pinned():
+    """``selected_`` of a seeded fit, as the per-candidate MMR loop chose
+    it; the packed greedy core must reproduce it exactly."""
+    data = generate_graphs(GraphSpec(name="gcls", n_rows=60, seed=7))
+    model = GraphPatternClassifier(min_support=0.4, max_edges=2).fit(data)
+    assert [(p.signature(), p.support) for p in model.selected_] == [
+        ("060b8ea07a0806927d7836952306b062", 22),
+        ("22eab056c40c968d6307463d0576a6fe", 19),
+        ("80d7a2559bee41dea7f523757afd5ec3", 29),
+        ("091b570a7dc3c31a89e9e8cf60649e32", 33),
+        ("261f83d185901718928e1d2a6a7495bc", 21),
+        ("66ca2bbb8d5e4322799ebdf8c2662c7e", 21),
+        ("f15321c072468026f9b2646a6826dd5a", 52),
+        ("e029212443e07b91eeaa2fa5ef61032d", 23),
+        ("4139dc4c0d8d28ed0a2cfe58160abde9", 28),
+        ("e8eb723cc79c52ebffbb83d384ab10b0", 20),
+        ("e7874890730f3996adcf188157a0574b", 23),
+        ("032fa7c4d81088103a94786acd8a89d8", 24),
+        ("d4d6895449550d9a6965a1719e92376f", 42),
+        ("680c1744355412838fac20822bbafc20", 35),
+        ("e49930914345da3c60d99c1aa5f30825", 29),
+    ]
+
+
 @pytest.mark.slow
 class TestGraphClassifier:
     @pytest.fixture(scope="class")

@@ -97,8 +97,9 @@ class TestMmrfsCounterExactness:
         assert counters["selection.mmrfs.accepted"] == 2
         assert counters["selection.mmrfs.rejected"] == 0
         assert counters["selection.mmrfs.rounds"] == 1
-        # Each of the 2 selections re-scores both candidates.
-        assert counters["selection.mmrfs.gain_evaluations"] == 4
+        # Only the seed's acceptance re-scores anything: the one candidate
+        # still live.  The loop stops after the second acceptance.
+        assert counters["selection.mmrfs.gain_evaluations"] == 1
         # Coverage progress: 2 rows after the seed, all 4 after the second.
         assert sess.series["selection.mmrfs.covered_rows"] == [2, 4]
         [span] = [s for s in sess.spans if s["name"] == "selection.mmrfs"]

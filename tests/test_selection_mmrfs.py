@@ -9,7 +9,6 @@ from repro.mining import Pattern, mine_class_patterns
 from repro.selection import (
     FisherScoreRelevance,
     InformationGainRelevance,
-    batch_redundancy,
     get_relevance,
     jaccard,
     mmrfs,
@@ -17,6 +16,8 @@ from repro.selection import (
     top_k_by_relevance,
     weighted_jaccard_redundancy,
 )
+from repro.obs.core import session
+from tests.oracles.mmrfs_dense import batch_redundancy, mmrfs_dense
 
 
 class TestJaccard:
@@ -171,8 +172,9 @@ class TestMMRFS:
 
 
 class TestEngineParity:
-    """The packed-bitset engine must be *bit-for-bit* the dense engine:
-    same patterns in the same order, with exactly equal floats."""
+    """The packed, epoch-scanning selection must be *bit-for-bit* the dense
+    one-round-per-candidate oracle: same patterns in the same order, with
+    exactly equal floats and the same round counters."""
 
     @pytest.fixture(scope="class", params=["tiny", "planted"])
     def workload(self, request, tiny_transactions, planted_transactions):
@@ -187,12 +189,9 @@ class TestEngineParity:
     @pytest.mark.parametrize("delta", [1, 3])
     def test_bitset_matches_dense_exactly(self, workload, relevance, delta):
         data, patterns = workload
-        bitset = mmrfs(
-            patterns, data, relevance=relevance, delta=delta, engine="bitset"
-        )
-        dense = mmrfs(
-            patterns, data, relevance=relevance, delta=delta, engine="dense"
-        )
+        with session() as sess:
+            bitset = mmrfs(patterns, data, relevance=relevance, delta=delta)
+        dense, run = mmrfs_dense(patterns, data, relevance=relevance, delta=delta)
         assert len(bitset) == len(dense)
         for b, d in zip(bitset.selected, dense.selected):
             assert b.pattern == d.pattern
@@ -204,54 +203,41 @@ class TestEngineParity:
         assert np.array_equal(bitset.coverage_counts, dense.coverage_counts)
         assert bitset.fully_covered == dense.fully_covered
         assert bitset.considered == dense.considered
-
-    def test_default_engine_is_bitset(self, workload):
-        data, patterns = workload
-        default = mmrfs(patterns, data, delta=2)
-        explicit = mmrfs(patterns, data, delta=2, engine="bitset")
-        assert [f.pattern for f in default.selected] == [
-            f.pattern for f in explicit.selected
-        ]
-
-    def test_unknown_engine_rejected(self, planted_transactions):
-        with pytest.raises(ValueError, match="engine"):
-            mmrfs([], planted_transactions, delta=1, engine="simd")
+        assert sess.counters["selection.mmrfs.rounds"] == run.rounds
+        assert sess.counters["selection.mmrfs.rejected"] == run.rejected
+        assert sess.series["selection.mmrfs.covered_rows"] == run.covered_rows
 
 
 class TestIncrementalUndercoverageMask:
-    """The bitset engine maintains its packed under-coverage mask as
-    selections land instead of repacking per candidate probe; selections
-    must be unchanged from the recompute-every-probe behaviour (which the
-    dense engine's parity already witnesses) and probes that cannot advance
-    coverage must still be rejected."""
+    """The fast path keeps its packed under-coverage mask fixed within an
+    epoch and rejects a whole prefix of the gain order at once; selections
+    must be unchanged from the dense loop that re-tests every probe, and
+    probes that cannot advance coverage must still be rejected."""
 
     @pytest.mark.parametrize("delta", [1, 2, 5])
     def test_selections_unchanged_across_engines(
         self, planted_transactions, delta
     ):
         mined = mine_class_patterns(planted_transactions, min_support=0.2)
-        bitset = mmrfs(
-            mined.patterns, planted_transactions, delta=delta, engine="bitset"
-        )
-        dense = mmrfs(
-            mined.patterns, planted_transactions, delta=delta, engine="dense"
-        )
+        bitset = mmrfs(mined.patterns, planted_transactions, delta=delta)
+        dense, _ = mmrfs_dense(mined.patterns, planted_transactions, delta=delta)
         assert [f.pattern for f in bitset.selected] == [
             f.pattern for f in dense.selected
+        ]
+        assert [f.gain for f in bitset.selected] == [
+            f.gain for f in dense.selected
         ]
         assert np.array_equal(bitset.coverage_counts, dense.coverage_counts)
 
     def test_rejections_still_happen(self, planted_transactions):
-        """A high delta forces redundant-coverage probes; the maintained
-        mask must reject them exactly like a fresh repack would."""
-        from repro.obs.core import session
-
+        """A high delta forces redundant-coverage probes; the bulk scan
+        must reject exactly the probes the dense loop rejects."""
         mined = mine_class_patterns(planted_transactions, min_support=0.2)
         with session() as sess:
-            result = mmrfs(
-                mined.patterns, planted_transactions, delta=8, engine="bitset"
-            )
+            result = mmrfs(mined.patterns, planted_transactions, delta=8)
+        _, run = mmrfs_dense(mined.patterns, planted_transactions, delta=8)
         assert sess.counters["selection.mmrfs.rejected"] > 0
+        assert sess.counters["selection.mmrfs.rejected"] == run.rejected
         assert sess.counters["selection.mmrfs.accepted"] == len(result)
 
     def test_mask_reflects_final_coverage(self, planted_transactions):
