@@ -40,7 +40,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..obs import core as _obs
-from .bitset import BitMatrix, popcount, scatter_bits, unpack_bits, word_count
+from .bitset import (
+    BitMatrix,
+    class_counts,
+    pattern_covers,
+    popcount,
+    scatter_bits,
+    unpack_bits,
+    word_count,
+)
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -436,14 +444,14 @@ class VerticalDataset:
         items = self._valid_items(pattern)
         if items is None:
             return np.zeros(self.n_rows, dtype=bool)
-        return unpack_bits(self._item_bits.and_reduce(items), self.n_rows)
+        [(_, covers)] = pattern_covers(self._item_bits, [items])
+        return unpack_bits(covers[0], self.n_rows)
 
     def class_support_counts(self, pattern: Iterable[int]) -> np.ndarray:
         items = self._valid_items(pattern)
         if items is None:
             return np.zeros(self.n_classes, dtype=np.int64)
-        cover = self._item_bits.and_reduce(items)
-        return popcount(self._label_bits.words & cover).astype(np.int64)
+        return class_counts(self._item_bits, self._label_bits.words, [items])[0]
 
     def __len__(self) -> int:
         return self.n_rows

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, popcount, unpack_bits
+from ..core.bitset import BitMatrix, class_counts, pattern_covers, unpack_bits
 from .schema import Dataset
 
 __all__ = ["ItemCatalog", "TransactionDataset"]
@@ -226,15 +226,15 @@ class TransactionDataset:
         items = self._valid_items(pattern)
         if items is None:
             return np.zeros(self.n_rows, dtype=bool)
-        return unpack_bits(self.item_bits().and_reduce(items), self.n_rows)
+        [(_, covers)] = pattern_covers(self.item_bits(), [items])
+        return unpack_bits(covers[0], self.n_rows)
 
     def class_support_counts(self, pattern: Iterable[int]) -> np.ndarray:
         """Per-class absolute support of a pattern, indexed by class label."""
         items = self._valid_items(pattern)
         if items is None:
             return np.zeros(self.n_classes, dtype=np.int64)
-        cover = self.item_bits().and_reduce(items)
-        return popcount(self.label_bits().words & cover).astype(np.int64)
+        return class_counts(self.item_bits(), self.label_bits().words, [items])[0]
 
     def __len__(self) -> int:
         return self.n_rows

@@ -1,8 +1,11 @@
 """Tests for the SVM implementations (SMO kernel SVM + DCD linear SVM)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.classifiers import KernelSVM, LinearSVM, linear_kernel, rbf_kernel
 from repro.classifiers.kernels import get_kernel
 
@@ -75,7 +78,49 @@ class TestLinearSVM:
         features, labels = _linearly_separable(rng)
         a = LinearSVM(seed=1).fit(features, labels).weights_
         b = LinearSVM(seed=1).fit(features, labels).weights_
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
+
+    def test_weights_independent_of_memory_layout(self, rng):
+        """The solver works on its own C-ordered copy, so a C- and an
+        F-ordered design give byte-identical weights."""
+        features = (rng.random((150, 12)) < 0.4).astype(float)
+        labels = rng.integers(0, 3, size=150)
+        c_ordered = LinearSVM().fit(np.ascontiguousarray(features), labels)
+        f_ordered = LinearSVM().fit(np.asfortranarray(features), labels)
+        assert np.array_equal(c_ordered.weights_, f_ordered.weights_)
+
+    def test_max_epochs_stop_warns_and_counts(self, rng):
+        """A fit that max_epochs stops short of the tolerance says so."""
+        features, labels = _xor_data(rng)
+        with obs.session() as session:
+            with pytest.warns(RuntimeWarning, match="max_epochs=1") as caught:
+                LinearSVM(max_epochs=1).fit(features, labels)
+        assert len(caught) == 1
+        counters = session.counters
+        assert counters["classifiers.linear_svm.problems"] == 1
+        assert counters["classifiers.linear_svm.epochs"] == 1
+        assert counters["classifiers.linear_svm.not_converged"] == 1
+        violation = session.histograms["classifiers.linear_svm.violation"]
+        assert violation.count == 1 and violation.max > 0.1
+        [event] = [e for e in session.events if e["kind"] == "warning"]
+        assert event["attrs"]["epochs"] == 1
+        assert event["attrs"]["label"] == 1
+
+    def test_converged_fit_neither_warns_nor_counts(self, rng):
+        features, labels = _linearly_separable(rng)
+        labels = labels + 2 * (features[:, 0] > 1.0)  # three classes
+        with obs.session() as session:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                model = LinearSVM().fit(features, labels)
+        counters = session.counters
+        assert counters["classifiers.linear_svm.problems"] == len(model.classes_)
+        assert 0 < counters["classifiers.linear_svm.epochs"] < 3 * model.max_epochs
+        assert "classifiers.linear_svm.not_converged" not in counters
+        violation = session.histograms["classifiers.linear_svm.violation"]
+        assert violation.count == len(model.classes_)
+        assert violation.max <= model.tolerance
+        assert not [e for e in session.events if e["kind"] == "warning"]
 
     def test_clone_unfitted(self):
         model = LinearSVM(c=3.0)
