@@ -15,15 +15,10 @@ import pytest
 from repro.core.bitset import BitMatrix, pack_bits
 from repro.datasets import TransactionDataset, load_uci
 from repro.measures import theta_star
-from repro.mining import (
-    apriori,
-    charm,
-    closed_fpgrowth,
-    fpgrowth,
-    mine_class_patterns,
-)
+from repro.mining import closed_fpgrowth, fpgrowth, mine_class_patterns
 from repro.selection import mmrfs, suggest_min_support
 from repro.selection.redundancy import batch_redundancy_packed
+from tests.oracles.itemset_miners import apriori, charm
 from tests.oracles.mmrfs_dense import batch_redundancy
 
 

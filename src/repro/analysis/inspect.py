@@ -15,11 +15,11 @@ import numpy as np
 
 from ..classifiers.linear_svm import LinearSVM
 from ..classifiers.logistic import LogisticRegression
+from ..core.bitset import pattern_covers, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..features.pipeline import FrequentPatternClassifier
-from ..measures.contingency import batch_pattern_stats
-from ..measures.information_gain import information_gain
-from ..mining.closed import occurrence_matrix
+from ..measures.contingency import batch_contingency_tables
+from ..measures.information_gain import information_gain_from_counts
 
 __all__ = ["PatternSummary", "summarize_patterns", "feature_weights", "coverage_overlap"]
 
@@ -52,27 +52,27 @@ def summarize_patterns(
     patterns = pipeline.selected_patterns
     if not patterns:
         return []
-    stats = batch_pattern_stats(patterns, data)
+    tables = batch_contingency_tables(patterns, data)
     summaries = []
-    for pattern, stat in zip(patterns, stats):
+    rows = zip(patterns, tables.present, tables.absent, tables.thetas)
+    for pattern, present, absent, theta in rows:
         rendered = (
             data.catalog.describe(pattern.items)
             if data.catalog is not None
             else "{" + ",".join(map(str, pattern.items)) + "}"
         )
-        majority = int(np.argmax(stat.present)) if stat.support else 0
-        purity = (
-            stat.present[majority] / stat.support if stat.support else 0.0
-        )
+        support = int(present.sum())
+        majority = int(np.argmax(present)) if support else 0
+        purity = present[majority] / support if support else 0.0
         summaries.append(
             PatternSummary(
                 items=pattern.items,
                 rendered=rendered,
-                support=stat.support,
-                relative_support=stat.theta,
+                support=support,
+                relative_support=float(theta),
                 majority_class=majority,
                 purity=float(purity),
-                information_gain=information_gain(stat),
+                information_gain=information_gain_from_counts(present, absent),
             )
         )
     summaries.sort(key=lambda s: -s.information_gain)
@@ -118,10 +118,10 @@ def coverage_overlap(
     n = len(patterns)
     if n == 0:
         return np.zeros((0, 0))
-    matrix = occurrence_matrix(data.transactions, n_items=data.n_items)
-    coverage = np.stack(
-        [matrix[:, list(p.items)].all(axis=1) for p in patterns]
-    ).astype(np.float64)
+    coverage = np.empty((n, data.n_rows), dtype=np.float64)
+    itemsets = [p.items for p in patterns]
+    for positions, covers in pattern_covers(data.item_bits(), itemsets):
+        coverage[positions] = unpack_bits(covers, data.n_rows)
     intersection = coverage @ coverage.T
     sizes = coverage.sum(axis=1)
     union = sizes[:, np.newaxis] + sizes[np.newaxis, :] - intersection

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.bitset import pattern_covers, unpack_bits
 from ..datasets.transactions import TransactionDataset
-from ..measures.contingency import batch_pattern_stats
+from ..measures.contingency import batch_contingency_tables
 from ..mining.generation import mine_class_patterns
 from ..mining.itemsets import Pattern
 
@@ -51,17 +52,14 @@ class ClassAssociationRule:
 def rule_matches(
     rules: list[ClassAssociationRule], data: TransactionDataset
 ) -> np.ndarray:
-    """Boolean matrix (n_rules, n_rows): rule antecedent ⊆ transaction."""
-    from ..mining.closed import occurrence_matrix
+    """Boolean matrix (n_rules, n_rows): rule antecedent ⊆ transaction.
 
-    matrix = occurrence_matrix(data.transactions, n_items=data.n_items)
-    result = np.zeros((len(rules), data.n_rows), dtype=bool)
-    for index, rule in enumerate(rules):
-        items = list(rule.antecedent)
-        if items:
-            result[index] = matrix[:, items].all(axis=1)
-        else:
-            result[index] = True
+    An empty antecedent matches every row.
+    """
+    result = np.empty((len(rules), data.n_rows), dtype=bool)
+    antecedents = [rule.antecedent for rule in rules]
+    for positions, covers in pattern_covers(data.item_bits(), antecedents):
+        result[positions] = unpack_bits(covers, data.n_rows)
     return result
 
 
@@ -91,14 +89,14 @@ def mine_cars(
         max_patterns=max_patterns,
     )
     patterns: list[Pattern] = mined.patterns
-    stats = batch_pattern_stats(patterns, data)
+    present = batch_contingency_tables(patterns, data).present.tolist()
 
     rules: list[ClassAssociationRule] = []
-    for pattern, stat in zip(patterns, stats):
-        coverage = stat.support
+    for pattern, counts in zip(patterns, present):
+        coverage = sum(counts)
         if coverage == 0:
             continue
-        for label, count in enumerate(stat.present):
+        for label, count in enumerate(counts):
             if count == 0:
                 continue
             if count / coverage >= min_confidence:

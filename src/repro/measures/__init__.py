@@ -10,8 +10,6 @@ from .bounds import (
 from .contingency import (
     ContingencyTables,
     batch_contingency_tables,
-    batch_pattern_stats,
-    pattern_stats,
     PatternStats,
 )
 from .entropy import binary_entropy, conditional_entropy_binary, entropy
@@ -31,8 +29,6 @@ __all__ = [
     "conditional_entropy_binary",
     "PatternStats",
     "ContingencyTables",
-    "pattern_stats",
-    "batch_pattern_stats",
     "batch_contingency_tables",
     "information_gain_batch",
     "fisher_score_batch",

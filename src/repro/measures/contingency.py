@@ -9,11 +9,11 @@ parameters used throughout the paper's analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core.bitset import class_counts, popcount
+from ..core.bitset import class_counts
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 from ..obs import core as _obs
@@ -21,8 +21,6 @@ from ..obs import core as _obs
 __all__ = [
     "PatternStats",
     "ContingencyTables",
-    "pattern_stats",
-    "batch_pattern_stats",
     "batch_contingency_tables",
 ]
 
@@ -79,9 +77,7 @@ class ContingencyTables:
     The array-of-structs twin of ``list[PatternStats]``: row ``i`` of
     ``present``/``absent`` is pattern ``i``'s per-class count among rows
     where it is present/absent.  This is the input format of the
-    vectorized measure kernels in :mod:`repro.measures.vectorized`; the
-    scalar :class:`PatternStats` path stays available (via
-    :meth:`row_stats`) as the differential oracle.
+    vectorized measure kernels in :mod:`repro.measures.vectorized`.
     """
 
     present: np.ndarray
@@ -127,66 +123,6 @@ class ContingencyTables:
             return np.zeros(len(self), dtype=np.int64)
         return np.argmax(self.present, axis=1)
 
-    def row_stats(self, index: int) -> PatternStats:
-        """The scalar :class:`PatternStats` view of one row."""
-        return PatternStats(
-            present=tuple(int(c) for c in self.present[index]),
-            absent=tuple(int(c) for c in self.absent[index]),
-        )
-
-    def to_stats(self) -> list[PatternStats]:
-        """Scalar views of every row (the differential-test bridge)."""
-        return [self.row_stats(i) for i in range(len(self))]
-
-
-def pattern_stats(
-    pattern: Pattern | Iterable[int],
-    data: TransactionDataset,
-) -> PatternStats:
-    """Contingency table of one pattern over a transaction dataset."""
-    items = pattern.items if isinstance(pattern, Pattern) else tuple(pattern)
-    mask = data.covers(items)
-    present = np.bincount(data.labels[mask], minlength=data.n_classes)
-    absent = np.bincount(data.labels[~mask], minlength=data.n_classes)
-    return PatternStats(
-        present=tuple(int(c) for c in present),
-        absent=tuple(int(c) for c in absent),
-    )
-
-
-def batch_pattern_stats(
-    patterns: Sequence[Pattern],
-    data: TransactionDataset,
-) -> list[PatternStats]:
-    """Contingency tables for many patterns, via the cached packed masks.
-
-    Shares the dataset's item bitsets: each pattern costs one AND-reduction
-    plus ``n_classes`` popcounts, never touching a dense occurrence matrix.
-    """
-    if not patterns:
-        return []
-    session = _obs._ACTIVE
-    if session is not None:
-        session.add("measures.contingency.batches", 1)
-        session.add("measures.contingency.patterns", len(patterns))
-        session.record("measures.contingency.batch_size", len(patterns))
-    item_bits = data.item_bits()
-    label_words = data.label_bits().words
-    class_totals = data.class_counts().astype(np.int64)
-
-    stats: list[PatternStats] = []
-    for pattern in patterns:
-        cover = item_bits.and_reduce(pattern.items)
-        present = popcount(label_words & cover)
-        absent = class_totals - present
-        stats.append(
-            PatternStats(
-                present=tuple(int(c) for c in present),
-                absent=tuple(int(c) for c in absent),
-            )
-        )
-    return stats
-
 
 def batch_contingency_tables(
     patterns: Sequence[Pattern],
@@ -194,8 +130,7 @@ def batch_contingency_tables(
 ) -> ContingencyTables:
     """Contingency tables for many patterns as ``(k, m)`` count arrays.
 
-    The array-returning variant of :func:`batch_pattern_stats`: the same
-    cached packed bitsets feed the grouped cover kernel
+    The dataset's cached packed bitsets feed the grouped cover kernel
     (:func:`~repro.core.bitset.class_counts`), so the per-class counts of a
     whole candidate set land in two int64 arrays ready for the vectorized
     measure kernels — no per-pattern Python objects on the hot path.

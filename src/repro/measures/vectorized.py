@@ -2,21 +2,20 @@
 
 Every selection path (MMRFS, top-k, direct IG filtering) scores patterns by
 the same three measure families — information gain, Fisher score, chi² —
-plus the support-parameterized upper bounds of Section 3.1.2.  The scalar
-implementations walk a Python loop over :class:`PatternStats` objects; once
-mining runs on the packed-bitset engine, that loop dominates pipeline
-runtime.  This module evaluates each family over the batched ``(k, m)``
-contingency arrays of
+plus the support-parameterized upper bounds of Section 3.1.2.  This module
+evaluates each family over the batched ``(k, m)`` contingency arrays of
 :func:`repro.measures.contingency.batch_contingency_tables` in one numpy
 pass per measure.
 
-The scalar path is deliberately kept untouched: it is the differential
-oracle.  Every kernel here mirrors its scalar twin's conventions —
-``0 log 0 = 0``, empty tables score 0, a perfectly class-aligned feature
-has infinite Fisher score — and a hypothesis suite
-(``tests/test_measures_vectorized.py``) pins scalar-vs-vectorized agreement
-to 1e-12 including the degenerate rows (empty classes, support 0,
-support n, ``p ∈ {0, 1}`` priors).
+The scalar definitions on :class:`PatternStats`
+(:func:`~repro.measures.information_gain.information_gain`,
+:func:`~repro.measures.fisher.fisher_score`) and a scalar chi² kept with
+the tests are the differential oracles.  Every kernel here mirrors its
+scalar twin's conventions — ``0 log 0 = 0``, empty tables score 0, a
+perfectly class-aligned feature has infinite Fisher score — and a
+hypothesis suite (``tests/test_measures_vectorized.py``) pins
+scalar-vs-vectorized agreement to 1e-12 including the degenerate rows
+(empty classes, support 0, support n, ``p ∈ {0, 1}`` priors).
 
 Bound kernels (``ig_upper_bound_batch`` / ``fisher_upper_bound_batch``)
 accept theta *arrays*, so the Figure 2/3 support grids and the min_sup
@@ -113,8 +112,9 @@ def fisher_score_batch(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
 def chi2_batch(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
     """Normalized chi² of every pattern, from (k, m) contingency arrays.
 
-    Matches :class:`repro.selection.relevance.ChiSquareRelevance`: the
-    2 x m chi² statistic divided by n (zero-expected cells contribute 0).
+    The 2 x m chi² statistic divided by n (zero-expected cells contribute
+    0), the measure :class:`repro.selection.relevance.ChiSquareRelevance`
+    scores with.
     """
     present, absent = _count_arrays(present, absent)
     observed = np.stack([present, absent], axis=1)

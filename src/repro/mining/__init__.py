@@ -1,8 +1,6 @@
-"""Frequent pattern mining substrate: Apriori, FP-growth, closed miners."""
+"""Frequent pattern mining: FP-growth, closed, sequence and graph miners."""
 
-from .apriori import apriori
-from .charm import charm
-from .closed import brute_force_closed, closed_fpgrowth, occurrence_matrix
+from .closed import closed_fpgrowth, occurrence_matrix
 from .fpgrowth import fpgrowth
 from .fptree import FPNode, FPTree
 from .condense import deduction_bounds, partition_derivable
@@ -14,16 +12,12 @@ from .generation import (
 from .gspan import GraphPattern, contains_subgraph, gspan
 from .guards import GuardedMiningReport, MiningTimeLimitExceeded, guarded_mine
 from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, canonical
-from .maximal import brute_force_maximal, maximal_frequent
 from .prefixspan import SequencePattern, is_subsequence, prefixspan
 from .sharded import ShardedMiningResult, mine_sharded
 
 __all__ = [
-    "apriori",
     "fpgrowth",
     "closed_fpgrowth",
-    "charm",
-    "brute_force_closed",
     "occurrence_matrix",
     "FPTree",
     "FPNode",
@@ -31,8 +25,6 @@ __all__ = [
     "MiningResult",
     "PatternBudgetExceeded",
     "canonical",
-    "maximal_frequent",
-    "brute_force_maximal",
     "mine_class_patterns",
     "recount_supports",
     "filter_by_information_gain",

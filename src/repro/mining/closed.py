@@ -28,7 +28,7 @@ from ..core.bitset import BitMatrix, packed_ones, popcount
 from ..obs import core as _obs
 from .itemsets import MiningResult, Pattern, PatternBudgetExceeded
 
-__all__ = ["closed_fpgrowth", "occurrence_matrix", "brute_force_closed"]
+__all__ = ["closed_fpgrowth", "occurrence_matrix"]
 
 #: Byte budget of the transient closure buffer, the ``(block, n_free,
 #: n_words)`` uint64 AND one node's candidate extensions are closed with.
@@ -43,8 +43,8 @@ def occurrence_matrix(
     """Boolean (n_rows, n_items) matrix: cell (t, i) = item i in transaction t.
 
     The dense counterpart of :meth:`repro.core.bitset.BitMatrix.vertical`;
-    kept for the cold paths (analysis, baselines) and as the reference the
-    bitset kernels are property-tested against.
+    kept for direct mining's dense search (:mod:`repro.selection.direct`)
+    and as the reference the bitset kernels are property-tested against.
     """
     transactions = [tuple(set(t)) for t in transactions]
     if n_items is None:
@@ -200,27 +200,3 @@ def _expand(
                     emit=emit,
                     stats=stats,
                 )
-
-
-def brute_force_closed(
-    transactions: Sequence[Sequence[int]], min_support: int
-) -> MiningResult:
-    """Reference closed miner: enumerate frequent sets, filter non-closed.
-
-    Exponential; only for cross-checking the fast miners on tiny data.
-    """
-    from .apriori import apriori
-
-    result = apriori(transactions, min_support)
-    support = result.as_dict()
-    closed: list[Pattern] = []
-    for items, sup in support.items():
-        itemset = set(items)
-        is_closed = not any(
-            sup == other_sup and itemset < set(other_items)
-            for other_items, other_sup in support.items()
-        )
-        if is_closed:
-            closed.append(Pattern(items=items, support=sup))
-    closed.sort(key=lambda p: (p.length, p.items))
-    return MiningResult(closed, min_support=min_support, n_rows=len(transactions))

@@ -25,8 +25,8 @@ def fpgrowth(
 ) -> MiningResult:
     """Mine all frequent itemsets with absolute support >= ``min_support``.
 
-    Parameters mirror :func:`repro.mining.apriori.apriori`; the two are
-    interchangeable and property-tested to agree.
+    Property-tested to agree exactly with a level-wise Apriori reference
+    miner kept with the test suite.
 
     Raises
     ------

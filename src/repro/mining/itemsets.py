@@ -33,8 +33,8 @@ class PatternBudgetExceeded(RuntimeError):
     * a database with exactly ``max_patterns`` patterns mines cleanly;
     * on a blow-up, ``emitted`` is the count actually reached when the
       guard tripped — ``budget + 1`` for the single-emission miners
-      (apriori, fpgrowth, closed_fpgrowth, charm), possibly more for
-      bulk merges (:func:`repro.mining.generation.mine_class_patterns`).
+      (fpgrowth, closed_fpgrowth), possibly more for bulk merges
+      (:func:`repro.mining.generation.mine_class_patterns`).
 
     ``emitted`` is therefore always a strict lower bound on the true
     pattern count, which is exactly what the ``> budget`` rendering of the

@@ -7,7 +7,7 @@ One :class:`ObsSession` holds everything recorded during an observed run:
   process's peak RSS at exit; nesting builds a tree via per-thread parent
   stacks, so concurrent fold threads each grow their own branch.
 * **counters** — monotonically accumulated integers/floats keyed by a
-  dotted name (``mining.apriori.candidates``).  Increments are merged
+  dotted name (``mining.closed.closure_checks``).  Increments are merged
   additively across threads and worker processes.
 * **series** — append-only numeric sequences for values that evolve over
   a run (MMRFS coverage progress per selection round).

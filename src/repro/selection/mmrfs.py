@@ -115,8 +115,9 @@ def mmrfs(
     data:
         The training transactions (used for coverage and contingency).
     relevance:
-        Relevance measure S: ``"information_gain"``, ``"fisher"``, or any
-        callable on :class:`PatternStats`.
+        Relevance measure S: a registered name (``"information_gain"``,
+        ``"fisher"``, ``"chi2"``) or any object with ``batch(tables)``
+        (:class:`~repro.selection.relevance.RelevanceMeasure`).
     delta:
         Database-coverage threshold: selection stops once every instance is
         correctly covered ``delta`` times (or candidates run out).

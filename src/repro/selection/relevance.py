@@ -1,21 +1,13 @@
 """Relevance measures S for feature selection (paper Definition 3).
 
-A relevance measure maps a pattern's contingency statistics to a real value
-modelling its discriminative power w.r.t. the class label.  The paper names
-information gain and Fisher score as the two instances; both are provided
-plus a registry for lookup by name.
+A relevance measure models a pattern's discriminative power w.r.t. the
+class label as a function of its contingency table.  The paper names
+information gain and Fisher score as the two instances; both are provided,
+plus normalized chi-square and a registry for lookup by name.
 
-Each built-in measure supports two evaluation forms:
-
-* **scalar** — ``measure(stats)`` on one :class:`PatternStats`, the
-  reference implementation;
-* **batch** — ``measure.batch(tables)`` on a whole
-  :class:`~repro.measures.contingency.ContingencyTables` set, one
-  vectorized numpy pass via :mod:`repro.measures.vectorized`.
-
-:func:`batch_relevance` scores a candidate set through whichever form the
-measure provides, so user-supplied plain callables (scalar only) keep
-working everywhere a built-in does.
+A measure is any object with ``batch(tables)``: it scores a whole
+:class:`~repro.measures.contingency.ContingencyTables` set in one
+vectorized numpy pass via :mod:`repro.measures.vectorized`.
 """
 
 from __future__ import annotations
@@ -25,9 +17,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from ..measures.contingency import ContingencyTables, PatternStats
-from ..measures.fisher import fisher_score
-from ..measures.information_gain import information_gain
+from ..measures.contingency import ContingencyTables
 from ..measures.vectorized import (
     chi2_batch,
     fisher_score_batch,
@@ -46,18 +36,15 @@ __all__ = [
 
 
 class RelevanceMeasure(Protocol):
-    """Callable scoring a pattern's contingency statistics."""
+    """Scores every pattern of a contingency-table batch."""
 
-    def __call__(self, stats: PatternStats) -> float: ...
+    def batch(self, tables: ContingencyTables) -> np.ndarray: ...
 
 
 class InformationGainRelevance:
     """S(alpha) = IG(C | alpha-presence)."""
 
     name = "information_gain"
-
-    def __call__(self, stats: PatternStats) -> float:
-        return information_gain(stats)
 
     def batch(self, tables: ContingencyTables) -> np.ndarray:
         return information_gain_batch(tables.present, tables.absent)
@@ -75,9 +62,6 @@ class FisherScoreRelevance:
     def __init__(self, cap: float = 1e6) -> None:
         self.cap = cap
 
-    def __call__(self, stats: PatternStats) -> float:
-        return min(self.cap, fisher_score(stats))
-
     def batch(self, tables: ContingencyTables) -> np.ndarray:
         return np.minimum(
             self.cap, fisher_score_batch(tables.present, tables.absent)
@@ -94,20 +78,6 @@ class ChiSquareRelevance:
 
     name = "chi2"
 
-    def __call__(self, stats: PatternStats) -> float:
-        observed = np.array([stats.present, stats.absent], dtype=float)
-        n = observed.sum()
-        if n == 0:
-            return 0.0
-        row_totals = observed.sum(axis=1, keepdims=True)
-        column_totals = observed.sum(axis=0, keepdims=True)
-        expected = row_totals @ column_totals / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(
-                expected > 0, (observed - expected) ** 2 / expected, 0.0
-            )
-        return float(terms.sum() / n)
-
     def batch(self, tables: ContingencyTables) -> np.ndarray:
         return chi2_batch(tables.present, tables.absent)
 
@@ -123,13 +93,18 @@ _REGISTRY: dict[str, Callable[[], RelevanceMeasure]] = {
 def get_relevance(name: str | RelevanceMeasure) -> RelevanceMeasure:
     """Resolve a relevance measure by name, or pass one through.
 
-    The result may be scalar-only (a plain callable) or also expose a
-    vectorized ``batch`` method; :func:`batch_relevance` handles both.
+    Raises ``KeyError`` for an unknown name and ``TypeError`` for an object
+    without a ``batch`` method.
     """
-    if callable(name) and not isinstance(name, str):
-        return name
+    if not isinstance(name, str):
+        if callable(getattr(name, "batch", None)):
+            return name
+        raise TypeError(
+            "a relevance measure is a registered name or an object with "
+            f"batch(tables), got {type(name).__name__}"
+        )
     try:
-        return _REGISTRY[str(name)]()
+        return _REGISTRY[name]()
     except KeyError:
         raise KeyError(
             f"unknown relevance measure {name!r}; "
@@ -140,42 +115,25 @@ def get_relevance(name: str | RelevanceMeasure) -> RelevanceMeasure:
 def batch_relevance(
     measure: RelevanceMeasure, tables: ContingencyTables
 ) -> np.ndarray:
-    """Relevance of every pattern in a batch, vectorized when possible.
+    """Relevance of every pattern in a batch: one ``measure.batch`` call.
 
-    Measures exposing ``batch(tables)`` (all built-ins) score the whole set
-    in one numpy pass; plain scalar callables fall back to a per-row loop
-    over :class:`PatternStats` views, so the two forms are interchangeable
-    everywhere selection scores candidates.
+    Records the per-pattern scoring latency (the batch mean) when an obs
+    session is active, and rejects a result that is not one score per row.
     """
     session = _obs._ACTIVE
     score_start = time.perf_counter() if session is not None else 0.0
-
-    def _observed(scores: np.ndarray) -> np.ndarray:
-        # Per-pattern scoring latency: one histogram observation per batch
-        # (the batch mean), so the instrument cost stays off the per-row
-        # loop while the distribution still separates cheap single-pattern
-        # probes from bulk candidate scans.
-        if session is not None and len(tables):
-            session.observe(
-                "measures.scoring.pattern_latency_s",
-                (time.perf_counter() - score_start) / len(tables),
-            )
-        return scores
-
-    batch = getattr(measure, "batch", None)
-    if batch is not None:
-        scores = np.asarray(batch(tables), dtype=float)
-        if scores.shape != (len(tables),):
-            raise ValueError(
-                f"batch relevance must return {len(tables)} scores, "
-                f"got shape {scores.shape}"
-            )
-        return _observed(scores)
-    if session is not None:
-        session.add("measures.scalar_fallback.patterns", len(tables))
-    return _observed(
-        np.array(
-            [measure(tables.row_stats(i)) for i in range(len(tables))],
-            dtype=float,
+    scores = np.asarray(measure.batch(tables), dtype=float)
+    if scores.shape != (len(tables),):
+        raise ValueError(
+            f"batch relevance must return {len(tables)} scores, "
+            f"got shape {scores.shape}"
         )
-    )
+    # One histogram observation per batch keeps the instrument cost off the
+    # rows while the distribution still separates cheap single-pattern
+    # probes from bulk candidate scans.
+    if session is not None and len(tables):
+        session.observe(
+            "measures.scoring.pattern_latency_s",
+            (time.perf_counter() - score_start) / len(tables),
+        )
+    return scores

@@ -35,8 +35,8 @@ contain unknown item ids (a vocabulary drifted upstream) or duplicates.
 ``CompiledModel.predict`` applies it by default.  The differential suite
 (``tests/test_serving_differential.py``) pins the compiled matcher and
 predictions *exactly* to the naive transformer path on the sanitized
-input, hypothesis-hammered the same way the apriori==fpgrowth oracle
-suite pins the miners.
+input, hypothesis-hammered the same way the miner differential suite
+pins FP-growth to its Apriori reference.
 
 Thread safety: a ``CompiledModel`` is immutable after construction (all
 state is read-only numpy arrays), so one instance can serve concurrent

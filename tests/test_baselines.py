@@ -56,10 +56,14 @@ class TestCARMining:
             mine_cars(rule_data, min_confidence=0.0)
 
     def test_rule_matches_matrix(self, rule_data):
-        rules = [ClassAssociationRule(antecedent=(0, 1), label=0, support=1, coverage=1)]
+        rules = [
+            ClassAssociationRule(antecedent=(0, 1), label=0, support=1, coverage=1),
+            ClassAssociationRule(antecedent=(), label=1, support=1, coverage=1),
+        ]
         matches = rule_matches(rules, rule_data)
-        expected = rule_data.covers((0, 1))
-        assert (matches[0] == expected).all()
+        assert matches.shape == (2, rule_data.n_rows)
+        assert (matches[0] == rule_data.covers((0, 1))).all()
+        assert matches[1].all()  # the empty antecedent matches every row
 
 
 class TestChiSquare:

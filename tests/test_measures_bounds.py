@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.measures import (
-    batch_pattern_stats,
     binary_entropy,
     feasible_q_interval,
     fisher_score,
@@ -27,6 +26,7 @@ from repro.measures import (
     information_gain,
     theta_star,
 )
+from tests.oracles.scoring import batch_pattern_stats
 
 probability = st.floats(0.02, 0.98)
 

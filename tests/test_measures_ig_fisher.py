@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from repro.measures import (
     PatternStats,
-    batch_pattern_stats,
     binary_entropy,
     fisher_score,
     fisher_score_binary,
     fisher_score_from_counts,
     information_gain,
     information_gain_from_counts,
-    pattern_stats,
 )
 from repro.mining import Pattern
+from tests.oracles.scoring import batch_pattern_stats, pattern_stats
 
 counts = st.integers(0, 50)
 

@@ -1,6 +1,7 @@
 """Differential suite: vectorized scoring kernels vs their scalar oracles.
 
-The scalar :class:`PatternStats` path is the reference implementation; the
+The scalar :class:`PatternStats` path (the measure definitions plus
+``tests/oracles/scoring.py``) is the reference implementation; the
 vectorized kernels of :mod:`repro.measures.vectorized` must agree with it
 to 1e-12 **everywhere**, including the degenerate corners — empty tables,
 support 0, support n, single-class data, ``p ∈ {0, 1}`` priors — where both
@@ -20,7 +21,6 @@ from repro.measures import (
     ContingencyTables,
     PatternStats,
     batch_contingency_tables,
-    batch_pattern_stats,
     chi2_batch,
     fisher_score_batch,
     fisher_upper_bound_batch,
@@ -31,11 +31,8 @@ from repro.measures.bounds import fisher_upper_bound, ig_upper_bound
 from repro.measures.fisher import fisher_score
 from repro.measures.information_gain import information_gain
 from repro.mining import Pattern, mine_class_patterns
-from repro.selection.relevance import (
-    ChiSquareRelevance,
-    FisherScoreRelevance,
-    batch_relevance,
-)
+from repro.selection.relevance import FisherScoreRelevance, batch_relevance
+from tests.oracles.scoring import batch_pattern_stats, chi2, row_stats, to_stats
 
 TOLERANCE = 1e-12
 
@@ -87,20 +84,19 @@ class TestMeasureKernels:
     @settings(max_examples=150, deadline=None)
     def test_information_gain_matches_scalar(self, tables):
         batch = information_gain_batch(tables.present, tables.absent)
-        assert_rows_match(batch, [information_gain(s) for s in tables.to_stats()])
+        assert_rows_match(batch, [information_gain(s) for s in to_stats(tables)])
 
     @given(tables=contingency_tables())
     @settings(max_examples=150, deadline=None)
     def test_fisher_score_matches_scalar(self, tables):
         batch = fisher_score_batch(tables.present, tables.absent)
-        assert_rows_match(batch, [fisher_score(s) for s in tables.to_stats()])
+        assert_rows_match(batch, [fisher_score(s) for s in to_stats(tables)])
 
     @given(tables=contingency_tables())
     @settings(max_examples=150, deadline=None)
     def test_chi2_matches_scalar(self, tables):
-        scalar = ChiSquareRelevance()
         batch = chi2_batch(tables.present, tables.absent)
-        assert_rows_match(batch, [scalar(s) for s in tables.to_stats()])
+        assert_rows_match(batch, [chi2(s) for s in to_stats(tables)])
 
     def test_empty_batch(self):
         empty = np.zeros((0, 3), dtype=np.int64)
@@ -190,7 +186,8 @@ class TestBoundKernels:
 
 
 class TestFisherRelevanceCapping:
-    """FisherScoreRelevance must cap identically in both evaluation forms."""
+    """FisherScoreRelevance caps the batch exactly where the scalar
+    definition, capped, would."""
 
     def test_cap_applies_in_both_paths(self):
         tables = ContingencyTables(
@@ -199,7 +196,7 @@ class TestFisherRelevanceCapping:
         )
         measure = FisherScoreRelevance(cap=42.0)
         batch = measure.batch(tables)
-        scalars = [measure(s) for s in tables.to_stats()]
+        scalars = [min(42.0, fisher_score(s)) for s in to_stats(tables)]
         assert batch[0] == scalars[0] == 42.0  # inf capped
         assert batch[2] == scalars[2] == 42.0
         np.testing.assert_allclose(batch, scalars, rtol=0, atol=TOLERANCE)
@@ -210,19 +207,11 @@ class TestFisherRelevanceCapping:
         measure = FisherScoreRelevance(cap=cap)
         assert_rows_match(
             np.asarray(measure.batch(tables), dtype=float),
-            [measure(s) for s in tables.to_stats()],
+            [min(cap, fisher_score(s)) for s in to_stats(tables)],
         )
 
 
-class TestBatchRelevanceFallback:
-    def test_scalar_only_callable_falls_back(self):
-        tables = ContingencyTables(
-            present=np.array([[3, 1], [0, 4]], dtype=np.int64),
-            absent=np.array([[1, 3], [4, 0]], dtype=np.int64),
-        )
-        scores = batch_relevance(lambda stats: float(stats.support), tables)
-        np.testing.assert_array_equal(scores, [4.0, 4.0])
-
+class TestBatchRelevance:
     def test_bad_batch_shape_rejected(self):
         tables = ContingencyTables(
             present=np.array([[3, 1]], dtype=np.int64),
@@ -230,9 +219,6 @@ class TestBatchRelevanceFallback:
         )
 
         class Broken:
-            def __call__(self, stats):
-                return 0.0
-
             def batch(self, tables):
                 return np.zeros((2, 2))
 
@@ -241,13 +227,13 @@ class TestBatchRelevanceFallback:
 
 
 class TestBatchContingencyTables:
-    """The array-building path must agree with ``batch_pattern_stats``."""
+    """The array-building path must agree with the per-pattern oracle."""
 
     def test_matches_scalar_stats(self, planted_transactions):
         mined = mine_class_patterns(planted_transactions, min_support=0.2)
         tables = batch_contingency_tables(mined.patterns, planted_transactions)
         stats = batch_pattern_stats(mined.patterns, planted_transactions)
-        assert tables.to_stats() == stats
+        assert to_stats(tables) == stats
         assert len(tables) == len(stats)
         np.testing.assert_array_equal(
             tables.supports, [s.support for s in stats]
@@ -280,14 +266,13 @@ class TestBatchContingencyTables:
             for i in range(16 * 4 + 5)
         ]
         tables = batch_contingency_tables(patterns, data)
-        stats = batch_pattern_stats(patterns, data)
-        assert tables.to_stats() == stats
+        assert to_stats(tables) == batch_pattern_stats(patterns, data)
 
     def test_row_stats_roundtrip(self):
         tables = ContingencyTables(
             present=np.array([[2, 3]], dtype=np.int64),
             absent=np.array([[4, 1]], dtype=np.int64),
         )
-        stats = tables.row_stats(0)
+        stats = row_stats(tables, 0)
         assert stats == PatternStats(present=(2, 3), absent=(4, 1))
         assert stats.support == 5

@@ -1,7 +1,8 @@
 """Differential test suite: the miners must be interchangeable.
 
 Hypothesis generates random transaction databases and asserts, at 200+
-examples per miner pair:
+examples per miner pair, against the reference miners of
+``tests/oracles/itemset_miners.py``:
 
 * ``apriori`` and ``fpgrowth`` return *identical* frequent sets with
   identical supports;
@@ -20,24 +21,12 @@ Together these pin the miner-interchangeability contract that
 from itertools import combinations
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.mining import apriori, charm, closed_fpgrowth, fpgrowth
+from repro.mining import closed_fpgrowth, fpgrowth
+from tests.oracles.itemset_miners import apriori, charm
+from tests.oracles.strategies import supports, transactions
 
 DIFFERENTIAL_EXAMPLES = 200
-
-
-def databases():
-    """Random small transaction databases over items 0..7."""
-    return st.lists(
-        st.lists(st.integers(min_value=0, max_value=7), max_size=6),
-        min_size=1,
-        max_size=20,
-    )
-
-
-def supports():
-    return st.integers(min_value=1, max_value=4)
 
 
 def expand_closed(result) -> dict[tuple[int, ...], int]:
@@ -57,13 +46,13 @@ def expand_closed(result) -> dict[tuple[int, ...], int]:
 
 
 @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
-@given(db=databases(), min_support=supports())
+@given(db=transactions(), min_support=supports())
 def test_apriori_fpgrowth_identical(db, min_support):
     assert apriori(db, min_support).as_dict() == fpgrowth(db, min_support).as_dict()
 
 
 @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
-@given(db=databases(), min_support=supports())
+@given(db=transactions(), min_support=supports())
 def test_closed_miners_agree(db, min_support):
     assert (
         closed_fpgrowth(db, min_support).as_dict()
@@ -72,14 +61,14 @@ def test_closed_miners_agree(db, min_support):
 
 
 @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
-@given(db=databases(), min_support=supports())
+@given(db=transactions(), min_support=supports())
 def test_charm_expansion_reconstructs_frequent_set(db, min_support):
     full = apriori(db, min_support).as_dict()
     assert expand_closed(charm(db, min_support)) == full
 
 
 @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
-@given(db=databases(), min_support=supports())
+@given(db=transactions(), min_support=supports())
 def test_closed_fpgrowth_expansion_reconstructs_frequent_set(db, min_support):
     full = fpgrowth(db, min_support).as_dict()
     assert expand_closed(closed_fpgrowth(db, min_support)) == full

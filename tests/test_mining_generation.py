@@ -3,18 +3,19 @@
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from repro.mining import (
     MiningTimeLimitExceeded,
     PatternBudgetExceeded,
-    apriori,
-    charm,
     closed_fpgrowth,
     fpgrowth,
     guarded_mine,
     mine_class_patterns,
     recount_supports,
 )
+from tests.oracles.itemset_miners import apriori, charm
+from tests.oracles.strategies import supports, transactions
 
 ALL_MINERS = [apriori, fpgrowth, closed_fpgrowth, charm]
 
@@ -156,6 +157,18 @@ class TestBudgetSemantics:
         assert 10 < report.n_patterns <= true_count
         assert report.pattern_count_display.startswith(f">{report.n_patterns}")
 
+    @pytest.mark.parametrize("miner", ALL_MINERS)
+    @settings(max_examples=40, deadline=None)
+    @given(db=transactions(), min_support=supports())
+    def test_budget_contract_on_random_databases(self, miner, db, min_support):
+        """The true count fits its own budget; one less trips at the count."""
+        count = len(miner(db, min_support))
+        assert len(miner(db, min_support, max_patterns=count)) == count
+        if count:
+            with pytest.raises(PatternBudgetExceeded) as excinfo:
+                miner(db, min_support, max_patterns=count - 1)
+            assert excinfo.value.emitted == count
+
 
 def _sleepy_miner(transactions, min_support, max_patterns=None):
     """A miner that never finishes — only the wall-clock guard stops it."""
@@ -228,8 +241,9 @@ class TestFilterByInformationGain:
         assert kept == mined.patterns
 
     def test_matches_scalar_filter(self, planted_transactions):
-        from repro.measures import batch_pattern_stats, information_gain
+        from repro.measures import information_gain
         from repro.mining import filter_by_information_gain
+        from tests.oracles.scoring import batch_pattern_stats
 
         mined = mine_class_patterns(planted_transactions, min_support=0.2)
         ig0 = 0.05

@@ -1,6 +1,7 @@
 """Unit and property tests for the itemset miners.
 
-The central invariants:
+FP-growth and the closed miner are checked against the reference miners of
+``tests/oracles/itemset_miners.py``.  The central invariants:
 
 * Apriori and FP-growth return identical frequent sets with identical
   supports;
@@ -11,20 +12,12 @@ The central invariants:
 * support is anti-monotone.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.mining import (
-    Pattern,
-    PatternBudgetExceeded,
-    apriori,
-    brute_force_closed,
-    charm,
-    closed_fpgrowth,
-    fpgrowth,
-)
+from repro.mining import Pattern, PatternBudgetExceeded, closed_fpgrowth, fpgrowth
+from tests.oracles.itemset_miners import apriori, brute_force_closed, charm
+from tests.oracles.strategies import supports, transactions
 
 WEATHER = [
     (0, 3, 5),
@@ -36,14 +29,6 @@ WEATHER = [
     (0, 4, 5),
     (2, 3, 6),
 ]
-
-
-def transactions_strategy():
-    return st.lists(
-        st.lists(st.integers(0, 7), min_size=0, max_size=6),
-        min_size=1,
-        max_size=25,
-    )
 
 
 class TestPattern:
@@ -107,7 +92,7 @@ class TestFPGrowthAgainstApriori:
             fpgrowth(WEATHER, min_support=1, max_patterns=3)
 
     @settings(max_examples=60, deadline=None)
-    @given(transactions=transactions_strategy(), min_support=st.integers(1, 5))
+    @given(transactions=transactions(), min_support=supports())
     def test_property_agreement(self, transactions, min_support):
         a = apriori(transactions, min_support).as_dict()
         f = fpgrowth(transactions, min_support).as_dict()
@@ -155,7 +140,7 @@ class TestClosedMiners:
         assert all(p.length <= 2 for p in capped)
 
     @settings(max_examples=60, deadline=None)
-    @given(transactions=transactions_strategy(), min_support=st.integers(1, 4))
+    @given(transactions=transactions(), min_support=supports())
     def test_property_three_way_agreement(self, transactions, min_support):
         lcm = {(p.items, p.support) for p in closed_fpgrowth(transactions, min_support)}
         ch = {(p.items, p.support) for p in charm(transactions, min_support)}
@@ -166,7 +151,7 @@ class TestClosedMiners:
         assert lcm == ch == bf
 
     @settings(max_examples=40, deadline=None)
-    @given(transactions=transactions_strategy())
+    @given(transactions=transactions())
     def test_property_anti_monotonicity(self, transactions):
         result = fpgrowth(transactions, 1).as_dict()
         for items, support in result.items():

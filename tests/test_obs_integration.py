@@ -16,8 +16,6 @@ import pytest
 from repro.core import parallel as parallel_mod
 from repro.core.parallel import parallel_map
 from repro.datasets.transactions import TransactionDataset
-from repro.mining.apriori import apriori
-from repro.mining.charm import charm
 from repro.mining.closed import closed_fpgrowth
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.generation import mine_class_patterns
@@ -28,30 +26,30 @@ from repro.obs.core import session
 from repro.selection.mmrfs import mmrfs
 
 # Hand-computable 5-transaction dataset (items 0, 1, 2), min_support = 2:
-#   level 1: 3 candidates (items 0, 1, 2), supports 4/3/3 -> all frequent
-#   level 2: 3 candidates (01, 02, 12), supports 2/2/2    -> all frequent
-#   level 3: 1 candidate  (012), support 1                -> pruned
-# Totals: 7 candidates, 1 pruned, 6 frequent patterns.
+#   items 0, 1, 2 have supports 4/3/3   -> all frequent
+#   pairs 01, 02, 12 have supports 2/2/2 -> all frequent
+#   012 has support 1                   -> infrequent
+# Total: 6 frequent patterns.
 HAND_TRANSACTIONS = [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,)]
 
 
-class TestAprioriCounterExactness:
-    def test_candidate_and_pruned_counts(self):
+class TestFPGrowthCounterExactness:
+    def test_pattern_count(self):
         with session() as sess:
-            result = apriori(HAND_TRANSACTIONS, min_support=2)
-        assert len(result) == 6
-        counters = sess.counters
-        assert counters["mining.apriori.candidates"] == 7
-        assert counters["mining.apriori.pruned"] == 1
-        assert counters["mining.apriori.patterns"] == 6
+            result = fpgrowth(HAND_TRANSACTIONS, min_support=2)
+        assert result.as_dict() == {
+            (0,): 4, (1,): 3, (2,): 3, (0, 1): 2, (0, 2): 2, (1, 2): 2,
+        }
+        assert sess.counters["mining.fpgrowth.patterns"] == 6
 
     def test_counters_flushed_when_budget_trips(self):
         with session() as sess:
             with pytest.raises(PatternBudgetExceeded) as excinfo:
-                apriori(HAND_TRANSACTIONS, min_support=2, max_patterns=3)
+                fpgrowth(HAND_TRANSACTIONS, min_support=2, max_patterns=3)
         # Record-then-check semantics: trips at budget + 1 emitted patterns,
         # and the finally-flush still reports how far enumeration got.
-        assert sess.counters["mining.apriori.patterns"] == excinfo.value.emitted
+        assert excinfo.value.emitted == 4
+        assert sess.counters["mining.fpgrowth.patterns"] == 4
 
 
 class TestMinerPatternCounters:
@@ -60,20 +58,12 @@ class TestMinerPatternCounters:
         [
             (fpgrowth, "mining.fpgrowth.patterns"),
             (closed_fpgrowth, "mining.closed.patterns"),
-            (charm, "mining.charm.patterns"),
         ],
     )
     def test_pattern_counter_matches_result(self, miner, counter):
         with session() as sess:
             result = miner(HAND_TRANSACTIONS, min_support=2)
         assert sess.counters[counter] == len(result)
-
-    def test_charm_counts_all_closed_sets(self):
-        with session() as sess:
-            result = charm(HAND_TRANSACTIONS, min_support=2)
-        expected = {p.items for p in closed_fpgrowth(HAND_TRANSACTIONS, 2)}
-        assert {p.items for p in result} == expected
-        assert sess.counters["mining.charm.patterns"] == len(expected)
 
 
 class TestMmrfsCounterExactness:
@@ -262,7 +252,7 @@ class TestWallClockGuardRestoration:
     def test_guarded_mine_records_outcome_span(self):
         with session() as sess:
             report = guarded_mine(
-                apriori, HAND_TRANSACTIONS, min_support=2, max_patterns=3
+                fpgrowth, HAND_TRANSACTIONS, min_support=2, max_patterns=3
             )
         assert not report.feasible and report.guard == "budget"
         [span] = [s for s in sess.spans if s["name"] == "mining.guarded"]

@@ -90,7 +90,8 @@ class TestDDPMine:
     def test_direct_matches_exhaustive_top_gain(self, planted_transactions):
         """The first direct pattern's IG matches the best IG over the
         exhaustively mined candidate set at the same support/length."""
-        from repro.measures import batch_pattern_stats, information_gain
+        from repro.measures import information_gain
+        from tests.oracles.scoring import batch_pattern_stats
 
         data = planted_transactions
         direct = ddpmine(data, min_support=0.2, delta=1, max_length=3,

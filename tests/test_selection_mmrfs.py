@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import TransactionDataset
-from repro.measures import batch_pattern_stats, information_gain
+from repro.measures import ContingencyTables, information_gain
 from repro.mining import Pattern, mine_class_patterns
 from repro.selection import (
     FisherScoreRelevance,
@@ -18,6 +18,7 @@ from repro.selection import (
 )
 from repro.obs.core import session
 from tests.oracles.mmrfs_dense import batch_redundancy, mmrfs_dense
+from tests.oracles.scoring import batch_pattern_stats
 
 
 class TestJaccard:
@@ -83,11 +84,15 @@ class TestRelevanceRegistry:
         with pytest.raises(KeyError, match="unknown relevance"):
             get_relevance("bogus")
 
-    def test_fisher_cap_applied(self):
-        from repro.measures import PatternStats
+    def test_scalar_callable_rejected(self):
+        with pytest.raises(TypeError, match="batch"):
+            get_relevance(lambda stats: 0.0)
 
-        perfect = PatternStats(present=(0, 10), absent=(10, 0))
-        assert FisherScoreRelevance(cap=99.0)(perfect) == 99.0
+    def test_fisher_cap_applied(self):
+        perfect = ContingencyTables(
+            present=np.array([[0, 10]]), absent=np.array([[10, 0]])
+        )
+        assert FisherScoreRelevance(cap=99.0).batch(perfect).tolist() == [99.0]
 
 
 class TestMMRFS:

@@ -25,6 +25,7 @@ from repro.mining import Pattern
 from repro.obs.core import session
 from repro.selection.mmrfs import _greedy, mmrfs
 from tests.oracles.mmrfs_dense import dense_greedy, mmrfs_dense
+from tests.oracles.scoring import to_stats
 
 # The package re-exports the function under the module's name.
 mmrfs_module = importlib.import_module("repro.selection.mmrfs")
@@ -172,11 +173,14 @@ def selection_problems(draw):
     return data, patterns
 
 
-def _special_relevance(salt):
-    """A scalar relevance callable mixing IG with inf, NaN and negatives."""
+class _SpecialRelevance:
+    """IG mixed with inf, NaN and negatives, scored one table at a time."""
 
-    def score(stats):
-        bucket = (stats.support * 7 + stats.present[0] + salt) % 13
+    def __init__(self, salt):
+        self.salt = salt
+
+    def _score(self, stats):
+        bucket = (stats.support * 7 + stats.present[0] + self.salt) % 13
         if bucket == 0:
             return math.inf
         if bucket == 1:
@@ -185,7 +189,8 @@ def _special_relevance(salt):
             return -information_gain(stats)
         return information_gain(stats)
 
-    return score
+    def batch(self, tables):
+        return np.array([self._score(s) for s in to_stats(tables)])
 
 
 class TestMMRFSMatchesOracle:
@@ -194,7 +199,7 @@ class TestMMRFSMatchesOracle:
         problem=selection_problems(),
         relevance=st.one_of(
             st.sampled_from(["information_gain", "fisher"]),
-            st.integers(0, 12).map(_special_relevance),
+            st.integers(0, 12).map(_SpecialRelevance),
         ),
         delta=st.integers(1, 5),
         max_selected=st.one_of(st.none(), st.integers(1, 10)),

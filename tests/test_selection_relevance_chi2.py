@@ -1,9 +1,19 @@
 """Tests for the chi-square relevance measure."""
 
+import numpy as np
 import pytest
 
-from repro.measures import PatternStats
+from repro.measures import ContingencyTables
 from repro.selection import ChiSquareRelevance, get_relevance
+
+
+def chi2_of(present, absent) -> float:
+    """The measure on one table, through its batch form."""
+    tables = ContingencyTables(
+        present=np.array([present]), absent=np.array([absent])
+    )
+    [score] = ChiSquareRelevance().batch(tables).tolist()
+    return score
 
 
 class TestChiSquareRelevance:
@@ -11,23 +21,19 @@ class TestChiSquareRelevance:
         assert isinstance(get_relevance("chi2"), ChiSquareRelevance)
 
     def test_independent_is_zero(self):
-        stats = PatternStats(present=(25, 25), absent=(25, 25))
-        assert ChiSquareRelevance()(stats) == pytest.approx(0.0)
+        assert chi2_of((25, 25), (25, 25)) == pytest.approx(0.0)
 
     def test_perfect_association_is_one(self):
         # Normalized chi2 of a perfectly aligned 2x2 table equals 1 (phi^2).
-        stats = PatternStats(present=(0, 50), absent=(50, 0))
-        assert ChiSquareRelevance()(stats) == pytest.approx(1.0)
+        assert chi2_of((0, 50), (50, 0)) == pytest.approx(1.0)
 
     def test_monotone_in_association(self):
-        weak = PatternStats(present=(20, 30), absent=(30, 20))
-        strong = PatternStats(present=(5, 45), absent=(45, 5))
-        measure = ChiSquareRelevance()
-        assert measure(strong) > measure(weak)
+        weak = chi2_of((20, 30), (30, 20))
+        strong = chi2_of((5, 45), (45, 5))
+        assert strong > weak
 
     def test_empty_is_zero(self):
-        stats = PatternStats(present=(0, 0), absent=(0, 0))
-        assert ChiSquareRelevance()(stats) == 0.0
+        assert chi2_of((0, 0), (0, 0)) == 0.0
 
     def test_usable_in_mmrfs(self, planted_transactions):
         from repro.mining import mine_class_patterns
@@ -43,14 +49,11 @@ class TestChiSquareRelevance:
         """Normalized measure == CMAR's chi_square / n on the same table."""
         from repro.baselines import chi_square
 
-        stats = PatternStats(present=(10, 30), absent=(35, 25))
-        n = stats.n_rows
+        present, absent = (10, 30), (35, 25)
+        n = sum(present) + sum(absent)
         expected = chi_square(
-            stats.support,
-            stats.class_totals[1],
-            stats.present[1],
-            n,
+            sum(present), present[1] + absent[1], present[1], n
         ) / n
         # The 2 x m measure sums over classes; for 2 classes both formulations
         # describe the same table.
-        assert ChiSquareRelevance()(stats) == pytest.approx(expected)
+        assert chi2_of(present, absent) == pytest.approx(expected)
