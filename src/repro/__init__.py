@@ -21,7 +21,7 @@ Package map:
 * ``repro.core``       — the paper-facing API in one import.
 * ``repro.datasets``   — schema, transaction encoding, benchmark generators.
 * ``repro.discretize`` — equal-width/equal-frequency/MDLP discretization.
-* ``repro.mining``     — Apriori, FP-growth, closed miners (LCM-style + CHARM).
+* ``repro.mining``     — all-frequent and LCM-style closed itemset miners.
 * ``repro.measures``   — entropy, IG, Fisher score, the support bounds.
 * ``repro.selection``  — MMRFS (Algorithm 1) and the min_sup strategy.
 * ``repro.features``   — the B^d -> B^d' mapping and the full pipeline.
@@ -41,7 +41,7 @@ from .measures import (
     information_gain,
     theta_star,
 )
-from .mining import closed_fpgrowth, fpgrowth, mine_class_patterns
+from .mining import closed_fpgrowth, frequent_itemsets, mine_class_patterns
 from .selection import mmrfs, suggest_min_support
 
 __version__ = "1.0.0"
@@ -57,7 +57,7 @@ __all__ = [
     "LinearSVM",
     "KernelSVM",
     "DecisionTree",
-    "fpgrowth",
+    "frequent_itemsets",
     "closed_fpgrowth",
     "mine_class_patterns",
     "mmrfs",

@@ -24,7 +24,7 @@ here to the paper's feature-construction stage as well.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -193,7 +193,7 @@ def pattern_covers(
 
     Yields ``(positions, covers)`` pairs: ``covers[r]`` is the AND of the
     item masks of ``itemsets[positions[r]]`` (the all-ones mask for the
-    empty itemset), exactly :meth:`BitMatrix.and_reduce` of that itemset.
+    empty itemset).
     Every position appears in exactly one block.  Itemsets are grouped by
     length — the grouping of the compiled serving matcher — so a block of
     ``length``-item patterns costs ``length`` gathers and ANDs over whole
@@ -323,29 +323,6 @@ class BitMatrix:
     def popcounts(self) -> np.ndarray:
         """Per-mask set-bit counts (vertical orientation: item supports)."""
         return popcount(self.words)
-
-    def mask(self, index: int) -> np.ndarray:
-        """The packed words of one mask (a view, do not mutate)."""
-        return self.words[index]
-
-    def and_reduce(self, indices: Iterable[int]) -> np.ndarray:
-        """AND of the selected masks; the all-ones mask when empty.
-
-        Vertical orientation: the coverage mask of the itemset ``indices``
-        (the empty itemset covers every transaction).
-        """
-        indices = list(indices)
-        if _obs._ACTIVE is not None:
-            _obs._ACTIVE.add("bitset.and_reduce_calls", 1)
-        if not indices:
-            return packed_ones(self.n_bits)
-        if len(indices) == 1:
-            return self.words[indices[0]].copy()
-        return np.bitwise_and.reduce(self.words[indices], axis=0)
-
-    def support(self, indices: Iterable[int]) -> int:
-        """Popcount of the AND-reduction: the itemset's absolute support."""
-        return int(popcount(self.and_reduce(indices)))
 
     def to_dense(self) -> np.ndarray:
         """Unpacked boolean matrix of shape ``(n_masks, n_bits)``."""

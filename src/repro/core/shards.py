@@ -43,6 +43,7 @@ from ..obs import core as _obs
 from .bitset import (
     BitMatrix,
     class_counts,
+    packed_ones,
     pattern_covers,
     popcount,
     scatter_bits,
@@ -115,38 +116,11 @@ class ShardHandle:
         """
         return BitMatrix(self.item_words(), self.n_rows)
 
-    def label_bits(self) -> BitMatrix:
-        return BitMatrix(self.label_words(), self.n_rows)
-
     def class_counts(self) -> np.ndarray:
         """Rows per class in this shard (int64, from the label masks)."""
         if self.n_rows == 0:
             return np.zeros(self.n_classes, dtype=np.int64)
         return popcount(self.label_words()).astype(np.int64)
-
-    def labels(self) -> np.ndarray:
-        """Per-row class labels (int32), reconstructed from the masks."""
-        dense = unpack_bits(self.label_words(), self.n_rows)
-        labels = np.full(self.n_rows, -1, dtype=np.int32)
-        for c in range(self.n_classes):
-            labels[dense[c]] = c
-        return labels
-
-    def transactions(self) -> list[tuple[int, ...]]:
-        """The shard's rows as sorted item tuples (for local mining).
-
-        Materializes a dense ``(n_rows, n_items)`` boolean view of *this
-        shard only* — bounded by the shard size, which is the whole point
-        of sharding.
-        """
-        dense = unpack_bits(self.item_words(), self.n_rows).T
-        return [tuple(np.nonzero(row)[0].tolist()) for row in dense]
-
-    def class_transactions(self, label: int) -> list[tuple[int, ...]]:
-        """The shard's class-``label`` rows as sorted item tuples."""
-        keep = unpack_bits(self.label_words()[label], self.n_rows)
-        dense = unpack_bits(self.item_words(), self.n_rows).T[keep]
-        return [tuple(np.nonzero(row)[0].tolist()) for row in dense]
 
 
 def _pack_rows(
@@ -438,7 +412,8 @@ class VerticalDataset:
         items = self._valid_items(pattern)
         if items is None:
             return 0
-        return self._item_bits.support(items)
+        ones = packed_ones(self.n_rows)[np.newaxis]
+        return int(class_counts(self._item_bits, ones, [items])[0, 0])
 
     def covers(self, pattern: Iterable[int]) -> np.ndarray:
         items = self._valid_items(pattern)

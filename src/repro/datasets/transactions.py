@@ -14,7 +14,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, class_counts, pattern_covers, unpack_bits
+from ..core.bitset import (
+    BitMatrix,
+    class_counts,
+    packed_ones,
+    pattern_covers,
+    unpack_bits,
+)
 from .schema import Dataset
 
 __all__ = ["ItemCatalog", "TransactionDataset"]
@@ -219,7 +225,8 @@ class TransactionDataset:
         items = self._valid_items(pattern)
         if items is None:
             return 0
-        return self.item_bits().support(items)
+        ones = packed_ones(self.n_rows)[np.newaxis]
+        return int(class_counts(self.item_bits(), ones, [items])[0, 0])
 
     def covers(self, pattern: Iterable[int]) -> np.ndarray:
         """Boolean mask over rows: which transactions contain the pattern."""

@@ -93,8 +93,8 @@ class PatternFeaturizer:
 
         The masks come from the grouped cover kernel
         (:func:`~repro.core.bitset.pattern_covers`), which is property-tested
-        against one :meth:`~repro.core.bitset.BitMatrix.and_reduce` per
-        pattern; this is the reference semantics the compiled serving
+        against a per-pattern AND-reduction kept with the tests; this is the
+        reference semantics the compiled serving
         matcher (:mod:`repro.serving`) is differential-tested against.
         """
         item_bits, _ = self._item_bits(data)

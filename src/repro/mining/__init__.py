@@ -1,9 +1,8 @@
-"""Frequent pattern mining: FP-growth, closed, sequence and graph miners."""
+"""Frequent pattern mining: all-frequent, closed, sequence and graph miners."""
 
-from .closed import closed_fpgrowth, occurrence_matrix
-from .fpgrowth import fpgrowth
-from .fptree import FPNode, FPTree
+from .closed import closed_fpgrowth
 from .condense import deduction_bounds, partition_derivable
+from .frequent import frequent_itemsets
 from .generation import (
     filter_by_information_gain,
     mine_class_patterns,
@@ -16,11 +15,8 @@ from .prefixspan import SequencePattern, is_subsequence, prefixspan
 from .sharded import ShardedMiningResult, mine_sharded
 
 __all__ = [
-    "fpgrowth",
+    "frequent_itemsets",
     "closed_fpgrowth",
-    "occurrence_matrix",
-    "FPTree",
-    "FPNode",
     "Pattern",
     "MiningResult",
     "PatternBudgetExceeded",

@@ -26,34 +26,15 @@ import numpy as np
 
 from ..core.bitset import BitMatrix, packed_ones, popcount
 from ..obs import core as _obs
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded
+from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_max_length
 
-__all__ = ["closed_fpgrowth", "occurrence_matrix"]
+__all__ = ["closed_fpgrowth"]
 
 #: Byte budget of the transient closure buffer, the ``(block, n_free,
 #: n_words)`` uint64 AND one node's candidate extensions are closed with.
 #: Caps the block of candidates handled at once; a single candidate is
 #: always allowed, so a very wide database degrades to one per block.
 _CLOSURE_BLOCK_BYTES = 8 << 20
-
-
-def occurrence_matrix(
-    transactions: Sequence[Sequence[int]], n_items: int | None = None
-) -> np.ndarray:
-    """Boolean (n_rows, n_items) matrix: cell (t, i) = item i in transaction t.
-
-    The dense counterpart of :meth:`repro.core.bitset.BitMatrix.vertical`;
-    kept for direct mining's dense search (:mod:`repro.selection.direct`)
-    and as the reference the bitset kernels are property-tested against.
-    """
-    transactions = [tuple(set(t)) for t in transactions]
-    if n_items is None:
-        n_items = 1 + max((max(t) for t in transactions if t), default=-1)
-    matrix = np.zeros((len(transactions), n_items), dtype=bool)
-    for row, transaction in enumerate(transactions):
-        if transaction:
-            matrix[row, list(transaction)] = True
-    return matrix
 
 
 def closed_fpgrowth(
@@ -76,6 +57,7 @@ def closed_fpgrowth(
     """
     if min_support < 1:
         raise ValueError("min_support is an absolute count and must be >= 1")
+    check_max_length(max_length)
     transactions = [tuple(set(t)) for t in transactions]
     n_rows = len(transactions)
     n_items = 1 + max((max(t) for t in transactions if t), default=-1)

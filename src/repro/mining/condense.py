@@ -13,9 +13,9 @@ The sharded miner uses this as a candidate-space reducer: its global
 counting pass proceeds level-wise (length 1, 2, ...), so by the time a
 length-``k`` candidate is considered, the exact per-class counts of every
 proper subset are already known (the candidate set is subset-closed —
-each local fpgrowth run emits all frequent subsets of anything it
-emits).  Candidates whose per-class bounds all collapse are dropped from
-the cross-shard count exchange and their counts filled in by deduction —
+each local search emits all frequent subsets of anything it emits).
+Candidates whose per-class bounds all collapse are dropped from the
+cross-shard count exchange and their counts filled in by deduction —
 exactness is a theorem, not an approximation, which is why the
 condensed path is property-tested equal to the uncondensed one.
 

@@ -50,9 +50,9 @@ from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
 from ..testing import faults as _faults
 from .closed import closed_fpgrowth
-from .fpgrowth import fpgrowth
+from .frequent import frequent_itemsets
 from .guards import MiningTimeLimitExceeded, _wall_clock_limit
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded
+from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_max_length
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cache import ArtifactCache
@@ -68,7 +68,7 @@ GuardBehavior = Literal["raise", "items_only"]
 
 _MINERS = {
     "closed": closed_fpgrowth,
-    "all": fpgrowth,
+    "all": frequent_itemsets,
 }
 
 #: Cache stage name for per-partition mining artifacts.
@@ -289,6 +289,7 @@ def mine_class_patterns(
         raise ValueError("min_support is relative and must be in (0, 1]")
     if miner not in _MINERS:
         raise KeyError(miner)
+    check_max_length(max_length)
     if on_guard not in ("raise", "items_only"):
         raise ValueError(f"on_guard must be 'raise' or 'items_only', got {on_guard!r}")
 

@@ -11,12 +11,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["Pattern", "PatternBudgetExceeded", "canonical", "MiningResult"]
+__all__ = [
+    "Pattern",
+    "PatternBudgetExceeded",
+    "canonical",
+    "check_max_length",
+    "MiningResult",
+]
 
 
 def canonical(items: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted, deduplicated) tuple form of an itemset."""
     return tuple(sorted(set(int(i) for i in items)))
+
+
+def check_max_length(max_length: int | None) -> None:
+    """Reject a pattern-length cap below one item (``None`` means no cap)."""
+    if max_length is not None and max_length < 1:
+        raise ValueError(f"max_length must be >= 1, got {max_length}")
 
 
 class PatternBudgetExceeded(RuntimeError):
@@ -33,7 +45,7 @@ class PatternBudgetExceeded(RuntimeError):
     * a database with exactly ``max_patterns`` patterns mines cleanly;
     * on a blow-up, ``emitted`` is the count actually reached when the
       guard tripped — ``budget + 1`` for the single-emission miners
-      (fpgrowth, closed_fpgrowth), possibly more for bulk merges
+      (frequent_itemsets, closed_fpgrowth), possibly more for bulk merges
       (:func:`repro.mining.generation.mine_class_patterns`).
 
     ``emitted`` is therefore always a strict lower bound on the true

@@ -7,14 +7,15 @@ scheme of Savasere/Omiecinski/Navathe, specialized to the paper's
 per-class mining:
 
 1. **Local candidate pass.**  Every (shard, class) cell is mined
-   independently with :func:`~repro.mining.fpgrowth.fpgrowth` at a
+   independently with :func:`~repro.mining.frequent.mine_words` at a
    proportional local threshold ``ceil(abs_c * rows_cell / rows_class)``
    (pure integer arithmetic — no float fuzz).  Pigeonhole: an itemset
    reaching the class-global threshold must reach the proportional
    threshold in at least one shard, so the union of local results is a
    complete candidate superset.  Workers open their shard via the
    zero-copy :class:`~repro.core.shards.ShardHandle` — the task pickles a
-   path and three integers, never data.
+   path and three integers, never data — and search straight off its
+   mmap'd item masks, with the class's row mask as the root tidset.
 2. **Exact counting pass.**  Candidates are counted against every shard
    (AND-reduce + popcount against the shard's label masks) and the
    per-shard int64 count vectors are merged order-invariantly (integer
@@ -44,14 +45,14 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from ..core.bitset import class_counts
+from ..core.bitset import class_counts, popcount
 from ..core.parallel import RetryPolicy, parallel_map, resolve_n_jobs
 from ..core.shards import ShardHandle, ShardSet
 from ..obs import core as _obs
 from ..testing import faults as _faults
 from .condense import partition_derivable
-from .fpgrowth import fpgrowth
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded
+from .frequent import mine_words
+from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_max_length
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cache import ArtifactCache
@@ -108,12 +109,12 @@ def _mine_cell(job: tuple) -> dict:
     """
     shard_index, label, handle, local_abs, max_length = job
     _faults.fault_point("shard", f"mine:{shard_index}:{label}")
-    transactions = handle.class_transactions(label)
+    rows = np.asarray(handle.label_words()[label])
     with _obs.span(
         "mining.sharded.local",
         shard=shard_index,
         label=label,
-        rows=len(transactions),
+        rows=int(popcount(rows)),
         min_support=local_abs,
     ) as span:
         # Deliberately unbudgeted: for closed mining this pass enumerates
@@ -123,13 +124,11 @@ def _mine_cell(job: tuple) -> dict:
         # batch path happily mines.  The budget is enforced exactly at
         # the global assembly instead; local enumeration is bounded by
         # the shard's content and observable via the candidates counter.
-        result = fpgrowth(
-            transactions,
-            min_support=local_abs,
-            max_length=max_length,
+        patterns = mine_words(
+            np.asarray(handle.item_words()), rows, local_abs, max_length
         )
-        span.set(candidates=len(result.patterns))
-    return {"itemsets": [list(p.items) for p in result.patterns]}
+        span.set(candidates=len(patterns))
+    return {"itemsets": [list(p.items) for p in patterns]}
 
 
 def _count_shard(candidates: list, job: tuple) -> list[list[int]]:
@@ -213,6 +212,7 @@ def mine_sharded(
         raise ValueError("min_support is relative and must be in (0, 1]")
     if miner not in ("closed", "all"):
         raise KeyError(miner)
+    check_max_length(max_length)
     if on_guard not in ("raise", "items_only"):
         raise ValueError(f"on_guard must be 'raise' or 'items_only', got {on_guard!r}")
 

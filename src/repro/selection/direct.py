@@ -9,8 +9,9 @@ bound, then applies sequential covering and repeats.
 
 This module implements that idea on the substrate of this package:
 
-* a depth-first branch-and-bound search over itemsets (vertical boolean
-  coverage masks, support pruning, length cap);
+* a depth-first branch-and-bound search over itemsets — the packed-tidset
+  search of :mod:`repro.mining.frequent`, with support pruning and a
+  length cap — that scores each node's children in one batch;
 * the IG upper bound for supersets: any beta ⊇ alpha covers a subset of
   alpha's rows, and conditional entropy is minimized by class-pure
   sub-coverages — so ``max_c IG(pure class-c part of alpha's coverage)``
@@ -29,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.bitset import pack_bits, popcount
 from ..datasets.transactions import TransactionDataset
-from ..measures.information_gain import information_gain_from_counts
 from ..measures.vectorized import information_gain_batch
-from ..mining.closed import occurrence_matrix
-from ..mining.itemsets import Pattern
+from ..mining.frequent import search
+from ..mining.itemsets import Pattern, check_max_length
 
 __all__ = ["DirectMiningResult", "ig_superset_bound", "ddpmine"]
 
@@ -81,47 +82,43 @@ class DirectMiningResult:
 
 
 def _best_pattern(
-    matrix: np.ndarray,
-    class_one_hot: np.ndarray,
+    item_words: np.ndarray,
+    label_words: np.ndarray,
+    order: np.ndarray,
     active: np.ndarray,
     min_count: int,
     max_length: int,
-    frequent_items: np.ndarray,
 ) -> tuple[tuple[int, ...] | None, float, int]:
     """Branch-and-bound search for the max-IG itemset on the active rows.
 
-    Returns (items, gain, nodes_explored); items is None when nothing beats
-    zero gain.
+    ``active`` is the packed mask of the active rows, the root tidset, so
+    every support and class count is taken on those rows only.  Items are
+    extended in ``order``.  Returns (items, gain, nodes_explored); items
+    is None when nothing beats zero gain.
     """
-    class_totals = class_one_hot[active].sum(axis=0)
-    n_items = matrix.shape[1]
+    class_totals = popcount(label_words & active)
     best_items: tuple[int, ...] | None = None
     best_gain = 1e-12
     nodes = 0
 
-    def descend(items: tuple[int, ...], rows: np.ndarray, next_index: int) -> None:
-        nonlocal best_items, best_gain, nodes
-        for position in range(next_index, len(frequent_items)):
-            item = int(frequent_items[position])
-            new_rows = rows & matrix[:, item]
-            support = int(new_rows[active].sum())
-            if support < min_count:
-                continue
-            nodes += 1
-            new_items = items + (item,)
-            present = class_one_hot[new_rows & active].sum(axis=0)
-            absent = class_totals - present
-            gain = information_gain_from_counts(present, absent)
-            if gain > best_gain:
-                best_gain = gain
-                best_items = new_items
-            if len(new_items) < max_length:
-                bound = ig_superset_bound(present, absent)
-                if bound > best_gain:
-                    descend(new_items, new_rows, position + 1)
+    def visit(prefix, items, rows, _supports):
+        nonlocal nodes
+        nodes += len(items)
+        present = popcount(rows[:, np.newaxis, :] & label_words)
+        absent = class_totals - present
+        gains = information_gain_batch(present, absent).tolist()
+        deeper = len(prefix) + 1 < max_length
 
-    all_rows = np.ones(matrix.shape[0], dtype=bool)
-    descend((), all_rows, 0)
+        def descend(k: int) -> bool:
+            nonlocal best_items, best_gain
+            if gains[k] > best_gain:
+                best_gain = gains[k]
+                best_items = prefix + (items[k],)
+            return deeper and ig_superset_bound(present[k], absent[k]) > best_gain
+
+        return descend
+
+    search(item_words, active, order, min_count, visit)
     return best_items, float(best_gain), nodes
 
 
@@ -159,13 +156,10 @@ def ddpmine(
         raise ValueError("min_support is relative and must be in (0, 1]")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    matrix = occurrence_matrix(data.transactions, n_items=data.n_items)
-    class_one_hot = np.zeros((data.n_rows, data.n_classes), dtype=np.int64)
-    class_one_hot[np.arange(data.n_rows), data.labels] = 1
-
-    item_counts = matrix.sum(axis=0)
-    order = np.argsort(-item_counts, kind="stable")
-    frequent_items = order[item_counts[order] >= 1]
+    check_max_length(max_length)
+    item_bits = data.item_bits()
+    label_words = data.label_bits().words
+    order = np.argsort(-item_bits.popcounts(), kind="stable")
 
     coverage_counts = np.zeros(data.n_rows, dtype=np.int64)
     patterns: list[Pattern] = []
@@ -179,19 +173,18 @@ def ddpmine(
             break
         min_count = max(1, int(np.ceil(min_support * n_active)))
         items, gain, nodes = _best_pattern(
-            matrix, class_one_hot, active, min_count, max_length,
-            frequent_items,
+            item_bits.words, label_words, order, pack_bits(active),
+            min_count, max_length,
         )
         total_nodes += nodes
         if items is None:
             break
-        covered = matrix[:, list(items)].all(axis=1)
-        support = int(covered.sum())
-        patterns.append(Pattern(items=items, support=support))
+        covered = data.covers(items)
+        patterns.append(Pattern(items=items, support=int(covered.sum())))
         gains.append(gain)
         # Sequential covering: only *correctly* covered rows advance, per
         # the same convention MMRFS uses.
-        present = class_one_hot[covered].sum(axis=0)
+        present = np.bincount(data.labels[covered], minlength=data.n_classes)
         majority = int(np.argmax(present))
         correct = covered & (data.labels == majority)
         if not (correct & active).any():

@@ -36,7 +36,7 @@ contain unknown item ids (a vocabulary drifted upstream) or duplicates.
 (``tests/test_serving_differential.py``) pins the compiled matcher and
 predictions *exactly* to the naive transformer path on the sanitized
 input, hypothesis-hammered the same way the miner differential suite
-pins FP-growth to its Apriori reference.
+pins the all-itemset miner to its Apriori reference.
 
 Thread safety: a ``CompiledModel`` is immutable after construction (all
 state is read-only numpy arrays), so one instance can serve concurrent

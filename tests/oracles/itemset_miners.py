@@ -1,7 +1,7 @@
 """Reference itemset miners: Apriori, CHARM and brute-force closed mining.
 
 Three independently derived engines the production miners
-(:func:`repro.mining.fpgrowth.fpgrowth` and
+(:func:`repro.mining.frequent.frequent_itemsets` and
 :func:`repro.mining.closed.closed_fpgrowth`) are tested against:
 
 * :func:`apriori` (Agrawal & Srikant, VLDB 1994): level-wise candidate

@@ -16,10 +16,10 @@ import numpy as np
 
 from repro.datasets.transactions import TransactionDataset
 from repro.measures.contingency import batch_contingency_tables
-from repro.mining.closed import occurrence_matrix
 from repro.mining.itemsets import Pattern
 from repro.selection.mmrfs import SelectedFeature, SelectionResult
 from repro.selection.relevance import RelevanceMeasure, batch_relevance, get_relevance
+from tests.oracles.direct_dense import occurrence_matrix
 
 
 def batch_redundancy(

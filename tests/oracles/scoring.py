@@ -3,8 +3,10 @@
 The reference the vectorized scoring path — :func:`repro.measures.
 contingency.batch_contingency_tables` feeding the kernels of
 :mod:`repro.measures.vectorized` — is tested against.  Each pattern's
-coverage is its own ``and_reduce`` over the dataset's item bitsets, and
-each measure is evaluated on one table at a time.
+coverage is its own :func:`and_reduce` over the dataset's item bitsets,
+and each measure is evaluated on one table at a time.  :func:`and_reduce`
+is also the per-pattern reference of the grouped cover kernel
+:func:`repro.core.bitset.pattern_covers`.
 """
 
 from __future__ import annotations
@@ -13,10 +15,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.bitset import popcount
+from repro.core.bitset import BitMatrix, packed_ones, popcount
 from repro.datasets.transactions import TransactionDataset
 from repro.measures.contingency import ContingencyTables, PatternStats
 from repro.mining.itemsets import Pattern
+
+
+def and_reduce(item_bits: BitMatrix, items: Iterable[int]) -> np.ndarray:
+    """AND of the masks ``items`` of ``item_bits``; all ones when empty."""
+    items = list(items)
+    if not items:
+        return packed_ones(item_bits.n_bits)
+    return np.bitwise_and.reduce(item_bits.words[items], axis=0)
 
 
 def row_stats(tables: ContingencyTables, index: int) -> PatternStats:
@@ -49,13 +59,13 @@ def pattern_stats(
 def batch_pattern_stats(
     patterns: Sequence[Pattern], data: TransactionDataset
 ) -> list[PatternStats]:
-    """Contingency tables of many patterns, one ``and_reduce`` each."""
+    """Contingency tables of many patterns, one :func:`and_reduce` each."""
     item_bits = data.item_bits()
     label_words = data.label_bits().words
     class_totals = data.class_counts().astype(np.int64)
     stats = []
     for pattern in patterns:
-        present = popcount(label_words & item_bits.and_reduce(pattern.items))
+        present = popcount(label_words & and_reduce(item_bits, pattern.items))
         stats.append(
             PatternStats(
                 present=tuple(int(c) for c in present),

@@ -29,9 +29,11 @@ from repro.core.bitset import (
     unpack_bits,
     word_count,
 )
-from repro.mining.closed import closed_fpgrowth, occurrence_matrix
+from repro.mining.closed import closed_fpgrowth
 from repro.selection.redundancy import batch_redundancy_packed
+from tests.oracles.direct_dense import occurrence_matrix
 from tests.oracles.mmrfs_dense import batch_redundancy
+from tests.oracles.scoring import and_reduce
 
 #: Widths straddling the word size: 1 word exactly, off-by-one both ways,
 #: multiple words, and a sub-byte width.
@@ -138,16 +140,16 @@ class TestIntersection:
         matrix = BitMatrix.from_dense(dense)
         indices = list(range(dense.shape[0]))
         assert np.array_equal(
-            unpack_bits(matrix.and_reduce(indices), matrix.n_bits),
+            unpack_bits(and_reduce(matrix, indices), matrix.n_bits),
             dense.all(axis=0),
         )
 
     def test_and_reduce_empty_is_all_ones(self):
         matrix = BitMatrix.from_dense(np.zeros((3, 70), dtype=bool))
         assert np.array_equal(
-            unpack_bits(matrix.and_reduce([]), 70), np.ones(70, dtype=bool)
+            unpack_bits(and_reduce(matrix, []), 70), np.ones(70, dtype=bool)
         )
-        assert matrix.support([]) == 70
+        assert popcount(and_reduce(matrix, [])) == 70
 
 
 class TestJaccardKernel:
@@ -337,7 +339,7 @@ def cover_batches(draw):
 
 
 class TestPatternCoverKernel:
-    """The grouped cover kernel against one ``and_reduce`` per itemset."""
+    """The grouped cover kernel against one oracle ``and_reduce`` per itemset."""
 
     @staticmethod
     def _check(items, label_words, itemsets):
@@ -345,11 +347,11 @@ class TestPatternCoverKernel:
         for positions, covers in pattern_covers(items, itemsets):
             assert covers.shape == (len(positions), items.words.shape[1])
             for position, cover in zip(positions, covers):
-                assert np.array_equal(cover, items.and_reduce(itemsets[position]))
+                assert np.array_equal(cover, and_reduce(items, itemsets[position]))
             seen.extend(positions.tolist())
         assert sorted(seen) == list(range(len(itemsets)))
         expected = np.array(
-            [popcount(label_words & items.and_reduce(s)) for s in itemsets],
+            [popcount(label_words & and_reduce(items, s)) for s in itemsets],
             dtype=np.int64,
         ).reshape(len(itemsets), label_words.shape[0])
         assert np.array_equal(class_counts(items, label_words, itemsets), expected)
@@ -392,7 +394,7 @@ class TestPatternCoverKernel:
         items = BitMatrix.from_dense(np.ones((3, 70), dtype=bool))
         if max(itemset) >= 3:
             with pytest.raises(IndexError):
-                items.and_reduce(itemset)
+                and_reduce(items, itemset)
         with pytest.raises(IndexError):
             list(pattern_covers(items, [(0,), itemset]))
         with pytest.raises(IndexError):
@@ -424,7 +426,7 @@ class TestTransientBuffersBounded:
             tracemalloc.stop()
         assert peak < self.BOUND
         for j in (0, k - 1):
-            cover = items.and_reduce(itemsets[j])
+            cover = and_reduce(items, itemsets[j])
             assert counts[j].tolist() == popcount(label_words & cover).tolist()
 
     def test_closed_miner_blocks_its_closure_buffer(self):

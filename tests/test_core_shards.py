@@ -50,6 +50,17 @@ def _random_dataset(seed: int, n_rows: int, n_items: int, n_classes: int):
     )
 
 
+def _assert_packs_rows(handle, data, start: int) -> None:
+    """``handle``'s words are the packed rows ``start:start + n_rows``."""
+    stop = start + handle.n_rows
+    items = BitMatrix.vertical(data.transactions[start:stop], data.n_items)
+    classes = BitMatrix.vertical(
+        [(int(label),) for label in data.labels[start:stop]], data.n_classes
+    )
+    assert np.array_equal(handle.item_words(), items.words)
+    assert np.array_equal(handle.label_words(), classes.words)
+
+
 @st.composite
 def sharded_datasets(draw):
     """A random dataset plus a shard size straddling its row count."""
@@ -69,18 +80,29 @@ class TestShardFormat:
         shards.verify()
         assert shards.n_rows == data.n_rows
         assert shards.class_totals().tolist() == data.class_counts().tolist()
-        assert [t for h in shards for t in h.transactions()] == data.transactions
-        assert np.concatenate([h.labels() for h in shards]).tolist() == (
-            data.labels.tolist()
-        )
+        start = 0
+        for handle in shards:
+            _assert_packs_rows(handle, data, start)
+            start += handle.n_rows
+        assert start == data.n_rows
 
     def test_class_transactions_match_partition(self, tmp_path):
         data = _random_dataset(4, 120, 8, 3)
         shards = shard_dataset(data, tmp_path, 33)
-        partition = data.class_partition()
-        for c in range(data.n_classes):
-            got = [t for h in shards for t in h.class_transactions(c)]
-            assert got == partition[c]
+        start = 0
+        for handle in shards:
+            labels = data.labels[start : start + handle.n_rows]
+            for c in range(data.n_classes):
+                # The (shard, class) cell the local mining pass searches.
+                cell = [
+                    t if label == c else ()
+                    for t, label in zip(data.transactions[start:], labels)
+                ]
+                expected = BitMatrix.vertical(cell, data.n_items).words
+                got = handle.item_words() & handle.label_words()[c]
+                assert np.array_equal(got, expected)
+            start += handle.n_rows
+        assert start == data.n_rows
 
     def test_tail_bits_zero_on_mmap_words(self, tmp_path):
         # 130 rows / shards of 50: shard sizes 50, 50, 30 — none a
@@ -152,7 +174,7 @@ class TestZeroCopyProtocol:
         # ~47kB one packed shard (12 items x 2500 rows) occupies, let
         # alone a pickled transaction list.
         assert len(blob) < 1024
-        assert pickle.loads(blob).transactions() == handle.transactions()
+        _assert_packs_rows(pickle.loads(blob), data, 0)
 
     def test_bitmatrix_wraps_memmap_without_copy(self, tmp_path):
         data = _random_dataset(10, 200, 8, 2)

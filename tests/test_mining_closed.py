@@ -60,7 +60,7 @@ class TestMaxLengthDifferential:
         """Same patterns, same supports, same order as the length filter."""
         transactions, min_support = db
         full = _pairs(closed_fpgrowth(transactions, min_support))
-        for max_length in range(6):
+        for max_length in range(1, 6):
             bounded = closed_fpgrowth(
                 transactions, min_support, max_length=max_length
             )

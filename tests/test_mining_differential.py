@@ -4,8 +4,9 @@ Hypothesis generates random transaction databases and asserts, at 200+
 examples per miner pair, against the reference miners of
 ``tests/oracles/itemset_miners.py``:
 
-* ``apriori`` and ``fpgrowth`` return *identical* frequent sets with
-  identical supports;
+* ``apriori`` and ``frequent_itemsets`` return *identical* frequent sets
+  with identical supports, ``frequent_itemsets`` in canonical sorted
+  order;
 * the two closed miners (LCM-style ``closed_fpgrowth`` and CHARM) agree
   with each other;
 * expanding a closed result — every subset of every closed itemset, with
@@ -22,7 +23,7 @@ from itertools import combinations
 
 from hypothesis import given, settings
 
-from repro.mining import closed_fpgrowth, fpgrowth
+from repro.mining import closed_fpgrowth, frequent_itemsets
 from tests.oracles.itemset_miners import apriori, charm
 from tests.oracles.strategies import supports, transactions
 
@@ -48,7 +49,10 @@ def expand_closed(result) -> dict[tuple[int, ...], int]:
 @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
 @given(db=transactions(), min_support=supports())
 def test_apriori_fpgrowth_identical(db, min_support):
-    assert apriori(db, min_support).as_dict() == fpgrowth(db, min_support).as_dict()
+    result = frequent_itemsets(db, min_support)
+    assert apriori(db, min_support).as_dict() == result.as_dict()
+    itemsets = [p.items for p in result.patterns]
+    assert itemsets == sorted(itemsets)
 
 
 @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
@@ -70,5 +74,5 @@ def test_charm_expansion_reconstructs_frequent_set(db, min_support):
 @settings(max_examples=DIFFERENTIAL_EXAMPLES, deadline=None)
 @given(db=transactions(), min_support=supports())
 def test_closed_fpgrowth_expansion_reconstructs_frequent_set(db, min_support):
-    full = fpgrowth(db, min_support).as_dict()
+    full = frequent_itemsets(db, min_support).as_dict()
     assert expand_closed(closed_fpgrowth(db, min_support)) == full

@@ -5,19 +5,22 @@ import time
 import pytest
 from hypothesis import given, settings
 
+from repro.core.shards import shard_dataset
 from repro.mining import (
     MiningTimeLimitExceeded,
     PatternBudgetExceeded,
     closed_fpgrowth,
-    fpgrowth,
+    frequent_itemsets,
     guarded_mine,
     mine_class_patterns,
+    mine_sharded,
     recount_supports,
 )
+from repro.selection import ddpmine
 from tests.oracles.itemset_miners import apriori, charm
 from tests.oracles.strategies import supports, transactions
 
-ALL_MINERS = [apriori, fpgrowth, closed_fpgrowth, charm]
+ALL_MINERS = [apriori, frequent_itemsets, closed_fpgrowth, charm]
 
 
 class TestMineClassPatterns:
@@ -67,6 +70,34 @@ class TestMineClassPatterns:
         assert [p.items for p in a] == [p.items for p in b]
 
 
+#: Every itemset entry point, called on ``tiny_transactions`` with a cap.
+MAX_LENGTH_ENTRY_POINTS = {
+    "frequent_itemsets": lambda data, cap, _: frequent_itemsets(
+        data.transactions, 1, max_length=cap
+    ),
+    "closed_fpgrowth": lambda data, cap, _: closed_fpgrowth(
+        data.transactions, 1, max_length=cap
+    ),
+    "mine_class_patterns": lambda data, cap, _: mine_class_patterns(
+        data, 0.3, max_length=cap
+    ),
+    "mine_sharded": lambda data, cap, tmp_path: mine_sharded(
+        shard_dataset(data, tmp_path, 3), 0.3, max_length=cap
+    ),
+    "ddpmine": lambda data, cap, _: ddpmine(data, 0.3, max_length=cap),
+}
+
+
+class TestMaxLengthValidation:
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("entry", sorted(MAX_LENGTH_ENTRY_POINTS))
+    def test_cap_below_one_item_rejected(
+        self, entry, cap, tiny_transactions, tmp_path
+    ):
+        with pytest.raises(ValueError, match="max_length"):
+            MAX_LENGTH_ENTRY_POINTS[entry](tiny_transactions, cap, tmp_path)
+
+
 class TestRecountSupports:
     def test_empty(self, tiny_transactions):
         assert recount_supports([], tiny_transactions) == []
@@ -81,7 +112,7 @@ class TestRecountSupports:
 class TestGuardedMine:
     def test_feasible_run(self, tiny_transactions):
         report = guarded_mine(
-            fpgrowth, tiny_transactions.transactions, min_support=3,
+            frequent_itemsets, tiny_transactions.transactions, min_support=3,
             max_patterns=100_000,
         )
         assert report.feasible
@@ -90,7 +121,7 @@ class TestGuardedMine:
 
     def test_blowup_detected(self, planted_transactions):
         report = guarded_mine(
-            fpgrowth,
+            frequent_itemsets,
             planted_transactions.transactions,
             min_support=1,
             max_patterns=50,
@@ -102,7 +133,7 @@ class TestGuardedMine:
 
     def test_elapsed_recorded(self, tiny_transactions):
         report = guarded_mine(
-            fpgrowth, tiny_transactions.transactions, min_support=2,
+            frequent_itemsets, tiny_transactions.transactions, min_support=2,
             max_patterns=100_000,
         )
         assert report.elapsed_seconds >= 0.0
@@ -196,7 +227,7 @@ class TestWallClockGuard:
 
     def test_fast_run_unaffected_by_limit(self, tiny_transactions):
         report = guarded_mine(
-            fpgrowth,
+            frequent_itemsets,
             tiny_transactions.transactions,
             min_support=3,
             max_patterns=100_000,

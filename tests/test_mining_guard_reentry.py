@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.mining.fpgrowth import fpgrowth
+from repro.mining.frequent import frequent_itemsets
 from repro.mining.guards import _wall_clock_limit, guarded_mine
 
 pytestmark = pytest.mark.skipif(
@@ -35,7 +35,7 @@ def windowed_mine(n_windows: int, time_limit: float = 5.0):
     for _ in range(n_windows):
         reports.append(
             guarded_mine(
-                fpgrowth, TRANSACTIONS, min_support=2, max_patterns=1000,
+                frequent_itemsets, TRANSACTIONS, min_support=2, max_patterns=1000,
                 time_limit=time_limit,
             )
         )
@@ -55,7 +55,7 @@ class TestGuardReentry:
             for _ in range(4):
                 time.sleep(0.02)
                 report = guarded_mine(
-                    fpgrowth, TRANSACTIONS, min_support=2,
+                    frequent_itemsets, TRANSACTIONS, min_support=2,
                     max_patterns=1000, time_limit=5.0,
                 )
                 assert report.feasible
@@ -112,7 +112,7 @@ class TestGuardReentry:
         with _wall_clock_limit(10.0):
             reports = windowed_mine(3, time_limit=2.0)
         assert all(r.feasible for r in reports)
-        baseline = fpgrowth(TRANSACTIONS, min_support=2)
+        baseline = frequent_itemsets(TRANSACTIONS, min_support=2)
         for report in reports:
             assert [
                 (p.items, p.support) for p in report.result.patterns

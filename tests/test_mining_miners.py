@@ -1,10 +1,11 @@
 """Unit and property tests for the itemset miners.
 
-FP-growth and the closed miner are checked against the reference miners of
-``tests/oracles/itemset_miners.py``.  The central invariants:
+The all-itemset miner (``frequent_itemsets``) and the closed miner are
+checked against the reference miners of ``tests/oracles/itemset_miners.py``.
+The central invariants:
 
-* Apriori and FP-growth return identical frequent sets with identical
-  supports;
+* Apriori and ``frequent_itemsets`` return identical frequent sets with
+  identical supports;
 * the LCM-style closed miner, CHARM and brute force agree on the closed
   set;
 * every frequent itemset is a subset of some closed itemset with equal
@@ -15,7 +16,8 @@ FP-growth and the closed miner are checked against the reference miners of
 import pytest
 from hypothesis import given, settings
 
-from repro.mining import Pattern, PatternBudgetExceeded, closed_fpgrowth, fpgrowth
+from repro.mining import Pattern, PatternBudgetExceeded, closed_fpgrowth
+from repro.mining import frequent_itemsets
 from tests.oracles.itemset_miners import apriori, brute_force_closed, charm
 from tests.oracles.strategies import supports, transactions
 
@@ -72,30 +74,32 @@ class TestAprioriBasics:
 
 
 class TestFPGrowthAgainstApriori:
+    """``frequent_itemsets``, the all-itemset miner, against Apriori."""
+
     def test_weather_agreement(self):
         for min_support in (1, 2, 3, 5):
             a = apriori(WEATHER, min_support).as_dict()
-            f = fpgrowth(WEATHER, min_support).as_dict()
+            f = frequent_itemsets(WEATHER, min_support).as_dict()
             assert a == f
 
     def test_max_length_agreement(self):
         a = apriori(WEATHER, 2, max_length=2).as_dict()
-        f = fpgrowth(WEATHER, 2, max_length=2).as_dict()
+        f = frequent_itemsets(WEATHER, 2, max_length=2).as_dict()
         assert a == f
 
     def test_empty_transactions(self):
-        assert len(fpgrowth([], min_support=1)) == 0
-        assert len(fpgrowth([(), ()], min_support=1)) == 0
+        assert len(frequent_itemsets([], min_support=1)) == 0
+        assert len(frequent_itemsets([(), ()], min_support=1)) == 0
 
     def test_budget_raises(self):
         with pytest.raises(PatternBudgetExceeded):
-            fpgrowth(WEATHER, min_support=1, max_patterns=3)
+            frequent_itemsets(WEATHER, min_support=1, max_patterns=3)
 
     @settings(max_examples=60, deadline=None)
     @given(transactions=transactions(), min_support=supports())
     def test_property_agreement(self, transactions, min_support):
         a = apriori(transactions, min_support).as_dict()
-        f = fpgrowth(transactions, min_support).as_dict()
+        f = frequent_itemsets(transactions, min_support).as_dict()
         assert a == f
 
 
@@ -108,13 +112,13 @@ class TestClosedMiners:
             assert lcm == ch == bf
 
     def test_closed_is_subset_of_frequent(self):
-        frequent = fpgrowth(WEATHER, 2).as_dict()
+        frequent = frequent_itemsets(WEATHER, 2).as_dict()
         for pattern in closed_fpgrowth(WEATHER, 2):
             assert frequent[pattern.items] == pattern.support
 
     def test_closure_cover(self):
         """Every frequent itemset has a closed superset with equal support."""
-        frequent = fpgrowth(WEATHER, 2)
+        frequent = frequent_itemsets(WEATHER, 2)
         closed = list(closed_fpgrowth(WEATHER, 2))
         for pattern in frequent:
             assert any(
@@ -153,7 +157,7 @@ class TestClosedMiners:
     @settings(max_examples=40, deadline=None)
     @given(transactions=transactions())
     def test_property_anti_monotonicity(self, transactions):
-        result = fpgrowth(transactions, 1).as_dict()
+        result = frequent_itemsets(transactions, 1).as_dict()
         for items, support in result.items():
             for drop in range(len(items)):
                 subset = items[:drop] + items[drop + 1 :]
@@ -172,7 +176,7 @@ class TestOnPlantedData:
     def test_agreement_on_real_scale(self, planted_transactions):
         subset = planted_transactions.subset(range(80))
         min_support = 12
-        f = fpgrowth(subset.transactions, min_support).as_dict()
+        f = frequent_itemsets(subset.transactions, min_support).as_dict()
         a = apriori(subset.transactions, min_support).as_dict()
         assert f == a
         lcm = {(p.items, p.support) for p in closed_fpgrowth(subset.transactions, min_support)}

@@ -17,7 +17,7 @@ from repro.core import parallel as parallel_mod
 from repro.core.parallel import parallel_map
 from repro.datasets.transactions import TransactionDataset
 from repro.mining.closed import closed_fpgrowth
-from repro.mining.fpgrowth import fpgrowth
+from repro.mining.frequent import frequent_itemsets
 from repro.mining.generation import mine_class_patterns
 from repro.mining.guards import MiningTimeLimitExceeded, _wall_clock_limit, guarded_mine
 from repro.mining.itemsets import Pattern, PatternBudgetExceeded
@@ -34,29 +34,31 @@ HAND_TRANSACTIONS = [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,)]
 
 
 class TestFPGrowthCounterExactness:
+    """The all-itemset miner's ``mining.frequent.patterns`` counter."""
+
     def test_pattern_count(self):
         with session() as sess:
-            result = fpgrowth(HAND_TRANSACTIONS, min_support=2)
+            result = frequent_itemsets(HAND_TRANSACTIONS, min_support=2)
         assert result.as_dict() == {
             (0,): 4, (1,): 3, (2,): 3, (0, 1): 2, (0, 2): 2, (1, 2): 2,
         }
-        assert sess.counters["mining.fpgrowth.patterns"] == 6
+        assert sess.counters["mining.frequent.patterns"] == 6
 
     def test_counters_flushed_when_budget_trips(self):
         with session() as sess:
             with pytest.raises(PatternBudgetExceeded) as excinfo:
-                fpgrowth(HAND_TRANSACTIONS, min_support=2, max_patterns=3)
+                frequent_itemsets(HAND_TRANSACTIONS, min_support=2, max_patterns=3)
         # Record-then-check semantics: trips at budget + 1 emitted patterns,
         # and the finally-flush still reports how far enumeration got.
         assert excinfo.value.emitted == 4
-        assert sess.counters["mining.fpgrowth.patterns"] == 4
+        assert sess.counters["mining.frequent.patterns"] == 4
 
 
 class TestMinerPatternCounters:
     @pytest.mark.parametrize(
         "miner, counter",
         [
-            (fpgrowth, "mining.fpgrowth.patterns"),
+            (frequent_itemsets, "mining.frequent.patterns"),
             (closed_fpgrowth, "mining.closed.patterns"),
         ],
     )
@@ -252,7 +254,7 @@ class TestWallClockGuardRestoration:
     def test_guarded_mine_records_outcome_span(self):
         with session() as sess:
             report = guarded_mine(
-                fpgrowth, HAND_TRANSACTIONS, min_support=2, max_patterns=3
+                frequent_itemsets, HAND_TRANSACTIONS, min_support=2, max_patterns=3
             )
         assert not report.feasible and report.guard == "budget"
         [span] = [s for s in sess.spans if s["name"] == "mining.guarded"]

@@ -5,7 +5,7 @@ with grouped gather + AND-reduction over packed bitsets, and the fused
 decision function replaces the float64 design matrix with a single GEMM
 over match blocks.  Neither rewrite is allowed to change a single
 prediction.  Hypothesis hammers both claims the same way
-``test_mining_differential.py`` pins apriori == fpgrowth:
+``test_mining_differential.py`` pins apriori == frequent_itemsets:
 
 * **matcher oracle** — on random pattern sets and random transactions
   (including unknown item ids, duplicates and empty transactions), the

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.datasets.transactions import TransactionDataset
 from repro.measures.vectorized import information_gain_batch
-from repro.mining.fpgrowth import fpgrowth
+from repro.mining.frequent import frequent_itemsets
 from repro.obs import core as _obs
 from repro.selection.minsup import suggest_min_support
 from repro.streaming import topk as topk_module
@@ -73,7 +73,7 @@ def oracle_topk(
 
     Returns ``(items, support, class_counts, ig)`` rows in rank order.
     """
-    result = fpgrowth(data.transactions, min_support, max_length=max_length)
+    result = frequent_itemsets(data.transactions, min_support, max_length=max_length)
     class_totals = data.class_counts().astype(np.int64)
     scored = []
     for pattern in result.patterns:
