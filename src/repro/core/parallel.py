@@ -39,6 +39,13 @@ Process workers expose a ``worker:<index>`` fault-injection point
 (:mod:`repro.testing.faults`), which is how the robustness suite stages
 worker deaths deterministically.
 
+**Checkpointing.**  :func:`checkpointed_map` is the one resumable
+fan-out: it restores every item whose artifact a cache already holds and
+runs only the misses through :func:`parallel_map`, with the worker
+itself persisting each result as it finishes.  Partition mining, both
+sharded mining passes, CV folds and the experiment's selection stage
+all go through it.
+
 On platforms whose process pools are unusable (no working semaphore
 support — some sandboxes and WebAssembly builds), a requested process
 fan-out degrades to the serial path with a :class:`RuntimeWarning` on the
@@ -53,6 +60,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Literal, Sequence, TypeVar
 
 from ..obs import core as _obs
@@ -63,6 +71,7 @@ __all__ = [
     "WorkerCrashError",
     "resolve_n_jobs",
     "parallel_map",
+    "checkpointed_map",
     "process_pool_available",
     "get_shared",
 ]
@@ -406,3 +415,79 @@ def parallel_map(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(bound, item) for item in items]
         return [future.result() for future in futures]
+
+
+
+def _persist(fn: Callable, cache: Any, stage: str, *args: Any) -> Any:
+    """Compute one checkpointed item and persist it before returning.
+
+    ``args`` is ``(job,)`` or ``(shared, job)`` with ``job = (index, key,
+    item)``.  Module-level so process pools can pickle it.  The
+    ``stage:<stage>:<index>`` fault point fires once the artifact has
+    landed, modelling a crash right after the checkpoint.
+    """
+    *shared, (index, key, item) = args
+    result = fn(*shared, item)
+    cache.put(stage, key, result)
+    _faults.fault_point("stage", f"{stage}:{index}")
+    return result
+
+
+def checkpointed_map(
+    fn: Callable[..., ResultT],
+    items: Iterable[ItemT],
+    keys: Sequence[str] | None,
+    cache: Any,
+    stage: str,
+    n_jobs: int | None = 1,
+    executor: ExecutorKind = "process",
+    retry: RetryPolicy | None = None,
+    shared: Any = _NO_SHARED,
+) -> list[ResultT]:
+    """:func:`parallel_map` whose items are checkpointed in ``cache``.
+
+    ``cache`` is anything with ``get(stage, key)`` (``None`` on a miss)
+    and ``put(stage, key, payload)`` — an
+    :class:`~repro.runtime.cache.ArtifactCache` in practice — and
+    ``keys[i]`` is item ``i``'s artifact key.  Every key is probed
+    first: a hit is restored and announced by one ``stage_skipped``
+    event (attrs ``stage``, ``index``).  The misses then run through
+    :func:`parallel_map`, and whichever worker computes an item — serial,
+    thread or process — persists it the moment it finishes, so a failing
+    item never costs the ones that completed.  Results come back in item
+    order.
+
+    ``fn`` must return JSON-stable payloads (lists, not tuples) so that a
+    restored result equals a computed one.  With ``cache=None`` this is
+    exactly :func:`parallel_map` and ``keys`` is ignored.
+    """
+    items = list(items)
+    if cache is None:
+        return parallel_map(
+            fn, items, n_jobs=n_jobs, executor=executor, retry=retry, shared=shared
+        )
+    results: list[Any] = [None] * len(items)
+    misses: list[int] = []
+    for index, key in enumerate(keys):
+        payload = cache.get(stage, key)
+        if payload is None:
+            misses.append(index)
+            continue
+        results[index] = payload
+        _obs.event(
+            "stage_skipped",
+            f"{stage} item {index}: restored from cache",
+            stage=stage,
+            index=index,
+        )
+    computed = parallel_map(
+        partial(_persist, fn, cache, stage),
+        [(i, keys[i], items[i]) for i in misses],
+        n_jobs=n_jobs,
+        executor=executor,
+        retry=retry,
+        shared=shared,
+    )
+    for index, result in zip(misses, computed):
+        results[index] = result
+    return results

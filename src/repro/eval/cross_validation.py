@@ -13,16 +13,19 @@ inner pick-the-best-model loop lives in :mod:`repro.eval.model_selection`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..core.parallel import parallel_map
+from ..core.parallel import checkpointed_map
 from ..datasets.transactions import TransactionDataset
 from ..features.pipeline import FrequentPatternClassifier
 from ..obs import core as _obs
 from .metrics import accuracy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.cache import ArtifactCache
 
 __all__ = ["stratified_kfold", "FoldScore", "CVReport", "cross_validate_pipeline"]
 
@@ -102,7 +105,8 @@ def cross_validate_pipeline(
     seed: int = 0,
     model_name: str = "model",
     n_jobs: int | None = 1,
-    checkpoint=None,
+    cache: "ArtifactCache | None" = None,
+    run_key: str | None = None,
 ) -> CVReport:
     """Outer k-fold evaluation of a pipeline factory.
 
@@ -116,29 +120,20 @@ def cross_validate_pipeline(
     process pool could not pickle).  Fold order and scores are identical
     to the serial run.
 
-    ``checkpoint`` is an optional fold-outcome store (anything with
-    ``load(fold_index) -> FoldScore | None`` and ``store(fold_index,
-    FoldScore)`` — e.g. :class:`repro.runtime.experiment.FoldCheckpointer`):
-    completed folds are persisted as they finish and restored instead of
-    re-evaluated on a resumed run.  Because a fold's outcome is fully
-    determined by (data, factory config, seed), a restored score is
-    identical to a recomputed one.
+    ``cache`` (an :class:`~repro.runtime.cache.ArtifactCache`) checkpoints
+    each fold's :class:`FoldScore` under ``stage="fold"``, keyed by
+    ``run_key`` (the caller's fingerprint of the data and factory
+    config), ``model_name`` and the fold index.  The folds run through
+    :func:`~repro.core.parallel.checkpointed_map`: a completed fold is
+    persisted as it finishes and restored instead of re-evaluated on a
+    resumed run.  Because a fold's outcome is fully determined by (data,
+    factory config, seed), a restored score is identical to a recomputed
+    one.
     """
     folds = stratified_kfold(data.labels, n_folds=n_folds, seed=seed)
 
-    def run_fold(job: tuple[int, tuple[np.ndarray, np.ndarray]]) -> FoldScore:
+    def run_fold(job: tuple[int, tuple[np.ndarray, np.ndarray]]) -> dict:
         fold_index, (train_indices, test_indices) = job
-        if checkpoint is not None:
-            restored = checkpoint.load(fold_index)
-            if restored is not None:
-                _obs.event(
-                    "stage_skipped",
-                    f"fold {fold_index}: restored outcome from checkpoint",
-                    stage="fold",
-                    fold=fold_index,
-                    model=model_name,
-                )
-                return restored
         fold_start = time.perf_counter() if _obs._ACTIVE is not None else 0.0
         with _obs.span(
             "eval.fold", fold=fold_index, model=model_name
@@ -162,10 +157,16 @@ def cross_validate_pipeline(
         _obs.record("eval.fold_accuracy", score.accuracy)
         if _obs._ACTIVE is not None:
             _obs.observe("eval.fold.wall_s", time.perf_counter() - fold_start)
-        if checkpoint is not None:
-            checkpoint.store(fold_index, score)
-        return score
+        return asdict(score)
 
+    keys = None
+    if cache is not None:
+        from ..runtime.cache import fingerprint
+
+        keys = [
+            fingerprint(stage="fold", run=run_key, model=model_name, fold=i)
+            for i in range(len(folds))
+        ]
     with _obs.span(
         "eval.cv",
         dataset=data.name,
@@ -173,8 +174,10 @@ def cross_validate_pipeline(
         folds=n_folds,
         seed=seed,
     ):
-        scores = parallel_map(
-            run_fold, list(enumerate(folds)), n_jobs=n_jobs, executor="thread"
+        outcomes = checkpointed_map(
+            run_fold, list(enumerate(folds)), keys, cache, "fold",
+            n_jobs=n_jobs, executor="thread",
         )
+    scores = [FoldScore(**outcome) for outcome in outcomes]
     _obs.add("eval.folds", len(scores))
     return CVReport(dataset=data.name, model=model_name, folds=scores)

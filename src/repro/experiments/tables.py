@@ -180,10 +180,9 @@ def run_accuracy_table(
         row = AccuracyRow(dataset=name)
         for variant in variants:
             factory = make_variant(variant, model, config)
-            checkpoint = None
+            cell_key = None
             if cache is not None:
                 from ..runtime.cache import fingerprint
-                from ..runtime.experiment import FoldCheckpointer
 
                 cell_key = fingerprint(
                     stage="accuracy_table_cell",
@@ -193,14 +192,14 @@ def run_accuracy_table(
                     seed=seed,
                     scale=scale,
                 )
-                checkpoint = FoldCheckpointer(cache, cell_key, variant)
             report = cross_validate_pipeline(
                 factory,
                 data,
                 n_folds=n_folds,
                 seed=seed,
                 model_name=variant,
-                checkpoint=checkpoint,
+                cache=cache,
+                run_key=cell_key,
             )
             row.accuracies[variant] = 100.0 * report.mean_accuracy
         rows.append(row)

@@ -9,7 +9,7 @@ from .generation import (
     recount_supports,
 )
 from .gspan import GraphPattern, contains_subgraph, gspan
-from .guards import GuardedMiningReport, MiningTimeLimitExceeded, guarded_mine
+from .guards import MiningTimeLimitExceeded
 from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, canonical
 from .prefixspan import SequencePattern, is_subsequence, prefixspan
 from .sharded import ShardedMiningResult, mine_sharded
@@ -28,8 +28,6 @@ __all__ = [
     "ShardedMiningResult",
     "deduction_bounds",
     "partition_derivable",
-    "guarded_mine",
-    "GuardedMiningReport",
     "MiningTimeLimitExceeded",
     "gspan",
     "GraphPattern",

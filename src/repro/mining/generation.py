@@ -19,12 +19,15 @@ Fault tolerance (all opt-in, default behavior unchanged):
 
 * ``cache`` — an :class:`~repro.runtime.cache.ArtifactCache`: each
   partition's mined patterns are checkpointed under a key derived from the
-  partition's content hash and the full mining configuration, serialized
-  through the :mod:`repro.io.serialize` patterns format.  A re-run (or a
-  crashed run resumed) skips every partition whose artifact is present —
-  hits are byte-identical to re-mining because the key pins every input.
-  In the serial path artifacts land as each partition finishes, so a
-  crash mid-mining loses at most the partition in flight.
+  partition's content hash and the full mining configuration (guard
+  behavior and time limit included), serialized through the
+  :mod:`repro.io.serialize` patterns format.  A re-run (or a crashed run
+  resumed) skips every partition whose artifact is present — hits are
+  byte-identical to re-mining because the key pins every input.  The
+  fan-out is :func:`~repro.core.parallel.checkpointed_map`: whichever
+  worker mines a partition persists it as it finishes, serial or
+  parallel, so a crash or a failing partition loses only the partitions
+  still in flight.
 * ``retry`` — a :class:`~repro.core.parallel.RetryPolicy` forwarded to the
   process fan-out: killed workers are retried with backoff, completed
   partitions are never re-mined.
@@ -45,14 +48,20 @@ from typing import TYPE_CHECKING, Literal, Sequence
 import numpy as np
 
 from ..core.bitset import class_counts, packed_ones
-from ..core.parallel import RetryPolicy, parallel_map, resolve_n_jobs
+from ..core.parallel import RetryPolicy, checkpointed_map
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
 from ..testing import faults as _faults
 from .closed import closed_fpgrowth
 from .frequent import frequent_itemsets
 from .guards import MiningTimeLimitExceeded, _wall_clock_limit
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_max_length
+from .itemsets import (
+    MiningResult,
+    Pattern,
+    PatternBudgetExceeded,
+    cap_union,
+    check_max_length,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cache import ArtifactCache
@@ -133,9 +142,11 @@ def _mine_partition(
 ) -> dict:
     """Mine one class partition; module-level so process pools can pickle it.
 
-    Returns ``{"patterns": [(items, support), ...], "degraded": guard-name
-    or None}`` — supports are partition-local (the caller recounts over the
-    full dataset), kept so checkpointed artifacts are self-describing.
+    Returns the partition's ``mine_partition`` artifact: the
+    :mod:`repro.io.serialize` patterns format plus ``"degraded"``, the
+    tripped guard's name or None.  Supports are partition-local (the
+    caller recounts over the full dataset), kept so checkpointed artifacts
+    are self-describing.
     """
     label, transactions, absolute = job
     _faults.fault_point("mine", str(label))
@@ -164,18 +175,27 @@ def _mine_partition(
                 partition=int(label),
                 guard=guard,
             )
-            return {"patterns": [], "degraded": guard}
-        kept = [
-            (p.items, p.support)
-            for p in result.patterns
-            if len(p.items) >= min_length
-        ]
+            return _partition_payload([], guard, absolute, len(transactions))
+        kept = [p for p in result.patterns if len(p.items) >= min_length]
         partition_span.set(patterns=len(result.patterns), kept=len(kept))
     if _obs._ACTIVE is not None:
         _obs.observe(
             "mining.partition.wall_s", time.perf_counter() - mine_start
         )
-    return {"patterns": kept, "degraded": None}
+    return _partition_payload(kept, None, absolute, len(transactions))
+
+
+def _partition_payload(
+    patterns: list[Pattern], degraded: str | None, absolute: int, n_rows: int
+) -> dict:
+    """One partition's outcome in the io patterns format, plus ``degraded``."""
+    from ..io.serialize import patterns_to_json
+
+    payload = patterns_to_json(
+        MiningResult(patterns, min_support=absolute, n_rows=n_rows)
+    )
+    payload["degraded"] = degraded
+    return payload
 
 
 def _partition_key(
@@ -186,8 +206,15 @@ def _partition_key(
     min_length: int,
     max_length: int | None,
     max_patterns: int | None,
+    on_guard: GuardBehavior,
+    time_limit: float | None,
 ) -> str:
-    """Content-addressed cache key for one partition's mining artifact."""
+    """Content-addressed cache key for one partition's mining artifact.
+
+    Pins every input that shapes the artifact: a partition degraded under
+    ``on_guard="items_only"`` or a ``time_limit`` must never be replayed
+    into a run that would have raised or finished.
+    """
     from ..runtime.cache import content_key, fingerprint
 
     return fingerprint(
@@ -199,32 +226,9 @@ def _partition_key(
         min_length=min_length,
         max_length=max_length,
         max_patterns=max_patterns,
+        on_guard=on_guard,
+        time_limit=time_limit,
     )
-
-
-def _partition_to_payload(mined: dict, absolute: int, n_rows: int) -> dict:
-    """Serialize one partition's outcome via the io patterns format."""
-    from ..io.serialize import patterns_to_json
-
-    result = MiningResult(
-        [Pattern(items=items, support=support) for items, support in mined["patterns"]],
-        min_support=absolute,
-        n_rows=n_rows,
-    )
-    payload = patterns_to_json(result)
-    payload["degraded"] = mined["degraded"]
-    return payload
-
-
-def _partition_from_payload(payload: dict) -> dict:
-    """Inverse of :func:`_partition_to_payload`."""
-    from ..io.serialize import patterns_from_json
-
-    result = patterns_from_json(payload)
-    return {
-        "patterns": [(p.items, p.support) for p in result.patterns],
-        "degraded": payload.get("degraded"),
-    }
 
 
 def mine_class_patterns(
@@ -317,84 +321,30 @@ def mine_class_patterns(
             time_limit=time_limit,
         )
 
-        mined: list[dict | None] = [None] * len(jobs)
-        keys: list[str | None] = [None] * len(jobs)
-        misses = list(range(len(jobs)))
+        keys = None
         if cache is not None:
-            misses = []
-            for i, (label, transactions, absolute) in enumerate(jobs):
-                keys[i] = _partition_key(
-                    label, transactions, absolute, miner,
-                    min_length, max_length, max_patterns,
+            keys = [
+                _partition_key(
+                    label, transactions, absolute, miner, min_length,
+                    max_length, max_patterns, on_guard, time_limit,
                 )
-                payload = cache.get(_CACHE_STAGE, keys[i])
-                if payload is not None:
-                    mined[i] = _partition_from_payload(payload)
-                    _obs.event(
-                        "stage_skipped",
-                        f"partition {label}: restored mined patterns from cache",
-                        stage=_CACHE_STAGE,
-                        partition=int(label),
-                    )
-                else:
-                    misses.append(i)
-
-        def checkpoint(i: int, outcome: dict) -> None:
-            if cache is not None:
-                cache.put(
-                    _CACHE_STAGE,
-                    keys[i],
-                    _partition_to_payload(
-                        outcome, absolute=jobs[i][2], n_rows=len(jobs[i][1])
-                    ),
-                )
-
-        if len(misses) <= 1 or resolve_n_jobs(n_jobs) <= 1:
-            # Serial path: checkpoint as each partition lands, so a crash
-            # mid-mining preserves every completed partition.
-            for i in misses:
-                mined[i] = mine_one(jobs[i])
-                checkpoint(i, mined[i])
-        else:
-            outcomes = parallel_map(
-                mine_one,
-                [jobs[i] for i in misses],
-                n_jobs=n_jobs,
-                executor="process",
-                retry=retry,
-            )
-            for i, outcome in zip(misses, outcomes):
-                mined[i] = outcome
-                checkpoint(i, outcome)
+                for label, transactions, absolute in jobs
+            ]
+        mined = checkpointed_map(
+            mine_one, jobs, keys, cache, _CACHE_STAGE, n_jobs=n_jobs, retry=retry
+        )
 
         merged: set[tuple[int, ...]] = set()
         degraded_partitions = 0
-        for outcome in mined:
-            assert outcome is not None
-            if outcome["degraded"] is not None:
+        for payload in mined:
+            if payload["degraded"] is not None:
                 degraded_partitions += 1
                 continue
-            merged.update(items for items, _ in outcome["patterns"])
-            # The budget bounds the *candidate feature set*, so the merged union
-            # across class partitions must honor it too.  Bulk update means
-            # `emitted` can land past budget + 1; it stays a strict lower bound
-            # on the true count (see PatternBudgetExceeded).
-            if max_patterns is not None and len(merged) > max_patterns:
-                if on_guard == "raise":
-                    raise PatternBudgetExceeded(max_patterns, len(merged))
-
-        if max_patterns is not None and len(merged) > max_patterns:
-            # Degraded mode: cap the union deterministically instead of
-            # aborting — the first max_patterns itemsets in canonical order.
-            _obs.warn(
-                f"merged pattern union ({len(merged)}) exceeds the budget of "
-                f"{max_patterns}; keeping the first {max_patterns} in "
-                "canonical order",
-                guard="budget",
-                merged=len(merged),
-                budget=max_patterns,
-            )
-            merged = set(sorted(merged)[:max_patterns])
+            merged.update(tuple(entry["items"]) for entry in payload["patterns"])
+        # The payloads are per-pattern dicts; free them before the
+        # full-dataset recount, which is where mining's memory peaks.
+        del mined
+        merged = cap_union(merged, max_patterns, on_guard)
 
         with _obs.span("mining.recount", patterns=len(merged)):
             patterns = recount_supports(sorted(merged), data)

@@ -1,11 +1,12 @@
-"""Budget-guarded mining runs for the scalability study (Tables 3-5).
+"""The wall-clock guard for mining runs.
 
 At ``min_sup = 1`` the paper reports that exhaustive enumeration "cannot
 complete in days" (Chess) or yields millions of patterns that break feature
-selection (Waveform: 9,468,109; Letter: 5,147,030).  :func:`guarded_mine`
-reproduces that *outcome* safely: the miner runs under a pattern budget and
-an optional wall-clock limit, and the report records whether the run
-finished or blew up.
+selection (Waveform: 9,468,109; Letter: 5,147,030).  Two guards reproduce
+that *outcome* safely: every miner's pattern budget
+(:class:`~repro.mining.itemsets.PatternBudgetExceeded`) and the wall-clock
+limit here, which :func:`~repro.mining.generation.mine_class_patterns`
+arms per class partition through its ``time_limit``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,8 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from ..obs import core as _obs
-from .itemsets import MiningResult, PatternBudgetExceeded
-
-__all__ = ["GuardedMiningReport", "MiningTimeLimitExceeded", "guarded_mine"]
+__all__ = ["MiningTimeLimitExceeded"]
 
 
 class MiningTimeLimitExceeded(RuntimeError):
@@ -40,7 +36,7 @@ def _wall_clock_limit(seconds: float | None):
     Implemented with ``SIGALRM``/``setitimer``, so the limit is best-effort:
     it only arms on the main thread of platforms that have ``setitimer``
     (POSIX).  Elsewhere the block runs unguarded — the pattern budget is
-    then the only guard, which keeps :func:`guarded_mine` safe to call from
+    then the only guard, which keeps guarded mining safe to call from
     worker threads.
 
     The guard is a good citizen toward surrounding alarm users: on exit it
@@ -78,109 +74,3 @@ def _wall_clock_limit(seconds: float | None):
             elapsed = time.monotonic() - armed_at
             remaining = max(previous_delay - elapsed, 1e-6)
             signal.setitimer(signal.ITIMER_REAL, remaining, previous_interval)
-
-
-@dataclass
-class GuardedMiningReport:
-    """Outcome of one guarded mining run.
-
-    ``feasible`` is False when the run hit the pattern budget or the
-    wall-clock limit; ``n_patterns`` then holds the count reached before the
-    guard tripped (a lower bound on the true count — zero when the timer
-    fired, since an interrupted miner reports no partial count).  ``guard``
-    names which limit tripped (``"budget"`` or ``"time limit"``).
-    """
-
-    feasible: bool
-    n_patterns: int
-    elapsed_seconds: float
-    result: MiningResult | None = None
-    reason: str = ""
-    guard: str = "budget"
-
-    @property
-    def pattern_count_display(self) -> str:
-        """Rendered like the paper's tables: 'N/A' runs show the bound."""
-        if self.feasible:
-            return str(self.n_patterns)
-        return f">{self.n_patterns} ({self.guard} exceeded)"
-
-
-def guarded_mine(
-    miner: Callable[..., MiningResult],
-    transactions: Sequence[Sequence[int]],
-    min_support: int,
-    max_patterns: int,
-    time_limit: float | None = None,
-    **miner_kwargs,
-) -> GuardedMiningReport:
-    """Run ``miner`` under a pattern budget and optional wall-clock limit;
-    never raises on blow-up.
-
-    Parameters
-    ----------
-    miner:
-        Any miner accepting (transactions, min_support, max_patterns=...).
-    max_patterns:
-        Enumeration budget; the miner must honor its ``max_patterns`` kwarg
-        by raising :class:`PatternBudgetExceeded`.
-    time_limit:
-        Optional wall-clock limit in seconds.  When it fires the run is
-        reported infeasible with a zero pattern lower bound.  Best-effort:
-        armed only on the main thread (see :func:`_wall_clock_limit`).
-    """
-    start = time.perf_counter()
-    guard_span = _obs.span(
-        "mining.guarded",
-        miner=getattr(miner, "__name__", str(miner)),
-        min_support=min_support,
-        budget=max_patterns,
-    )
-    with guard_span:
-        try:
-            with _wall_clock_limit(time_limit):
-                result = miner(
-                    transactions,
-                    min_support=min_support,
-                    max_patterns=max_patterns,
-                    **miner_kwargs,
-                )
-        except PatternBudgetExceeded as exc:
-            elapsed = time.perf_counter() - start
-            guard_span.set(outcome="budget", n_patterns=exc.emitted)
-            _obs.event(
-                "guard_tripped",
-                str(exc),
-                guard="budget",
-                emitted=exc.emitted,
-            )
-            return GuardedMiningReport(
-                feasible=False,
-                n_patterns=exc.emitted,
-                elapsed_seconds=elapsed,
-                result=None,
-                reason=str(exc),
-                guard="budget",
-            )
-        except MiningTimeLimitExceeded as exc:
-            elapsed = time.perf_counter() - start
-            guard_span.set(outcome="time limit")
-            _obs.event(
-                "guard_tripped", str(exc), guard="time limit"
-            )
-            return GuardedMiningReport(
-                feasible=False,
-                n_patterns=0,
-                elapsed_seconds=elapsed,
-                result=None,
-                reason=str(exc),
-                guard="time limit",
-            )
-        elapsed = time.perf_counter() - start
-        guard_span.set(outcome="completed", n_patterns=len(result))
-        return GuardedMiningReport(
-            feasible=True,
-            n_patterns=len(result),
-            elapsed_seconds=elapsed,
-            result=result,
-        )

@@ -11,10 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..obs import core as _obs
+
 __all__ = [
     "Pattern",
     "PatternBudgetExceeded",
     "canonical",
+    "cap_union",
     "check_max_length",
     "MiningResult",
 ]
@@ -29,6 +32,32 @@ def check_max_length(max_length: int | None) -> None:
     """Reject a pattern-length cap below one item (``None`` means no cap)."""
     if max_length is not None and max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
+
+
+def cap_union(
+    merged: set[tuple[int, ...]], max_patterns: int | None, on_guard: str
+) -> set[tuple[int, ...]]:
+    """Hold the merged per-class union of itemsets to the pattern budget.
+
+    The budget bounds the *candidate feature set*, so the union across
+    class partitions must honor it too.  Over budget, ``on_guard="raise"``
+    raises :class:`PatternBudgetExceeded` with the union's size as
+    ``emitted``; ``"items_only"`` warns and keeps the first
+    ``max_patterns`` itemsets in canonical order instead of aborting.
+    """
+    if max_patterns is None or len(merged) <= max_patterns:
+        return merged
+    if on_guard == "raise":
+        raise PatternBudgetExceeded(max_patterns, len(merged))
+    _obs.warn(
+        f"merged pattern union ({len(merged)}) exceeds the budget of "
+        f"{max_patterns}; keeping the first {max_patterns} in "
+        "canonical order",
+        guard="budget",
+        merged=len(merged),
+        budget=max_patterns,
+    )
+    return set(sorted(merged)[:max_patterns])
 
 
 class PatternBudgetExceeded(RuntimeError):
@@ -46,7 +75,7 @@ class PatternBudgetExceeded(RuntimeError):
     * on a blow-up, ``emitted`` is the count actually reached when the
       guard tripped — ``budget + 1`` for the single-emission miners
       (frequent_itemsets, closed_fpgrowth), possibly more for bulk merges
-      (:func:`repro.mining.generation.mine_class_patterns`).
+      (the merged per-class union, :func:`cap_union`).
 
     ``emitted`` is therefore always a strict lower bound on the true
     pattern count, which is exactly what the ``> budget`` rendering of the

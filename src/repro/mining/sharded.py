@@ -32,27 +32,34 @@ same class-``c`` count, and every such superset that matters is
 guaranteed to be a candidate (its count equals a frequent itemset's
 count, so it clears the class threshold, so SON surfaces it).
 
-Both passes checkpoint per shard through the content-addressed runtime
-cache (stages ``shard_mine`` / ``shard_count``, keyed by the shard's
-content hash plus the full configuration), so a killed run resumes
-byte-identically — the property the fault-injection suite pins.
+Both passes are :func:`~repro.core.parallel.checkpointed_map` fan-outs
+over the content-addressed runtime cache (stages ``shard_mine`` /
+``shard_count``, keyed by the shard's content hash plus the full
+configuration): each worker persists its cell or shard count as it
+finishes, so a killed run resumes byte-identically — the property the
+fault-injection suite pins.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
 from ..core.bitset import class_counts, popcount
-from ..core.parallel import RetryPolicy, parallel_map, resolve_n_jobs
+from ..core.parallel import RetryPolicy, checkpointed_map
 from ..core.shards import ShardHandle, ShardSet
 from ..obs import core as _obs
 from ..testing import faults as _faults
 from .condense import partition_derivable
 from .frequent import mine_words
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_max_length
+from .itemsets import (
+    MiningResult,
+    Pattern,
+    PatternBudgetExceeded,
+    cap_union,
+    check_max_length,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cache import ArtifactCache
@@ -131,12 +138,12 @@ def _mine_cell(job: tuple) -> dict:
     return {"itemsets": [list(p.items) for p in patterns]}
 
 
-def _count_shard(candidates: list, job: tuple) -> list[list[int]]:
+def _count_shard(candidates: list, job: tuple) -> dict:
     """Counting pass worker: exact per-class counts of every candidate.
 
     ``candidates`` arrives as the pool's *shared* payload — pickled once
-    per pool, not once per shard task.  Returns plain int lists so the
-    result is JSON-checkpointable as-is.
+    per pool, not once per shard task.  Returns ``{"counts": rows}`` with
+    plain int lists, so the result is JSON-checkpointable as-is.
     """
     shard_index, handle = job
     _faults.fault_point("shard", f"count:{shard_index}")
@@ -146,7 +153,7 @@ def _count_shard(candidates: list, job: tuple) -> list[list[int]]:
         counts = class_counts(
             handle.item_bits(), handle.label_words(), candidates
         )
-    return counts.tolist()
+    return {"counts": counts.tolist()}
 
 
 def _mine_key(
@@ -267,77 +274,28 @@ def mine_sharded(
         # until the final rollup, so both passes publish done/total
         # counters plus an ETA series through the obs channel.  Work
         # units are pass-1 cells and pass-2 (level, shard) count jobs.
-        progress_started = time.perf_counter()
-        work_done = 0
-        work_total = len(jobs)
         _obs.add("progress.mine_sharded.shards_total", len(shards))
         _obs.add("progress.mine_sharded.rows_total", int(shards.n_rows))
         _obs.add("progress.mine_sharded.cells_total", len(jobs))
 
-        def heartbeat() -> None:
-            if work_done <= 0 or work_total <= 0:
-                return
-            elapsed = time.perf_counter() - progress_started
-            _obs.record(
-                "progress.mine_sharded.eta_s",
-                elapsed * (work_total - work_done) / work_done,
-            )
+        def pass_done(counter: str, units: int) -> None:
+            # Each pass is one fan-out, so its progress lands when the
+            # fan-out returns: all work known so far is done, ETA 0.
+            _obs.add(counter, units)
+            _obs.record("progress.mine_sharded.eta_s", 0.0)
 
-        mined: list[dict | None] = [None] * len(jobs)
-        keys: list[str | None] = [None] * len(jobs)
-        misses = list(range(len(jobs)))
+        mine_keys = None
         if cache is not None:
-            misses = []
-            for i, job in enumerate(jobs):
-                keys[i] = _mine_key(job[2], job[1], job[3], job[4])
-                payload = cache.get(MINE_STAGE, keys[i])
-                if payload is not None:
-                    mined[i] = payload
-                    _obs.event(
-                        "stage_skipped",
-                        f"shard {job[0]} class {job[1]}: restored local "
-                        "candidates from cache",
-                        stage=MINE_STAGE,
-                        shard=int(job[0]),
-                        partition=int(job[1]),
-                    )
-                else:
-                    misses.append(i)
-
-        def checkpoint_mine(i: int, outcome: dict) -> None:
-            if cache is not None:
-                cache.put(MINE_STAGE, keys[i], outcome)
-
-        restored = len(jobs) - len(misses)
-        if restored:
-            work_done += restored
-            _obs.add("progress.mine_sharded.cells_done", restored)
-        if len(misses) <= 1 or resolve_n_jobs(n_jobs) <= 1:
-            for i in misses:
-                mined[i] = _mine_cell(jobs[i])
-                checkpoint_mine(i, mined[i])
-                work_done += 1
-                _obs.add("progress.mine_sharded.cells_done")
-                heartbeat()
-        else:
-            outcomes = parallel_map(
-                _mine_cell,
-                [jobs[i] for i in misses],
-                n_jobs=n_jobs,
-                executor="process",
-                retry=retry,
-            )
-            for i, outcome in zip(misses, outcomes):
-                mined[i] = outcome
-                checkpoint_mine(i, outcome)
-            work_done += len(misses)
-            _obs.add("progress.mine_sharded.cells_done", len(misses))
-            heartbeat()
+            mine_keys = [_mine_key(job[2], job[1], job[3], job[4]) for job in jobs]
+        mined = checkpointed_map(
+            _mine_cell, jobs, mine_keys, cache, MINE_STAGE,
+            n_jobs=n_jobs, retry=retry,
+        )
+        pass_done("progress.mine_sharded.cells_done", len(jobs))
 
         degraded_classes: set[int] = set()
         candidates: set[tuple[int, ...]] = set()
         for outcome in mined:
-            assert outcome is not None
             candidates.update(tuple(items) for items in outcome["itemsets"])
         span.set(local_jobs=len(jobs), candidates=len(candidates))
         _obs.add("mining.sharded.local_jobs", len(jobs))
@@ -361,68 +319,20 @@ def mine_sharded(
             if not level:
                 continue
             counted += len(level)
-            work_total += len(shard_jobs)
             _obs.add(
                 "progress.mine_sharded.count_shards_total", len(shard_jobs)
             )
-            level_totals = np.zeros(
-                (len(level), shards.n_classes), dtype=np.int64
-            )
-            count_keys: list[str | None] = [None] * len(shard_jobs)
-            count_misses = list(range(len(shard_jobs)))
+            count_keys = None
             if cache is not None:
-                count_misses = []
-                for j, (shard_index, handle) in enumerate(shard_jobs):
-                    count_keys[j] = _count_key(handle, level)
-                    payload = cache.get(COUNT_STAGE, count_keys[j])
-                    if payload is not None:
-                        level_totals += np.asarray(
-                            payload["counts"], dtype=np.int64
-                        )
-                        _obs.event(
-                            "stage_skipped",
-                            f"shard {shard_index}: restored length-{length} "
-                            "candidate counts from cache",
-                            stage=COUNT_STAGE,
-                            shard=int(shard_index),
-                        )
-                    else:
-                        count_misses.append(j)
-
-            def checkpoint_count(j: int, rows: list[list[int]]) -> None:
-                if cache is not None:
-                    cache.put(COUNT_STAGE, count_keys[j], {"counts": rows})
-
-            restored = len(shard_jobs) - len(count_misses)
-            if restored:
-                work_done += restored
-                _obs.add("progress.mine_sharded.count_shards_done", restored)
-            if len(count_misses) <= 1 or resolve_n_jobs(n_jobs) <= 1:
-                for j in count_misses:
-                    rows = _count_shard(level, shard_jobs[j])
-                    checkpoint_count(j, rows)
-                    level_totals += np.asarray(rows, dtype=np.int64)
-                    work_done += 1
-                    _obs.add("progress.mine_sharded.count_shards_done")
-                    heartbeat()
-            else:
-                outcomes = parallel_map(
-                    _count_shard,
-                    [shard_jobs[j] for j in count_misses],
-                    n_jobs=n_jobs,
-                    executor="process",
-                    retry=retry,
-                    shared=level,
-                )
-                for j, rows in zip(count_misses, outcomes):
-                    checkpoint_count(j, rows)
-                    level_totals += np.asarray(rows, dtype=np.int64)
-                work_done += len(count_misses)
-                _obs.add(
-                    "progress.mine_sharded.count_shards_done",
-                    len(count_misses),
-                )
-                heartbeat()
+                count_keys = [_count_key(handle, level) for _, handle in shard_jobs]
+            shard_counts = checkpointed_map(
+                _count_shard, shard_jobs, count_keys, cache, COUNT_STAGE,
+                n_jobs=n_jobs, retry=retry, shared=level,
+            )
+            level_totals = np.zeros((len(level), shards.n_classes), dtype=np.int64)
+            for outcome in shard_counts:
+                level_totals += np.asarray(outcome["counts"], dtype=np.int64)
+            pass_done("progress.mine_sharded.count_shards_done", len(shard_jobs))
 
             for row, items in enumerate(level):
                 counts[items] = level_totals[row]
@@ -474,18 +384,7 @@ def mine_sharded(
                 items for items in class_patterns if len(items) >= min_length
             )
 
-        if max_patterns is not None and len(merged) > max_patterns:
-            if on_guard == "raise":
-                raise PatternBudgetExceeded(max_patterns, len(merged))
-            _obs.warn(
-                f"merged pattern union ({len(merged)}) exceeds the budget of "
-                f"{max_patterns}; keeping the first {max_patterns} in "
-                "canonical order",
-                guard="budget",
-                merged=len(merged),
-                budget=max_patterns,
-            )
-            merged = set(sorted(merged)[:max_patterns])
+        merged = cap_union(merged, max_patterns, on_guard)
 
         final = sorted(merged)
         patterns = [

@@ -41,7 +41,6 @@ __all__ = [
     "is_transient",
     "ExperimentSpec",
     "ExperimentResult",
-    "FoldCheckpointer",
     "ResumeError",
     "ResumeMissingError",
     "ResumeMismatchError",
@@ -51,7 +50,6 @@ __all__ = [
 _EXPERIMENT_EXPORTS = {
     "ExperimentSpec",
     "ExperimentResult",
-    "FoldCheckpointer",
     "ResumeError",
     "ResumeMissingError",
     "ResumeMismatchError",

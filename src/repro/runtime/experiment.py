@@ -29,9 +29,14 @@ Failure handling within a run: process-pool worker deaths are retried
 the pattern-budget or wall-clock guard degrade to items-only features
 (``on_guard="items_only"``) instead of aborting the run.
 
-The driver plants ``stage:<name>`` fault points after each stage
-completes, which is how the crash/resume test suite stages mid-run power
-loss deterministically.
+Every checkpointed stage is one
+:func:`~repro.core.parallel.checkpointed_map` fan-out (the selection
+stage is a one-item map), so each artifact lands as soon as its item
+finishes, whatever ``n_jobs`` is.  :func:`run_experiment` plants
+``stage:<name>`` fault points after each stage completes, and the
+fan-outs reach ``stage:<stage>:<i>`` after item ``i``'s artifact lands,
+which is how the crash/resume test suite stages mid-run power loss
+deterministically.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
+from ..core.parallel import checkpointed_map
 from ..datasets.transactions import TransactionDataset
-from ..eval.cross_validation import CVReport, FoldScore, cross_validate_pipeline
+from ..eval.cross_validation import CVReport, cross_validate_pipeline
 from ..io.serialize import (
     save_patterns,
     save_selection,
@@ -59,7 +65,6 @@ from .retry import DEFAULT_RETRY, RetryPolicy
 __all__ = [
     "ExperimentSpec",
     "ExperimentResult",
-    "FoldCheckpointer",
     "ResumeError",
     "ResumeMissingError",
     "ResumeMismatchError",
@@ -125,46 +130,6 @@ class ExperimentResult:
     @property
     def mean_accuracy(self) -> float:
         return self.cv.mean_accuracy
-
-
-class FoldCheckpointer:
-    """Fold-outcome store backed by an :class:`ArtifactCache`.
-
-    The duck-typed ``checkpoint`` collaborator of
-    :func:`~repro.eval.cross_validation.cross_validate_pipeline`: one
-    artifact per fold, keyed by the run fingerprint and fold index.
-    """
-
-    STAGE = "fold"
-
-    def __init__(self, cache: ArtifactCache, run_key: str, model_name: str) -> None:
-        self._cache = cache
-        self._run_key = run_key
-        self._model_name = model_name
-
-    def _key(self, fold_index: int) -> str:
-        return fingerprint(
-            stage=self.STAGE,
-            run=self._run_key,
-            model=self._model_name,
-            fold=fold_index,
-        )
-
-    def load(self, fold_index: int) -> FoldScore | None:
-        payload = self._cache.get(self.STAGE, self._key(fold_index))
-        if payload is None:
-            return None
-        return FoldScore(
-            fold=int(payload["fold"]),
-            accuracy=float(payload["accuracy"]),
-            n_train=int(payload["n_train"]),
-            n_test=int(payload["n_test"]),
-            n_selected_patterns=int(payload["n_selected_patterns"]),
-        )
-
-    def store(self, fold_index: int, score: FoldScore) -> None:
-        self._cache.put(self.STAGE, self._key(fold_index), asdict(score))
-        _faults.fault_point("stage", f"fold:{fold_index}")
 
 
 def _dump_json(payload: Any, path: Path) -> None:
@@ -306,23 +271,16 @@ def run_experiment(
         _faults.fault_point("stage", "mine")
 
         # -- stage 2: feature selection (single checkpoint) -------------
-        select_key = fingerprint(stage="select", run=key)
-        payload = cache.get("select", select_key)
-        if payload is not None:
-            selection = selection_from_json(payload)
-            _obs.event(
-                "stage_skipped",
-                "selection: restored MMRFS outcome from cache",
-                stage="select",
-            )
-        else:
-            selection = mmrfs(
-                mined.patterns,
-                data,
-                relevance=spec.relevance,
-                delta=spec.delta,
-            )
-            cache.put("select", select_key, selection_to_json(selection))
+        [selected] = checkpointed_map(
+            lambda patterns: selection_to_json(
+                mmrfs(patterns, data, relevance=spec.relevance, delta=spec.delta)
+            ),
+            [mined.patterns],
+            [fingerprint(stage="select", run=key)],
+            cache,
+            "select",
+        )
+        selection = selection_from_json(selected)
         save_selection(selection, out_dir / "selection.json", catalog=data.catalog)
         _faults.fault_point("stage", "select")
 
@@ -345,7 +303,8 @@ def run_experiment(
             seed=spec.seed,
             model_name=spec.variant,
             n_jobs=n_jobs,
-            checkpoint=FoldCheckpointer(cache, key, spec.variant),
+            cache=cache,
+            run_key=key,
         )
 
         # -- final report (deterministic: no wall-clock, no hit counts) --

@@ -7,11 +7,19 @@ same exceptions.
 
 import pytest
 
-from repro.core.parallel import RetryPolicy, parallel_map, resolve_n_jobs
+from repro.core.parallel import (
+    RetryPolicy,
+    checkpointed_map,
+    parallel_map,
+    resolve_n_jobs,
+)
+from repro.core.shards import shard_dataset
 from repro.obs import core as _obs
 from repro.eval import cross_validate_pipeline
 from repro.features import FrequentPatternClassifier
-from repro.mining import PatternBudgetExceeded, mine_class_patterns
+from repro.mining import PatternBudgetExceeded, mine_class_patterns, mine_sharded
+from repro.runtime.cache import ArtifactCache
+from repro.testing.faults import Fault, InjectedFault, injected_faults
 
 
 def _double(x):
@@ -185,3 +193,125 @@ class TestSharedPayload:
         counters = sess.counters
         assert counters["parallel.tasks_submitted"] == 6
         assert counters["parallel.task_bytes"] > 0
+
+
+def _payload(x):
+    """A JSON-stable result, as checkpointed functions must return."""
+    return {"x": x, "pair": [x, 2 * x]}
+
+
+def _scaled_payload(shared, x):
+    return {"x": x, "scaled": [shared * x]}
+
+
+#: (n_jobs, executor) for the serial, thread and process paths.
+EXECUTORS = [(1, "process"), (2, "thread"), (2, "process")]
+
+
+def _keys(items):
+    return [f"key-{x}" for x in items]
+
+
+def _skipped(sess):
+    return [e["attrs"] for e in sess.events if e["kind"] == "stage_skipped"]
+
+
+class TestCheckpointedMap:
+    @pytest.mark.parametrize("n_jobs,executor", EXECUTORS)
+    def test_no_cache_is_parallel_map(self, n_jobs, executor):
+        items = list(range(6))
+        assert checkpointed_map(
+            _payload, items, None, None, "demo", n_jobs=n_jobs, executor=executor
+        ) == parallel_map(_payload, items, n_jobs=n_jobs, executor=executor)
+
+    @pytest.mark.parametrize("n_jobs,executor", EXECUTORS)
+    def test_restored_equals_computed(self, tmp_path, n_jobs, executor):
+        items = list(range(6))
+        cache = ArtifactCache(tmp_path)
+        computed = checkpointed_map(
+            _payload, items, _keys(items), cache, "demo",
+            n_jobs=n_jobs, executor=executor,
+        )
+        assert computed == [_payload(x) for x in items]
+        with _obs.session() as sess:
+            restored = checkpointed_map(
+                _raise_on_two, items, _keys(items), cache, "demo",
+                n_jobs=n_jobs, executor=executor,
+            )
+        assert restored == computed
+        assert _skipped(sess) == [
+            {"stage": "demo", "index": i} for i in range(len(items))
+        ]
+
+    @pytest.mark.parametrize("n_jobs,executor", EXECUTORS)
+    def test_shared_payload(self, tmp_path, n_jobs, executor):
+        items = list(range(5))
+        cache = ArtifactCache(tmp_path)
+        run = lambda: checkpointed_map(  # noqa: E731
+            _scaled_payload, items, _keys(items), cache, "demo",
+            n_jobs=n_jobs, executor=executor, shared=3,
+        )
+        computed = run()
+        assert computed == [_scaled_payload(3, x) for x in items]
+        assert run() == computed
+
+    def test_one_skip_event_per_hit(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        checkpointed_map(_payload, [1, 3], _keys([1, 3]), cache, "demo")
+        items = [0, 1, 2, 3]
+        with _obs.session() as sess:
+            results = checkpointed_map(_payload, items, _keys(items), cache, "demo")
+        assert results == [_payload(x) for x in items]
+        assert _skipped(sess) == [
+            {"stage": "demo", "index": 1},
+            {"stage": "demo", "index": 3},
+        ]
+        assert sess.counters["runtime.cache.hits"] == 2
+        assert sess.counters["runtime.cache.writes"] == 2
+
+    def test_fault_point_fires_after_put(self, tmp_path):
+        items = [0, 1, 2]
+        cache = ArtifactCache(tmp_path / "cache")
+        with injected_faults([Fault("stage:demo:1", "raise")], tmp_path / "state"):
+            with pytest.raises(InjectedFault):
+                checkpointed_map(_payload, items, _keys(items), cache, "demo")
+        assert cache.get("demo", "key-0") == _payload(0)
+        assert cache.get("demo", "key-1") == _payload(1)
+        assert cache.get("demo", "key-2") is None
+
+
+class TestFailedFanOutKeepsFinishedItems:
+    """A failing item must not cost the items that finished beside it:
+    every worker persists its own result, parallel or not."""
+
+    def test_partition_mining(self, tmp_path, planted_transactions):
+        cache = ArtifactCache(tmp_path / "cache")
+        with injected_faults([Fault("mine:1", "raise")], tmp_path / "state"):
+            with pytest.raises(InjectedFault):
+                mine_class_patterns(
+                    planted_transactions, min_support=0.3, n_jobs=2, cache=cache
+                )
+        assert len(list((tmp_path / "cache" / "mine_partition").iterdir())) == 1
+        with _obs.session() as sess:
+            resumed = mine_class_patterns(
+                planted_transactions, min_support=0.3, n_jobs=2, cache=cache
+            )
+        assert _skipped(sess) == [{"stage": "mine_partition", "index": 0}]
+        fresh = mine_class_patterns(planted_transactions, min_support=0.3)
+        assert resumed.as_dict() == fresh.as_dict()
+
+    def test_sharded_local_pass(self, tmp_path, planted_transactions):
+        shards = shard_dataset(planted_transactions, tmp_path / "shards", 100)
+        cache = ArtifactCache(tmp_path / "cache")
+        cells = len(shards) * planted_transactions.n_classes
+        with injected_faults(
+            [Fault("shard:mine:0:1", "raise")], tmp_path / "state"
+        ):
+            with pytest.raises(InjectedFault):
+                mine_sharded(shards, min_support=0.3, n_jobs=2, cache=cache)
+        kept = list((tmp_path / "cache" / "shard_mine").iterdir())
+        assert len(kept) == cells - 1
+        resumed = mine_sharded(shards, min_support=0.3, n_jobs=2, cache=cache)
+        fresh = mine_sharded(shards, min_support=0.3)
+        assert resumed.as_dict() == fresh.as_dict()
+        assert resumed.class_counts == fresh.class_counts

@@ -11,11 +11,12 @@ from repro.mining import (
     PatternBudgetExceeded,
     closed_fpgrowth,
     frequent_itemsets,
-    guarded_mine,
     mine_class_patterns,
     mine_sharded,
     recount_supports,
 )
+from repro.mining.guards import _wall_clock_limit
+from repro.obs import core as _obs
 from repro.selection import ddpmine
 from tests.oracles.itemset_miners import apriori, charm
 from tests.oracles.strategies import supports, transactions
@@ -110,33 +111,43 @@ class TestRecountSupports:
 
 
 class TestGuardedMine:
+    """The production guard: ``mine_class_patterns(on_guard="items_only")``
+    degrades a tripping partition instead of aborting the run."""
+
     def test_feasible_run(self, tiny_transactions):
-        report = guarded_mine(
-            frequent_itemsets, tiny_transactions.transactions, min_support=3,
-            max_patterns=100_000,
-        )
-        assert report.feasible
-        assert report.result is not None
-        assert report.n_patterns == len(report.result)
+        with _obs.session() as sess:
+            guarded = mine_class_patterns(
+                tiny_transactions, min_support=0.3, max_patterns=100_000,
+                on_guard="items_only", time_limit=30.0,
+            )
+        plain = mine_class_patterns(tiny_transactions, min_support=0.3)
+        assert guarded.as_dict() == plain.as_dict()
+        assert "mining.generation.degraded_partitions" not in sess.counters
+        assert not [e for e in sess.events if e["kind"] == "warning"]
 
     def test_blowup_detected(self, planted_transactions):
-        report = guarded_mine(
-            frequent_itemsets,
-            planted_transactions.transactions,
-            min_support=1,
-            max_patterns=50,
-        )
-        assert not report.feasible
-        assert report.result is None
-        assert report.n_patterns > 50
-        assert "budget" in report.pattern_count_display
+        with _obs.session() as sess:
+            result = mine_class_patterns(
+                planted_transactions, min_support=0.05, max_patterns=50,
+                on_guard="items_only",
+            )
+        partitions = len(planted_transactions.class_partition())
+        assert sess.counters["mining.generation.degraded_partitions"] == partitions
+        assert len(result) == 0
+        guards = {
+            e["attrs"]["guard"] for e in sess.events if e["kind"] == "warning"
+        }
+        assert guards == {"budget"}
 
     def test_elapsed_recorded(self, tiny_transactions):
-        report = guarded_mine(
-            frequent_itemsets, tiny_transactions.transactions, min_support=2,
-            max_patterns=100_000,
-        )
-        assert report.elapsed_seconds >= 0.0
+        with _obs.session() as sess:
+            mine_class_patterns(
+                tiny_transactions, min_support=0.3, on_guard="items_only",
+                time_limit=30.0,
+            )
+        wall = sess.histograms["mining.partition.wall_s"]
+        assert wall.count == len(tiny_transactions.class_partition())
+        assert wall.min >= 0.0
 
 
 class TestBudgetSemantics:
@@ -148,45 +159,30 @@ class TestBudgetSemantics:
     @pytest.mark.parametrize("miner", ALL_MINERS)
     def test_exact_budget_is_feasible(self, miner, tiny_transactions):
         transactions = tiny_transactions.transactions
-        unbounded = guarded_mine(
-            miner, transactions, min_support=2, max_patterns=1_000_000
-        )
-        assert unbounded.feasible
-        exact = guarded_mine(
-            miner, transactions, min_support=2,
-            max_patterns=unbounded.n_patterns,
-        )
-        assert exact.feasible
-        assert exact.n_patterns == unbounded.n_patterns
-        assert exact.result.as_dict() == unbounded.result.as_dict()
+        unbounded = miner(transactions, min_support=2, max_patterns=1_000_000)
+        exact = miner(transactions, min_support=2, max_patterns=len(unbounded))
+        assert len(exact) == len(unbounded)
+        assert exact.as_dict() == unbounded.as_dict()
 
     @pytest.mark.parametrize("miner", ALL_MINERS)
     def test_trips_at_budget_plus_one(self, miner, tiny_transactions):
         transactions = tiny_transactions.transactions
-        unbounded = guarded_mine(
-            miner, transactions, min_support=2, max_patterns=1_000_000
-        )
-        budget = unbounded.n_patterns - 1
+        unbounded = miner(transactions, min_support=2, max_patterns=1_000_000)
+        budget = len(unbounded) - 1
         assert budget >= 1
-        report = guarded_mine(
-            miner, transactions, min_support=2, max_patterns=budget
-        )
-        assert not report.feasible
-        assert report.result is None
-        assert report.guard == "budget"
-        assert report.n_patterns == budget + 1
-        assert report.n_patterns <= unbounded.n_patterns
+        with pytest.raises(PatternBudgetExceeded) as excinfo:
+            miner(transactions, min_support=2, max_patterns=budget)
+        assert excinfo.value.budget == budget
+        assert excinfo.value.emitted == budget + 1
+        assert excinfo.value.emitted <= len(unbounded)
 
     @pytest.mark.parametrize("miner", ALL_MINERS)
     def test_emitted_is_lower_bound(self, miner, tiny_transactions):
         transactions = tiny_transactions.transactions
-        report = guarded_mine(
-            miner, transactions, min_support=1, max_patterns=10
-        )
-        assert not report.feasible
+        with pytest.raises(PatternBudgetExceeded) as excinfo:
+            miner(transactions, min_support=1, max_patterns=10)
         true_count = len(miner(transactions, 1))
-        assert 10 < report.n_patterns <= true_count
-        assert report.pattern_count_display.startswith(f">{report.n_patterns}")
+        assert 10 < excinfo.value.emitted <= true_count
 
     @pytest.mark.parametrize("miner", ALL_MINERS)
     @settings(max_examples=40, deadline=None)
@@ -210,31 +206,23 @@ def _sleepy_miner(transactions, min_support, max_patterns=None):
 class TestWallClockGuard:
     def test_slow_miner_reported_infeasible(self, tiny_transactions):
         start = time.perf_counter()
-        report = guarded_mine(
-            _sleepy_miner,
-            tiny_transactions.transactions,
-            min_support=2,
-            max_patterns=100,
-            time_limit=0.2,
-        )
+        with pytest.raises(MiningTimeLimitExceeded) as excinfo:
+            with _wall_clock_limit(0.2):
+                _sleepy_miner(tiny_transactions.transactions, min_support=2)
         elapsed = time.perf_counter() - start
-        assert not report.feasible
-        assert report.result is None
-        assert report.guard == "time limit"
-        assert report.n_patterns == 0
-        assert "time limit" in report.pattern_count_display
+        assert excinfo.value.time_limit == 0.2
+        assert "wall-clock limit" in str(excinfo.value)
         assert elapsed < 5.0
 
     def test_fast_run_unaffected_by_limit(self, tiny_transactions):
-        report = guarded_mine(
-            frequent_itemsets,
-            tiny_transactions.transactions,
-            min_support=3,
-            max_patterns=100_000,
-            time_limit=30.0,
-        )
-        assert report.feasible
-        assert report.guard == "budget"
+        with _obs.session() as sess:
+            limited = mine_class_patterns(
+                tiny_transactions, min_support=0.3, time_limit=30.0,
+                on_guard="items_only",
+            )
+        plain = mine_class_patterns(tiny_transactions, min_support=0.3)
+        assert limited.as_dict() == plain.as_dict()
+        assert "mining.generation.degraded_partitions" not in sess.counters
 
     def test_exception_carries_limit(self):
         exc = MiningTimeLimitExceeded(1.5)
@@ -308,3 +296,37 @@ class TestFilterByInformationGain:
         assert filter_by_information_gain([], tiny_transactions, ig0=0.1) == []
         with pytest.raises(ValueError):
             filter_by_information_gain([], tiny_transactions, ig0=-0.1)
+
+
+class TestPartitionCacheKey:
+    """A partition artifact is only reused by a run with the same guard
+    settings: degraded artifacts must never satisfy a raising run."""
+
+    def test_degraded_partitions_do_not_satisfy_a_raising_run(
+        self, tmp_path, planted_transactions
+    ):
+        from repro.runtime.cache import ArtifactCache
+
+        cache = ArtifactCache(tmp_path)
+        budget = dict(min_support=0.05, max_length=4, max_patterns=20)
+        with _obs.session() as sess:
+            mine_class_patterns(
+                planted_transactions, **budget, on_guard="items_only", cache=cache
+            )
+        assert sess.counters["mining.generation.degraded_partitions"] > 0
+        with pytest.raises(PatternBudgetExceeded):
+            mine_class_patterns(planted_transactions, **budget, cache=cache)
+
+    def test_time_limit_is_part_of_the_key(self, tmp_path, tiny_transactions):
+        from repro.runtime.cache import ArtifactCache
+
+        cache = ArtifactCache(tmp_path)
+        mine_class_patterns(tiny_transactions, min_support=0.3, cache=cache)
+        with _obs.session() as sess:
+            mine_class_patterns(
+                tiny_transactions, min_support=0.3, cache=cache, time_limit=30.0
+            )
+        assert not [e for e in sess.events if e["kind"] == "stage_skipped"]
+        assert sess.counters["runtime.cache.writes"] == len(
+            tiny_transactions.class_partition()
+        )

@@ -19,7 +19,7 @@ from repro.datasets.transactions import TransactionDataset
 from repro.mining.closed import closed_fpgrowth
 from repro.mining.frequent import frequent_itemsets
 from repro.mining.generation import mine_class_patterns
-from repro.mining.guards import MiningTimeLimitExceeded, _wall_clock_limit, guarded_mine
+from repro.mining.guards import MiningTimeLimitExceeded, _wall_clock_limit
 from repro.mining.itemsets import Pattern, PatternBudgetExceeded
 from repro.obs import core as obs_core
 from repro.obs.core import session
@@ -250,14 +250,3 @@ class TestWallClockGuardRestoration:
         with pytest.raises(MiningTimeLimitExceeded):
             with _wall_clock_limit(0.05):
                 time.sleep(5.0)
-
-    def test_guarded_mine_records_outcome_span(self):
-        with session() as sess:
-            report = guarded_mine(
-                frequent_itemsets, HAND_TRANSACTIONS, min_support=2, max_patterns=3
-            )
-        assert not report.feasible and report.guard == "budget"
-        [span] = [s for s in sess.spans if s["name"] == "mining.guarded"]
-        assert span["attrs"]["outcome"] == "budget"
-        [event] = [e for e in sess.events if e["kind"] == "guard_tripped"]
-        assert event["attrs"]["guard"] == "budget"
