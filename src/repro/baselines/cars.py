@@ -1,10 +1,11 @@
 """Class association rules (CARs): the substrate of CBA/CMAR/HARMONY.
 
 A CAR is ``antecedent (itemset) -> class`` with a support and a confidence.
-Rules are mined per class partition with the package's closed miner, then
-scored against the full training set — the same pattern machinery the main
-framework uses, reused for the associative-classification baselines the
-paper compares against (Section 5).
+Rules are mined per class partition with the package's closed miner and
+scored by the mined table's per-class counts over the full training set —
+the same pattern machinery the main framework uses, reused for the
+associative-classification baselines the paper compares against
+(Section 5).
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import numpy as np
 
 from ..core.bitset import pattern_covers, unpack_bits
 from ..datasets.transactions import TransactionDataset
-from ..measures.contingency import batch_contingency_tables
 from ..mining.generation import mine_class_patterns
-from ..mining.itemsets import Pattern
 
 __all__ = ["ClassAssociationRule", "mine_cars", "rule_matches"]
 
@@ -88,11 +87,8 @@ def mine_cars(
         max_length=max_length,
         max_patterns=max_patterns,
     )
-    patterns: list[Pattern] = mined.patterns
-    present = batch_contingency_tables(patterns, data).present.tolist()
-
     rules: list[ClassAssociationRule] = []
-    for pattern, counts in zip(patterns, present):
+    for antecedent, counts in zip(mined.itemsets, mined.counts.tolist()):
         coverage = sum(counts)
         if coverage == 0:
             continue
@@ -102,7 +98,7 @@ def mine_cars(
             if count / coverage >= min_confidence:
                 rules.append(
                     ClassAssociationRule(
-                        antecedent=pattern.items,
+                        antecedent=antecedent,
                         label=label,
                         support=int(count),
                         coverage=int(coverage),

@@ -181,9 +181,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         max_length=args.max_length,
         n_jobs=args.jobs,
     )
-    selection = mmrfs(
-        mined.patterns, data, relevance=args.relevance, delta=args.delta
-    )
+    selection = mmrfs(mined, data, relevance=args.relevance, delta=args.delta)
     print(
         f"{data.name}: {len(selection)} of {selection.considered} patterns "
         f"selected (delta={args.delta}, fully covered: {selection.fully_covered})"

@@ -105,6 +105,13 @@ class TransactionDataset:
         if n_classes is None:
             n_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
         self.n_classes = int(n_classes)
+        # One class per row: a support is the sum of its per-class counts.
+        bad = (self.labels < 0) | (self.labels >= self.n_classes)
+        if bad.any():
+            raise ValueError(
+                f"label {int(self.labels[np.argmax(bad)])} is outside "
+                f"[0, {self.n_classes})"
+            )
         self.catalog = catalog
         self.name = name
         # Packed occurrence/label masks, built on first use.  Transactions

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets.transactions import TransactionDataset
-from ..measures.contingency import batch_contingency_tables
+from ..measures.contingency import ContingencyTables
 from ..measures.vectorized import (
     fisher_score_batch,
     fisher_upper_bound_batch,
@@ -28,7 +28,7 @@ from ..measures.vectorized import (
     information_gain_batch,
 )
 from ..mining.generation import mine_class_patterns
-from ..mining.itemsets import Pattern
+from ..mining.itemsets import MiningResult
 
 __all__ = [
     "PatternPoint",
@@ -141,7 +141,7 @@ class FigureData:
 
 def _mine_with_singles(
     data: TransactionDataset, min_support: float, max_length: int | None
-) -> list[Pattern]:
+) -> MiningResult:
     """Frequent patterns *including* single items (figures plot both)."""
     mined = mine_class_patterns(
         data,
@@ -150,13 +150,16 @@ def _mine_with_singles(
         min_length=2,
         max_length=max_length,
     )
-    from ..mining.generation import recount_supports
-
-    singles = recount_supports([(i,) for i in range(data.n_items)], data)
-    frequent_singles = [
-        p for p in singles if p.support >= max(1, int(min_support * data.n_rows / 2))
-    ]
-    return frequent_singles + mined.patterns
+    singles = MiningResult.counted([(i,) for i in range(data.n_items)], data)
+    frequent = singles.supports >= max(1, int(min_support * data.n_rows / 2))
+    singles = singles.take(np.flatnonzero(frequent))
+    return MiningResult.from_counts(
+        singles.itemsets + mined.itemsets,
+        np.concatenate([singles.counts, mined.counts]),
+        mined.min_support,
+        data.n_rows,
+        mined.class_totals,
+    )
 
 
 def _measure_panel(
@@ -168,8 +171,8 @@ def _measure_panel(
     bound_samples: int,
     fisher_cap: float,
 ) -> FigureData:
-    patterns = _mine_with_singles(data, min_support, max_length)
-    tables = batch_contingency_tables(patterns, data)
+    candidates = _mine_with_singles(data, min_support, max_length)
+    tables = ContingencyTables.of(candidates)
 
     if data.n_classes != 2:
         raise ValueError(
@@ -187,12 +190,12 @@ def _measure_panel(
     supports = tables.supports
     points = [
         PatternPoint(
-            items=pattern.items,
+            items=items,
             support=int(supports[index]),
-            length=pattern.length,
+            length=len(items),
             value=float(values[index]),
         )
-        for index, pattern in enumerate(patterns)
+        for index, items in enumerate(candidates.itemsets)
     ]
 
     # The bound curve over the whole support grid in one call.

@@ -25,8 +25,8 @@ from ..classifiers.linear_svm import LinearSVM
 from ..datasets.transactions import TransactionDataset
 from ..eval.cross_validation import stratified_kfold
 from ..features.transformer import PatternFeaturizer
-from ..mining.generation import mine_class_patterns, recount_supports
-from ..mining.itemsets import PatternBudgetExceeded
+from ..mining.generation import mine_class_patterns
+from ..mining.itemsets import MiningResult, PatternBudgetExceeded
 from ..selection.mmrfs import mmrfs
 
 __all__ = ["ScalabilityRow", "ScalabilityTable", "run_scalability_table"]
@@ -75,7 +75,7 @@ class ScalabilityTable:
 
 def _holdout_accuracy(
     data: TransactionDataset,
-    patterns,
+    mined: MiningResult,
     seed: int,
 ) -> tuple[float, float]:
     """Pat_FS holdout accuracy with SVM and C4.5 on given mined patterns."""
@@ -84,8 +84,7 @@ def _holdout_accuracy(
     train = data.subset(train_indices)
     test = data.subset(test_indices)
 
-    train_patterns = recount_supports([p.items for p in patterns], train)
-    selection = mmrfs(train_patterns, train, delta=3)
+    selection = mmrfs(MiningResult.counted(mined.itemsets, train), train, delta=3)
     featurizer = PatternFeaturizer(
         n_items=data.n_items, patterns=selection.patterns
     )
@@ -153,19 +152,17 @@ def run_scalability_table(
             )
             continue
 
-        selection = mmrfs(mined.patterns, data, delta=3)
+        selection = mmrfs(mined, data, delta=3)
         elapsed = time.perf_counter() - start
 
         svm_accuracy = c45_accuracy = None
         if with_accuracy:
-            svm_accuracy, c45_accuracy = _holdout_accuracy(
-                data, mined.patterns, seed=seed
-            )
+            svm_accuracy, c45_accuracy = _holdout_accuracy(data, mined, seed=seed)
         rows.append(
             ScalabilityRow(
                 min_support=absolute,
                 feasible=True,
-                n_patterns=len(mined.patterns),
+                n_patterns=len(mined),
                 time_seconds=elapsed,
                 svm_accuracy=svm_accuracy,
                 c45_accuracy=c45_accuracy,

@@ -33,10 +33,10 @@ from ..classifiers.base import Classifier
 from ..classifiers.linear_svm import LinearSVM
 from ..datasets.schema import Dataset
 from ..datasets.transactions import TransactionDataset
-from ..measures.contingency import batch_contingency_tables
+from ..measures.contingency import ContingencyTables
 from ..measures.vectorized import information_gain_batch
 from ..mining.generation import mine_class_patterns
-from ..mining.itemsets import Pattern
+from ..mining.itemsets import MiningResult, Pattern
 from ..obs import core as _obs
 from ..selection.minsup import suggest_min_support
 from ..selection.mmrfs import SelectionResult, mmrfs, top_k_by_relevance
@@ -102,9 +102,10 @@ class FrequentPatternClassifier:
 
     Notes
     -----
-    All of fit's support/coverage computations — mining recounts,
-    contingency stats, MMRFS coverage and the design matrix — share the
-    training set's cached packed occurrence structure
+    The candidates stay one counted table from mining to selection, and
+    :class:`Pattern` objects are built only for the selected features.
+    Every support/coverage computation of fit shares the training set's
+    cached packed occurrence structure
     (:meth:`~repro.datasets.transactions.TransactionDataset.item_bits`),
     built once per fit rather than once per stage.
     """
@@ -152,7 +153,7 @@ class FrequentPatternClassifier:
         self.model_: Classifier | None = None
         self.candidate_scores_: list = []
         self.featurizer_: PatternFeaturizer | None = None
-        self.mined_patterns_: list[Pattern] = []
+        self._candidates: MiningResult | None = None
         self.selection_result_: SelectionResult | None = None
         self.resolved_min_support_: float | None = None
         self.item_mask_: np.ndarray | None = None
@@ -176,51 +177,54 @@ class FrequentPatternClassifier:
             raise ValueError("min_support must be in (0, 1] or 'auto'")
         return value
 
+    @property
+    def mined_patterns_(self) -> list[Pattern]:
+        """The candidates selection ran over (after the cap), as patterns."""
+        return [] if self._candidates is None else self._candidates.patterns
+
     def _select(self, data: TransactionDataset) -> list[Pattern]:
         if self.selection == "none":
             self.selection_result_ = None
             return self.mined_patterns_
         if self.selection == "mmrfs":
             result = mmrfs(
-                self.mined_patterns_,
+                self._candidates,
                 data,
                 relevance=self.relevance,
                 delta=self.delta,
             )
         elif self.selection == "topk":
             result = top_k_by_relevance(
-                self.mined_patterns_, data, k=self.top_k, relevance=self.relevance
+                self._candidates, data, k=self.top_k, relevance=self.relevance
             )
         else:
             raise ValueError(f"unknown selection {self.selection!r}")
         self.selection_result_ = result
         return result.patterns
 
-    def _cap_candidates(
-        self, patterns: list[Pattern], data: TransactionDataset
-    ) -> list[Pattern]:
-        """Keep the ``max_candidates`` most relevant patterns.
+    def _cap_candidates(self, mined: MiningResult) -> MiningResult:
+        """Keep the ``max_candidates`` rows of highest information gain.
 
-        On very dense data the closed pattern set can reach six figures;
-        feature selection only ever keeps the discriminative head of that
-        list (the theory of Section 3.1.2 bounds what the tail can
-        contribute), so a relevance pre-filter changes nothing downstream
-        while keeping MMRFS tractable.
+        Dense data can mine six figures of closed patterns; the cap keeps
+        MMRFS tractable but can change the selection: on perfbench's
+        chess training rows the capped run selects 105 patterns (held-out
+        accuracy 0.9327), the uncapped run 113 (0.9280).  It ranks by
+        information gain whatever ``relevance`` is.  ROADMAP.md's "Make
+        the candidate cap exact" would remove both effects.
         """
-        if self.max_candidates is None or len(patterns) <= self.max_candidates:
-            return patterns
-        tables = batch_contingency_tables(patterns, data)
+        if self.max_candidates is None or len(mined) <= self.max_candidates:
+            return mined
+        tables = ContingencyTables.of(mined)
         gains = information_gain_batch(tables.present, tables.absent)
         keep = np.argsort(-gains, kind="stable")[: self.max_candidates]
-        keep_set = set(int(i) for i in keep)
-        return [p for i, p in enumerate(patterns) if i in keep_set]
+        return mined.take(np.sort(keep))
 
     def _item_selection_mask(self, data: TransactionDataset) -> np.ndarray | None:
         """IG-based filter over single items (the Item_FS variant)."""
         if not self.select_items:
             return None
-        single_items = [Pattern(items=(i,), support=0) for i in range(data.n_items)]
-        tables = batch_contingency_tables(single_items, data)
+        singles = MiningResult.counted([(i,) for i in range(data.n_items)], data)
+        tables = ContingencyTables.of(singles)
         gains = information_gain_batch(tables.present, tables.absent)
         keep = max(1, int(round(self.item_fs_fraction * data.n_items)))
         threshold_value = np.sort(gains)[::-1][keep - 1]
@@ -246,18 +250,14 @@ class FrequentPatternClassifier:
                     n_jobs=self.n_jobs,
                     on_guard=self.on_guard,
                 )
-                with _obs.span(
-                    "pipeline.cap", candidates=len(mined.patterns)
-                ) as cap_span:
-                    self.mined_patterns_ = self._cap_candidates(
-                        mined.patterns, transactions
-                    )
-                    cap_span.set(kept=len(self.mined_patterns_))
+                with _obs.span("pipeline.cap", candidates=len(mined)) as cap_span:
+                    self._candidates = self._cap_candidates(mined)
+                    cap_span.set(kept=len(self._candidates))
                 with _obs.span("pipeline.select", strategy=self.selection):
                     selected = self._select(transactions)
             else:
                 self.resolved_min_support_ = None
-                self.mined_patterns_ = []
+                self._candidates = None
 
             self.featurizer_ = PatternFeaturizer(
                 n_items=transactions.n_items, patterns=selected, include_items=True
@@ -286,9 +286,7 @@ class FrequentPatternClassifier:
                     self.candidate_scores_ = []
                     self.model_ = self.classifier.clone()
                     self.model_.fit(design, transactions.labels)
-            fit_span.set(
-                mined=len(self.mined_patterns_), selected=len(selected)
-            )
+            fit_span.set(mined=len(self._candidates or ()), selected=len(selected))
         self._fitted = True
         return self
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..datasets.transactions import ItemCatalog
-from ..mining.itemsets import MiningResult, Pattern
+from ..mining.itemsets import MiningResult, Pattern, canonical
 from ..selection.mmrfs import SelectedFeature, SelectionResult
 
 __all__ = [
@@ -41,7 +41,8 @@ def patterns_to_json(
         "min_support": result.min_support,
         "n_rows": result.n_rows,
         "patterns": [
-            {"items": list(p.items), "support": p.support} for p in result.patterns
+            {"items": list(items), "support": support}
+            for items, support in zip(result.itemsets, result.supports.tolist())
         ],
     }
     if catalog is not None:
@@ -50,16 +51,14 @@ def patterns_to_json(
 
 
 def patterns_from_json(payload: dict) -> MiningResult:
-    """Inverse of :func:`patterns_to_json`."""
+    """Inverse of :func:`patterns_to_json`: a table of one support column."""
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported patterns format version: {version}")
-    patterns = [
-        Pattern(items=tuple(entry["items"]), support=int(entry["support"]))
-        for entry in payload["patterns"]
-    ]
-    return MiningResult(
-        patterns,
+    entries = payload["patterns"]
+    return MiningResult.from_counts(
+        [canonical(entry["items"]) for entry in entries],
+        [entry["support"] for entry in entries],
         min_support=int(payload["min_support"]),
         n_rows=int(payload["n_rows"]),
     )

@@ -13,9 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitset import class_counts
 from ..datasets.transactions import TransactionDataset
-from ..mining.itemsets import Pattern
+from ..mining.itemsets import MiningResult, Pattern
 from ..obs import core as _obs
 
 __all__ = [
@@ -90,6 +89,12 @@ class ContingencyTables:
                 f"arrays, got {self.present.shape} and {self.absent.shape}"
             )
 
+    @classmethod
+    def of(cls, table: MiningResult) -> "ContingencyTables":
+        """The view of a per-class candidate table: no counting."""
+        present = table.counts
+        return cls(present=present, absent=table.class_totals[np.newaxis] - present)
+
     def __len__(self) -> int:
         return self.present.shape[0]
 
@@ -128,27 +133,16 @@ def batch_contingency_tables(
     patterns: Sequence[Pattern],
     data: TransactionDataset,
 ) -> ContingencyTables:
-    """Contingency tables for many patterns as ``(k, m)`` count arrays.
+    """Contingency tables for a list of patterns as ``(k, m)`` count arrays.
 
-    The dataset's cached packed bitsets feed the grouped cover kernel
-    (:func:`~repro.core.bitset.class_counts`), so the per-class counts of a
-    whole candidate set land in two int64 arrays ready for the vectorized
-    measure kernels — no per-pattern Python objects on the hot path.
+    One :meth:`~repro.mining.itemsets.MiningResult.counted` pass, the one
+    a mined candidate table already had: read such a table with
+    :meth:`ContingencyTables.of` instead of counting it again.
     """
     session = _obs._ACTIVE
     if session is not None:
         session.add("measures.contingency.batches", 1)
         session.add("measures.contingency.patterns", len(patterns))
         session.record("measures.contingency.batch_size", len(patterns))
-    n_classes = data.n_classes
-    if not patterns:
-        empty = np.zeros((0, n_classes), dtype=np.int64)
-        return ContingencyTables(present=empty, absent=empty.copy())
-    item_bits = data.item_bits()
-    label_words = data.label_bits().words
-    class_totals = data.class_counts().astype(np.int64)
-
-    present = class_counts(item_bits, label_words, [p.items for p in patterns])
-    return ContingencyTables(
-        present=present, absent=class_totals[np.newaxis, :] - present
-    )
+    table = MiningResult.counted([p.items for p in patterns], data)
+    return ContingencyTables.of(table)

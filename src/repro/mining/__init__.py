@@ -3,16 +3,12 @@
 from .closed import closed_fpgrowth
 from .condense import deduction_bounds, partition_derivable
 from .frequent import frequent_itemsets
-from .generation import (
-    filter_by_information_gain,
-    mine_class_patterns,
-    recount_supports,
-)
+from .generation import mine_class_patterns
 from .gspan import GraphPattern, contains_subgraph, gspan
 from .guards import MiningTimeLimitExceeded
 from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, canonical
 from .prefixspan import SequencePattern, is_subsequence, prefixspan
-from .sharded import ShardedMiningResult, mine_sharded
+from .sharded import mine_sharded
 
 __all__ = [
     "frequent_itemsets",
@@ -22,10 +18,7 @@ __all__ = [
     "PatternBudgetExceeded",
     "canonical",
     "mine_class_patterns",
-    "recount_supports",
-    "filter_by_information_gain",
     "mine_sharded",
-    "ShardedMiningResult",
     "deduction_bounds",
     "partition_derivable",
     "MiningTimeLimitExceeded",

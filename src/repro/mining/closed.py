@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.bitset import BitMatrix, packed_ones, popcount
 from ..obs import core as _obs
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_max_length
+from .itemsets import MiningResult, PatternBudgetExceeded, check_max_length
 
 __all__ = ["closed_fpgrowth"]
 
@@ -62,21 +62,24 @@ def closed_fpgrowth(
     n_rows = len(transactions)
     n_items = 1 + max((max(t) for t in transactions if t), default=-1)
 
-    patterns: list[Pattern] = []
+    itemsets: list[tuple[int, ...]] = []
+    supports: list[int] = []
 
     def emit(items: tuple[int, ...], support: int) -> None:
-        patterns.append(Pattern(items=items, support=support))
-        if max_patterns is not None and len(patterns) > max_patterns:
-            raise PatternBudgetExceeded(max_patterns, len(patterns))
+        # A closure adds items on both sides of the extension item.
+        itemsets.append(tuple(sorted(items)))
+        supports.append(support)
+        if max_patterns is not None and len(itemsets) > max_patterns:
+            raise PatternBudgetExceeded(max_patterns, len(itemsets))
 
     if n_rows == 0 or n_items == 0 or n_rows < min_support:
-        return MiningResult(patterns, min_support=min_support, n_rows=n_rows)
+        return MiningResult([], min_support, n_rows)
 
     item_bits = BitMatrix.vertical(transactions, n_items)
     column_counts = item_bits.popcounts()
     frequent_items = np.nonzero(column_counts >= min_support)[0]
     if len(frequent_items) == 0:
-        return MiningResult(patterns, min_support=min_support, n_rows=n_rows)
+        return MiningResult([], min_support, n_rows)
 
     root_closure = column_counts == n_rows  # items present in every transaction
     root_items = tuple(np.flatnonzero(root_closure).tolist())
@@ -102,11 +105,11 @@ def closed_fpgrowth(
     finally:
         session = _obs._ACTIVE
         if session is not None:
-            session.add("mining.closed.patterns", len(patterns))
+            session.add("mining.closed.patterns", len(itemsets))
             session.add("mining.closed.closure_checks", stats["closure_checks"])
             session.add("mining.closed.support_pruned", stats["support_pruned"])
             session.add("mining.closed.prefix_pruned", stats["prefix_pruned"])
-    return MiningResult(patterns, min_support=min_support, n_rows=n_rows)
+    return MiningResult.from_counts(itemsets, supports, min_support, n_rows)
 
 
 def _expand(

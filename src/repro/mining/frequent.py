@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.bitset import BitMatrix, packed_ones, popcount
 from ..obs import core as _obs
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_max_length
+from .itemsets import MiningResult, PatternBudgetExceeded, check_max_length
 
 __all__ = ["frequent_itemsets", "mine_words", "search"]
 
@@ -74,24 +74,26 @@ def mine_words(
     min_support: int,
     max_length: int | None = None,
     max_patterns: int | None = None,
-) -> list[Pattern]:
+) -> tuple[list[tuple[int, ...]], list[int]]:
     """Every itemset with support ``>= min_support`` inside the tidset ``rows``.
 
-    Items are searched in ascending order, so the patterns come out in
-    canonical sorted-tuple order.  The ``max_patterns`` budget has the
+    Returns the itemsets, canonical as items are searched in ascending
+    order, and their supports.  The ``max_patterns`` budget has the
     record-then-check semantics of :class:`PatternBudgetExceeded`; the
     ``mining.frequent.patterns`` counter is flushed also on a trip.
     """
-    patterns: list[Pattern] = []
+    itemsets: list[tuple[int, ...]] = []
+    supports: list[int] = []
 
-    def visit(prefix, items, _rows, supports):
+    def visit(prefix, items, _rows, child_supports):
         deeper = max_length is None or len(prefix) + 1 < max_length
-        counts = supports.tolist()
+        counts = child_supports.tolist()
 
         def descend(k: int) -> bool:
-            patterns.append(Pattern(items=prefix + (items[k],), support=counts[k]))
-            if max_patterns is not None and len(patterns) > max_patterns:
-                raise PatternBudgetExceeded(max_patterns, len(patterns))
+            itemsets.append(prefix + (items[k],))
+            supports.append(counts[k])
+            if max_patterns is not None and len(itemsets) > max_patterns:
+                raise PatternBudgetExceeded(max_patterns, len(itemsets))
             return deeper
 
         return descend
@@ -99,8 +101,8 @@ def mine_words(
     try:
         search(item_words, rows, np.arange(len(item_words)), min_support, visit)
     finally:
-        _obs.add("mining.frequent.patterns", len(patterns))
-    return patterns
+        _obs.add("mining.frequent.patterns", len(itemsets))
+    return itemsets, supports
 
 
 def frequent_itemsets(
@@ -127,7 +129,7 @@ def frequent_itemsets(
     n_rows = len(transactions)
     n_items = 1 + max((max(t) for t in transactions if t), default=-1)
     item_bits = BitMatrix.vertical(transactions, n_items)
-    patterns = mine_words(
+    itemsets, supports = mine_words(
         item_bits.words, packed_ones(n_rows), min_support, max_length, max_patterns
     )
-    return MiningResult(patterns, min_support=min_support, n_rows=n_rows)
+    return MiningResult.from_counts(itemsets, supports, min_support, n_rows)

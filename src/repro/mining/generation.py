@@ -4,11 +4,11 @@
 are discovered in each partition with min_sup.  The collection of frequent
 patterns F is the feature candidates."
 
-Patterns mined per class partition are merged (union of itemsets) and their
-supports are re-counted on the *full* training set, which is what the
-measures and MMRFS need.  Single items are excluded here — the classifier
-feature space is ``I ∪ Fs``, with ``I`` always present — so only patterns of
-length >= 2 are returned by default.
+Patterns mined per class partition are merged (union of itemsets) and
+counted per class on the *full* training set in one pass; the measures and
+MMRFS read that candidate table.  Single items are excluded here — the
+classifier feature space is ``I ∪ Fs``, with ``I`` always present — so
+only patterns of length >= 2 are returned by default.
 
 The per-partition mining runs are independent, so ``n_jobs > 1`` fans them
 out over process workers (the miners are pure-Python and GIL-bound);
@@ -45,9 +45,6 @@ import time
 from functools import partial
 from typing import TYPE_CHECKING, Literal, Sequence
 
-import numpy as np
-
-from ..core.bitset import class_counts, packed_ones
 from ..core.parallel import RetryPolicy, checkpointed_map
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
@@ -57,7 +54,6 @@ from .frequent import frequent_itemsets
 from .guards import MiningTimeLimitExceeded, _wall_clock_limit
 from .itemsets import (
     MiningResult,
-    Pattern,
     PatternBudgetExceeded,
     cap_union,
     check_max_length,
@@ -66,11 +62,7 @@ from .itemsets import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cache import ArtifactCache
 
-__all__ = [
-    "mine_class_patterns",
-    "recount_supports",
-    "filter_by_information_gain",
-]
+__all__ = ["mine_class_patterns"]
 
 MinerName = Literal["closed", "all"]
 GuardBehavior = Literal["raise", "items_only"]
@@ -82,53 +74,6 @@ _MINERS = {
 
 #: Cache stage name for per-partition mining artifacts.
 _CACHE_STAGE = "mine_partition"
-
-
-def recount_supports(
-    itemsets: Sequence[tuple[int, ...]],
-    data: TransactionDataset,
-) -> list[Pattern]:
-    """Support of each itemset over the whole dataset (packed popcounts).
-
-    One :func:`~repro.core.bitset.class_counts` pass against the all-rows
-    mask, so the supports come from the grouped cover kernel.
-    """
-    if not itemsets:
-        return []
-    everything = packed_ones(data.n_rows)[np.newaxis, :]
-    supports = class_counts(data.item_bits(), everything, itemsets)[:, 0]
-    return [
-        Pattern(items=items, support=support)
-        for items, support in zip(itemsets, supports.tolist())
-    ]
-
-
-def filter_by_information_gain(
-    patterns: Sequence[Pattern],
-    data: TransactionDataset,
-    ig0: float,
-) -> list[Pattern]:
-    """Keep the patterns whose information gain reaches ``ig0``.
-
-    The direct filtering step the Section 3.2 min_sup strategy is
-    calibrated against: mine at ``theta*(IG0)``, then drop everything the
-    IG threshold rejects.  The whole candidate set is scored in one
-    vectorized pass over batched contingency tables rather than a Python
-    loop per pattern.
-    """
-    if ig0 < 0:
-        raise ValueError("ig0 must be >= 0")
-    patterns = list(patterns)
-    if not patterns:
-        return []
-    from ..measures.contingency import batch_contingency_tables
-    from ..measures.vectorized import information_gain_batch
-
-    tables = batch_contingency_tables(patterns, data)
-    gains = information_gain_batch(tables.present, tables.absent)
-    kept = [p for p, gain in zip(patterns, gains) if gain >= ig0]
-    _obs.add("mining.generation.ig_filtered", len(patterns) - len(kept))
-    return kept
 
 
 def _mine_partition(
@@ -145,9 +90,11 @@ def _mine_partition(
     Returns the partition's ``mine_partition`` artifact: the
     :mod:`repro.io.serialize` patterns format plus ``"degraded"``, the
     tripped guard's name or None.  Supports are partition-local (the
-    caller recounts over the full dataset), kept so checkpointed artifacts
-    are self-describing.
+    caller counts the merged set over the full dataset), kept so
+    checkpointed artifacts are self-describing.
     """
+    from ..io.serialize import patterns_to_json
+
     label, transactions, absolute = job
     _faults.fault_point("mine", str(label))
     mine_start = time.perf_counter() if _obs._ACTIVE is not None else 0.0
@@ -175,27 +122,17 @@ def _mine_partition(
                 partition=int(label),
                 guard=guard,
             )
-            return _partition_payload([], guard, absolute, len(transactions))
-        kept = [p for p in result.patterns if len(p.items) >= min_length]
-        partition_span.set(patterns=len(result.patterns), kept=len(kept))
+            empty = MiningResult([], absolute, len(transactions))
+            return {**patterns_to_json(empty), "degraded": guard}
+        kept = result.take(
+            [i for i, items in enumerate(result.itemsets) if len(items) >= min_length]
+        )
+        partition_span.set(patterns=len(result), kept=len(kept))
     if _obs._ACTIVE is not None:
         _obs.observe(
             "mining.partition.wall_s", time.perf_counter() - mine_start
         )
-    return _partition_payload(kept, None, absolute, len(transactions))
-
-
-def _partition_payload(
-    patterns: list[Pattern], degraded: str | None, absolute: int, n_rows: int
-) -> dict:
-    """One partition's outcome in the io patterns format, plus ``degraded``."""
-    from ..io.serialize import patterns_to_json
-
-    payload = patterns_to_json(
-        MiningResult(patterns, min_support=absolute, n_rows=n_rows)
-    )
-    payload["degraded"] = degraded
-    return payload
+    return {**patterns_to_json(kept), "degraded": None}
 
 
 def _partition_key(
@@ -285,7 +222,9 @@ def mine_class_patterns(
     Returns
     -------
     MiningResult
-        Merged patterns with supports counted over the *full* dataset.  The
+        The merged candidate table, in (length, items) order, with per-class
+        counts over the *full* dataset from one
+        :meth:`~repro.mining.itemsets.MiningResult.counted` pass.  The
         result's ``min_support`` field holds the absolute global count
         equivalent of theta_0.
     """
@@ -342,21 +281,21 @@ def mine_class_patterns(
                 continue
             merged.update(tuple(entry["items"]) for entry in payload["patterns"])
         # The payloads are per-pattern dicts; free them before the
-        # full-dataset recount, which is where mining's memory peaks.
+        # full-dataset count, which is where mining's memory peaks.
         del mined
         merged = cap_union(merged, max_patterns, on_guard)
+        itemsets = sorted(merged, key=lambda items: (len(items), items))
 
-        with _obs.span("mining.recount", patterns=len(merged)):
-            patterns = recount_supports(sorted(merged), data)
-        patterns.sort(key=lambda p: (p.length, p.items))
+        global_absolute = max(1, int(round(min_support * data.n_rows)))
+        with _obs.span("mining.recount", patterns=len(itemsets)):
+            table = MiningResult.counted(itemsets, data, global_absolute)
         generate_span.set(
             partitions=len(jobs),
-            merged_patterns=len(patterns),
+            merged_patterns=len(table),
             degraded_partitions=degraded_partitions,
         )
         _obs.add("mining.generation.partitions", len(jobs))
-        _obs.add("mining.generation.merged_patterns", len(patterns))
+        _obs.add("mining.generation.merged_patterns", len(table))
         if degraded_partitions:
             _obs.add("mining.generation.degraded_partitions", degraded_partitions)
-    global_absolute = max(1, int(round(min_support * data.n_rows)))
-    return MiningResult(patterns, min_support=global_absolute, n_rows=data.n_rows)
+    return table

@@ -3,15 +3,24 @@
 A *pattern* (the paper's "combined feature", Definition 1) is a set of items
 ``alpha = {o_a1 .. o_ak} ⊆ I``.  Internally patterns are canonical sorted
 tuples of item ids; :class:`Pattern` pairs the itemset with its absolute
-support count in the dataset it was mined from.
+support count in the dataset it was mined from.  Between mining and
+selection the candidates travel as one :class:`MiningResult` table of
+itemsets and per-class counts; :class:`Pattern` objects appear only at the
+API edges (the selected features, JSON payloads, ``.patterns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
+from ..core.bitset import class_counts
 from ..obs import core as _obs
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..datasets.transactions import TransactionDataset
 
 __all__ = [
     "Pattern",
@@ -20,6 +29,7 @@ __all__ = [
     "cap_union",
     "check_max_length",
     "MiningResult",
+    "candidate_table",
 ]
 
 
@@ -117,9 +127,6 @@ class Pattern:
     def length(self) -> int:
         return len(self.items)
 
-    def itemset(self) -> frozenset[int]:
-        return frozenset(self.items)
-
     def contains(self, other: "Pattern") -> bool:
         """True if this pattern is a superset of ``other``."""
         return set(other.items).issubset(self.items)
@@ -132,31 +139,123 @@ class Pattern:
 
 
 class MiningResult:
-    """Patterns produced by one miner run, with convenience accessors."""
+    """The candidate table of one mining run.
+
+    Row ``i`` is ``itemsets[i]``, a canonical item tuple, with absolute
+    ``counts[i]``: one column per class plus the dataset's
+    ``class_totals`` when counted per class (:meth:`counted`), else one
+    all-rows column.  ``supports`` is the row sum, as every row of a
+    dataset has one label.  :class:`Pattern` objects are built only when
+    :attr:`patterns` or :meth:`pattern` is read.
+    """
 
     def __init__(self, patterns: Sequence[Pattern], min_support: int, n_rows: int):
-        self.patterns = list(patterns)
+        patterns = list(patterns)
+        self.itemsets = [p.items for p in patterns]
+        self.counts = np.array([p.support for p in patterns], dtype=np.int64)[:, None]
+        self.class_totals: np.ndarray | None = None
         self.min_support = int(min_support)
         self.n_rows = int(n_rows)
+        self._patterns: list[Pattern] | None = patterns
+
+    @classmethod
+    def from_counts(
+        cls,
+        itemsets: Sequence[tuple[int, ...]],
+        counts,
+        min_support: int,
+        n_rows: int,
+        class_totals: np.ndarray | None = None,
+    ) -> "MiningResult":
+        """A table over canonical ``itemsets``: ``counts`` is ``(k, m)``, or
+        ``k`` supports for one all-rows column."""
+        table = cls([], min_support, n_rows)
+        table.itemsets = list(itemsets)
+        counts = np.asarray(counts, dtype=np.int64)
+        table.counts = counts[:, None] if counts.ndim == 1 else counts
+        table.class_totals = class_totals
+        table._patterns = None
+        return table
+
+    @classmethod
+    def counted(
+        cls,
+        itemsets: Sequence[tuple[int, ...]],
+        data: "TransactionDataset",
+        min_support: int = 0,
+    ) -> "MiningResult":
+        """``itemsets`` counted per class over ``data``: one
+        :func:`~repro.core.bitset.class_counts` pass over its label masks."""
+        counts = class_counts(data.item_bits(), data.label_bits().words, itemsets)
+        totals = data.class_counts().astype(np.int64)
+        return cls.from_counts(itemsets, counts, min_support, data.n_rows, totals)
+
+    @property
+    def supports(self) -> np.ndarray:
+        return self.counts.sum(axis=1)
+
+    @property
+    def patterns(self) -> list[Pattern]:
+        """The rows as :class:`Pattern` objects, built on first access."""
+        if self._patterns is None:
+            self._patterns = [
+                Pattern(items, support)
+                for items, support in zip(self.itemsets, self.supports.tolist())
+            ]
+        return self._patterns
+
+    def pattern(self, index: int) -> Pattern:
+        """Row ``index`` as a :class:`Pattern`, without building the rest."""
+        if self._patterns is not None:
+            return self._patterns[index]
+        return Pattern(self.itemsets[index], int(self.counts[index].sum()))
+
+    def take(self, indices) -> "MiningResult":
+        """The rows ``indices``, in that order, as a new table."""
+        indices = np.asarray(indices, dtype=np.intp)
+        return MiningResult.from_counts(
+            [self.itemsets[i] for i in indices.tolist()],
+            self.counts[indices],
+            self.min_support,
+            self.n_rows,
+            self.class_totals,
+        )
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return len(self.itemsets)
 
     def __iter__(self):
         return iter(self.patterns)
 
     def as_dict(self) -> dict[tuple[int, ...], int]:
         """Mapping itemset -> support."""
-        return {p.items: p.support for p in self.patterns}
-
-    def by_length(self) -> dict[int, list[Pattern]]:
-        grouped: dict[int, list[Pattern]] = {}
-        for pattern in self.patterns:
-            grouped.setdefault(pattern.length, []).append(pattern)
-        return grouped
+        return dict(zip(self.itemsets, self.supports.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MiningResult(patterns={len(self.patterns)}, "
+            f"MiningResult(patterns={len(self)}, "
             f"min_support={self.min_support}, n_rows={self.n_rows})"
         )
+
+
+def candidate_table(
+    candidates: "MiningResult | Sequence[Pattern]", data: "TransactionDataset"
+) -> MiningResult:
+    """``candidates`` as a table counted per class over ``data``.
+
+    A per-class table with ``data``'s row count and class totals is taken
+    as counted over ``data``.  Anything else is counted once; a list of
+    :class:`Pattern` objects stays the table's patterns.
+    """
+    if isinstance(candidates, MiningResult):
+        if (
+            candidates.class_totals is not None
+            and candidates.n_rows == data.n_rows
+            and np.array_equal(candidates.class_totals, data.class_counts())
+        ):
+            return candidates
+        return MiningResult.counted(candidates.itemsets, data, candidates.min_support)
+    patterns = list(candidates)
+    table = MiningResult.counted([p.items for p in patterns], data)
+    table._patterns = patterns
+    return table

@@ -55,7 +55,6 @@ from .condense import partition_derivable
 from .frequent import mine_words
 from .itemsets import (
     MiningResult,
-    Pattern,
     PatternBudgetExceeded,
     cap_union,
     check_max_length,
@@ -64,7 +63,7 @@ from .itemsets import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cache import ArtifactCache
 
-__all__ = ["ShardedMiningResult", "mine_sharded", "local_threshold"]
+__all__ = ["mine_sharded", "local_threshold"]
 
 MinerName = Literal["closed", "all"]
 GuardBehavior = Literal["raise", "items_only"]
@@ -72,27 +71,6 @@ GuardBehavior = Literal["raise", "items_only"]
 #: Cache stage names for the two passes' per-shard artifacts.
 MINE_STAGE = "shard_mine"
 COUNT_STAGE = "shard_count"
-
-
-class ShardedMiningResult(MiningResult):
-    """A :class:`MiningResult` that also carries exact per-class counts.
-
-    ``class_counts[p.items]`` is the tuple of per-class absolute supports
-    of each returned pattern — the sufficient statistics the counting
-    pass produced anyway, exposed so downstream consumers (contingency
-    scoring, naive-Bayes-from-stats training) can skip a full-dataset
-    recount.
-    """
-
-    def __init__(
-        self,
-        patterns,
-        min_support: int,
-        n_rows: int,
-        class_counts: dict[tuple[int, ...], tuple[int, ...]],
-    ) -> None:
-        super().__init__(patterns, min_support=min_support, n_rows=n_rows)
-        self.class_counts = class_counts
 
 
 def local_threshold(global_absolute: int, local_rows: int, total_rows: int) -> int:
@@ -131,11 +109,11 @@ def _mine_cell(job: tuple) -> dict:
         # batch path happily mines.  The budget is enforced exactly at
         # the global assembly instead; local enumeration is bounded by
         # the shard's content and observable via the candidates counter.
-        patterns = mine_words(
+        itemsets, _supports = mine_words(
             np.asarray(handle.item_words()), rows, local_abs, max_length
         )
-        span.set(candidates=len(patterns))
-    return {"itemsets": [list(p.items) for p in patterns]}
+        span.set(candidates=len(itemsets))
+    return {"itemsets": [list(items) for items in itemsets]}
 
 
 def _count_shard(candidates: list, job: tuple) -> dict:
@@ -195,15 +173,17 @@ def mine_sharded(
     cache: "ArtifactCache | None" = None,
     condense: bool = False,
     on_guard: GuardBehavior = "raise",
-) -> ShardedMiningResult:
+) -> MiningResult:
     """Mine per-class frequent patterns out-of-core over ``shards``.
 
     The parameters mirror
     :func:`~repro.mining.generation.mine_class_patterns` and the result
     is property-tested equal to it (pattern set, supports, per-class
-    counts) — ``shards`` is just where the rows live.  ``condense=True``
-    enables the non-derivable-itemset reducer; the result is unchanged
-    (deduced counts are exact), only the cross-shard exchange shrinks.
+    counts) — ``shards`` is just where the rows live.  The table's
+    per-class counts are pass 2's merged counts: nothing is recounted.
+    ``condense=True`` enables the non-derivable-itemset reducer; the
+    result is unchanged (deduced counts are exact), only the cross-shard
+    exchange shrinks.
 
     ``max_patterns`` is enforced with the batch path's *exact* trip
     conditions — a per-class check against the globally frequent pattern
@@ -386,27 +366,21 @@ def mine_sharded(
 
         merged = cap_union(merged, max_patterns, on_guard)
 
-        final = sorted(merged)
-        patterns = [
-            Pattern(items=items, support=int(counts[items].sum()))
-            for items in final
-        ]
-        patterns.sort(key=lambda p: (p.length, p.items))
-        class_counts = {
-            items: tuple(int(v) for v in counts[items]) for items in final
-        }
+        final = sorted(merged, key=lambda items: (len(items), items))
+        table = MiningResult.from_counts(
+            final,
+            np.array(
+                [counts[items] for items in final], dtype=np.int64
+            ).reshape(len(final), shards.n_classes),
+            min_support=max(1, int(round(min_support * shards.n_rows))),
+            n_rows=shards.n_rows,
+            class_totals=class_totals,
+        )
         span.set(
-            merged_patterns=len(patterns),
+            merged_patterns=len(table),
             degraded_classes=len(degraded_classes),
         )
-        _obs.add("mining.sharded.merged_patterns", len(patterns))
+        _obs.add("mining.sharded.merged_patterns", len(table))
         if degraded_classes:
             _obs.add("mining.sharded.degraded_classes", len(degraded_classes))
-
-    global_absolute = max(1, int(round(min_support * shards.n_rows)))
-    return ShardedMiningResult(
-        patterns,
-        min_support=global_absolute,
-        n_rows=shards.n_rows,
-        class_counts=class_counts,
-    )
+    return table

@@ -195,10 +195,10 @@ def _itemset_entries(
         max_length=config.max_length,
         max_patterns=config.max_patterns,
     )
-    if not mined.patterns:
+    if not len(mined):
         return [], 0
     selection = mmrfs(
-        mined.patterns,
+        mined,
         data,
         relevance="information_gain",
         delta=config.delta,
@@ -220,7 +220,7 @@ def _itemset_entries(
                 ),
             }
         )
-    return _finalize(entries), len(mined.patterns)
+    return _finalize(entries), len(mined)
 
 
 def _sequence_entries(

@@ -272,10 +272,10 @@ def run_experiment(
 
         # -- stage 2: feature selection (single checkpoint) -------------
         [selected] = checkpointed_map(
-            lambda patterns: selection_to_json(
-                mmrfs(patterns, data, relevance=spec.relevance, delta=spec.delta)
+            lambda candidates: selection_to_json(
+                mmrfs(candidates, data, relevance=spec.relevance, delta=spec.delta)
             ),
-            [mined.patterns],
+            [mined],
             [fingerprint(stage="select", run=key)],
             cache,
             "select",

@@ -13,10 +13,9 @@ Greedy selection over the mined pattern set F:
 classification (CMAR): pattern alpha covers instance i if i contains alpha,
 and the cover is *correct* if alpha's majority class equals i's label.
 
-Candidate scoring is vectorized: one
-:func:`~repro.measures.contingency.batch_contingency_tables` pass yields
-the relevance vector, supports and majority classes of the whole set, and
-every coverage mask is kept packed 64 rows per uint64 word.
+Candidate scoring is vectorized: the candidate table's per-class counts
+yield the relevance vector, supports and majority classes of the whole
+set, and every coverage mask is kept packed 64 rows per uint64 word.
 
 The greedy loop works in *epochs*, one per accepted pattern.  Between two
 acceptances the gains and the under-covered rows are fixed, so the
@@ -44,9 +43,9 @@ import numpy as np
 from ..core.bitset import pack_bits, pattern_covers, popcount, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
-from ..measures.contingency import batch_contingency_tables
+from ..measures.contingency import ContingencyTables
 from ..measures.information_gain import information_gain_from_counts
-from ..mining.itemsets import Pattern
+from ..mining.itemsets import MiningResult, Pattern, candidate_table
 from .redundancy import batch_redundancy_packed
 from .relevance import RelevanceMeasure, batch_relevance, get_relevance
 
@@ -100,7 +99,7 @@ class SelectionResult:
 
 
 def mmrfs(
-    patterns: list[Pattern],
+    patterns: MiningResult | list[Pattern],
     data: TransactionDataset,
     relevance: str | RelevanceMeasure = "information_gain",
     delta: int = 1,
@@ -111,7 +110,8 @@ def mmrfs(
     Parameters
     ----------
     patterns:
-        Candidate frequent patterns F (typically closed, length >= 2).
+        Candidate frequent patterns F (typically closed, length >= 2): a
+        table or a list, see :func:`~repro.mining.itemsets.candidate_table`.
     data:
         The training transactions (used for coverage and contingency).
     relevance:
@@ -133,7 +133,7 @@ def mmrfs(
     if delta < 1:
         raise ValueError("delta must be >= 1")
     score = get_relevance(relevance)
-    if not patterns:
+    if not len(patterns):
         return SelectionResult(
             selected=[],
             coverage_counts=np.zeros(data.n_rows, dtype=np.int64),
@@ -143,7 +143,8 @@ def mmrfs(
     with _obs.span(
         "selection.mmrfs", candidates=len(patterns), delta=delta, rows=data.n_rows
     ) as selection_span:
-        result = _mmrfs_run(patterns, data, score, delta, max_selected)
+        table = candidate_table(patterns, data)
+        result = _mmrfs_run(table, data, score, delta, max_selected)
         selection_span.set(
             selected=len(result), fully_covered=result.fully_covered
         )
@@ -151,17 +152,17 @@ def mmrfs(
 
 
 def _mmrfs_run(
-    patterns: list[Pattern],
+    table: MiningResult,
     data: TransactionDataset,
     score,
     delta: int,
     max_selected: int | None,
 ) -> SelectionResult:
     """Algorithm 1 proper (validation and the obs span live in the caller)."""
-    tables = batch_contingency_tables(patterns, data)
+    tables = ContingencyTables.of(table)
     relevances = batch_relevance(score, tables)
     majority = tables.majority_classes()
-    coverage_words, correct_words = _packed_coverage(patterns, data, majority)
+    coverage_words, correct_words = _packed_coverage(table.itemsets, data, majority)
     run = _greedy(
         coverage_words,
         correct_words,
@@ -176,7 +177,7 @@ def _mmrfs_run(
         session.add_many(
             (
                 ("selection.mmrfs.gain_evaluations", run.gain_evaluations),
-                ("selection.mmrfs.candidates", len(patterns)),
+                ("selection.mmrfs.candidates", len(table)),
                 ("selection.mmrfs.rounds", run.rounds),
                 ("selection.mmrfs.accepted", len(run.chosen)),
                 ("selection.mmrfs.rejected", run.rejected),
@@ -187,7 +188,7 @@ def _mmrfs_run(
     return SelectionResult(
         selected=[
             SelectedFeature(
-                pattern=patterns[index],
+                pattern=table.pattern(index),
                 relevance=float(relevances[index]),
                 gain=gain,
                 majority_class=int(majority[index]),
@@ -197,20 +198,20 @@ def _mmrfs_run(
         ],
         coverage_counts=run.coverage_counts,
         delta=delta,
-        considered=len(patterns),
+        considered=len(table),
     )
 
 
 def _packed_coverage(
-    patterns: list[Pattern], data: TransactionDataset, majority: np.ndarray
+    itemsets: list[tuple[int, ...]], data: TransactionDataset, majority: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Packed coverage words of each pattern, and its *correct* cover words
-    (covered rows whose label is the pattern's majority class)."""
+    """Packed coverage words of each itemset, and its *correct* cover words
+    (covered rows whose label is the itemset's majority class)."""
     item_bits = data.item_bits()
     coverage_words = np.empty(
-        (len(patterns), item_bits.words.shape[1]), dtype=item_bits.words.dtype
+        (len(itemsets), item_bits.words.shape[1]), dtype=item_bits.words.dtype
     )
-    for positions, covers in pattern_covers(item_bits, [p.items for p in patterns]):
+    for positions, covers in pattern_covers(item_bits, itemsets):
         coverage_words[positions] = covers
     if not data.n_classes:
         return coverage_words, np.zeros_like(coverage_words)
@@ -371,7 +372,7 @@ def _greedy(
 
 
 def top_k_by_relevance(
-    patterns: list[Pattern],
+    patterns: MiningResult | list[Pattern],
     data: TransactionDataset,
     k: int,
     relevance: str | RelevanceMeasure = "information_gain",
@@ -391,17 +392,18 @@ def top_k_by_relevance(
     if k < 0:
         raise ValueError("k must be >= 0")
     score = get_relevance(relevance)
-    tables = batch_contingency_tables(patterns, data)
+    table = candidate_table(patterns, data)
+    tables = ContingencyTables.of(table)
     relevances = batch_relevance(score, tables)
     majority = tables.majority_classes()
     order = np.argsort(-relevances, kind="stable")[:k]
     _, correct_words = _packed_coverage(
-        [patterns[index] for index in order], data, majority[order]
+        [table.itemsets[index] for index in order], data, majority[order]
     )
     return SelectionResult(
         selected=[
             SelectedFeature(
-                pattern=patterns[index],
+                pattern=table.pattern(index),
                 relevance=float(relevances[index]),
                 gain=float(relevances[index]),
                 majority_class=int(majority[index]),
@@ -413,5 +415,5 @@ def top_k_by_relevance(
             axis=0, dtype=np.int64
         ),
         delta=1,
-        considered=len(patterns),
+        considered=len(table),
     )

@@ -28,7 +28,6 @@ import numpy as np
 
 from ..core.bitset import BitMatrix, class_counts
 from ..datasets.transactions import TransactionDataset
-from ..mining.itemsets import Pattern
 
 __all__ = ["SlidingWindowCounts"]
 
@@ -289,11 +288,3 @@ class SlidingWindowCounts:
                 shard.append(tuple(transaction), int(label))
             window._shards[shard.epoch] = shard
         return window
-
-    def pattern_objects(self) -> list[Pattern]:
-        """Tracked patterns with their current window total supports."""
-        counts = self.counts()
-        return [
-            Pattern(items, int(counts[i].sum()))
-            for i, items in enumerate(self.patterns)
-        ]

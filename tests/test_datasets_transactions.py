@@ -74,5 +74,18 @@ class TestTransactionDataset:
         with pytest.raises(ValueError, match="outside"):
             TransactionDataset([(5,)], [0], n_items=2)
 
+    def test_label_at_or_above_n_classes_rejected(self):
+        # Unchecked, the label fails late and differently in each layer:
+        # support_count counts the row, contingency tables hit a broadcast
+        # error and class_partition a KeyError.
+        with pytest.raises(ValueError, match=r"label 2 is outside \[0, 2\)"):
+            TransactionDataset(
+                [(0,), (1,), (0, 1)], [0, 1, 2], n_items=2, n_classes=2
+            )
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match=r"label -1 is outside \[0, 2\)"):
+            TransactionDataset([(0,), (1,), (0, 1)], [0, -1, 1], n_items=2)
+
     def test_empty_pattern_covers_all(self, tiny_transactions):
         assert tiny_transactions.covers(()).all()

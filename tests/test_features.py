@@ -204,6 +204,49 @@ class TestCandidateCap:
         assert len(model.mined_patterns_) <= 100_000
 
 
+class TestCandidateTable:
+    """Between mining and selection the candidates are one counted table."""
+
+    # The default cap does not fire on these rows; 50 makes it fire.
+    @pytest.mark.parametrize("max_candidates", [20_000, 50])
+    def test_default_fit_builds_patterns_only_for_the_selection(
+        self, planted_transactions, monkeypatch, max_candidates
+    ):
+        from repro.obs.core import session
+
+        built = []
+        post_init = Pattern.__post_init__
+
+        def counting(pattern):
+            built.append(pattern)
+            post_init(pattern)
+
+        monkeypatch.setattr(Pattern, "__post_init__", counting)
+        with session() as sess:
+            model = FrequentPatternClassifier(max_candidates=max_candidates).fit(
+                planted_transactions
+            )
+        selected = len(model.selected_patterns)
+        assert 0 < len(built) <= selected
+        # Mining counted the candidates once; the cap and MMRFS read it.
+        assert sess.counters.get("measures.contingency.batches", 0) == 0
+        assert [s["name"] for s in sess.spans].count("mining.recount") == 1
+        assert selected < len(model.mined_patterns_) <= max_candidates
+
+    def test_counts_match_the_dataset(self, planted_transactions):
+        from repro.mining import mine_class_patterns
+
+        mined = mine_class_patterns(planted_transactions, min_support=0.2)
+        assert np.array_equal(mined.class_totals, planted_transactions.class_counts())
+        for items, counts, support in zip(
+            mined.itemsets, mined.counts, mined.supports
+        ):
+            assert list(counts) == list(
+                planted_transactions.class_support_counts(items)
+            )
+            assert support == planted_transactions.support_count(items)
+
+
 class TestPipelineBudget:
     def test_pattern_budget_propagates(self, planted_transactions):
         from repro.mining import PatternBudgetExceeded

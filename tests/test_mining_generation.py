@@ -1,19 +1,22 @@
 """Tests for per-class feature generation and guarded mining."""
 
+import shutil
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.core.shards import shard_dataset
 from repro.mining import (
+    MiningResult,
     MiningTimeLimitExceeded,
     PatternBudgetExceeded,
     closed_fpgrowth,
     frequent_itemsets,
     mine_class_patterns,
     mine_sharded,
-    recount_supports,
 )
 from repro.mining.guards import _wall_clock_limit
 from repro.obs import core as _obs
@@ -100,14 +103,22 @@ class TestMaxLengthValidation:
 
 
 class TestRecountSupports:
+    """``MiningResult.counted``: one per-class count pass over the label
+    masks, whose row sums are the supports."""
+
     def test_empty(self, tiny_transactions):
-        assert recount_supports([], tiny_transactions) == []
+        table = MiningResult.counted([], tiny_transactions)
+        assert table.patterns == []
+        assert table.counts.shape == (0, tiny_transactions.n_classes)
 
     def test_matches_naive_counts(self, tiny_transactions):
         itemsets = [(0,), (0, 3), tuple(tiny_transactions.transactions[0])]
-        patterns = recount_supports(itemsets, tiny_transactions)
-        for pattern in patterns:
+        table = MiningResult.counted(itemsets, tiny_transactions)
+        for pattern, counts in zip(table.patterns, table.counts):
             assert pattern.support == tiny_transactions.support_count(pattern.items)
+            assert list(counts) == list(
+                tiny_transactions.class_support_counts(pattern.items)
+            )
 
 
 class TestGuardedMine:
@@ -249,55 +260,6 @@ class TestMergedBudget:
         assert len(result) <= 10_000
 
 
-class TestFilterByInformationGain:
-    def test_threshold_zero_keeps_all(self, planted_transactions):
-        from repro.mining import filter_by_information_gain
-
-        mined = mine_class_patterns(planted_transactions, min_support=0.2)
-        kept = filter_by_information_gain(
-            mined.patterns, planted_transactions, ig0=0.0
-        )
-        assert kept == mined.patterns
-
-    def test_matches_scalar_filter(self, planted_transactions):
-        from repro.measures import information_gain
-        from repro.mining import filter_by_information_gain
-        from tests.oracles.scoring import batch_pattern_stats
-
-        mined = mine_class_patterns(planted_transactions, min_support=0.2)
-        ig0 = 0.05
-        kept = filter_by_information_gain(
-            mined.patterns, planted_transactions, ig0=ig0
-        )
-        stats = batch_pattern_stats(mined.patterns, planted_transactions)
-        expected = [
-            p
-            for p, s in zip(mined.patterns, stats)
-            if information_gain(s) >= ig0
-        ]
-        assert kept == expected
-        assert len(kept) < len(mined.patterns)  # the threshold bites
-
-    def test_dropped_count_recorded(self, planted_transactions):
-        from repro.mining import filter_by_information_gain
-        from repro.obs.core import session
-
-        mined = mine_class_patterns(planted_transactions, min_support=0.2)
-        with session() as sess:
-            kept = filter_by_information_gain(
-                mined.patterns, planted_transactions, ig0=0.05
-            )
-        dropped = len(mined.patterns) - len(kept)
-        assert sess.counters["mining.generation.ig_filtered"] == dropped
-
-    def test_empty_and_invalid(self, tiny_transactions):
-        from repro.mining import filter_by_information_gain
-
-        assert filter_by_information_gain([], tiny_transactions, ig0=0.1) == []
-        with pytest.raises(ValueError):
-            filter_by_information_gain([], tiny_transactions, ig0=-0.1)
-
-
 class TestPartitionCacheKey:
     """A partition artifact is only reused by a run with the same guard
     settings: degraded artifacts must never satisfy a raising run."""
@@ -330,3 +292,41 @@ class TestPartitionCacheKey:
         assert sess.counters["runtime.cache.writes"] == len(
             tiny_transactions.class_partition()
         )
+
+
+class TestPartitionArtifactFormat:
+    """``mine_partition`` artifacts written by the Pattern-list code (one
+    envelope per class partition of ``tiny_transactions`` at min_support
+    0.25) restore unchanged, and fresh ones are the same bytes."""
+
+    FIXTURE = Path(__file__).parent / "data" / "mine_partition_v1"
+
+    def test_earlier_artifacts_restore(self, tmp_path, tiny_transactions):
+        from repro.runtime.cache import ArtifactCache
+
+        stored = sorted(self.FIXTURE.glob("*.json"))
+        assert len(stored) == tiny_transactions.n_classes
+        shutil.copytree(self.FIXTURE, tmp_path / "mine_partition")
+        with _obs.session() as sess:
+            restored = mine_class_patterns(
+                tiny_transactions, min_support=0.25, cache=ArtifactCache(tmp_path)
+            )
+        skipped = [e for e in sess.events if e["kind"] == "stage_skipped"]
+        assert len(skipped) == len(stored)
+        assert sess.counters.get("runtime.cache.writes", 0) == 0
+        fresh = mine_class_patterns(tiny_transactions, min_support=0.25)
+        assert restored.itemsets == fresh.itemsets
+        assert np.array_equal(restored.counts, fresh.counts)
+
+    def test_fresh_artifacts_are_the_same_bytes(self, tmp_path, tiny_transactions):
+        from repro.runtime.cache import ArtifactCache
+
+        mine_class_patterns(
+            tiny_transactions, min_support=0.25, cache=ArtifactCache(tmp_path)
+        )
+        written = sorted((tmp_path / "mine_partition").glob("*.json"))
+        assert [p.name for p in written] == [
+            p.name for p in sorted(self.FIXTURE.glob("*.json"))
+        ]
+        for path in written:
+            assert path.read_bytes() == (self.FIXTURE / path.name).read_bytes()

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from repro.core.bitset import pack_bits
 from repro.datasets import TransactionDataset
 from repro.measures import information_gain
-from repro.mining import Pattern
+from repro.mining import Pattern, mine_class_patterns
 from repro.obs.core import session
-from repro.selection.mmrfs import _greedy, mmrfs
+from repro.selection.mmrfs import _greedy, mmrfs, top_k_by_relevance
 from tests.oracles.mmrfs_dense import dense_greedy, mmrfs_dense
 from tests.oracles.scoring import to_stats
 
@@ -237,3 +237,64 @@ class TestMMRFSMatchesOracle:
         assert counters["selection.mmrfs.accepted"] == len(run.chosen)
         assert counters["selection.mmrfs.rejected"] == run.rejected
         assert sess.series["selection.mmrfs.covered_rows"] == run.covered_rows
+
+
+@st.composite
+def mined_problems(draw):
+    """A random labelled transaction set and its mined candidate table."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_items = draw(st.integers(3, 9))
+    n_rows = draw(st.integers(4, 80))
+    n_classes = draw(st.integers(2, 3))
+    transactions = [
+        tuple(np.flatnonzero(rng.random(n_items) < 0.55).tolist())
+        for _ in range(n_rows)
+    ]
+    labels = rng.integers(0, n_classes, n_rows)
+    labels[:n_classes] = np.arange(n_classes)
+    data = TransactionDataset(transactions, labels, n_items=n_items)
+    mined = mine_class_patterns(
+        data,
+        min_support=draw(st.floats(0.1, 0.6)),
+        miner=draw(st.sampled_from(["closed", "all"])),
+        max_length=draw(st.sampled_from([None, 3])),
+    )
+    return data, mined
+
+
+class TestTableInputMatchesPatternList:
+    """``mmrfs`` over the mined table reads its counts; over the table's
+    patterns it counts them on entry.  Both runs are the same run."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        problem=mined_problems(),
+        relevance=st.sampled_from(["information_gain", "fisher", "chi2"]),
+        delta=st.integers(1, 4),
+    )
+    def test_same_selection_and_counters(self, problem, relevance, delta):
+        data, mined = problem
+        runs = []
+        for candidates in (mined, list(mined.patterns)):
+            with session() as sess:
+                result = mmrfs(candidates, data, relevance=relevance, delta=delta)
+            runs.append((result, sess.counters))
+        (table_run, table_counters), (list_run, list_counters) = runs
+        assert table_run.patterns == list_run.patterns
+        assert _floats([f.gain for f in table_run.selected]) == _floats(
+            [f.gain for f in list_run.selected]
+        )
+        assert _floats([f.relevance for f in table_run.selected]) == _floats(
+            [f.relevance for f in list_run.selected]
+        )
+        assert np.array_equal(table_run.coverage_counts, list_run.coverage_counts)
+        assert table_run.considered == list_run.considered
+        for name in ("selection.mmrfs.rounds", "selection.mmrfs.rejected"):
+            assert table_counters.get(name) == list_counters.get(name)
+        top_table = top_k_by_relevance(mined, data, k=5, relevance=relevance)
+        top_list = top_k_by_relevance(
+            list(mined.patterns), data, k=5, relevance=relevance
+        )
+        assert top_table.patterns == top_list.patterns
+        assert np.array_equal(top_table.coverage_counts, top_list.coverage_counts)
