@@ -2,20 +2,35 @@
 
 The paper uses *closed* patterns as features because a non-closed pattern is
 completely redundant w.r.t. its closure (Section 3.3).  This module
-implements an LCM-style closed miner (Uno et al.): depth-first enumeration of
-closed itemsets via *prefix-preserving closure extension*, which visits every
+implements an LCM-style closed miner (Uno et al.): enumeration of closed
+itemsets via *prefix-preserving closure extension*, which visits every
 closed frequent itemset exactly once with no duplicate detection and no
 storage of already-found patterns.
 
 The vertical representation is packed: each item carries a uint64 bitset
 over transactions (:class:`repro.core.bitset.BitMatrix`), so tidset
-intersection is a bitwise AND, support is a popcount, and the closure of a
-tidset T is the set of items i whose mask has no zero bit inside T
-(``T & ~mask_i == 0``).  A search node handles all of its extensions at
-once: one AND + popcount for the supports of every extension, one blocked
-AND for the closures of the frequent ones, and one masked ``any`` for the
-prefix test — numpy work per node, not per (node, item) pair.  Nodes
-already at ``max_length`` items are not expanded at all.
+intersection is a bitwise AND and support is a popcount.  An item joins
+the closure of a tidset T iff it keeps T's support, ``|T & mask_i| == |T|``.
+
+The search expands a *batch* of nodes per numpy step, not one node per
+call.  An explicit stack holds batches of candidate nodes P ∪ {i}: their
+tidsets and supports, P's free-item and closure masks over the frequent
+items, i, |P| and the extension path.  One ``(nodes, n_frequent,
+n_words)`` AND plus one popcount gives the support of every (node, item)
+pair.  From it, every node's closure and its prefix-preservation test (no
+free item below i joins) are one compare and one masked ``any``; the
+survivors are recorded, items infrequent with a node leave its free mask
+for the whole subtree, and the frequent extensions above i are pushed as
+the next batches.  Nodes already at ``max_length`` items are recorded but
+not expanded.
+
+Records come out in batch order.  The depth-first preorder of the extension
+tree is the lexicographic order of the nodes' extension paths (a prefix
+first), so one sort by path restores it: the output order is the
+depth-first LCM's, on which ``max_length`` and the golden fixture rely.
+One byte budget, :data:`_STEP_BYTES`, bounds the nodes per step and so
+both the step's AND buffer and the children a batch pushes: the frontier
+holds at most one budget per depth level.
 """
 
 from __future__ import annotations
@@ -30,11 +45,11 @@ from .itemsets import MiningResult, PatternBudgetExceeded, check_max_length
 
 __all__ = ["closed_fpgrowth"]
 
-#: Byte budget of the transient closure buffer, the ``(block, n_free,
-#: n_words)`` uint64 AND one node's candidate extensions are closed with.
-#: Caps the block of candidates handled at once; a single candidate is
-#: always allowed, so a very wide database degrades to one per block.
-_CLOSURE_BLOCK_BYTES = 8 << 20
+#: Byte budget of one search step: a batch's ``(nodes, n_frequent,
+#: n_words)`` uint64 AND, and the tidsets, masks and paths of the at most
+#: ``n_frequent`` children per node it pushes.  A step always takes at
+#: least one node, so a very wide database degrades to one per step.
+_STEP_BYTES = 8 << 20
 
 
 def closed_fpgrowth(
@@ -47,7 +62,7 @@ def closed_fpgrowth(
 
     Output: every itemset X with support >= min_support such that no proper
     superset of X has the same support.  Order of patterns is deterministic
-    (DFS over the prefix-preserving extension tree).
+    (preorder of the prefix-preserving extension tree).
 
     Raises
     ------
@@ -61,17 +76,6 @@ def closed_fpgrowth(
     transactions = [tuple(set(t)) for t in transactions]
     n_rows = len(transactions)
     n_items = 1 + max((max(t) for t in transactions if t), default=-1)
-
-    itemsets: list[tuple[int, ...]] = []
-    supports: list[int] = []
-
-    def emit(items: tuple[int, ...], support: int) -> None:
-        # A closure adds items on both sides of the extension item.
-        itemsets.append(tuple(sorted(items)))
-        supports.append(support)
-        if max_patterns is not None and len(itemsets) > max_patterns:
-            raise PatternBudgetExceeded(max_patterns, len(itemsets))
-
     if n_rows == 0 or n_items == 0 or n_rows < min_support:
         return MiningResult([], min_support, n_rows)
 
@@ -81,107 +85,102 @@ def closed_fpgrowth(
     if len(frequent_items) == 0:
         return MiningResult([], min_support, n_rows)
 
-    root_closure = column_counts == n_rows  # items present in every transaction
-    root_items = tuple(np.flatnonzero(root_closure).tolist())
-    if root_items and (max_length is None or len(root_items) <= max_length):
-        emit(root_items, n_rows)
+    words = item_bits.words[frequent_items]
+    n_frequent, n_words = words.shape
+    positions = np.arange(n_frequent)
+    limit = n_frequent if max_length is None else min(max_length, n_frequent)
+    # Per node of a step, for each of at most n_frequent children: a tidset
+    # of n_words uint64 words (also the node's share of the step's AND),
+    # a free and a closure mask byte per item, and a path of <= limit items.
+    node_bytes = n_frequent * (8 * n_words + 2 * n_frequent + 8 * limit)
+    step = max(1, _STEP_BYTES // node_bytes)
 
+    itemsets: list[tuple[int, ...]] = []
+    supports: list[np.ndarray] = []
+    paths: list[np.ndarray] = []
     # Enumeration statistics; local int bumps flushed to the obs session
     # once at the end (also when the budget trips mid-search).
-    stats = {"closure_checks": 0, "support_pruned": 0, "prefix_pruned": 0}
+    stats = dict.fromkeys(
+        ("patterns", "closure_checks", "support_pruned", "prefix_pruned"), 0
+    )
+
+    def record(closures: np.ndarray, counts: np.ndarray, path: np.ndarray) -> None:
+        # Record-then-check, the root included: a trip reports budget + 1
+        # however many patterns the batch added.
+        nodes, columns = np.nonzero(closures)
+        flat = frequent_items[columns].tolist()
+        ends = np.searchsorted(nodes, np.arange(1, len(closures) + 1)).tolist()
+        itemsets.extend(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+        supports.append(counts)
+        paths.append(path)
+        stats["patterns"] += len(closures)
+        if max_patterns is not None and stats["patterns"] > max_patterns:
+            stats["patterns"] = max_patterns + 1
+            raise PatternBudgetExceeded(max_patterns, stats["patterns"])
+
     try:
-        if max_length is None or len(root_items) < max_length:
-            _expand(
-                item_words=item_bits.words,
-                free=frequent_items[~root_closure[frequent_items]],
-                closure_items=root_items,
-                row_words=packed_ones(n_rows),
-                core_item=-1,
-                min_support=min_support,
-                max_length=max_length,
-                emit=emit,
-                stats=stats,
-            )
+        # A batch: the candidates' tidsets, P's free and closure masks, i,
+        # |P|, the extension paths and the supports.  The root is the
+        # empty set's candidate: every item free, none in P.
+        stack = [(
+            packed_ones(n_rows)[np.newaxis],
+            np.ones((1, n_frequent), dtype=bool),
+            np.zeros((1, n_frequent), dtype=bool),
+            np.array([-1]),
+            np.array([0]),
+            np.zeros((1, 0), dtype=np.int64),
+            np.array([n_rows]),
+        )]
+        while stack:
+            rows, free, closure, item, size, path, support = stack.pop()
+            # One AND + popcount: the support of every (node, item) pair.
+            # A free item joins a node's closure iff it keeps the node's
+            # support, and an item infrequent with a node can neither
+            # extend it nor join a closure below it.
+            counts = popcount(rows[:, np.newaxis, :] & words[np.newaxis])
+            joins = free & (counts == support[:, np.newaxis])
+            # Prefix preservation: no free item below i joins.
+            violated = (joins & (positions < item[:, np.newaxis])).any(axis=1)
+            stats["prefix_pruned"] += int(violated.sum())
+            sizes = size + joins.sum(axis=1)
+            closure = closure | joins
+            # Only the root can close to the empty set, which is no pattern.
+            keep = ~violated & (sizes > 0) & (sizes <= limit)
+            record(closure[keep], support[keep], path[keep])
+            grow = ~violated & (sizes < limit)
+            free = free & ~joins & grow[:, np.newaxis]
+            above = positions > item[:, np.newaxis]
+            infrequent = free & (counts < min_support)
+            stats["support_pruned"] += int((infrequent & above).sum())
+            free &= ~infrequent
+            nodes, items = np.nonzero(free & above)
+            stats["closure_checks"] += len(nodes)
+            for start in range(0, len(nodes), step):
+                node, ext = nodes[start : start + step], items[start : start + step]
+                stack.append((
+                    rows[node] & words[ext],
+                    free[node],
+                    closure[node],
+                    ext,
+                    sizes[node],
+                    np.column_stack([path[node], ext]),
+                    counts[node, ext],
+                ))
     finally:
         session = _obs._ACTIVE
         if session is not None:
-            session.add("mining.closed.patterns", len(itemsets))
-            session.add("mining.closed.closure_checks", stats["closure_checks"])
-            session.add("mining.closed.support_pruned", stats["support_pruned"])
-            session.add("mining.closed.prefix_pruned", stats["prefix_pruned"])
-    return MiningResult.from_counts(itemsets, supports, min_support, n_rows)
+            for name, value in stats.items():
+                session.add(f"mining.closed.{name}", value)
 
-
-def _expand(
-    item_words: np.ndarray,
-    free: np.ndarray,
-    closure_items: tuple[int, ...],
-    row_words: np.ndarray,
-    core_item: int,
-    min_support: int,
-    max_length: int | None,
-    emit,
-    stats: dict,
-) -> None:
-    """Prefix-preserving closure extension from one closed itemset.
-
-    ``closure_items`` are the items of the current closed set P and
-    ``row_words`` is its packed tidset; ``free`` lists, ascending, the items
-    outside P that were frequent together with P's parent, or frequent at
-    all for the root: the only ones that can extend P or join a closure
-    below it.  For every free item
-    i > core_item frequent together with P we compute Y = clo(P ∪ {i}); Y
-    is accepted iff its items below i coincide with P's (prefix
-    preservation), which guarantees each closed set is generated from
-    exactly one parent.
-
-    All of a node's extensions are handled at once: one ``(n_free,
-    n_words)`` AND plus popcount gives the support of P with each free item;
-    an item infrequent with P can neither extend P nor join a closure below
-    it, so it is dropped here and for the whole subtree.  Then, a block of
-    candidates at a time, one ``(block, n_free, n_words)`` AND against the
-    free items' complemented tidsets gives the closures (item j joins
-    clo(P ∪ {i}) iff no row of the new tidset misses j), and the prefix
-    test is one masked ``any``.  The survivors are then emitted and
-    expanded in item order, so the DFS order is the per-item one.  Every
-    extension adds at least one item, so a closed set of ``max_length``
-    items is emitted but never expanded.
-    """
-    supports = popcount(item_words[free] & row_words)
-    frequent = supports >= min_support
-    stats["support_pruned"] += int((~frequent & (free > core_item)).sum())
-    free, supports = free[frequent], supports[frequent]
-    candidates = np.flatnonzero(free > core_item)
-    n_words = row_words.shape[0]
-    block = max(1, _CLOSURE_BLOCK_BYTES // max(1, len(free) * n_words * 8))
-    for start in range(0, len(candidates), block):
-        positions = candidates[start : start + block]
-        stats["closure_checks"] += len(positions)
-        rows = item_words[free[positions]] & row_words
-        # (candidate, free item) -> the free item joins the closure.
-        missing = np.invert(item_words[free])
-        joins = ~(rows[:, np.newaxis, :] & missing[np.newaxis, :, :]).any(axis=2)
-        del missing  # not held through the recursion below
-        # Prefix preservation: no free item below the extension item joins.
-        below = np.arange(len(free))[np.newaxis, :] < positions[:, np.newaxis]
-        violated = (joins & below).any(axis=1)
-        stats["prefix_pruned"] += int(violated.sum())
-        sizes = (len(closure_items) + joins.sum(axis=1)).tolist()
-        for k in np.flatnonzero(~violated).tolist():
-            if max_length is not None and sizes[k] > max_length:
-                continue
-            joined = free[joins[k]]
-            items = closure_items + tuple(joined.tolist())
-            emit(items, int(supports[positions[k]]))
-            if max_length is None or sizes[k] < max_length:
-                _expand(
-                    item_words=item_words,
-                    free=free[~joins[k]],
-                    closure_items=items,
-                    row_words=rows[k],
-                    core_item=int(free[positions[k]]),
-                    min_support=min_support,
-                    max_length=max_length,
-                    emit=emit,
-                    stats=stats,
-                )
+    # Preorder: sort by extension path, shorter (a prefix) first.
+    depth = max(p.shape[1] for p in paths)
+    keys = np.full((len(itemsets), depth), -1, dtype=np.int64)
+    offset = 0
+    for path in paths:
+        keys[offset : offset + len(path), : path.shape[1]] = path
+        offset += len(path)
+    order = np.lexsort(keys.T[::-1]) if depth else np.arange(len(itemsets))
+    counts = np.concatenate(supports)
+    return MiningResult.from_counts(
+        [itemsets[k] for k in order.tolist()], counts[order], min_support, n_rows
+    )

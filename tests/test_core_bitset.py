@@ -32,6 +32,7 @@ from repro.core.bitset import (
 from repro.mining.closed import closed_fpgrowth
 from repro.selection.redundancy import batch_redundancy_packed
 from tests.oracles.direct_dense import occurrence_matrix
+from tests.oracles.itemset_miners import charm
 from tests.oracles.mmrfs_dense import batch_redundancy
 from tests.oracles.scoring import and_reduce
 
@@ -446,3 +447,30 @@ class TestTransientBuffersBounded:
             tracemalloc.stop()
         assert peak < self.BOUND
         assert result.patterns
+
+    def test_closed_miner_bounds_its_frontier(self):
+        rng = np.random.default_rng(3)
+        n_rows, n_items = 8256, 512
+        dense = rng.random((n_rows, n_items)) < 0.02
+        # 16 planted groups of 6 items give frequent pairs and triples, so
+        # the search descends below the first level.
+        for group in range(16):
+            rows = rng.choice(n_rows, 300, replace=False)
+            dense[np.ix_(rows, 30 * group + np.arange(6))] |= rng.random((300, 6)) < 0.8
+        transactions = [tuple(np.flatnonzero(row).tolist()) for row in dense]
+        del dense
+        # Expanding all of the root's children in one step would AND every
+        # frequent item with every item: a buffer of over 256 MB.
+        assert n_items * n_items * word_count(n_rows) * 8 > 256 << 20
+        tracemalloc.start()
+        try:
+            result = closed_fpgrowth(transactions, 40, max_length=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND
+        assert max(len(items) for items in result.itemsets) == 3
+        expected = {
+            p.items: p.support for p in charm(transactions, 40).patterns if len(p.items) <= 3
+        }
+        assert result.as_dict() == expected
