@@ -1,9 +1,8 @@
-"""Classifier substrate: SVM (SMO + linear DCD), C4.5 tree, NB, kNN."""
+"""Classifier substrate: SVM (SMO + linear DCD), C4.5 tree, logistic, NB."""
 
 from .base import Classifier, validate_inputs
 from .decision_tree import DecisionTree, TreeNode
 from .kernels import get_kernel, linear_kernel, rbf_kernel
-from .knn import KNearestNeighbors
 from .linear_svm import LinearSVM
 from .logistic import LogisticRegression
 from .naive_bayes import BernoulliNaiveBayes
@@ -18,7 +17,6 @@ __all__ = [
     "DecisionTree",
     "TreeNode",
     "BernoulliNaiveBayes",
-    "KNearestNeighbors",
     "linear_kernel",
     "rbf_kernel",
     "get_kernel",

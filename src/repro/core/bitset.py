@@ -40,6 +40,8 @@ __all__ = [
     "intersection_counts",
     "packed_ones",
     "scatter_bits",
+    "cover_plan",
+    "planned_covers",
     "pattern_covers",
     "class_counts",
 ]
@@ -186,46 +188,79 @@ def packed_ones(n_bits: int) -> np.ndarray:
     return words
 
 
-def pattern_covers(
-    item_bits: "BitMatrix", itemsets: Sequence[Sequence[int]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Coverage masks of many itemsets, one bounded block at a time.
+def cover_plan(
+    itemsets: Sequence[Sequence[int]], n_items: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The itemsets grouped by length, for :func:`planned_covers`.
 
-    Yields ``(positions, covers)`` pairs: ``covers[r]`` is the AND of the
-    item masks of ``itemsets[positions[r]]`` (the all-ones mask for the
-    empty itemset).
-    Every position appears in exactly one block.  Itemsets are grouped by
-    length — the grouping of the compiled serving matcher — so a block of
-    ``length``-item patterns costs ``length`` gathers and ANDs over whole
-    ``(block, n_words)`` arrays, not a Python call per pattern.  A block
-    holds at most ``_COVER_BLOCK_BYTES`` of words, so no ``(k, n_words)``
-    buffer is built for ``k`` itemsets.
+    One ``(positions, gather)`` pair per distinct length, in ascending
+    length: ``gather[r]`` holds the items of ``itemsets[positions[r]]``.
+    A caller that covers the same itemsets many times (the featurizer
+    behind every predict) builds the plan once and keeps it.
 
-    Raises ``IndexError`` for an item outside ``[0, n_masks)``.
+    Raises ``IndexError`` for an item outside ``[0, n_items)``.
     """
-    item_words = item_bits.words
-    n_words = item_words.shape[1]
     groups: dict[int, list[int]] = {}
     for position, items in enumerate(itemsets):
         groups.setdefault(len(items), []).append(position)
-    block = max(1, _COVER_BLOCK_BYTES // max(1, n_words * 8))
-    session = _obs._ACTIVE
+    plan = []
     for length in sorted(groups):
         positions = np.asarray(groups[length], dtype=np.intp)
-        gather = np.asarray([itemsets[p] for p in groups[length]], dtype=np.intp)
-        if gather.size and (gather.min() < 0 or gather.max() >= item_bits.n_masks):
-            raise IndexError(f"itemset items outside [0, {item_bits.n_masks})")
+        gather = np.asarray(
+            [itemsets[p] for p in groups[length]], dtype=np.intp
+        ).reshape(len(positions), length)
+        if gather.size and (gather.min() < 0 or gather.max() >= n_items):
+            raise IndexError(f"itemset items outside [0, {n_items})")
+        plan.append((positions, gather))
+    return plan
+
+
+def planned_covers(
+    item_bits: "BitMatrix", plan: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Coverage masks of a :func:`cover_plan`, one bounded block at a time.
+
+    Yields ``(positions, covers)`` pairs: ``covers[r]`` is the AND of the
+    item masks of itemset ``positions[r]`` (the all-ones mask for the
+    empty itemset).  Every position appears in exactly one block.  A block
+    of ``length``-item itemsets is one gather and one
+    ``np.bitwise_and.reduce`` over a ``(block, length, n_words)`` array,
+    not a Python call per itemset; the gather holds at most
+    ``_COVER_BLOCK_BYTES`` of words, so no buffer grows with the number
+    of itemsets.
+    """
+    item_words = item_bits.words
+    row_bytes = max(1, item_words.shape[1] * 8)
+    for positions, gather in plan:
+        length = gather.shape[1]
+        block = max(1, _COVER_BLOCK_BYTES // (row_bytes * max(1, length)))
         for start in range(0, len(positions), block):
             columns = gather[start : start + block]
             if length == 0:
                 covers = np.tile(packed_ones(item_bits.n_bits), (len(columns), 1))
-            else:
+            elif length == 1:
                 covers = item_words[columns[:, 0]]
-                for column in range(1, length):
-                    covers &= item_words[columns[:, column]]
-            if session is not None:
-                session.observe("bitset.kernel_batch_words", covers.size)
+            else:
+                covers = np.bitwise_and.reduce(item_words[columns], axis=1)
             yield positions[start : start + block], covers
+
+
+def pattern_covers(
+    item_bits: "BitMatrix", itemsets: Sequence[Sequence[int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`planned_covers` of ``itemsets`` over ``item_bits``.
+
+    Records each block's size in the ``bitset.kernel_batch_words``
+    histogram; the featurizer's planned covers, which run once per
+    served request, record nothing.  Raises ``IndexError`` for an item
+    outside ``[0, n_masks)``.
+    """
+    plan = cover_plan(itemsets, item_bits.n_masks)
+    session = _obs._ACTIVE
+    for positions, covers in planned_covers(item_bits, plan):
+        if session is not None:
+            session.observe("bitset.kernel_batch_words", covers.size)
+        yield positions, covers
 
 
 def class_counts(

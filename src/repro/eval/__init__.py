@@ -6,7 +6,6 @@ from .cross_validation import (
     cross_validate_pipeline,
     stratified_kfold,
 )
-from .learning_curve import LearningCurve, LearningCurvePoint, learning_curve
 from .metrics import (
     accuracy,
     confusion_matrix,
@@ -34,7 +33,4 @@ __all__ = [
     "paired_t_test",
     "sign_test",
     "mcnemar_test",
-    "LearningCurve",
-    "LearningCurvePoint",
-    "learning_curve",
 ]

@@ -156,7 +156,7 @@ class FrequentPatternClassifier:
         self._candidates: MiningResult | None = None
         self.selection_result_: SelectionResult | None = None
         self.resolved_min_support_: float | None = None
-        self.item_mask_: np.ndarray | None = None
+        self.compiled_ = None
         self._fitted = False
 
     # ------------------------------------------------------------------
@@ -176,6 +176,11 @@ class FrequentPatternClassifier:
         if not 0.0 < value <= 1.0:
             raise ValueError("min_support must be in (0, 1] or 'auto'")
         return value
+
+    @property
+    def item_mask_(self) -> np.ndarray | None:
+        """The Item_FS mask over single items (None keeps them all)."""
+        return None if self.featurizer_ is None else self.featurizer_.item_mask
 
     @property
     def mined_patterns_(self) -> list[Pattern]:
@@ -260,13 +265,11 @@ class FrequentPatternClassifier:
                 self._candidates = None
 
             self.featurizer_ = PatternFeaturizer(
-                n_items=transactions.n_items, patterns=selected, include_items=True
+                n_items=transactions.n_items,
+                patterns=selected,
+                item_mask=self._item_selection_mask(transactions),
             )
             design = self.featurizer_.transform(transactions)
-
-            self.item_mask_ = self._item_selection_mask(transactions)
-            if self.item_mask_ is not None:
-                design = self._apply_item_mask(design)
 
             with _obs.span(
                 "pipeline.learn",
@@ -287,30 +290,26 @@ class FrequentPatternClassifier:
                     self.model_ = self.classifier.clone()
                     self.model_.fit(design, transactions.labels)
             fit_span.set(mined=len(self._candidates or ()), selected=len(selected))
-        self._fitted = True
+        self._compile()
         return self
 
-    def _apply_item_mask(self, design: np.ndarray) -> np.ndarray:
-        assert self.item_mask_ is not None and self.featurizer_ is not None
-        n_items = self.featurizer_.n_items
-        columns = np.concatenate(
-            [
-                np.where(self.item_mask_)[0],
-                np.arange(n_items, design.shape[1]),
-            ]
-        )
-        return design[:, columns]
+    def _compile(self) -> None:
+        """Freeze ``featurizer_`` and ``model_`` into the model ``predict``
+        runs; the last step of ``fit`` and of loading a saved pipeline."""
+        from ..serving.compiled import CompiledModel
+
+        self.compiled_ = CompiledModel(self.featurizer_, self.model_)
+        self._fitted = True
 
     # ------------------------------------------------------------------
     def predict(self, data: Dataset | TransactionDataset) -> np.ndarray:
+        """Predicted labels; an item outside the fitted item space raises
+        ``IndexError`` (the serving entry drops such items instead)."""
         if not self._fitted:
             raise RuntimeError("fit must be called before predict")
-        assert self.featurizer_ is not None and self.model_ is not None
         transactions = self._as_transactions(data)
-        design = self.featurizer_.transform(transactions)
-        if self.item_mask_ is not None:
-            design = self._apply_item_mask(design)
-        return self.model_.predict(design)
+        with _obs.span("pipeline.predict", rows=transactions.n_rows):
+            return self.compiled_.labels(transactions)
 
     def score(self, data: Dataset | TransactionDataset) -> float:
         """Mean accuracy on a labelled dataset."""
@@ -330,9 +329,4 @@ class FrequentPatternClassifier:
         """Names of all model features, rendered via the item catalog."""
         if self.featurizer_ is None:
             return []
-        names = self.featurizer_.feature_names(catalog)
-        if self.item_mask_ is not None:
-            n_items = self.featurizer_.n_items
-            kept = [names[i] for i in np.where(self.item_mask_)[0]]
-            return kept + names[n_items:]
-        return names
+        return self.featurizer_.feature_names(catalog)

@@ -1,9 +1,16 @@
 """Mapping D -> D' in B^{d'} (paper Section 2, after Definition 2).
 
 Given selected patterns Fs, every transaction becomes a binary vector over
-``I ∪ Fs``: the first ``d`` coordinates are the single-item indicators, the
-remaining ``|Fs|`` are pattern-presence indicators.  Featurization of the
-*test* set uses the patterns fixed at training time — no test leakage.
+``I ∪ Fs``: the first coordinates are the single-item indicators (all
+``d`` items, or the kept ones under an item mask), the remaining ``|Fs|``
+are pattern-presence indicators.  Featurization of the *test* set uses
+the patterns fixed at training time — no test leakage.
+
+:class:`PatternFeaturizer` is the one owner of that layout.  The batch
+pipeline trains on its :meth:`~PatternFeaturizer.transform`, and the
+compiled model (:mod:`repro.serving.compiled`), behind both the
+pipeline's ``predict`` and the serving path, scores its packed
+:meth:`~PatternFeaturizer.feature_bits`.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, pattern_covers
+from ..core.bitset import BitMatrix, cover_plan, planned_covers
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 from ..obs import core as _obs
@@ -32,6 +39,13 @@ class PatternFeaturizer:
     include_items:
         When False the output holds only pattern indicators — used by
         ablations; the paper's framework always keeps I.
+    item_mask:
+        Optional boolean mask over the ``d`` items: only the marked item
+        columns are kept (the paper's Item_FS).
+
+    The featurizer is immutable: the kept item columns and the patterns'
+    cover plan (:func:`~repro.core.bitset.cover_plan`) are built once
+    here, so every transform reuses them.
     """
 
     def __init__(
@@ -39,27 +53,44 @@ class PatternFeaturizer:
         n_items: int,
         patterns: Sequence[Pattern] = (),
         include_items: bool = True,
+        item_mask: np.ndarray | None = None,
     ) -> None:
         if n_items < 0:
             raise ValueError("n_items must be >= 0")
         self.n_items = int(n_items)
-        self.patterns = list(patterns)
+        self.patterns = tuple(patterns)
         self.include_items = include_items
+        if item_mask is not None:
+            item_mask = np.asarray(item_mask, dtype=bool)
+            if item_mask.shape != (self.n_items,):
+                raise ValueError(
+                    f"item_mask must have shape ({self.n_items},), "
+                    f"got {item_mask.shape}"
+                )
+        self.item_mask = item_mask
+        #: Item ids of the leading design columns, in column order.
+        if not include_items:
+            self.item_columns = np.empty(0, dtype=np.intp)
+        elif item_mask is None:
+            self.item_columns = np.arange(self.n_items, dtype=np.intp)
+        else:
+            self.item_columns = np.flatnonzero(item_mask)
+        try:
+            self._plan = cover_plan([p.items for p in self.patterns], self.n_items)
+        except IndexError as exc:
+            raise ValueError(f"{exc}: such a pattern can never match") from exc
 
     @property
     def n_features(self) -> int:
-        """d' = |I| + |Fs| (or |Fs| when items are excluded)."""
-        base = self.n_items if self.include_items else 0
-        return base + len(self.patterns)
+        """d' = kept items + |Fs|."""
+        return len(self.item_columns) + len(self.patterns)
 
     def feature_names(self, catalog=None) -> list[str]:
         """Human-readable names, using an ItemCatalog when available."""
-        names: list[str] = []
-        if self.include_items:
-            if catalog is not None:
-                names.extend(catalog.item_names)
-            else:
-                names.extend(f"item:{i}" for i in range(self.n_items))
+        if catalog is not None:
+            names = [catalog.item_names[i] for i in self.item_columns]
+        else:
+            names = [f"item:{i}" for i in self.item_columns]
         for pattern in self.patterns:
             if catalog is not None:
                 names.append(f"pattern:{catalog.describe(pattern.items)}")
@@ -67,77 +98,72 @@ class PatternFeaturizer:
                 names.append("pattern:{" + ",".join(map(str, pattern.items)) + "}")
         return names
 
-    def _item_bits(
+    def item_bits(
         self, data: TransactionDataset | Sequence[Sequence[int]]
-    ) -> tuple[BitMatrix, int]:
-        """Packed item tidsets over ``data`` plus the row count.
+    ) -> BitMatrix:
+        """Packed item tidsets over ``data``.
 
-        A :class:`TransactionDataset` contributes its cached masks (shared
-        with mining, stats and MMRFS — one occurrence structure per fit);
-        raw transaction sequences are packed on the fly.
+        A :class:`TransactionDataset` over this item space contributes its
+        cached masks (shared with mining, stats and MMRFS — one occurrence
+        structure per fit); it was validated when it was built.  Other
+        input is packed on the fly, which raises ``IndexError`` for an
+        item outside ``[0, n_items)``.
         """
         if isinstance(data, TransactionDataset) and data.n_items == self.n_items:
-            return data.item_bits(), data.n_rows
+            return data.item_bits()
         transactions = (
             data.transactions
             if isinstance(data, TransactionDataset)
             else list(data)
         )
-        return BitMatrix.vertical(transactions, self.n_items), len(transactions)
+        return BitMatrix.vertical(transactions, self.n_items)
 
-    def match_bits(
-        self, data: TransactionDataset | Sequence[Sequence[int]]
-    ) -> BitMatrix:
-        """Packed pattern-coverage masks: mask ``j`` marks the rows that
-        contain pattern ``j``.
+    def _covers_into(self, item_bits: BitMatrix, words: np.ndarray) -> None:
+        for positions, covers in planned_covers(item_bits, self._plan):
+            words[positions] = covers
 
-        The masks come from the grouped cover kernel
-        (:func:`~repro.core.bitset.pattern_covers`), which is property-tested
-        against a per-pattern AND-reduction kept with the tests; this is the
-        reference semantics the compiled serving
-        matcher (:mod:`repro.serving`) is differential-tested against.
-        """
-        item_bits, _ = self._item_bits(data)
-        return self._pattern_bits(item_bits)
-
-    def _pattern_bits(self, item_bits: BitMatrix) -> BitMatrix:
-        pattern_words = np.empty(
+    def pattern_bits(self, item_bits: BitMatrix) -> BitMatrix:
+        """Packed pattern-coverage masks: mask ``j`` marks the rows of
+        ``item_bits`` that contain pattern ``j``."""
+        words = np.empty(
             (len(self.patterns), item_bits.words.shape[1]),
             dtype=item_bits.words.dtype,
         )
-        itemsets = [p.items for p in self.patterns]
-        for positions, covers in pattern_covers(item_bits, itemsets):
-            pattern_words[positions] = covers
-        return BitMatrix(pattern_words, item_bits.n_bits)
+        self._covers_into(item_bits, words)
+        return BitMatrix(words, item_bits.n_bits)
+
+    def feature_bits(self, item_bits: BitMatrix) -> BitMatrix:
+        """The packed ``I ∪ Fs`` design, feature-major: the kept item masks
+        of ``item_bits``, then the pattern-coverage masks."""
+        words = np.empty(
+            (self.n_features, item_bits.words.shape[1]),
+            dtype=item_bits.words.dtype,
+        )
+        kept = len(self.item_columns)
+        words[:kept] = item_bits.words[self.item_columns]
+        self._covers_into(item_bits, words[kept:])
+        return BitMatrix(words, item_bits.n_bits)
 
     def match_matrix(
         self, data: TransactionDataset | Sequence[Sequence[int]]
     ) -> np.ndarray:
         """Boolean (n_rows, n_patterns) pattern-presence matrix."""
-        return self.match_bits(data).to_dense().T
+        return self.pattern_bits(self.item_bits(data)).to_dense().T
 
     def transform(
         self, data: TransactionDataset | Sequence[Sequence[int]]
     ) -> np.ndarray:
-        """Binary design matrix (n_rows, n_features) as float64.
-
-        Built from packed item bitsets; the pattern columns are the
-        coverage masks of :meth:`match_bits`.
-        """
+        """Binary design matrix (n_rows, n_features) as float64."""
         with _obs.span(
             "features.transform",
             n_patterns=len(self.patterns),
             include_items=self.include_items,
         ) as transform_span:
-            item_bits, n_rows = self._item_bits(data)
+            item_bits = self.item_bits(data)
+            n_rows = item_bits.n_bits
             transform_span.set(rows=n_rows, features=self.n_features)
             _obs.add("features.transform_cells", n_rows * self.n_features)
-            blocks = []
-            if self.include_items:
-                blocks.append(item_bits.to_dense().T.astype(np.float64))
-            if self.patterns:
-                pattern_bits = self._pattern_bits(item_bits)
-                blocks.append(pattern_bits.to_dense().T.astype(np.float64))
-            if not blocks:
-                return np.zeros((n_rows, 0))
-            return np.hstack(blocks)
+            # Transpose the bools, then cast: a strided float64 write is
+            # several times slower than a strided bool one.
+            dense = self.feature_bits(item_bits).to_dense()
+            return np.ascontiguousarray(dense.T).astype(np.float64)

@@ -176,6 +176,7 @@ def pipeline_from_payload(payload: dict) -> FrequentPatternClassifier:
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported pipeline format version: {version}")
 
+    mask = payload.get("item_mask")
     pipeline = FrequentPatternClassifier()
     pipeline.featurizer_ = PatternFeaturizer(
         n_items=int(payload["n_items"]),
@@ -184,13 +185,10 @@ def pipeline_from_payload(payload: dict) -> FrequentPatternClassifier:
             for entry in payload["patterns"]
         ],
         include_items=bool(payload["include_items"]),
-    )
-    mask = payload.get("item_mask")
-    pipeline.item_mask_ = (
-        np.asarray(mask, dtype=bool) if mask is not None else None
+        item_mask=np.asarray(mask, dtype=bool) if mask is not None else None,
     )
     pipeline.model_ = model_from_json(payload["model"])
-    pipeline._fitted = True
+    pipeline._compile()
     return pipeline
 
 

@@ -4,8 +4,9 @@ Three layers, each usable on its own:
 
 * :mod:`~repro.serving.compiled` — :func:`compile_model` lowers a fitted
   :class:`~repro.features.pipeline.FrequentPatternClassifier` into a
-  :class:`CompiledModel`: an item-indexed bitset matcher fused with the
-  classifier's linear decision function for single-pass batch prediction.
+  :class:`CompiledModel`: the pipeline's featurizer (item mask and
+  pattern cover plan) plus the classifier's fused linear decision
+  function — the model behind every prediction, batch or served.
 * :mod:`~repro.serving.registry` — :class:`ModelRegistry` publishes and
   loads models by content fingerprint on top of the runtime's
   checksum-verified artifact cache.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import coverage_overlap, feature_weights, summarize_patterns
-from repro.classifiers import DecisionTree, KNearestNeighbors, LinearSVM
+from repro.classifiers import DecisionTree, LinearSVM
 from repro.features import FrequentPatternClassifier
 
 

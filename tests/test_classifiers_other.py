@@ -1,9 +1,9 @@
-"""Tests for naive Bayes and kNN (the model-agnosticism extras)."""
+"""Tests for naive Bayes (a model-agnosticism extra)."""
 
 import numpy as np
 import pytest
 
-from repro.classifiers import BernoulliNaiveBayes, KNearestNeighbors
+from repro.classifiers import BernoulliNaiveBayes
 
 
 class TestNaiveBayes:
@@ -43,44 +43,3 @@ class TestNaiveBayes:
         model = BernoulliNaiveBayes().fit(features, labels)
         scores = model.predict_log_proba(np.array([[1.0]]))
         assert np.isfinite(scores).all()
-
-
-class TestKNN:
-    def test_memorizes_training_data_k1(self, rng):
-        features = rng.normal(size=(50, 3))
-        labels = rng.integers(0, 3, 50)
-        model = KNearestNeighbors(k=1).fit(features, labels)
-        assert model.score(features, labels) == 1.0
-
-    def test_majority_vote_smooths_noise(self, rng):
-        centers = np.array([[3, 3], [-3, -3]])
-        features = np.vstack([rng.normal(size=(50, 2)) + c for c in centers])
-        labels = np.repeat([0, 1], 50)
-        model = KNearestNeighbors(k=7).fit(features, labels)
-        assert model.score(features, labels) > 0.95
-
-    def test_k_larger_than_train_set(self, rng):
-        features = rng.normal(size=(5, 2))
-        labels = np.array([0, 0, 0, 1, 1])
-        model = KNearestNeighbors(k=50).fit(features, labels)
-        # degrades to the majority class
-        assert (model.predict(features) == 0).all()
-
-    def test_tie_break_toward_frequent_class(self):
-        features = np.array([[0.0], [1.0], [2.0], [3.0]])
-        labels = np.array([0, 0, 0, 1])
-        model = KNearestNeighbors(k=2).fit(features, labels)
-        # Query equidistant-ish: neighbours {2.0:0, 3.0:1} tie -> class 0.
-        assert model.predict(np.array([[2.5]]))[0] == 0
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            KNearestNeighbors(k=0)
-
-    def test_hamming_equivalence_on_binary(self, rng):
-        """Squared Euclidean == Hamming on 0/1 vectors."""
-        a = rng.integers(0, 2, size=(1, 6)).astype(float)
-        b = rng.integers(0, 2, size=(1, 6)).astype(float)
-        squared = ((a - b) ** 2).sum()
-        hamming = (a != b).sum()
-        assert squared == hamming

@@ -8,7 +8,6 @@ from repro.classifiers import (
     BernoulliNaiveBayes,
     DecisionTree,
     KernelSVM,
-    KNearestNeighbors,
     LinearSVM,
 )
 from repro.datasets import SyntheticSpec, TransactionDataset, generate, load_uci
@@ -49,7 +48,6 @@ class TestFullWorkflow:
             KernelSVM(kernel="rbf"),
             DecisionTree(),
             BernoulliNaiveBayes(),
-            KNearestNeighbors(k=5),
         ):
             model = FrequentPatternClassifier(
                 min_support=0.15, delta=2, classifier=classifier

@@ -1,6 +1,8 @@
 """Tests for model and pipeline JSON persistence."""
 
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,19 @@ import pytest
 from repro.classifiers import (
     BernoulliNaiveBayes,
     DecisionTree,
-    KNearestNeighbors,
+    KernelSVM,
     LinearSVM,
     LogisticRegression,
 )
 from repro.features import FrequentPatternClassifier
+from repro.datasets import TransactionDataset
 from repro.io import load_pipeline, model_from_json, model_to_json, save_pipeline
+from repro.io.models import pipeline_from_payload, pipeline_to_payload
+from repro.serving.registry import ModelRegistry
+
+#: A ``select_items=True`` pipeline written by an earlier release, with
+#: its labels on a few rows and its registry model id.
+PAYLOAD_FIXTURE = Path(__file__).parent / "data" / "pipeline_payload_v1.json"
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +64,7 @@ class TestModelRoundTrip:
 
     def test_unsupported_model_rejected(self, training_data):
         features, labels = training_data
-        model = KNearestNeighbors().fit(features, labels)
+        model = KernelSVM(kernel="rbf").fit(features, labels)
         with pytest.raises(TypeError, match="not JSON-serializable"):
             model_to_json(model)
 
@@ -109,3 +118,26 @@ class TestPipelinePersistence:
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
             load_pipeline(io.StringIO('{"format_version": 42}'))
+
+
+class TestPayloadFixture:
+    """A saved payload loads, predicts and re-serializes unchanged."""
+
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        return json.loads(PAYLOAD_FIXTURE.read_text())
+
+    def test_predicts_recorded_labels(self, fixture):
+        pipeline = pipeline_from_payload(fixture["pipeline"])
+        assert pipeline.item_mask_ is not None and not pipeline.item_mask_.all()
+        rows = fixture["rows"]
+        data = TransactionDataset(
+            rows, [0] * len(rows), n_items=fixture["pipeline"]["n_items"]
+        )
+        assert pipeline.predict(data).tolist() == fixture["labels"]
+
+    def test_reserializes_to_the_same_content_key(self, fixture, tmp_path):
+        pipeline = pipeline_from_payload(fixture["pipeline"])
+        assert pipeline_to_payload(pipeline) == fixture["pipeline"]
+        record = ModelRegistry(tmp_path).publish(pipeline, name=fixture["name"])
+        assert record.model_id == fixture["content_key"]

@@ -3,7 +3,8 @@
 The exhaustive randomized parity checks live in
 ``test_serving_differential.py``; this module pins the concrete
 behaviors — ingestion sanitization, chunking, every supported learner
-(fused and fallback), probability parity, and construction validation.
+(fused and fallback), probability parity, construction validation, and
+the batch-vs-serving ingestion contract.
 """
 
 from __future__ import annotations
@@ -11,10 +12,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.classifiers.naive_bayes import BernoulliNaiveBayes
+from repro.datasets import TransactionDataset
+from repro.features.pipeline import FrequentPatternClassifier
+from repro.features.transformer import PatternFeaturizer
 from repro.mining.itemsets import Pattern
 from repro.serving import CompiledModel, compile_model, sanitize_transactions
+from tests.oracles.matching import subset_match_matrix
 from tests.serving_common import MODEL_KINDS, fitted_pipeline
+
+
+def design_path(pipeline, rows):
+    """The reference labels: the learner on the exact float64 design."""
+    return pipeline.model_.predict(pipeline.featurizer_.transform(rows))
 
 
 class TestSanitize:
@@ -37,7 +48,11 @@ class TestMatcher:
     def test_matches_featurizer_on_clean_input(self):
         pipeline, data = fitted_pipeline("svm")
         compiled = compile_model(pipeline)
-        expected = pipeline.featurizer_.match_matrix(data.transactions)
+        expected = subset_match_matrix(
+            data.transactions, [p.items for p in compiled.patterns]
+        )
+        featurizer_matches = pipeline.featurizer_.match_matrix(data.transactions)
+        assert np.array_equal(featurizer_matches, expected)
         got = compiled.match_matrix(data.transactions)
         assert got.dtype == bool
         assert np.array_equal(got, expected)
@@ -60,13 +75,11 @@ class TestMatcher:
         )
 
     def test_empty_pattern_matches_every_row(self):
-        compiled = CompiledModel(
+        featurizer = PatternFeaturizer(
             n_items=4,
             patterns=[Pattern(items=(), support=1), Pattern(items=(2,), support=1)],
-            include_items=True,
-            item_mask=None,
-            model=BernoulliNaiveBayes(),
         )
+        compiled = CompiledModel(featurizer, BernoulliNaiveBayes())
         matrix = compiled.match_matrix([(0,), (2,), ()])
         assert matrix[:, 0].all()
         assert matrix[:, 1].tolist() == [False, True, False]
@@ -83,22 +96,43 @@ class TestPredictionParity:
     def test_predict_matches_pipeline(self, kind):
         pipeline, data = fitted_pipeline(kind)
         compiled = compile_model(pipeline)
-        expected = pipeline.predict(data)
+        expected = design_path(pipeline, data)
         got = compiled.predict(data.transactions)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+        assert np.array_equal(pipeline.predict(data), expected)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_predict_matches_under_tiny_chunks(self, kind):
         pipeline, data = fitted_pipeline(kind)
         compiled = compile_model(pipeline, chunk_rows=7)
-        assert np.array_equal(compiled.predict(data.transactions), pipeline.predict(data))
+        expected = design_path(pipeline, data)
+        assert np.array_equal(compiled.predict(data.transactions), expected)
+        # A dataset is chunked in whole words of its cached item bits.
+        assert np.array_equal(compiled.labels(data), expected)
 
     def test_item_mask_pipeline_parity(self):
         pipeline, data = fitted_pipeline("svm", select_items=True)
         assert pipeline.item_mask_ is not None  # the masked design path
         compiled = compile_model(pipeline)
-        assert np.array_equal(compiled.predict(data.transactions), pipeline.predict(data))
+        expected = design_path(pipeline, data)
+        assert np.array_equal(compiled.predict(data.transactions), expected)
+        assert np.array_equal(pipeline.predict(data), expected)
+
+    def test_exact_tie_takes_the_design_label(self):
+        # Both classes score exactly the same on the empty row; the fused
+        # sums and the learner's own sums round that tie differently.
+        db = [((0,), 1), ((0, 1, 2), 0), ((1,), 0), ((0, 1, 2), 1)]
+        data = TransactionDataset([r for r, _ in db], [y for _, y in db], n_items=10)
+        pipeline = FrequentPatternClassifier(
+            classifier=BernoulliNaiveBayes(),
+            min_support=0.4,
+            selection="topk",
+            top_k=8,
+            max_length=3,
+        ).fit(data)
+        expected = design_path(pipeline, [()])
+        assert np.array_equal(compile_model(pipeline).predict([()]), expected)
 
     def test_fused_kinds(self):
         for kind, fused in (
@@ -119,7 +153,7 @@ class TestPredictionParity:
             compiled = compile_model(pipeline)
             assert not compiled.fused
             assert np.array_equal(
-                compiled.predict(data.transactions), pipeline.predict(data)
+                compiled.predict(data.transactions), design_path(pipeline, data)
             )
         finally:
             model.binarize = original
@@ -171,23 +205,11 @@ class TestConstruction:
 
     def test_out_of_range_pattern_rejected(self):
         with pytest.raises(ValueError, match="never match"):
-            CompiledModel(
-                n_items=3,
-                patterns=[Pattern(items=(5,), support=1)],
-                include_items=True,
-                item_mask=None,
-                model=BernoulliNaiveBayes(),
-            )
+            PatternFeaturizer(n_items=3, patterns=[Pattern(items=(5,), support=1)])
 
     def test_bad_item_mask_shape_rejected(self):
         with pytest.raises(ValueError, match="item_mask"):
-            CompiledModel(
-                n_items=3,
-                patterns=[],
-                include_items=True,
-                item_mask=np.ones(5, dtype=bool),
-                model=BernoulliNaiveBayes(),
-            )
+            PatternFeaturizer(n_items=3, item_mask=np.ones(5, dtype=bool))
 
     def test_bad_chunk_rows_rejected(self):
         pipeline, _ = fitted_pipeline("svm")
@@ -200,3 +222,35 @@ class TestConstruction:
         assert info["model"] == "LinearSVM"
         assert info["fused"] is True
         assert info["n_features"] == info["n_items"] + info["n_patterns"]
+
+
+class TestBatchServingContract:
+    """``pipeline.predict`` rejects unknown items; the serving entry drops
+    and counts them, and only the serving entry records ``serving.*``."""
+
+    def test_batch_predict_raises_on_unknown_items(self):
+        pipeline, data = fitted_pipeline("svm")
+        wider = TransactionDataset(
+            [(0, data.n_items + 2)], [0], n_items=data.n_items + 5
+        )
+        with pytest.raises(IndexError, match="outside"):
+            pipeline.predict(wider)
+
+    def test_serving_predict_drops_and_counts_unknown_items(self):
+        pipeline, _ = fitted_pipeline("svm")
+        compiled = compile_model(pipeline)
+        noisy = [(0, 1, compiled.n_items + 40), (compiled.n_items,)]
+        with obs.session() as session:
+            labels = compiled.predict(noisy)
+        assert np.array_equal(labels, compiled.predict([(0, 1), ()]))
+        assert session.counters["serving.unknown_items_dropped"] == 2
+        assert session.counters["serving.rows_predicted"] == 2
+        assert [s["name"] for s in session.spans] == ["serving.predict"]
+
+    def test_batch_predict_records_no_serving_telemetry(self):
+        pipeline, data = fitted_pipeline("svm")
+        with obs.session() as session:
+            pipeline.predict(data)
+        names = [s["name"] for s in session.spans]
+        assert names == ["pipeline.predict"]
+        assert not any(name.startswith("serving.") for name in session.counters)

@@ -1,20 +1,22 @@
-"""Differential suite: the compiled serving path must equal the naive one.
+"""Differential suite: the compiled serving path must equal its references.
 
-The serving matcher replaces the transformer's per-pattern subset checks
-with grouped gather + AND-reduction over packed bitsets, and the fused
-decision function replaces the float64 design matrix with a single GEMM
-over match blocks.  Neither rewrite is allowed to change a single
+The featurizer's cover plan replaces per-pattern subset checks with
+grouped gather + AND-reduction over packed bitsets, and the fused
+decision function replaces the float64 design matrix with blocked GEMMs
+over packed features.  Neither rewrite is allowed to change a single
 prediction.  Hypothesis hammers both claims the same way
 ``test_mining_differential.py`` pins apriori == frequent_itemsets:
 
 * **matcher oracle** — on random pattern sets and random transactions
   (including unknown item ids, duplicates and empty transactions), the
-  compiled ``match_matrix`` equals
-  :meth:`~repro.features.transformer.PatternFeaturizer.match_matrix`
-  on the sanitized input, at every chunk size;
-* **prediction oracle** — for every learner kind, a pipeline fitted on a
-  random database and its compiled form produce *identical* label
-  arrays on random (dirty) request batches.
+  compiled and the featurizer's ``match_matrix`` equal the row-subset
+  oracle (:mod:`tests.oracles.matching`) on the sanitized input, at every
+  chunk size;
+* **prediction oracle** — for every learner kind, the compiled form of a
+  pipeline fitted on a random database, and the pipeline's own
+  ``predict``, produce label arrays *identical* to the design path
+  ``model_.predict(featurizer_.transform(rows))`` on random (dirty)
+  request batches.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.serving import (
     compile_model,
     sanitize_transactions,
 )
+from tests.oracles.matching import subset_match_matrix
 from tests.serving_common import make_classifier
 
 DIFFERENTIAL_EXAMPLES = 200
@@ -67,19 +70,14 @@ def pattern_sets():
 def test_compiled_matcher_equals_naive_subset_checks(
     patterns, transactions, chunk_rows
 ):
+    featurizer = PatternFeaturizer(n_items=N_ITEMS, patterns=patterns)
     compiled = CompiledModel(
-        n_items=N_ITEMS,
-        patterns=patterns,
-        include_items=True,
-        item_mask=None,
-        model=make_classifier("naive_bayes"),
-        chunk_rows=chunk_rows,
+        featurizer, make_classifier("naive_bayes"), chunk_rows=chunk_rows
     )
     sanitized, _ = sanitize_transactions(transactions, N_ITEMS)
-    naive = PatternFeaturizer(n_items=N_ITEMS, patterns=patterns).match_matrix(
-        sanitized
-    )
-    assert np.array_equal(compiled.match_matrix(transactions), naive)
+    expected = subset_match_matrix(sanitized, [p.items for p in patterns])
+    assert np.array_equal(compiled.match_matrix(transactions), expected)
+    assert np.array_equal(featurizer.match_matrix(sanitized), expected)
 
 
 def training_databases():
@@ -120,12 +118,14 @@ def test_compiled_predictions_equal_pipeline(db, requests, kind, chunk_rows):
     pipeline = _fit_on(db, kind)
     compiled = compile_model(pipeline, chunk_rows=chunk_rows)
     sanitized, _ = sanitize_transactions(requests, N_ITEMS)
-    expected = pipeline.predict(
-        TransactionDataset(sanitized, [0] * len(sanitized), n_items=N_ITEMS)
-    )
+    expected = pipeline.model_.predict(pipeline.featurizer_.transform(sanitized))
     got = compiled.predict(requests)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+    batch = pipeline.predict(
+        TransactionDataset(sanitized, [0] * len(sanitized), n_items=N_ITEMS)
+    )
+    assert np.array_equal(batch, expected)
 
 
 @settings(max_examples=40, deadline=None)
