@@ -304,9 +304,19 @@ class FrequentPatternClassifier:
     # ------------------------------------------------------------------
     def predict(self, data: Dataset | TransactionDataset) -> np.ndarray:
         """Predicted labels; an item outside the fitted item space raises
-        ``IndexError`` (the serving entry drops such items instead)."""
+        ``IndexError`` (the serving entry drops such items instead).
+
+        Reassigning ``featurizer_`` or ``model_`` recompiles on the next
+        call; mutating either in place is not seen and needs a refit.
+        """
         if not self._fitted:
             raise RuntimeError("fit must be called before predict")
+        compiled = self.compiled_
+        if (
+            compiled.featurizer is not self.featurizer_
+            or compiled.model is not self.model_
+        ):
+            self._compile()
         transactions = self._as_transactions(data)
         with _obs.span("pipeline.predict", rows=transactions.n_rows):
             return self.compiled_.labels(transactions)

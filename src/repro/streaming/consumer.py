@@ -8,12 +8,15 @@ baseline-less) window pays for the expensive path — TopKMiner over the
 live window followed by MMRFS — after which the selected patterns
 become the new tracked set and the drift baseline is rebased.
 
-Every sealed shard is checkpointed through the content-addressed
+Every seal is checkpointed through the content-addressed
 :class:`~repro.runtime.cache.ArtifactCache` *before* its fault point,
 so a consumer killed mid-stream resumes from the last sealed shard and
 produces a byte-identical ``stream_report.json`` — the same
 byte-identity contract ``repro experiment --resume`` honors, pinned by
-the fault-injected CI job.
+the fault-injected CI job.  A seal's record holds only what the seal
+changed (its shard, the counters, its ``windows`` entry and, when it
+re-selected, the new tracked set); the last seal of a stream records
+the full state.  Resume replays the records in seal order.
 """
 
 from __future__ import annotations
@@ -165,18 +168,56 @@ class _StreamState:
             "windows": self.windows,
         }
 
-    @classmethod
-    def from_payload(cls, spec: StreamSpec, payload: dict[str, Any]) -> "_StreamState":
-        state = cls(spec)
-        state.window = SlidingWindowCounts.from_payload(payload["window"])
-        state.monitor = DriftMonitor.from_payload(payload["monitor"])
-        state.events_consumed = int(payload["events_consumed"])
-        state.seals = int(payload["seals"])
-        state.n_reselections = int(payload["n_reselections"])
-        state.topk_json = payload["topk"]
-        state.selection_json = payload["selection"]
-        state.windows = list(payload["windows"])
-        return state
+    def delta_payload(self, epoch: int) -> dict[str, Any]:
+        """What seal ``epoch`` changed, for :meth:`replay`.
+
+        The shard that just sealed, the counters and this seal's
+        ``windows`` entry; on a re-selecting seal also the new tracked
+        set and the monitor, top-k and selection that
+        :func:`_advance` rebuilt with it.  Nothing else changes at a
+        seal.
+        """
+        entry = self.windows[-1]
+        payload: dict[str, Any] = {
+            "format_version": _STREAM_FORMAT_VERSION,
+            "epoch": epoch,
+            "events_consumed": self.events_consumed,
+            "seals": self.seals,
+            "n_reselections": self.n_reselections,
+            "shard": self.window.shard_payload(epoch),
+            "windows_entry": entry,
+        }
+        if entry["reselected"]:
+            payload.update(
+                patterns=[list(p) for p in self.window.patterns],
+                monitor=self.monitor.to_payload(),
+                topk=self.topk_json,
+                selection=self.selection_json,
+            )
+        return payload
+
+    def replay(self, payload: dict[str, Any]) -> None:
+        """Apply one checkpoint record, full (:meth:`to_payload`) or delta."""
+        if payload.get("format_version") != _STREAM_FORMAT_VERSION:
+            raise ResumeMismatchError(
+                "cannot resume: unsupported stream checkpoint version "
+                f"{payload.get('format_version')!r} at seal {payload.get('epoch')!r}"
+            )
+        if "window" in payload:
+            self.window = SlidingWindowCounts.from_payload(payload["window"])
+            self.windows = list(payload["windows"])
+        else:
+            self.window.restore_shard(payload["shard"])
+            self.windows.append(payload["windows_entry"])
+            if "patterns" in payload:
+                self.window.track(payload["patterns"])
+        if "monitor" in payload:
+            self.monitor = DriftMonitor.from_payload(payload["monitor"])
+            self.topk_json = payload["topk"]
+            self.selection_json = payload["selection"]
+        self.events_consumed = int(payload["events_consumed"])
+        self.seals = int(payload["seals"])
+        self.n_reselections = int(payload["n_reselections"])
 
 
 def _advance(state: _StreamState, epoch: int) -> None:
@@ -321,12 +362,14 @@ def run_stream(
                     "progress.stream.eta_s", elapsed * remaining / processed
                 )
             # Checkpoint first, then the fault seam: a kill at the seam
-            # finds this shard durable and resumes after it.
-            cache.put(
-                _SHARD_STAGE,
-                fingerprint(run=key, seal=sealed),
-                state.to_payload(sealed),
-            )
+            # finds this shard durable and resumes after it.  The last
+            # seal records the full state, so a finished directory's
+            # last record stands alone.
+            if len(events) - state.events_consumed < spec.shard_rows:
+                record = state.to_payload(sealed)
+            else:
+                record = state.delta_payload(sealed)
+            cache.put(_SHARD_STAGE, fingerprint(run=key, seal=sealed), record)
             _faults.fault_point("stream", f"shard:{sealed}")
 
         report = _final_report(state, key, len(events))
@@ -353,27 +396,33 @@ def run_stream(
 def _load_latest_checkpoint(
     cache: ArtifactCache, key: str, spec: StreamSpec
 ) -> _StreamState:
-    """Restore from the highest sealed-shard checkpoint, if any.
+    """Rebuild the state after the last durable seal by replaying the chain.
 
-    Seals are numbered densely from 0, so probing upward until the
-    first miss finds the frontier; a corrupt artifact along the way
-    propagates :class:`~repro.runtime.cache.CorruptArtifactError`
-    (exit code 5 at the CLI, same as ``repro experiment``).
+    Seals are numbered densely from 0, so reading upward until the first
+    miss walks every record in seal order.  A delta record appends its
+    shard (evicting as ``append`` does), re-tracks on a re-selecting
+    seal and appends its ``windows`` entry; a full record — the last
+    seal of a stream, or any seal written before delta records
+    existed — replaces the state outright, so older directories still
+    resume.  A record of another format version raises
+    :class:`~repro.runtime.experiment.ResumeMismatchError`, and a
+    corrupt artifact along the way propagates
+    :class:`~repro.runtime.cache.CorruptArtifactError` (exit codes 4
+    and 5 at the CLI, same as ``repro experiment``).
     """
-    latest: dict[str, Any] | None = None
+    state = _StreamState(spec)
     seal = 0
     while True:
         payload = cache.get(_SHARD_STAGE, fingerprint(run=key, seal=seal))
         if payload is None:
             break
-        latest = payload
+        state.replay(payload)
         seal += 1
-    if latest is None:
-        return _StreamState(spec)
-    _obs.event(
-        "streaming",
-        f"resumed from sealed shard {latest['epoch']}",
-        epoch=int(latest["epoch"]),
-        events_consumed=int(latest["events_consumed"]),
-    )
-    return _StreamState.from_payload(spec, latest)
+    if seal:
+        _obs.event(
+            "streaming",
+            f"resumed from sealed shard {seal - 1}",
+            epoch=seal - 1,
+            events_consumed=state.events_consumed,
+        )
+    return state

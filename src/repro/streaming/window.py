@@ -37,7 +37,9 @@ class _WindowShard:
 
     Holds the raw rows plus, once sealed, the packed vertical bitsets
     and a per-pattern (k, m) count cache.  Counting work for a shard
-    happens exactly once per (shard, tracked-pattern-set) pair.
+    happens exactly once per (shard, tracked-pattern-set) pair.  Only
+    the rows are persisted (:meth:`to_payload`), and a stream consumer
+    persists each sealed shard once, in the checkpoint of its own seal.
     """
 
     def __init__(self, epoch: int, n_items: int, n_classes: int) -> None:
@@ -94,6 +96,23 @@ class _WindowShard:
     def invalidate_counts(self) -> None:
         """Forget the pattern-count cache (verticals stay warm)."""
         self._counts = None
+
+    def to_payload(self) -> dict[str, Any]:
+        """The shard's rows; bitsets and counts rebuild on first use."""
+        return {
+            "epoch": self.epoch,
+            "transactions": [list(t) for t in self.transactions],
+            "labels": list(self.labels),
+        }
+
+    @classmethod
+    def from_payload(
+        cls, payload: dict[str, Any], n_items: int, n_classes: int
+    ) -> "_WindowShard":
+        shard = cls(int(payload["epoch"]), n_items, n_classes)
+        shard.transactions = [tuple(t) for t in payload["transactions"]]
+        shard.labels = [int(label) for label in payload["labels"]]
+        return shard
 
 
 class SlidingWindowCounts:
@@ -169,6 +188,27 @@ class SlidingWindowCounts:
             self._evict(epoch)
             return epoch
         return None
+
+    def restore_shard(self, payload: dict[str, Any]) -> None:
+        """Re-seal a shard from :meth:`shard_payload`'s encoding.
+
+        Leaves the window as the ``append`` calls that filled the shard
+        would have: ``seq`` advances past it and old epochs are evicted.
+        The shard must be the next full one.
+        """
+        shard = _WindowShard.from_payload(payload, self.n_items, self.n_classes)
+        if (
+            self.seq % self.shard_rows
+            or shard.epoch != self.seq // self.shard_rows
+            or shard.n_rows != self.shard_rows
+        ):
+            raise ValueError(
+                f"shard {shard.epoch} with {shard.n_rows} rows does not seal "
+                f"the window at seq {self.seq}"
+            )
+        self._shards[shard.epoch] = shard
+        self.seq += shard.n_rows
+        self._evict(shard.epoch)
 
     def _evict(self, sealed_epoch: int) -> None:
         horizon = sealed_epoch - self.window_shards
@@ -256,15 +296,12 @@ class SlidingWindowCounts:
             "window_shards": self.window_shards,
             "seq": self.seq,
             "patterns": [list(p) for p in self.patterns],
-            "shards": [
-                {
-                    "epoch": shard.epoch,
-                    "transactions": [list(t) for t in shard.transactions],
-                    "labels": list(shard.labels),
-                }
-                for shard in self._live_shards()
-            ],
+            "shards": [shard.to_payload() for shard in self._live_shards()],
         }
+
+    def shard_payload(self, epoch: int) -> dict[str, Any]:
+        """Live shard ``epoch`` in the encoding :meth:`to_payload` uses."""
+        return self._shards[epoch].to_payload()
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "SlidingWindowCounts":
@@ -281,10 +318,8 @@ class SlidingWindowCounts:
         )
         window.seq = int(payload["seq"])
         for entry in payload["shards"]:
-            shard = _WindowShard(
-                int(entry["epoch"]), window.n_items, window.n_classes
+            shard = _WindowShard.from_payload(
+                entry, window.n_items, window.n_classes
             )
-            for transaction, label in zip(entry["transactions"], entry["labels"]):
-                shard.append(tuple(transaction), int(label))
             window._shards[shard.epoch] = shard
         return window

@@ -94,6 +94,16 @@ class TestPipelineFit:
         assert model.resolved_min_support_ is not None
         assert 0 < model.resolved_min_support_ < 0.5
 
+    def test_predict_follows_a_reassigned_model(self, planted_transactions):
+        model = FrequentPatternClassifier(min_support=0.2, classifier=LinearSVM())
+        model.fit(planted_transactions)
+        design = model.featurizer_.transform(planted_transactions)
+        flipped = 1 - planted_transactions.labels
+        model.model_ = BernoulliNaiveBayes().fit(design, flipped)
+        expected = model.model_.predict(design)
+        assert np.array_equal(model.predict(planted_transactions), expected)
+        assert model.compiled_.model is model.model_
+
     def test_use_patterns_false_is_pure_items(self, planted_transactions):
         model = FrequentPatternClassifier(use_patterns=False)
         model.fit(planted_transactions)

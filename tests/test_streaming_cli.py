@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,9 @@ from repro.streaming import StreamSpec, run_stream
 from repro.testing.faults import corrupt_artifact
 
 FIXTURE = Path(__file__).parent / "data" / "stream_window_v1.jsonl"
+#: The fixture's CLI run killed at ``stream:shard:3`` by the code that
+#: recorded the full state at every seal (manifest plus seals 0-3).
+FULL_RECORD_CHECKPOINT = Path(__file__).parent / "data" / "stream_ckpt_v1"
 
 
 def load_fixture():
@@ -65,6 +69,18 @@ class TestGoldenFixture:
         assert canonical_json(result.report["topk"]) == canonical_json(
             expected["topk"]
         )
+        digest = hashlib.sha256(result.report_path.read_bytes()).hexdigest()
+        assert digest == expected["report_sha256"]
+
+    def test_full_record_checkpoint_resumes_to_the_golden_report(self, tmp_path):
+        spec, events, expected = load_fixture()
+        out = tmp_path / "run"
+        shutil.copytree(FULL_RECORD_CHECKPOINT, out)
+        records = sorted((out / "cache" / "stream_shard").glob("*.json"))
+        assert len(records) == 4
+        assert all('"window":' in path.read_text() for path in records)
+        result = run_stream(events, spec, out, resume=True)
+        assert result.events_consumed == len(events)
         digest = hashlib.sha256(result.report_path.read_bytes()).hexdigest()
         assert digest == expected["report_sha256"]
 

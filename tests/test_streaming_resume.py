@@ -1,19 +1,24 @@
 """Stream consumer: determinism, checkpointing and byte-identical resume.
 
-The contract mirrors ``repro experiment --resume`` (PR 3): every
-sealed shard is checkpointed through the content-addressed cache
-before its fault seam, so a consumer killed at *any* seal resumes from
-durable state and the final ``stream_report.json`` is byte-identical
-to an uninterrupted run's.  Resume validation reuses the runtime's
-error taxonomy (missing manifest / fingerprint mismatch / corrupt
-artifact) so the CLI exit codes stay uniform across subsystems.
+The contract mirrors ``repro experiment --resume``: every seal is
+checkpointed through the content-addressed cache before its fault
+seam, so a consumer killed at *any* seal resumes from durable state
+and the final ``stream_report.json`` is byte-identical to an
+uninterrupted run's.  A seal's record holds only what it changed; the
+last seal's holds the full state, and resume replays the chain.
+Resume validation reuses the runtime's error taxonomy (missing
+manifest / fingerprint mismatch / corrupt artifact) so the CLI exit
+codes stay uniform across subsystems.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.runtime.cache import ArtifactCache, CorruptArtifactError, fingerprint
 from repro.runtime.experiment import ResumeMismatchError, ResumeMissingError
 from repro.streaming import StreamSpec, run_stream, stream_fingerprint
@@ -82,16 +87,71 @@ class TestDeterminism:
     ):
         out = tmp_path / "run"
         run_stream(events, SPEC, out)
-        resumed = run_stream(events, SPEC, out, resume=True)
+        with obs.session() as session:
+            resumed = run_stream(events, SPEC, out, resume=True)
         assert resumed.report_path.read_bytes() == baseline[1]
         assert resumed.events_consumed == len(events)
+        assert session.counters.get("runtime.cache.writes", 0) == 0
+
+
+def records(out, events, spec=SPEC):
+    """Every checkpoint record of a stream directory, in seal order."""
+    cache = ArtifactCache(out / "cache")
+    key = stream_fingerprint(spec, events)
+    found = []
+    while True:
+        payload = cache.get("stream_shard", fingerprint(run=key, seal=len(found)))
+        if payload is None:
+            return found
+        found.append(payload)
+
+
+class TestDeltaRecords:
+    def test_only_the_last_seal_records_the_full_state(self, events, tmp_path):
+        out = tmp_path / "run"
+        result = run_stream(events, SPEC, out)
+        chain = records(out, events)
+        assert len(chain) == result.seals
+        assert ["window" in record for record in chain] == [False] * (
+            result.seals - 1
+        ) + [True]
+        assert chain[-1]["windows"] == result.report["windows"]
+        for record, entry in zip(chain[:-1], result.report["windows"]):
+            assert record["windows_entry"] == entry
+            assert len(record["shard"]["labels"]) == SPEC.shard_rows
+            assert ("patterns" in record) == entry["reselected"]
+
+    def test_checkpoint_bytes_do_not_grow_with_the_history(self, tmp_path):
+        spec = dataclasses.replace(SPEC, shard_rows=10)
+        written = []
+        for seals in (32, 64):
+            stream = planted_events(seals * spec.shard_rows)
+            out = tmp_path / f"run{seals}"
+            with obs.session() as session:
+                result = run_stream(stream, spec, out)
+            assert result.seals == seals
+            assert all(
+                "window" not in record for record in records(out, stream, spec)[:-1]
+            )
+            written.append(session.counters["runtime.cache.bytes_written"])
+        # Re-sending the window and the windows history at every seal
+        # made twice the seals cost 2.8x the bytes.
+        assert written[1] < 2.5 * written[0]
 
 
 class TestKillResume:
-    @pytest.mark.parametrize("shard", [0, 2, 5])
+    # Seal 0 is the first, 1 and 3 re-select, 2 and 4 do not, 3 is the
+    # first to evict a shard (window_shards=3) and 5 is the terminal
+    # seal, whose record is the full state.
+    @pytest.mark.parametrize(
+        "shard, reselected",
+        [(0, True), (1, True), (2, False), (3, True), (4, False), (5, True)],
+        ids=[str(seal) for seal in range(6)],
+    )
     def test_kill_at_any_shard_then_resume_is_byte_identical(
-        self, events, baseline, tmp_path, shard
+        self, events, baseline, tmp_path, shard, reselected
     ):
+        assert baseline[0].report["windows"][shard]["reselected"] == reselected
         out = tmp_path / "run"
         with injected_faults(
             [Fault(f"stream:shard:{shard}", "raise")], tmp_path / "state"
@@ -174,6 +234,20 @@ class TestResumeValidation:
             cache.path_for("stream_shard", fingerprint(run=key, seal=1))
         )
         with pytest.raises(CorruptArtifactError):
+            run_stream(events, SPEC, out, resume=True)
+
+    def test_unknown_record_version_raises_mismatch(self, events, tmp_path):
+        out = tmp_path / "run"
+        with injected_faults(
+            [Fault("stream:shard:2", "raise")], tmp_path / "state"
+        ):
+            with pytest.raises(InjectedFault):
+                run_stream(events, SPEC, out)
+        cache = ArtifactCache(out / "cache")
+        seal = fingerprint(run=stream_fingerprint(SPEC, events), seal=1)
+        record = cache.get("stream_shard", seal)
+        cache.put("stream_shard", seal, {**record, "format_version": 2})
+        with pytest.raises(ResumeMismatchError, match="version 2"):
             run_stream(events, SPEC, out, resume=True)
 
     def test_fresh_run_clears_stale_checkpoints(self, events, baseline, tmp_path):

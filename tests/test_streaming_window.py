@@ -178,3 +178,33 @@ class TestWindowPayload:
         payload["format_version"] = 99
         with pytest.raises(ValueError):
             SlidingWindowCounts.from_payload(payload)
+
+    @settings(max_examples=80, deadline=None)
+    @given(events=event_streams(), params=window_params())
+    def test_restored_shards_rebuild_the_appended_window(self, events, params):
+        shard_rows, window_shards = params
+        window = SlidingWindowCounts(
+            N_ITEMS, N_CLASSES, shard_rows, window_shards, patterns=PATTERNS
+        )
+        replayed = SlidingWindowCounts(
+            N_ITEMS, N_CLASSES, shard_rows, window_shards, patterns=PATTERNS
+        )
+        for items, label in events:
+            sealed = window.append(items, label)
+            if sealed is not None:
+                replayed.restore_shard(window.shard_payload(sealed))
+                assert canonical_json(replayed.to_payload()) == canonical_json(
+                    window.to_payload()
+                )
+                assert (replayed.counts() == window.counts()).all()
+
+    def test_restore_rejects_a_shard_out_of_sequence(self):
+        window = SlidingWindowCounts(N_ITEMS, N_CLASSES, 2, 2)
+        for items, label in [((0,), 0), ((1,), 1), ((2,), 0), ((3,), 1)]:
+            window.append(items, label)
+        replayed = SlidingWindowCounts(N_ITEMS, N_CLASSES, 2, 2)
+        with pytest.raises(ValueError, match="does not seal"):
+            replayed.restore_shard(window.shard_payload(1))
+        half = {"epoch": 0, "transactions": [[0]], "labels": [0]}
+        with pytest.raises(ValueError, match="does not seal"):
+            replayed.restore_shard(half)
