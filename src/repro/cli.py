@@ -1,59 +1,31 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``datasets``
-    List the built-in benchmark datasets with their shapes.
-``mine``
-    Mine closed frequent patterns from a built-in dataset or a CSV/ARFF
-    file and write them as JSON.
-``select``
-    Run MMRFS on a dataset and print the selected patterns.
-``evaluate``
-    Cross-validate the paper's model variants on a dataset.
-``table``
-    Regenerate one of the paper's tables (1-5).
-``figure``
-    Regenerate one of the paper's figures (1-3) as text series.
-``report``
-    Validate and summarize a JSONL trace written by ``--trace``.
-``trace diff`` / ``trace top``
-    Compare two traces phase-by-phase (wall/CPU/RSS deltas against a
-    noise threshold), or rank one trace's self-time hotspots.  Both
-    support ``--json`` for machine-readable output; ``trace diff
-    --explain`` additionally mines the base-vs-candidate span
-    populations and names the pattern that discriminates them.
-``diagnose``
-    Sessionize trace files (or a seeded synthetic corpus) into
-    transactions of span/duration/config/event items, label them
-    slow/fast or failed/clean, and rank the patterns that discriminate
-    the classes by information gain — the paper's pipeline pointed at
-    the system's own telemetry.
-``bench check``
-    Evaluate the benchmark trend store (``benchmarks/history/``) against
-    the gating config; exits non-zero on a regression so CI can block.
-``experiment``
-    Run the checkpointed end-to-end experiment (mine → select →
-    cross-validate) into a run directory; ``--resume`` restores completed
-    stages after a crash.
-``models publish`` / ``models list``
-    Publish a fitted pipeline (from a saved JSON file, or trained on the
-    spot from a dataset) into a fingerprinted model registry; list what a
-    registry holds, flagging corrupt artifacts.
-``predict``
-    Load a published model, compile it for serving, and predict a JSON
-    batch of transactions.
-``serve``
-    Run a published model behind the concurrent serving frontend over a
-    JSON workload and report latency/throughput percentiles.  With
-    ``--metrics-port`` (or ``--telemetry``) the run attaches live
-    windowed telemetry — rolling p50/p90/p99, rate counters, sampled
-    request traces, SLO alerts — and serves ``/stats.json`` plus
-    ``/metrics`` (Prometheus text) over HTTP; ``--repeat`` /
-    ``--min-seconds`` replay the workload for long-running serving.
-``monitor``
-    Poll a running serve's metrics endpoint and print one summary line
-    (req/s, rows/s, p50/p90/p99, queue depth, SLO state) per interval.
+Commands (``repro <command> --help`` lists each one's options):
+
+=====================================  =======================================
+``datasets``                           list the built-in benchmark datasets
+``mine`` / ``select``                  mine closed patterns; run MMRFS on them
+``evaluate``                           cross-validate the paper's variants
+``table`` / ``figure``                 regenerate a paper table (1-5) or
+                                       figure (1-3)
+``experiment``                         the checkpointed mine → select → CV
+                                       run; ``--resume`` after a crash
+``stream``                             windowed top-k mining over a JSONL
+                                       event stream, resumable per seal
+``report``, ``trace diff``/``top``     summarize, compare (``--explain``
+                                       names the discriminating pattern) or
+                                       rank the hotspots of ``--trace``
+                                       output
+``diagnose``                           the paper's pipeline over the
+                                       system's own traces: which patterns
+                                       separate slow/failed sessions
+``bench check``                        gate the benchmark trend store
+``models publish`` / ``models list``   fingerprinted model registry
+``predict`` / ``serve``                a published model, compiled, over a
+                                       JSON workload; ``serve`` adds the
+                                       concurrent frontend and telemetry
+``monitor``                            poll ``serve``'s metrics endpoint
+=====================================  =======================================
 
 Every experiment command accepts ``--trace FILE``: the run then executes
 inside an instrumentation session (:mod:`repro.obs`) and writes a JSONL
@@ -62,14 +34,17 @@ per-phase rollup — which ``repro report FILE`` renders as a summary.
 
 Error paths exit with *distinct* codes so scripts and CI can tell
 failure modes apart without parsing stderr: ``3`` for a missing
-input (trace file, run directory), ``4`` for schema-invalid input (a
-malformed trace, a resume fingerprint mismatch), ``5`` for a corrupt
-checkpoint artifact.
+input (dataset, trace file, run directory, model), ``4`` for
+schema-invalid input (a malformed trace or input file, a resume
+fingerprint mismatch), ``5`` for a corrupt checkpoint artifact.
+Handlers raise; one dispatcher (:func:`_dispatch`) prints the error and
+turns it into the exit code, traced or not.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -90,6 +65,71 @@ EXIT_SCHEMA_INVALID = 4
 EXIT_CORRUPT_CHECKPOINT = 5
 
 
+class CliError(Exception):
+    """A failure the CLI reports as its message on stderr and ``code``."""
+
+    def __init__(self, message: str, code: int) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code for an error the CLI reports, None for any other."""
+    from .runtime.cache import CorruptArtifactError
+    from .runtime.experiment import ResumeMismatchError, ResumeMissingError
+    from .serving.registry import ModelNotFoundError
+
+    if isinstance(exc, CliError):
+        return exc.code
+    if isinstance(exc, (ResumeMissingError, ModelNotFoundError)):
+        return EXIT_MISSING_INPUT
+    if isinstance(exc, ResumeMismatchError):
+        return EXIT_SCHEMA_INVALID
+    if isinstance(exc, CorruptArtifactError):
+        return EXIT_CORRUPT_CHECKPOINT
+    return None
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the command's handler; a reported error goes to stderr and
+    becomes the exit code, anything else propagates."""
+    try:
+        return args.handler(args)
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        print(str(exc), file=sys.stderr)
+        return code
+
+
+def _existing(path_arg: str, missing: str) -> Path:
+    """``path_arg`` as a Path; exit 3 with ``missing: path`` if absent."""
+    path = Path(path_arg)
+    if not path.exists():
+        raise CliError(f"{missing}: {path}", EXIT_MISSING_INPUT)
+    return path
+
+
+def _read_json(path_arg: str, missing: str):
+    """The JSON document at ``path_arg``: exit 3 with ``missing: path`` if
+    there is no such file, 4 if it is not JSON."""
+    path = _existing(path_arg, missing)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(
+            f"{path}: not valid JSON ({exc})", EXIT_SCHEMA_INVALID
+        ) from None
+
+
+def _nonneg_ints(values) -> bool:
+    """Whether ``values`` is a list of non-negative ints (bools excluded)."""
+    return isinstance(values, list) and all(
+        isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in values
+    )
+
+
 def _load_transactions(source: str, scale: float) -> TransactionDataset:
     """A built-in dataset name, or a path to a .csv/.arff file."""
     if source in available_datasets():
@@ -97,9 +137,10 @@ def _load_transactions(source: str, scale: float) -> TransactionDataset:
     else:
         path = Path(source)
         if not path.exists():
-            raise SystemExit(
+            raise CliError(
                 f"unknown dataset {source!r}: not a built-in name "
-                f"({', '.join(available_datasets())}) and no such file"
+                f"({', '.join(available_datasets())}) and no such file",
+                EXIT_MISSING_INPUT,
             )
         if path.suffix.lower() == ".arff":
             from .io import read_arff
@@ -278,51 +319,39 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .obs import load_trace, render_report, validate_file
+def _validated_trace_path(path_arg: str) -> Path:
+    """The trace file at ``path_arg``, checked to exist (else exit 3) and
+    to pass the trace schema (else exit 4)."""
+    from .obs import validate_file
 
-    path = Path(args.trace_file)
-    if not path.exists():
-        print(f"no such trace file: {path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+    path = _existing(path_arg, "no such trace file")
     errors = validate_file(path)
     if errors:
-        print(f"{path}: {len(errors)} schema violation(s)", file=sys.stderr)
-        for error in errors:
-            print(f"  {error}", file=sys.stderr)
-        return EXIT_SCHEMA_INVALID
-    print(render_report(load_trace(path)))
-    return 0
+        lines = [f"{path}: {len(errors)} schema violation(s)"]
+        lines += [f"  {error}" for error in errors]
+        raise CliError("\n".join(lines), EXIT_SCHEMA_INVALID)
+    return path
 
 
 def _load_validated_trace(path_arg: str):
-    """Load a trace for analysis commands; (TraceData, 0) or (None, code)."""
-    from .obs import load_trace, validate_file
+    """The schema-valid trace at ``path_arg`` as ``TraceData``."""
+    from .obs import load_trace
 
-    path = Path(path_arg)
-    if not path.exists():
-        print(f"no such trace file: {path}", file=sys.stderr)
-        return None, EXIT_MISSING_INPUT
-    errors = validate_file(path)
-    if errors:
-        print(f"{path}: {len(errors)} schema violation(s)", file=sys.stderr)
-        for error in errors:
-            print(f"  {error}", file=sys.stderr)
-        return None, EXIT_SCHEMA_INVALID
-    return load_trace(path), 0
+    return load_trace(_validated_trace_path(path_arg))
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    from .obs import render_report
+
+    print(render_report(_load_validated_trace(args.trace_file)))
+    return 0
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
-    import json
-
     from .obs.analysis import diff_traces, render_diff
 
-    base, status = _load_validated_trace(args.trace_a)
-    if base is None:
-        return status
-    other, status = _load_validated_trace(args.trace_b)
-    if other is None:
-        return status
+    base = _load_validated_trace(args.trace_a)
+    other = _load_validated_trace(args.trace_b)
     diff = diff_traces(
         base,
         other,
@@ -330,7 +359,7 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
         abs_floor_s=args.abs_floor,
     )
     explanation = explain_note = None
-    if getattr(args, "explain", False):
+    if args.explain:
         from .obs.diagnose import explain_diff
 
         try:
@@ -356,14 +385,9 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_top(args: argparse.Namespace) -> int:
-    import json
-
     from .obs.analysis import render_top, top_paths
 
-    trace, status = _load_validated_trace(args.trace_file)
-    if trace is None:
-        return status
-    ranked = top_paths(trace, limit=args.limit)
+    ranked = top_paths(_load_validated_trace(args.trace_file), limit=args.limit)
     if args.json:
         print(json.dumps(ranked, indent=2, sort_keys=True))
     else:
@@ -372,10 +396,7 @@ def _cmd_trace_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    import json
-
     from .obs.diagnose import DiagnosisConfig, diagnose_corpus, label_corpus
-    from .obs.schema import validate_file
     from .obs.sessions import sessionize_traces
 
     config = DiagnosisConfig(
@@ -387,18 +408,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         label=args.label,
         quantile=args.quantile,
     )
-    if args.synthetic:
+    if args.synthetic is not None:
         from .obs.synth import SynthConfig, default_config, generate_sessions
 
         if args.synthetic_config:
-            config_path = Path(args.synthetic_config)
-            if not config_path.exists():
-                print(
-                    f"no such synthetic config: {config_path}", file=sys.stderr
-                )
-                return EXIT_MISSING_INPUT
             synth = SynthConfig.from_dict(
-                json.loads(config_path.read_text(encoding="utf-8")),
+                _read_json(args.synthetic_config, "no such synthetic config"),
                 n_sessions=args.synthetic,
                 seed=args.seed,
             )
@@ -408,26 +423,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     else:
         paths = sorted(args.traces, key=str)
         for path_arg in paths:
-            path = Path(path_arg)
-            if not path.exists():
-                print(f"no such trace file: {path}", file=sys.stderr)
-                return EXIT_MISSING_INPUT
-            errors = validate_file(path)
-            if errors:
-                print(
-                    f"{path}: {len(errors)} schema violation(s)",
-                    file=sys.stderr,
-                )
-                for error in errors:
-                    print(f"  {error}", file=sys.stderr)
-                return EXIT_SCHEMA_INVALID
+            _validated_trace_path(path_arg)
         corpus = sessionize_traces(paths)
     try:
         labels, class_names = label_corpus(corpus, config)
         report = diagnose_corpus(corpus, labels, class_names, config)
     except ValueError as exc:
-        print(f"diagnosis failed: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"diagnosis failed: {exc}", 1) from None
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -436,15 +438,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_check(args: argparse.Namespace) -> int:
-    import json
-
     from .obs.bench import check_regressions, load_gating_config, render_verdicts
 
-    config_path = Path(args.config)
-    if not config_path.exists():
-        print(f"no such gating config: {config_path}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    config = load_gating_config(config_path)
+    config = load_gating_config(_existing(args.config, "no such gating config"))
     verdicts = check_regressions(Path(args.history), config)
     if args.json:
         print(json.dumps(verdicts, indent=2, sort_keys=True))
@@ -454,13 +450,7 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .runtime.cache import CorruptArtifactError
-    from .runtime.experiment import (
-        ExperimentSpec,
-        ResumeMismatchError,
-        ResumeMissingError,
-        run_experiment,
-    )
+    from .runtime.experiment import ExperimentSpec, run_experiment
 
     data = _load_transactions(args.dataset, args.scale)
     spec = ExperimentSpec(
@@ -475,25 +465,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         folds=args.folds,
         seed=args.seed,
         shard_rows=args.shard_rows,
-        condense=args.condense,
     )
-    try:
-        result = run_experiment(
-            data,
-            spec,
-            out_dir=args.out,
-            resume=args.resume,
-            n_jobs=args.jobs,
-        )
-    except ResumeMissingError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except ResumeMismatchError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA_INVALID
-    except CorruptArtifactError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CORRUPT_CHECKPOINT
+    result = run_experiment(
+        data, spec, out_dir=args.out, resume=args.resume, n_jobs=args.jobs
+    )
     report = result.cv
     print(
         f"{data.name:10s} {spec.variant:10s} "
@@ -504,21 +479,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_stream_events(path_arg: str):
-    """Events from a JSONL stream file; (events, 0) on success,
-    (None, exit_code) on a missing or schema-invalid file.
+def _read_stream_events(path_arg: str) -> list:
+    """Events from a JSONL stream file; exit 3 if it is missing, 4 if a
+    line is not a valid event.
 
     One event per line: ``{"items": [...], "label": int}``.  Lines
     carrying a ``"format"`` or ``"expected"`` key are fixture metadata
     (manifest / golden-expectation lines) and are skipped, so checked-in
     golden fixtures feed the CLI directly.
     """
-    import json
-
-    path = Path(path_arg)
-    if not path.exists():
-        print(f"no such input file: {path}", file=sys.stderr)
-        return None, EXIT_MISSING_INPUT
+    path = _existing(path_arg, "no such input file")
     events = []
     for lineno, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
@@ -529,39 +499,29 @@ def _read_stream_events(path_arg: str):
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
-            print(f"{path}:{lineno}: not valid JSON ({exc})", file=sys.stderr)
-            return None, EXIT_SCHEMA_INVALID
+            raise CliError(
+                f"{path}:{lineno}: not valid JSON ({exc})", EXIT_SCHEMA_INVALID
+            ) from None
         if isinstance(payload, dict) and ("format" in payload or "expected" in payload):
             continue
         if (
             not isinstance(payload, dict)
-            or not isinstance(payload.get("items"), list)
-            or not all(
-                isinstance(i, int) and not isinstance(i, bool) and i >= 0
-                for i in payload["items"]
-            )
-            or not isinstance(payload.get("label"), int)
-            or isinstance(payload.get("label"), bool)
-            or payload["label"] < 0
+            or not _nonneg_ints(payload.get("items"))
+            or not _nonneg_ints([payload.get("label")])
         ):
-            print(
+            raise CliError(
                 f'{path}:{lineno}: expected {{"items": [...], "label": int}} '
                 "with non-negative ints",
-                file=sys.stderr,
+                EXIT_SCHEMA_INVALID,
             )
-            return None, EXIT_SCHEMA_INVALID
         events.append((tuple(payload["items"]), payload["label"]))
-    return events, 0
+    return events
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .runtime.cache import CorruptArtifactError
-    from .runtime.experiment import ResumeMismatchError, ResumeMissingError
     from .streaming import StreamSpec, run_stream
 
-    events, code = _read_stream_events(args.input)
-    if events is None:
-        return code
+    events = _read_stream_events(args.input)
     n_items = args.n_items
     if n_items is None:
         n_items = 1 + max((max(t) for t, _ in events if t), default=-1)
@@ -579,32 +539,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         drift_tolerance=args.drift_tolerance,
         delta=args.delta,
     )
-    try:
-        result = run_stream(events, spec, out_dir=args.out, resume=args.resume)
-    except ResumeMissingError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except ResumeMismatchError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA_INVALID
-    except CorruptArtifactError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CORRUPT_CHECKPOINT
+    result = run_stream(events, spec, out_dir=args.out, resume=args.resume)
     if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "fingerprint": result.fingerprint,
-                    "events_consumed": result.events_consumed,
-                    "seals": result.seals,
-                    "n_reselections": result.n_reselections,
-                    "report": str(result.report_path),
-                },
-                sort_keys=True,
-            )
-        )
+        summary = {
+            "fingerprint": result.fingerprint,
+            "events_consumed": result.events_consumed,
+            "seals": result.seals,
+            "n_reselections": result.n_reselections,
+            "report": str(result.report_path),
+        }
+        print(json.dumps(summary, sort_keys=True))
     else:
         print(
             f"consumed {result.events_consumed} events: {result.seals} window "
@@ -614,38 +558,36 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_workload(path_arg: str):
-    """Transactions from a JSON workload file; (transactions, 0) on
-    success, (None, exit_code) on a missing or schema-invalid file.
+def _read_workload(path_arg: str) -> list[tuple[int, ...]]:
+    """Transactions from a JSON workload file; exit 3 if it is missing,
+    4 if it is not a workload.
 
     Accepted shapes: a bare list of transactions, or an object with a
     ``"transactions"`` key — each transaction a list of non-negative ints.
     """
-    import json
-
-    path = Path(path_arg)
-    if not path.exists():
-        print(f"no such input file: {path}", file=sys.stderr)
-        return None, EXIT_MISSING_INPUT
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        print(f"{path}: not valid JSON ({exc})", file=sys.stderr)
-        return None, EXIT_SCHEMA_INVALID
+    payload = _read_json(path_arg, "no such input file")
     if isinstance(payload, dict):
         payload = payload.get("transactions")
-    if not isinstance(payload, list) or not all(
-        isinstance(t, list)
-        and all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in t)
-        for t in payload
-    ):
-        print(
-            f"{path}: expected a JSON list of transactions "
+    if not isinstance(payload, list) or not all(_nonneg_ints(t) for t in payload):
+        raise CliError(
+            f"{Path(path_arg)}: expected a JSON list of transactions "
             "(lists of non-negative item ids)",
-            file=sys.stderr,
+            EXIT_SCHEMA_INVALID,
         )
-        return None, EXIT_SCHEMA_INVALID
-    return [tuple(t) for t in payload], 0
+    return [tuple(t) for t in payload]
+
+
+def _workload_and_model(args: argparse.Namespace):
+    """``(transactions, model_id, compiled)`` for ``predict``/``serve``:
+    the ``--input`` workload, then the ``model`` resolved in
+    ``--registry`` and loaded compiled."""
+    from .serving import ModelRegistry
+
+    transactions = _read_workload(args.input)
+    registry = ModelRegistry(args.registry)
+    model_id = registry.resolve(args.model)
+    compiled = registry.load_compiled(model_id, chunk_rows=args.chunk_rows)
+    return transactions, model_id, compiled
 
 
 def _cmd_models_publish(args: argparse.Namespace) -> int:
@@ -654,15 +596,13 @@ def _cmd_models_publish(args: argparse.Namespace) -> int:
     if args.pipeline:
         from .io import load_pipeline
 
-        path = Path(args.pipeline)
-        if not path.exists():
-            print(f"no such pipeline file: {path}", file=sys.stderr)
-            return EXIT_MISSING_INPUT
+        path = _existing(args.pipeline, "no such pipeline file")
         try:
             pipeline = load_pipeline(path)
         except (ValueError, KeyError, TypeError) as exc:
-            print(f"{path}: not a saved pipeline ({exc})", file=sys.stderr)
-            return EXIT_SCHEMA_INVALID
+            raise CliError(
+                f"{path}: not a saved pipeline ({exc})", EXIT_SCHEMA_INVALID
+            ) from None
     else:
         from .features.pipeline import FrequentPatternClassifier
 
@@ -690,24 +630,7 @@ def _cmd_models_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    import json
-
-    from .runtime.cache import CorruptArtifactError
-    from .serving import ModelNotFoundError, ModelRegistry
-
-    transactions, status = _read_workload(args.input)
-    if transactions is None:
-        return status
-    registry = ModelRegistry(args.registry)
-    try:
-        model_id = registry.resolve(args.model)
-        compiled = registry.load_compiled(model_id, chunk_rows=args.chunk_rows)
-    except ModelNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except CorruptArtifactError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CORRUPT_CHECKPOINT
+    transactions, model_id, compiled = _workload_and_model(args)
     predictions = compiled.predict(transactions)
     result = {
         "model_id": model_id,
@@ -730,6 +653,7 @@ def _build_telemetry(args: argparse.Namespace):
     builds its own default telemetry (no SLO rules, no event log), which
     still backs ``stats()`` but stays out of the ``--json`` output."""
     from .obs.live import SloRule
+    from .obs.manifest import jsonable_config
     from .serving import ServingTelemetry, TelemetryConfig, TraceEventLog
 
     slos = []
@@ -759,7 +683,7 @@ def _build_telemetry(args: argparse.Namespace):
         TraceEventLog(
             args.trace_events,
             command="serve",
-            config=_manifest_config(args),
+            config=jsonable_config(vars(args)),
         )
         if args.trace_events
         else None
@@ -774,33 +698,12 @@ def _build_telemetry(args: argparse.Namespace):
     )
 
 
-def _manifest_config(args: argparse.Namespace):
-    from .obs.manifest import jsonable_config
-
-    return jsonable_config(vars(args))
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
     import time as _time
 
-    from .runtime.cache import CorruptArtifactError
-    from .serving import ModelNotFoundError, ModelRegistry, ServingFrontend
+    from .serving import ServingFrontend
 
-    transactions, status = _read_workload(args.input)
-    if transactions is None:
-        return status
-    registry = ModelRegistry(args.registry)
-    try:
-        model_id = registry.resolve(args.model)
-        compiled = registry.load_compiled(model_id, chunk_rows=args.chunk_rows)
-    except ModelNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except CorruptArtifactError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CORRUPT_CHECKPOINT
-
+    transactions, model_id, compiled = _workload_and_model(args)
     telemetry = _build_telemetry(args)
     stats_server = None
     if args.metrics_port is not None:
@@ -895,7 +798,6 @@ def _monitor_line(snapshot: dict) -> str:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    import json
     import time as _time
     import urllib.error
     import urllib.request
@@ -907,8 +809,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             with urllib.request.urlopen(url, timeout=args.timeout) as response:
                 snapshot = json.loads(response.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            print(f"cannot scrape {url}: {exc}", file=sys.stderr)
-            return EXIT_MISSING_INPUT
+            raise CliError(
+                f"cannot scrape {url}: {exc}", EXIT_MISSING_INPUT
+            ) from None
         if args.json:
             print(json.dumps(snapshot, sort_keys=True))
         else:
@@ -917,6 +820,24 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if args.iterations and iterations >= args.iterations:
             return 0
         _time.sleep(args.interval)
+
+
+def jobs_type(value: str) -> int:
+    """``--jobs``: a positive worker count, or -1 for all CPUs."""
+    jobs = int(value)
+    if jobs < 1 and jobs != -1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer or -1 (all CPUs)"
+        )
+    return jobs
+
+
+def positive_int(value: str) -> int:
+    """A count that must be at least one, such as ``--synthetic N``."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -929,31 +850,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("datasets", help="list built-in datasets").set_defaults(
-        handler=_cmd_datasets
-    )
+    def command(subparsers, name, handler, help):
+        sub = subparsers.add_parser(name, help=help)
+        sub.set_defaults(handler=handler)
+        return sub
 
-    def add_common(sub):
-        sub.add_argument("dataset", help="built-in name or .csv/.arff path")
+    # Option groups that several commands share, each defined once.
+    def add_data(sub, thresholds=True):
         sub.add_argument("--scale", type=float, default=1.0)
-        sub.add_argument("--min-support", type=float, default=0.1,
-                         dest="min_support")
-        sub.add_argument("--max-length", type=int, default=5, dest="max_length")
-        add_jobs(sub)
-
-    def jobs_type(value):
-        jobs = int(value)
-        if jobs < 1 and jobs != -1:
-            raise argparse.ArgumentTypeError(
-                "must be a positive integer or -1 (all CPUs)"
-            )
-        return jobs
+        if thresholds:
+            sub.add_argument("--min-support", type=float, default=0.1,
+                             dest="min_support")
+            sub.add_argument("--max-length", type=int, default=5,
+                             dest="max_length")
 
     def add_jobs(sub):
         sub.add_argument(
             "--jobs", type=jobs_type, default=1, dest="jobs",
             help="parallel workers (1 = serial, -1 = all CPUs)",
         )
+
+    def add_common(sub):
+        sub.add_argument("dataset", help="built-in name or .csv/.arff path")
+        add_data(sub)
+        add_jobs(sub)
+
+    def add_selection(sub):
+        sub.add_argument("--delta", type=int, default=3)
+        sub.add_argument(
+            "--relevance", choices=("information_gain", "fisher", "chi2"),
+            default="information_gain",
+        )
+
+    def add_model_cv(sub):
+        sub.add_argument("--model", choices=("svm", "c45"), default="svm")
+        sub.add_argument("--folds", type=int, default=3)
+        sub.add_argument("--seed", type=int, default=0)
+
+    def add_registry(sub):
+        sub.add_argument(
+            "--registry", required=True, metavar="DIR",
+            help="model registry directory",
+        )
+
+    def add_published_model(sub):
+        sub.add_argument("model", help="model id, unique id prefix, or name")
+        sub.add_argument(
+            "--input", required=True, metavar="FILE",
+            help="JSON workload: a list of transactions (lists of item ids)",
+        )
+        add_registry(sub)
+        sub.add_argument("--chunk-rows", type=int, default=None,
+                         dest="chunk_rows")
 
     def add_trace(sub):
         sub.add_argument(
@@ -967,61 +915,57 @@ def build_parser() -> argparse.ArgumentParser:
                  "(tracemalloc; slower)",
         )
 
-    mine = commands.add_parser("mine", help="mine closed frequent patterns")
+    command(commands, "datasets", _cmd_datasets, "list built-in datasets")
+
+    mine = command(commands, "mine", _cmd_mine, "mine closed frequent patterns")
     add_common(mine)
     mine.add_argument("--miner", choices=("closed", "all"), default="closed")
     mine.add_argument("--output", help="write patterns JSON here")
     add_trace(mine)
-    mine.set_defaults(handler=_cmd_mine)
 
-    select = commands.add_parser("select", help="run MMRFS feature selection")
-    add_common(select)
-    add_trace(select)
-    select.add_argument("--delta", type=int, default=3)
-    select.add_argument(
-        "--relevance", choices=("information_gain", "fisher", "chi2"),
-        default="information_gain",
+    select = command(
+        commands, "select", _cmd_select, "run MMRFS feature selection"
     )
+    add_common(select)
+    add_selection(select)
     select.add_argument("--top", type=int, default=10, help="patterns to print")
-    select.set_defaults(handler=_cmd_select)
+    add_trace(select)
 
-    evaluate = commands.add_parser("evaluate", help="cross-validate variants")
+    evaluate = command(
+        commands, "evaluate", _cmd_evaluate, "cross-validate variants"
+    )
     evaluate.add_argument("dataset")
-    evaluate.add_argument("--scale", type=float, default=1.0)
-    evaluate.add_argument("--model", choices=("svm", "c45"), default="svm")
-    evaluate.add_argument("--folds", type=int, default=3)
-    evaluate.add_argument("--seed", type=int, default=0)
+    add_data(evaluate, thresholds=False)
+    add_model_cv(evaluate)
     evaluate.add_argument(
         "--variants", nargs="+",
         default=["Item_All", "Pat_All", "Pat_FS"],
     )
     add_jobs(evaluate)
     add_trace(evaluate)
-    evaluate.set_defaults(handler=_cmd_evaluate)
 
-    table = commands.add_parser("table", help="regenerate a paper table")
+    table = command(commands, "table", _cmd_table, "regenerate a paper table")
     table.add_argument("number", type=int, choices=(1, 2, 3, 4, 5))
     table.add_argument("--datasets", nargs="*", default=None)
     table.add_argument("--folds", type=int, default=3)
     table.add_argument("--scale", type=float, default=0.5)
     table.add_argument("--budget", type=int, default=150_000)
     add_trace(table)
-    table.set_defaults(handler=_cmd_table)
 
-    figure = commands.add_parser("figure", help="regenerate a paper figure")
+    figure = command(
+        commands, "figure", _cmd_figure, "regenerate a paper figure"
+    )
     figure.add_argument("number", type=int, choices=(1, 2, 3))
     figure.add_argument("--dataset", default="austral")
     figure.add_argument("--scale", type=float, default=0.5)
     figure.add_argument("--min-support", type=float, default=0.1,
                         dest="min_support")
     add_trace(figure)
-    figure.set_defaults(handler=_cmd_figure)
 
-    report = commands.add_parser(
-        "report", help="validate and summarize a JSONL trace"
+    report = command(
+        commands, "report", _cmd_report, "validate and summarize a JSONL trace"
     )
     report.add_argument("trace_file", help="trace written by --trace")
-    report.set_defaults(handler=_cmd_report)
 
     from .obs.analysis import DEFAULT_ABS_FLOOR_S, DEFAULT_REL_TOLERANCE
     from .obs.bench import DEFAULT_CONFIG_PATH, DEFAULT_HISTORY_DIR
@@ -1031,8 +975,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_sub = trace_cmd.add_subparsers(dest="trace_command", required=True)
 
-    diff = trace_sub.add_parser(
-        "diff", help="per-phase wall/CPU/RSS deltas between two traces"
+    diff = command(
+        trace_sub, "diff", _cmd_trace_diff,
+        "per-phase wall/CPU/RSS deltas between two traces",
     )
     diff.add_argument("trace_a", help="baseline trace")
     diff.add_argument("trace_b", help="candidate trace")
@@ -1056,10 +1001,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="mine the base-vs-candidate span populations and name the "
              "pattern that discriminates them",
     )
-    diff.set_defaults(handler=_cmd_trace_diff)
 
-    top = trace_sub.add_parser(
-        "top", help="rank span paths by self time (exclusive wall)"
+    top = command(
+        trace_sub, "top", _cmd_trace_top,
+        "rank span paths by self time (exclusive wall)",
     )
     top.add_argument("trace_file", help="trace written by --trace")
     top.add_argument(
@@ -1068,11 +1013,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--json", action="store_true", help="emit the ranking as JSON"
     )
-    top.set_defaults(handler=_cmd_trace_top)
 
-    diagnose = commands.add_parser(
-        "diagnose",
-        help="mine discriminative patterns from the system's own traces",
+    diagnose = command(
+        commands, "diagnose", _cmd_diagnose,
+        "mine discriminative patterns from the system's own traces",
     )
     source = diagnose.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -1081,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and serving event logs both work)",
     )
     source.add_argument(
-        "--synthetic", type=int, metavar="N",
+        "--synthetic", type=positive_int, metavar="N",
         help="generate N synthetic sessions instead of reading traces",
     )
     diagnose.add_argument(
@@ -1121,15 +1065,15 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--json", action="store_true",
                           help="emit the report as JSON")
     add_trace(diagnose)
-    diagnose.set_defaults(handler=_cmd_diagnose)
 
     bench = commands.add_parser(
         "bench", help="benchmark trend store utilities"
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
-    check = bench_sub.add_parser(
-        "check", help="verdicts vs the rolling baseline; exit 1 on regression"
+    check = command(
+        bench_sub, "check", _cmd_bench_check,
+        "verdicts vs the rolling baseline; exit 1 on regression",
     )
     check.add_argument(
         "--history", default=str(DEFAULT_HISTORY_DIR),
@@ -1142,11 +1086,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--json", action="store_true", help="emit verdicts as JSON"
     )
-    check.set_defaults(handler=_cmd_bench_check)
 
-    experiment = commands.add_parser(
-        "experiment",
-        help="run the checkpointed end-to-end experiment (resumable)",
+    experiment = command(
+        commands, "experiment", _cmd_experiment,
+        "run the checkpointed end-to-end experiment (resumable)",
     )
     add_common(experiment)
     experiment.add_argument(
@@ -1157,36 +1100,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="restore completed stages from DIR instead of starting fresh",
     )
-    experiment.add_argument("--delta", type=int, default=3)
-    experiment.add_argument(
-        "--relevance", choices=("information_gain", "fisher", "chi2"),
-        default="information_gain",
-    )
+    add_selection(experiment)
     experiment.add_argument(
         "--variant", default="Pat_FS",
         help="model variant column (e.g. Pat_FS, Pat_All, Item_All)",
     )
-    experiment.add_argument("--model", choices=("svm", "c45"), default="svm")
-    experiment.add_argument("--folds", type=int, default=3)
-    experiment.add_argument("--seed", type=int, default=0)
+    add_model_cv(experiment)
     experiment.add_argument(
         "--shard-rows", type=int, default=None, dest="shard_rows",
         metavar="N",
         help="mine out-of-core over mmap shards of N rows instead of "
              "in-memory (identical results; bounded memory)",
     )
-    experiment.add_argument(
-        "--condense", action="store_true",
-        help="non-derivable-itemset condensation for the sharded "
-             "counting pass (requires --shard-rows)",
-    )
     add_trace(experiment)
-    experiment.set_defaults(handler=_cmd_experiment)
 
-    stream = commands.add_parser(
-        "stream",
-        help="consume a transaction stream with windowed top-k mining "
-             "and drift-triggered re-selection (resumable)",
+    stream = command(
+        commands, "stream", _cmd_stream,
+        "consume a transaction stream with windowed top-k mining "
+        "and drift-triggered re-selection (resumable)",
     )
     stream.add_argument(
         "input", metavar="EVENTS",
@@ -1229,21 +1160,15 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--json", action="store_true",
                         help="print a JSON summary instead of prose")
     add_trace(stream)
-    stream.set_defaults(handler=_cmd_stream)
-
-    def add_registry(sub):
-        sub.add_argument(
-            "--registry", required=True, metavar="DIR",
-            help="model registry directory",
-        )
 
     models = commands.add_parser(
         "models", help="publish and list models in a fingerprinted registry"
     )
     models_sub = models.add_subparsers(dest="models_command", required=True)
 
-    publish = models_sub.add_parser(
-        "publish", help="publish a fitted pipeline into the registry"
+    publish = command(
+        models_sub, "publish", _cmd_models_publish,
+        "publish a fitted pipeline into the registry",
     )
     add_registry(publish)
     source = publish.add_mutually_exclusive_group(required=True)
@@ -1256,49 +1181,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="train on a built-in dataset / .csv/.arff and publish the fit",
     )
     publish.add_argument("--name", default="", help="human-friendly model name")
-    publish.add_argument("--scale", type=float, default=1.0)
-    publish.add_argument("--min-support", type=float, default=0.1,
-                         dest="min_support")
-    publish.add_argument("--max-length", type=int, default=5, dest="max_length")
+    add_data(publish)
     publish.add_argument("--delta", type=int, default=3)
-    publish.set_defaults(handler=_cmd_models_publish)
 
-    listing = models_sub.add_parser(
-        "list", help="list published models (corrupt artifacts flagged)"
+    listing = command(
+        models_sub, "list", _cmd_models_list,
+        "list published models (corrupt artifacts flagged)",
     )
     add_registry(listing)
-    listing.set_defaults(handler=_cmd_models_list)
 
-    predict = commands.add_parser(
-        "predict", help="batch-predict a JSON workload with a published model"
+    predict = command(
+        commands, "predict", _cmd_predict,
+        "batch-predict a JSON workload with a published model",
     )
-    predict.add_argument("model", help="model id, unique id prefix, or name")
-    predict.add_argument(
-        "--input", required=True, metavar="FILE",
-        help="JSON workload: a list of transactions (lists of item ids)",
-    )
-    add_registry(predict)
+    add_published_model(predict)
     predict.add_argument("--output", metavar="FILE",
                          help="write predictions JSON here (default: stdout)")
-    predict.add_argument("--chunk-rows", type=int, default=None,
-                         dest="chunk_rows")
     add_trace(predict)
-    predict.set_defaults(handler=_cmd_predict)
 
-    serve = commands.add_parser(
-        "serve",
-        help="run a workload through the concurrent serving frontend",
+    serve = command(
+        commands, "serve", _cmd_serve,
+        "run a workload through the concurrent serving frontend",
     )
-    serve.add_argument("model", help="model id, unique id prefix, or name")
-    serve.add_argument(
-        "--input", required=True, metavar="FILE",
-        help="JSON workload: a list of transactions (lists of item ids)",
-    )
-    add_registry(serve)
+    add_published_model(serve)
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--batch-rows", type=int, default=256, dest="batch_rows")
     serve.add_argument("--queue-size", type=int, default=64, dest="queue_size")
-    serve.add_argument("--chunk-rows", type=int, default=None, dest="chunk_rows")
     serve.add_argument("--json", action="store_true",
                        help="emit serving stats as JSON")
     serve.add_argument("--repeat", type=int, default=1,
@@ -1339,11 +1247,10 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="slo_queue_saturation", metavar="FRAC",
                        help="alert when queue depth/capacity exceeds FRAC")
     add_trace(serve)
-    serve.set_defaults(handler=_cmd_serve)
 
-    monitor = commands.add_parser(
-        "monitor",
-        help="poll a serving metrics endpoint; one line per interval",
+    monitor = command(
+        commands, "monitor", _cmd_monitor,
+        "poll a serving metrics endpoint; one line per interval",
     )
     monitor.add_argument("--host", default="127.0.0.1")
     monitor.add_argument("--port", type=int, required=True)
@@ -1355,7 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-request HTTP timeout in seconds")
     monitor.add_argument("--json", action="store_true",
                          help="print the raw snapshot JSON per poll")
-    monitor.set_defaults(handler=_cmd_monitor)
 
     return parser
 
@@ -1375,7 +1281,7 @@ def _run_traced(args: argparse.Namespace, argv: list[str] | None) -> int:
             )
         )
         with obs.span(f"cli.{args.command}") as root:
-            status = args.handler(args)
+            status = _dispatch(args)
             root.set(exit_status=status)
     obs.write_trace(args.trace, sess)
     print(f"trace written to {args.trace}", file=sys.stderr)
@@ -1383,11 +1289,10 @@ def _run_traced(args: argparse.Namespace, argv: list[str] | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "trace", None):
         return _run_traced(args, argv)
-    return args.handler(args)
+    return _dispatch(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

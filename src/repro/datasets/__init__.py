@@ -1,7 +1,6 @@
 """Dataset substrate: schemas, transaction encoding and benchmark generators."""
 
 from .schema import Attribute, Dataset
-from .graphs import GraphDataset, GraphSpec, generate_graphs
 from .sequences import SequenceDataset, SequenceSpec, generate_sequences
 from .synthetic import PlantedStructure, SyntheticSpec, generate, plant_structure
 from .transactions import ItemCatalog, TransactionDataset
@@ -23,9 +22,6 @@ __all__ = [
     "SyntheticSpec",
     "generate",
     "plant_structure",
-    "GraphDataset",
-    "GraphSpec",
-    "generate_graphs",
     "SequenceDataset",
     "SequenceSpec",
     "generate_sequences",

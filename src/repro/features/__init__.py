@@ -1,6 +1,5 @@
 """Feature mapping and the end-to-end pattern-based classifiers."""
 
-from .graph_pipeline import GraphPatternClassifier
 from .pipeline import FrequentPatternClassifier
 from .sequence_pipeline import SequencePatternClassifier
 from .transformer import PatternFeaturizer
@@ -8,6 +7,5 @@ from .transformer import PatternFeaturizer
 __all__ = [
     "PatternFeaturizer",
     "FrequentPatternClassifier",
-    "GraphPatternClassifier",
     "SequencePatternClassifier",
 ]

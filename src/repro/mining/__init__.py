@@ -1,10 +1,8 @@
-"""Frequent pattern mining: all-frequent, closed, sequence and graph miners."""
+"""Frequent pattern mining: all-frequent, closed, sharded and sequence miners."""
 
 from .closed import closed_fpgrowth
-from .condense import deduction_bounds, partition_derivable
 from .frequent import frequent_itemsets
 from .generation import mine_class_patterns
-from .gspan import GraphPattern, contains_subgraph, gspan
 from .guards import MiningTimeLimitExceeded
 from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, canonical
 from .prefixspan import SequencePattern, is_subsequence, prefixspan
@@ -19,12 +17,7 @@ __all__ = [
     "canonical",
     "mine_class_patterns",
     "mine_sharded",
-    "deduction_bounds",
-    "partition_derivable",
     "MiningTimeLimitExceeded",
-    "gspan",
-    "GraphPattern",
-    "contains_subgraph",
     "prefixspan",
     "SequencePattern",
     "is_subsequence",

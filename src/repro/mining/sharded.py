@@ -20,10 +20,7 @@ per-class mining:
    (AND-reduce + popcount against the shard's label masks) and the
    per-shard int64 count vectors are merged order-invariantly (integer
    addition — the same merge discipline as ``repro.streaming.window``).
-   Counting is level-wise by itemset length so the optional
-   **non-derivable-itemset condensation** (:mod:`repro.mining.condense`)
-   can fill in counts that inclusion-exclusion already determines,
-   shrinking the candidate lists shipped to the count workers.
+   Counting is level-wise by itemset length.
 
 For ``miner="closed"`` the local pass mines *all* frequent itemsets one
 item longer than ``max_length``; global closedness is then exact: ``I``
@@ -51,7 +48,6 @@ from ..core.parallel import RetryPolicy, checkpointed_map
 from ..core.shards import ShardHandle, ShardSet
 from ..obs import core as _obs
 from ..testing import faults as _faults
-from .condense import partition_derivable
 from .frequent import mine_words
 from .itemsets import (
     MiningResult,
@@ -171,7 +167,6 @@ def mine_sharded(
     n_jobs: int | None = 1,
     retry: RetryPolicy | None = None,
     cache: "ArtifactCache | None" = None,
-    condense: bool = False,
     on_guard: GuardBehavior = "raise",
 ) -> MiningResult:
     """Mine per-class frequent patterns out-of-core over ``shards``.
@@ -181,9 +176,6 @@ def mine_sharded(
     is property-tested equal to it (pattern set, supports, per-class
     counts) — ``shards`` is just where the rows live.  The table's
     per-class counts are pass 2's merged counts: nothing is recounted.
-    ``condense=True`` enables the non-derivable-itemset reducer; the
-    result is unchanged (deduced counts are exact), only the cross-shard
-    exchange shrinks.
 
     ``max_patterns`` is enforced with the batch path's *exact* trip
     conditions — a per-class check against the globally frequent pattern
@@ -209,7 +201,6 @@ def mine_sharded(
         shards=len(shards),
         miner=miner,
         min_support=min_support,
-        condense=condense,
         n_jobs=n_jobs if n_jobs is not None else 1,
     ) as span:
         class_totals = shards.class_totals()
@@ -289,16 +280,9 @@ def mine_sharded(
         for items in candidates:
             by_length.setdefault(len(items), []).append(items)
 
-        counted = 0
         shard_jobs = list(enumerate(shards.handles))
         for length in sorted(by_length):
             level = sorted(by_length[length])
-            if condense:
-                derived, level = partition_derivable(level, counts.__getitem__)
-                counts.update(derived)
-            if not level:
-                continue
-            counted += len(level)
             _obs.add(
                 "progress.mine_sharded.count_shards_total", len(shard_jobs)
             )
@@ -316,8 +300,9 @@ def mine_sharded(
 
             for row, items in enumerate(level):
                 counts[items] = level_totals[row]
-        span.set(counted_candidates=counted)
-        _obs.add("mining.sharded.counted_candidates", counted)
+        # Every candidate is counted: pass 2 has no way to skip one.
+        span.set(counted_candidates=len(candidates))
+        _obs.add("mining.sharded.counted_candidates", len(candidates))
 
         # ---- assembly: thresholds, closedness, budget, merge ----------
         nonclosed: dict[int, set[tuple[int, ...]]] = {c: set() for c in absolute}

@@ -113,8 +113,6 @@ class ExperimentSpec:
     #: in-memory batch path.  The two paths produce identical artifacts
     #: (property-tested), so this is purely a memory/scale knob.
     shard_rows: int | None = None
-    #: Non-derivable-itemset condensation for the sharded counting pass.
-    condense: bool = False
 
 
 @dataclass
@@ -250,7 +248,6 @@ def run_experiment(
                 n_jobs=n_jobs,
                 retry=retry,
                 cache=cache,
-                condense=spec.condense,
                 on_guard="items_only",
             )
         else:

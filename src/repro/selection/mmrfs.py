@@ -230,9 +230,9 @@ def mmrfs_indices(
 ) -> list[int]:
     """Algorithm 1 over a boolean ``(n_candidates, n_rows)`` coverage matrix.
 
-    The selection of the sequence and graph pipelines, whose candidates are
-    not itemsets: information-gain relevance, majority class by count
-    (ties to the lowest class).  Returns the chosen candidate indices in
+    The selection of the sequence pipeline, whose candidates are not
+    itemsets: information-gain relevance, majority class by count (ties to
+    the lowest class).  Returns the chosen candidate indices in
     selection order.
     """
     present = coverage.astype(np.int64) @ np.eye(n_classes, dtype=np.int64)[labels]

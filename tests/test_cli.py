@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_MISSING_INPUT, build_parser, main
 
 
 def run_cli(*argv: str) -> str:
@@ -46,9 +46,13 @@ class TestMineCommand:
         assert payload["patterns"]
         assert "item_names" in payload
 
-    def test_unknown_dataset_exits(self):
-        with pytest.raises(SystemExit, match="unknown dataset"):
-            run_cli("mine", "not-a-dataset")
+    def test_unknown_dataset_exits(self, capsys):
+        assert main(["mine", "not-a-dataset"]) == EXIT_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "unknown dataset 'not-a-dataset': not a built-in name (anneal, "
+        )
+        assert err.endswith(") and no such file\n")
 
     def test_csv_file_input(self, tmp_path):
         csv_path = tmp_path / "toy.csv"

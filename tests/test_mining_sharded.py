@@ -6,21 +6,17 @@ representation change over :func:`repro.mining.generation.mine_class_patterns`
 selection — for *any* shard size, including ragged final shards, shards
 of one row, and a single shard holding everything.  These tests pin that
 claim with hypothesis, then pin the out-of-core extras on top: SON local
-threshold soundness, non-derivable-itemset deduction exactness, cache
-checkpoint/restore, budget-trip parity, and kill/resume byte-identity
-through ``run_experiment``.
+threshold soundness, cache checkpoint/restore, budget-trip parity, and
+kill/resume byte-identity through ``run_experiment``.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining.condense import deduction_bounds, partition_derivable
 from repro.mining.generation import mine_class_patterns
 from repro.mining.itemsets import PatternBudgetExceeded
 from repro.mining.sharded import local_threshold, mine_sharded
@@ -87,7 +83,6 @@ def mining_cases(draw):
         ),
         miner=draw(st.sampled_from(["closed", "all"])),
         max_length=draw(st.sampled_from([None, 2, 3, 4])),
-        condense=draw(st.booleans()),
     )
 
 
@@ -106,7 +101,7 @@ class TestShardedEqualsBatch:
         shards = shard_dataset(
             data, tmp_path_factory.mktemp("shards"), case["shard_rows"]
         )
-        sharded = mine_sharded(shards, condense=case["condense"], **kwargs)
+        sharded = mine_sharded(shards, **kwargs)
 
         assert _signature(sharded) == _signature(batch)
         assert sharded.min_support == batch.min_support
@@ -175,50 +170,6 @@ class TestLocalThreshold:
         assert local_threshold(10, 33, 100) == 4  # ceil(3.3)
         assert local_threshold(1, 1, 1000) == 1
         assert local_threshold(7, 7, 7) == 7
-
-
-class TestDeductionBounds:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n_rows=st.integers(min_value=1, max_value=60),
-        length=st.integers(min_value=1, max_value=4),
-    )
-    def test_bounds_contain_truth_and_collapse_to_exact(
-        self, seed, n_rows, length
-    ):
-        rng = np.random.default_rng(seed)
-        n_items = 6
-        rows = rng.integers(0, 2, size=(n_rows, n_items)).astype(bool)
-        labels = rng.integers(0, 2, n_rows)
-
-        def truth(items):
-            if not items:
-                cover = np.ones(n_rows, dtype=bool)
-            else:
-                cover = rows[:, list(items)].all(axis=1)
-            return np.array(
-                [int((cover & (labels == c)).sum()) for c in (0, 1)],
-                dtype=np.int64,
-            )
-
-        target = tuple(sorted(rng.choice(n_items, size=length, replace=False)))
-        counts_of = {
-            tuple(sub): truth(sub)
-            for k in range(length)
-            for sub in combinations(target, k)
-        }
-        lower, upper = deduction_bounds(target, counts_of.__getitem__)
-        actual = truth(target)
-        assert (lower <= actual).all() and (actual <= upper).all()
-        derived, remaining = partition_derivable(
-            [target], lambda items: counts_of[tuple(items)]
-        )
-        if target in derived:
-            assert not remaining
-            assert np.array_equal(derived[target], actual)
-        else:
-            assert remaining == [target]
 
 
 class TestCheckpointing:

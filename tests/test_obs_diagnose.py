@@ -209,6 +209,28 @@ class TestDiagnoseCli:
         )
         assert code == EXIT_MISSING_INPUT
 
+    def test_malformed_synthetic_config_exits_4(self, tmp_path, capsys):
+        config = tmp_path / "mix.json"
+        config.write_text("{not json")
+        code = main(
+            ["diagnose", "--synthetic", "10", "--synthetic-config", str(config)]
+        )
+        assert code == EXIT_SCHEMA_INVALID
+        assert capsys.readouterr().err == (
+            f"{config}: not valid JSON (Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1))\n"
+        )
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_synthetic_count_is_a_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diagnose", "--synthetic", count])
+        assert exit_info.value.code == 2
+        assert (
+            "argument --synthetic: must be a positive integer"
+            in capsys.readouterr().err
+        )
+
     def test_synthetic_config_overrides_personas(self, tmp_path):
         config = tmp_path / "mix.json"
         config.write_text(
