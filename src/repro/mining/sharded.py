@@ -300,7 +300,6 @@ def mine_sharded(
 
             for row, items in enumerate(level):
                 counts[items] = level_totals[row]
-        # Every candidate is counted: pass 2 has no way to skip one.
         span.set(counted_candidates=len(candidates))
         _obs.add("mining.sharded.counted_candidates", len(candidates))
 
