@@ -58,38 +58,6 @@ class BernoulliNaiveBayes(Classifier):
         self._fitted = True
         return self
 
-    @classmethod
-    def from_counts(
-        cls,
-        feature_counts: np.ndarray,
-        class_totals: np.ndarray,
-        alpha: float = 1.0,
-        binarize: float = 0.5,
-    ) -> "BernoulliNaiveBayes":
-        """Fit from sufficient statistics instead of a design matrix.
-
-        ``feature_counts[c, f]`` is the number of class-``c`` rows with
-        feature ``f`` present and ``class_totals[c]`` the class sizes —
-        exactly the per-class pattern counts the sharded mining pass
-        produces, so a model can be trained at out-of-core scale without
-        ever materializing the ``(n_rows, n_features)`` matrix.
-        Equivalent to :meth:`fit` on the corresponding binary matrix.
-        """
-        feature_counts = np.asarray(feature_counts, dtype=np.float64)
-        class_totals = np.asarray(class_totals, dtype=np.float64)
-        if feature_counts.ndim != 2 or feature_counts.shape[0] != len(class_totals):
-            raise ValueError("feature_counts must be (n_classes, n_features)")
-        if (class_totals <= 0).any():
-            raise ValueError("every class must have at least one row")
-        model = cls(alpha=alpha, binarize=binarize)
-        theta = (feature_counts + alpha) / (class_totals[:, np.newaxis] + 2 * alpha)
-        model.classes_ = np.arange(len(class_totals), dtype=np.int32)
-        model.log_prior_ = np.log(class_totals / class_totals.sum())
-        model.log_theta_ = np.log(theta)
-        model.log_one_minus_theta_ = np.log1p(-theta)
-        model._fitted = True
-        return model
-
     def predict_log_proba(self, features: np.ndarray) -> np.ndarray:
         """Unnormalized per-class log posterior for each row."""
         check_fitted(self)

@@ -412,11 +412,17 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         from .obs.synth import SynthConfig, default_config, generate_sessions
 
         if args.synthetic_config:
-            synth = SynthConfig.from_dict(
-                _read_json(args.synthetic_config, "no such synthetic config"),
-                n_sessions=args.synthetic,
-                seed=args.seed,
-            )
+            payload = _read_json(args.synthetic_config, "no such synthetic config")
+            try:
+                synth = SynthConfig.from_dict(
+                    payload, n_sessions=args.synthetic, seed=args.seed
+                )
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CliError(
+                    f"{Path(args.synthetic_config)}: not a synthetic config "
+                    f"({type(exc).__name__}: {exc})",
+                    EXIT_SCHEMA_INVALID,
+                ) from None
         else:
             synth = default_config(n_sessions=args.synthetic, seed=args.seed)
         corpus = generate_sessions(synth)

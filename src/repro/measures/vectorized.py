@@ -20,12 +20,19 @@ scalar-vs-vectorized agreement to 1e-12 including the degenerate rows
 Bound kernels (``ig_upper_bound_batch`` / ``fisher_upper_bound_batch``)
 accept theta *arrays*, so the Figure 2/3 support grids and the min_sup
 bisection sweep evaluate in one call instead of one Python call per theta.
+
+The branch-and-bound searches (:func:`repro.selection.ddpmine` and
+:class:`repro.streaming.TopKMiner`) prune with a different bound,
+:func:`ig_subtree_bound`, which reads a node's per-class counts rather
+than its support alone; :func:`score_covers` is their shared
+child-scoring step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.bitset import popcount
 from ..obs import core as _obs
 from .bounds import BoundMode
 from .entropy import binary_entropy
@@ -36,7 +43,15 @@ __all__ = [
     "chi2_batch",
     "ig_upper_bound_batch",
     "fisher_upper_bound_batch",
+    "ig_subtree_bound",
+    "score_covers",
 ]
+
+#: Largest class count for which :func:`ig_subtree_bound` scores every
+#: class vertex (2^m - 2 of them); above it the support-only fallback runs.
+_VERTEX_CLASS_CAP = 8
+#: Vertex rows scored per pass, which caps the bound's transient memory.
+_VERTEX_ROWS = 1 << 15
 
 
 def _count_arrays(
@@ -74,7 +89,11 @@ def information_gain_batch(
     row-for-row: empty tables score 0 and floating-point noise is clamped
     at 0.
     """
-    present, absent = _count_arrays(present, absent)
+    return _information_gain(*_count_arrays(present, absent))
+
+
+def _information_gain(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
+    """:func:`information_gain_batch` on float count arrays, uncounted."""
     n_present = present.sum(axis=1)
     n_absent = absent.sum(axis=1)
     n = n_present + n_absent
@@ -233,3 +252,61 @@ def fisher_upper_bound_batch(
     elif mode != "paper":
         raise ValueError(f"unknown mode {mode!r}")
     return np.where(np.abs(thetas - p) < 1e-15, np.inf, scores)
+
+
+# ----------------------------------------------------------------------
+# The subtree bound of the branch-and-bound searches.
+
+
+def _class_vertices(m: int) -> np.ndarray:
+    """``(2^m - 2, m)`` 0/1 rows: every proper, nonempty subset of m classes."""
+    codes = np.arange(1, (1 << m) - 1)
+    return ((codes[:, np.newaxis] >> np.arange(m)) & 1).astype(float)
+
+
+def ig_subtree_bound(present: np.ndarray, class_totals: np.ndarray) -> np.ndarray:
+    """Upper bound on the IG of every pattern covering a subset of each row's rows.
+
+    Row ``j`` of the ``(k, m)`` array ``present`` holds a node's covered
+    per-class counts, so a superset's counts lie in the box
+    ``0 <= x <= present[j]``.  IG is convex in ``x``, so it peaks at a
+    vertex of the box, each class covered fully or not at all; the bound
+    is the best of the 2^m - 2 proper, nonempty class subsets (the empty
+    one scores 0 and the full one never beats them all).  Outside 2 to
+    ``_VERTEX_CLASS_CAP`` classes it is ``min(h(min(theta, 1/2)), H(C))``
+    with ``theta`` the row's support fraction.  docs/THEORY.md §6 has the
+    argument.
+    """
+    present = np.asarray(present, dtype=float)
+    totals = np.asarray(class_totals, dtype=float)
+    m = totals.size
+    if not 2 <= m <= _VERTEX_CLASS_CAP:
+        thetas = present.sum(axis=1) / max(totals.sum(), 1.0)
+        return np.minimum(
+            _binary_entropy_array(np.minimum(thetas, 0.5)), _row_entropy(totals)
+        )
+    vertices = _class_vertices(m)
+    bounds = np.empty(len(present))
+    step = max(1, _VERTEX_ROWS // len(vertices))
+    for lo in range(0, len(present), step):
+        covered = (present[lo : lo + step, np.newaxis, :] * vertices).reshape(-1, m)
+        gains = _information_gain(covered, totals - covered)
+        bounds[lo : lo + step] = gains.reshape(-1, len(vertices)).max(axis=1)
+    return bounds
+
+
+def score_covers(
+    covers: np.ndarray, label_words: np.ndarray, class_totals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class counts, IG and subtree bound of each packed cover.
+
+    The child-scoring step both branch-and-bound searches share:
+    ``covers`` is a ``(k, n_words)`` stack of children's tidsets (already
+    restricted to the rows being searched), ``label_words`` the packed
+    class masks and ``class_totals`` the per-class row counts of the
+    searched rows.  Returns the ``(k, m)`` covered counts, each child's IG
+    and its :func:`ig_subtree_bound`.
+    """
+    present = popcount(covers[:, np.newaxis, :] & label_words)
+    gains = information_gain_batch(present, class_totals - present)
+    return present, gains, ig_subtree_bound(present, class_totals)

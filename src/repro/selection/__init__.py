@@ -1,6 +1,6 @@
 """Feature selection: MMRFS (Algorithm 1) and the min_sup strategy."""
 
-from .direct import DirectMiningResult, ddpmine, ig_superset_bound
+from .direct import DirectMiningResult, ddpmine
 from .minsup import MinSupSuggestion, suggest_min_support
 from .mmrfs import SelectedFeature, SelectionResult, mmrfs, top_k_by_relevance
 from .redundancy import jaccard, weighted_jaccard_redundancy
@@ -17,7 +17,6 @@ __all__ = [
     "mmrfs",
     "ddpmine",
     "DirectMiningResult",
-    "ig_superset_bound",
     "top_k_by_relevance",
     "SelectedFeature",
     "SelectionResult",

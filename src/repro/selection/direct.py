@@ -11,12 +11,14 @@ This module implements that idea on the substrate of this package:
 
 * a depth-first branch-and-bound search over itemsets — the packed-tidset
   search of :mod:`repro.mining.frequent`, with support pruning and a
-  length cap — that scores each node's children in one batch;
-* the IG upper bound for supersets: any beta ⊇ alpha covers a subset of
-  alpha's rows, and conditional entropy is minimized by class-pure
-  sub-coverages — so ``max_c IG(pure class-c part of alpha's coverage)``
-  bounds every descendant's IG (exact for the binary case analysed in the
-  2007 paper, and applied per class beyond it);
+  length cap — that scores each node's children in one batch with
+  :func:`repro.measures.vectorized.score_covers`;
+* the IG upper bound for supersets,
+  :func:`repro.measures.vectorized.ig_subtree_bound`: any beta ⊇ alpha
+  covers a subset of alpha's rows, and IG is convex in the covered
+  per-class counts, so the best class vertex of alpha's coverage (each
+  class fully covered or not) bounds every descendant's IG, for any
+  number of classes;
 * sequential covering: after each winning pattern, rows covered ``delta``
   times stop contributing to the gain computation.
 
@@ -32,35 +34,11 @@ import numpy as np
 
 from ..core.bitset import pack_bits, popcount
 from ..datasets.transactions import TransactionDataset
-from ..measures.vectorized import information_gain_batch
+from ..measures.vectorized import score_covers
 from ..mining.frequent import search
 from ..mining.itemsets import Pattern, check_max_length
 
-__all__ = ["DirectMiningResult", "ig_superset_bound", "ddpmine"]
-
-
-def ig_superset_bound(present: np.ndarray, absent: np.ndarray) -> float:
-    """Upper bound on IG of any pattern covering a subset of these rows.
-
-    ``present``/``absent`` are per-class counts of the current pattern's
-    covered/uncovered rows.  A superset's coverage T satisfies
-    T ⊆ covered; H(C|X) over the choice of T is minimized when T is
-    class-pure, and IG grows with |T| for pure T, so the per-class pure
-    coverages of maximal size dominate every achievable subset.
-
-    All class-pure tables are scored in one vectorized pass (one
-    m x m diagonal batch instead of m scalar IG evaluations) — this
-    bound runs once per node of the branch-and-bound search.
-    """
-    present = np.asarray(present)
-    absent = np.asarray(absent)
-    active = present > 0
-    if not active.any():
-        return 0.0
-    total = present + absent
-    pure = np.diag(present)[active]
-    bounds = information_gain_batch(pure, total[np.newaxis, :] - pure)
-    return max(0.0, float(bounds.max()))
+__all__ = ["DirectMiningResult", "ddpmine"]
 
 
 @dataclass
@@ -104,9 +82,8 @@ def _best_pattern(
     def visit(prefix, items, rows, _supports):
         nonlocal nodes
         nodes += len(items)
-        present = popcount(rows[:, np.newaxis, :] & label_words)
-        absent = class_totals - present
-        gains = information_gain_batch(present, absent).tolist()
+        _, gains, bounds = score_covers(rows, label_words, class_totals)
+        gains, bounds = gains.tolist(), bounds.tolist()
         deeper = len(prefix) + 1 < max_length
 
         def descend(k: int) -> bool:
@@ -114,7 +91,7 @@ def _best_pattern(
             if gains[k] > best_gain:
                 best_gain = gains[k]
                 best_items = prefix + (items[k],)
-            return deeper and ig_superset_bound(present[k], absent[k]) > best_gain
+            return deeper and bounds[k] > best_gain
 
         return descend
 

@@ -67,6 +67,8 @@ class StreamSpec:
     drift_tolerance: float = 0.05
     delta: int = 1
     relevance: str = "information_gain"
+    #: Passed to :class:`TopKMiner`, where it has no effect on the search;
+    #: kept because it is part of every stream fingerprint.
     bound_mode: BoundMode = "paper"
     frontier_cap: int | None = None
 

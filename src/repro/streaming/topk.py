@@ -5,28 +5,26 @@ Every batch miner in :mod:`repro.mining` asks the caller to guess
 too high and the discriminative low-support patterns are gone.
 :class:`TopKMiner` inverts the contract: the caller says *how many*
 patterns they want and the miner finds exactly the ``k`` best by
-information gain, pruning the itemset lattice with the paper's own
-support-parameterized ``IG_ub(theta)`` bound (Section 3.1.2 / Eq. 2,
-evaluated through the vectorized
-:func:`repro.measures.vectorized.ig_upper_bound_batch`) — the top-k
-search discipline of He et al., *Mining Top-k Approximate Frequent
-Patterns*, applied to the discriminative setting.
+information gain — the top-k search discipline of He et al., *Mining
+Top-k Approximate Frequent Patterns*, applied to the discriminative
+setting.
 
-The search is exact, not approximate: a subtree rooted at an itemset
-with support fraction ``theta`` is skipped only when a proven upper
-bound on the IG of *every* superset falls strictly below the current
-k-th best IG.  Three bounds compose (all valid for any descendant,
-whose support fraction can only shrink):
+The search is exact, not approximate: a subtree is skipped only when a
+proven upper bound on the IG of *every* itemset in it falls strictly
+below the current k-th best IG.  That bound is
+:func:`repro.measures.vectorized.ig_subtree_bound`, shared with
+:func:`repro.selection.ddpmine` and computed for every child by their
+common child-scoring step :func:`repro.measures.vectorized.score_covers`:
 
-* ``IG(C;X) <= H(X) = h(theta')`` — mutual information never exceeds
-  the feature's own entropy, and ``h`` is nondecreasing on (0, 1/2];
-* ``IG(C;X) <= H(C)`` — nor the class entropy (any class count);
-* for binary classes, the paper's ``IG_ub`` evaluated at
-  ``min(theta, p')`` with ``p' = min(p, 1-p)`` — ``IG_ub`` is
-  nondecreasing on ``(0, p']`` (the fact the min_sup strategy's
-  bisection already relies on) and binary IG is symmetric in the class
-  prior, so the minority-prior evaluation bounds every feasible
-  contingency below ``theta``.
+* IG is convex in a pattern's covered per-class counts, and a
+  descendant's counts lie in the box below the child's, so the best
+  *class vertex* (each class covered fully or not at all) bounds every
+  descendant, for any number of classes;
+* above a fixed class cap the bound falls back to
+  ``min(h(min(theta, 1/2)), H(C))``.
+
+docs/THEORY.md §6 has the argument.  The paper's support-only
+``IG_ub(theta)`` (Eq. 2) is not a pruning rule here.
 
 Exactness is pinned by the hypothesis differential suite
 (``tests/test_streaming_topk.py``): the result must equal "mine the
@@ -64,7 +62,7 @@ import numpy as np
 from ..core.bitset import pattern_covers, popcount
 from ..datasets.transactions import TransactionDataset
 from ..measures.bounds import BoundMode
-from ..measures.vectorized import ig_upper_bound_batch, information_gain_batch
+from ..measures.vectorized import score_covers
 from ..mining.itemsets import MiningResult, Pattern
 from ..obs import core as _obs
 
@@ -95,6 +93,10 @@ class FrontierCapExceeded(RuntimeError):
         )
 
 
+#: Added to every subtree bound.  A bound can round a few ulp *below*
+#: the IG of a descendant that attains it, which would float-prune an
+#: exact tie; the slack keeps pruning sound and only ever makes the
+#: search expand slightly more.
 _PRUNE_SLACK = 1e-9
 #: Frontier entries expanded together in one vectorized pass.
 _POP_BATCH = 32
@@ -208,23 +210,6 @@ class TopKResult:
         )
 
 
-def _entropy_bits(x: np.ndarray) -> np.ndarray:
-    """Elementwise binary entropy h(x) in bits (0 log 0 = 0)."""
-    x = np.asarray(x, dtype=float)
-    logx = np.log2(x, out=np.zeros_like(x), where=x > 0)
-    log1mx = np.log2(1.0 - x, out=np.zeros_like(x), where=x < 1)
-    return -x * logx - (1.0 - x) * log1mx
-
-
-def _class_entropy(class_totals: np.ndarray) -> float:
-    """Shannon entropy H(C) of a class-count vector, in bits."""
-    total = class_totals.sum()
-    if total <= 0:
-        return 0.0
-    p = class_totals[class_totals > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
 class TopKMiner:
     """Exact best-first top-k discriminative pattern miner.
 
@@ -242,9 +227,10 @@ class TopKMiner:
         :class:`FrontierCapExceeded` — the search never silently
         degrades to an approximate answer.
     bound_mode:
-        Forwarded to :func:`ig_upper_bound_batch` for the binary-class
-        bound ("paper" or "exact"; identical on the clamped
-        minority-prior range the miner evaluates, see module docstring).
+        Stored, with no effect on the search (its bound reads class
+        counts, not the paper's ``IG_ub``).
+        :class:`~repro.streaming.StreamSpec` carries it into the stream
+        fingerprint.
     """
 
     def __init__(
@@ -268,33 +254,6 @@ class TopKMiner:
         self.max_length = None if max_length is None else int(max_length)
         self.frontier_cap = frontier_cap
         self.bound_mode = bound_mode
-
-    # ------------------------------------------------------------------
-    def _subtree_bounds(
-        self, thetas: np.ndarray, priors: np.ndarray, h_class: float
-    ) -> np.ndarray:
-        """Upper bound on the IG of every itemset in each child's subtree.
-
-        Descendant support fractions satisfy ``theta' <= theta``, so each
-        component bound is evaluated at its monotone clamp (see module
-        docstring for why each is valid).
-        """
-        bounds = np.minimum(_entropy_bits(np.minimum(thetas, 0.5)), h_class)
-        if priors.size == 2:
-            p = float(priors[1])
-            p_minor = min(p, 1.0 - p)
-            if 0.0 < p_minor:
-                clamped = np.minimum(thetas, p_minor)
-                paper = ig_upper_bound_batch(
-                    clamped, p_minor, mode=self.bound_mode
-                )
-                bounds = np.minimum(bounds, paper)
-        # The bound expressions can round a few ulp *below* the true
-        # supremum (e.g. IG_ub(1/3, 1/3) vs the directly-computed IG of a
-        # pattern achieving it), which would float-prune an exact tie.
-        # Slack on the bound side keeps pruning sound; it only ever makes
-        # the search expand slightly more, never miss a winner.
-        return bounds + _PRUNE_SLACK
 
     def mine(self, data: TransactionDataset) -> TopKResult:
         """The k best patterns of ``data`` by information gain, exactly."""
@@ -330,8 +289,6 @@ class TopKMiner:
         item_words = item_bits.words
         label_words = data.label_bits().words
         class_totals = data.class_counts().astype(np.int64)
-        priors = class_totals / n
-        h_class = _class_entropy(class_totals)
         n_items = data.n_items
         n_words = item_words.shape[1]
         # Pair rows per counting block: each row holds its cover words and
@@ -382,24 +339,22 @@ class TopKMiner:
                 starts - (np.cumsum(widths) - widths), widths
             )
             supports = np.empty(owner.size, dtype=np.int64)
-            present_blocks = []
+            scored = []
             for lo in range(0, owner.size, block):
                 words = item_words[child_item[lo : lo + block]]
                 words &= tidsets[owner[lo : lo + block]]
                 supports[lo : lo + block] = block_supports = popcount(words)
-                live_words = words[block_supports >= 1]
-                present_blocks.append(
-                    popcount(live_words[:, np.newaxis, :] & label_words)
+                scored.append(
+                    score_covers(
+                        words[block_supports >= 1], label_words, class_totals
+                    )
                 )
             live = np.flatnonzero(supports >= 1)
             candidates_scored += int(live.size)
-            present = np.concatenate(present_blocks)
-            igs = information_gain_batch(
-                present, class_totals[np.newaxis, :] - present
-            ).tolist()
-            bounds = self._subtree_bounds(supports[live] / n, priors, h_class).tolist()
+            counts, igs, bounds = (
+                np.concatenate(parts).tolist() for parts in zip(*scored)
+            )
             live_items = child_item[live].tolist()
-            live_counts = present.tolist()
             ends = np.cumsum(np.bincount(owner[live], minlength=len(nodes))).tolist()
             first = 0
             for items, end in zip(nodes, ends):
@@ -411,9 +366,9 @@ class TopKMiner:
                 for j in range(first, end):
                     item = live_items[j]
                     child = items + (item,)
-                    offer(child, igs[j], tuple(live_counts[j]))
+                    offer(child, igs[j], tuple(counts[j]))
                     if expandable and item < n_items - 1:
-                        bound = bounds[j]
+                        bound = bounds[j] + _PRUNE_SLACK
                         # Strict comparison: a subtree whose bound *equals*
                         # the k-th best IG may still hold a tie that wins on
                         # the deterministic tie-break, so only strictly

@@ -4,9 +4,12 @@ The reference the packed search in :mod:`repro.selection.direct` is
 tested against.  Each node ANDs one dense ``(n_rows,)`` column into its
 row mask, counts its support on the active rows and scores itself with
 the scalar information gain; children are visited in the items'
-descending-support order.  The superset bound and the sequential-covering
-rules are the library's, so the two agree pattern for pattern, gain for
-gain and node for node.
+descending-support order.  The subtree bound is this module's own scalar
+loop over class subsets, written from the bound's definition rather than
+imported, so a wrong library bound shows up as a mismatch.  With
+``prune=True`` the two agree pattern for pattern, gain for gain and node
+for node; ``prune=False`` searches every frequent itemset up to the
+length cap, the answer a sound bound must not change.
 """
 
 from __future__ import annotations
@@ -16,9 +19,33 @@ from typing import Sequence
 import numpy as np
 
 from repro.datasets.transactions import TransactionDataset
+from repro.measures.entropy import binary_entropy, entropy
 from repro.measures.information_gain import information_gain_from_counts
+from repro.measures.vectorized import _VERTEX_CLASS_CAP
 from repro.mining.itemsets import Pattern
-from repro.selection.direct import DirectMiningResult, ig_superset_bound
+from repro.selection.direct import DirectMiningResult
+
+
+def subtree_bound(present: np.ndarray, class_totals: np.ndarray) -> float:
+    """Largest IG over the class vertices of ``present``'s coverage.
+
+    A vertex covers every ``present`` row of the classes in a proper,
+    nonempty subset and none of the others.  Outside 2..cap classes the
+    bound is ``min(h(min(theta, 1/2)), H(C))``.
+    """
+    m = len(class_totals)
+    if not 2 <= m <= _VERTEX_CLASS_CAP:
+        theta = present.sum() / max(class_totals.sum(), 1)
+        return min(binary_entropy(min(theta, 0.5)), entropy(class_totals))
+    best = 0.0
+    for subset in range(1, 2**m - 1):
+        covered = np.array(
+            [present[c] if subset >> c & 1 else 0 for c in range(m)]
+        )
+        best = max(
+            best, information_gain_from_counts(covered, class_totals - covered)
+        )
+    return best
 
 
 def occurrence_matrix(
@@ -41,6 +68,7 @@ def _best_pattern(
     min_count: int,
     max_length: int,
     frequent_items: np.ndarray,
+    prune: bool,
 ) -> tuple[tuple[int, ...] | None, float, int]:
     """Branch-and-bound search for the max-IG itemset on the active rows."""
     class_totals = class_one_hot[active].sum(axis=0)
@@ -64,10 +92,10 @@ def _best_pattern(
             if gain > best_gain:
                 best_gain = gain
                 best_items = new_items
-            if len(new_items) < max_length:
-                bound = ig_superset_bound(present, absent)
-                if bound > best_gain:
-                    descend(new_items, new_rows, position + 1)
+            if len(new_items) < max_length and (
+                not prune or subtree_bound(present, class_totals) > best_gain
+            ):
+                descend(new_items, new_rows, position + 1)
 
     descend((), np.ones(matrix.shape[0], dtype=bool), 0)
     return best_items, float(best_gain), nodes
@@ -79,6 +107,7 @@ def ddpmine(
     delta: int = 1,
     max_length: int = 4,
     max_patterns: int = 500,
+    prune: bool = True,
 ) -> DirectMiningResult:
     """Direct discriminative pattern mining with sequential covering."""
     matrix = occurrence_matrix(data.transactions, n_items=data.n_items)
@@ -101,7 +130,13 @@ def ddpmine(
             break
         min_count = max(1, int(np.ceil(min_support * n_active)))
         items, gain, nodes = _best_pattern(
-            matrix, class_one_hot, active, min_count, max_length, frequent_items
+            matrix,
+            class_one_hot,
+            active,
+            min_count,
+            max_length,
+            frequent_items,
+            prune,
         )
         total_nodes += nodes
         if items is None:

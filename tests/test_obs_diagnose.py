@@ -220,6 +220,19 @@ class TestDiagnoseCli:
             f"{config}: not valid JSON (Expecting property name enclosed in "
             "double quotes: line 1 column 2 (char 1))\n"
         )
+        # Valid JSON that is not a config document.
+        for document, reason in [
+            ('{"personas": [{}]}', "KeyError: 'name'"),
+            ("[1, 2]", "AttributeError: 'list' object has no attribute 'get'"),
+        ]:
+            config.write_text(document)
+            code = main(
+                ["diagnose", "--synthetic", "10", "--synthetic-config", str(config)]
+            )
+            assert code == EXIT_SCHEMA_INVALID
+            assert capsys.readouterr().err == (
+                f"{config}: not a synthetic config ({reason})\n"
+            )
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_non_positive_synthetic_count_is_a_usage_error(self, count, capsys):

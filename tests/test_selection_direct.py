@@ -1,5 +1,7 @@
 """Tests for DDPMine-style direct discriminative pattern mining."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,31 @@ from hypothesis import strategies as st
 
 from repro.datasets import TransactionDataset
 from repro.measures import information_gain_from_counts
+from repro.measures import vectorized
+from repro.measures.vectorized import _VERTEX_CLASS_CAP, ig_subtree_bound
 from repro.mining import mine_class_patterns
-from repro.selection import ddpmine, ig_superset_bound
+from repro.selection import ddpmine
 
-counts = st.lists(st.integers(0, 20), min_size=2, max_size=4)
+
+@st.composite
+def coverage_tables(draw):
+    """Covered and uncovered per-class counts for 2-5 classes."""
+    n_classes = draw(st.integers(2, 5))
+    present = draw(st.lists(st.integers(0, 3), min_size=n_classes, max_size=n_classes))
+    absent = draw(st.lists(st.integers(0, 12), min_size=n_classes, max_size=n_classes))
+    return np.array(present), np.array(absent)
+
+
+def best_sub_coverage_gain(present: np.ndarray, totals: np.ndarray) -> float:
+    """Max IG over every sub-multiset of the covered rows, by brute force."""
+    return max(
+        information_gain_from_counts(sub, totals - np.array(sub))
+        for sub in itertools.product(*(range(int(c) + 1) for c in present))
+    )
+
+
+def bound(present, totals) -> float:
+    return float(ig_subtree_bound(np.array([present]), np.array(totals))[0])
 
 
 class TestSupersetBound:
@@ -18,32 +41,48 @@ class TestSupersetBound:
         present = np.array([10, 0])
         absent = np.array([0, 10])
         gain = information_gain_from_counts(present, absent)
-        assert ig_superset_bound(present, absent) >= gain - 1e-12
+        assert bound(present, present + absent) >= gain - 1e-12
 
     def test_zero_coverage(self):
-        assert ig_superset_bound(np.array([0, 0]), np.array([5, 5])) == 0.0
+        assert bound([0, 0], [5, 5]) == 0.0
 
-    @settings(max_examples=80, deadline=None)
-    @given(present=counts, absent=counts)
-    def test_admissible_binary(self, present, absent):
-        """Every sub-coverage's IG is below the bound (binary case).
+    def test_multiclass_counterexample_to_a_pure_class_bound(self):
+        """Covering classes 1-3 and no row of class 0 reaches IG 0.750,
+        while the best single-class coverage reaches only 0.371."""
+        present = np.array([2, 1, 1, 1])
+        totals = np.array([11, 1, 1, 1])
+        pure = max(
+            information_gain_from_counts(row, totals - row)
+            for row in np.diag(present)
+        )
+        gain = information_gain_from_counts([0, 1, 1, 1], [11, 0, 0, 0])
+        assert (pure, gain) == pytest.approx((0.3712, 0.7496), abs=1e-4)
+        assert bound(present, totals) == pytest.approx(gain, abs=1e-12)
 
-        Brute-force all (a, b) with a <= present[0], b <= present[1]: the
-        IG of a pattern covering that sub-multiset never exceeds the bound.
-        """
-        if len(present) != 2 or len(absent) != 2:
-            return
-        present = np.asarray(present[:2])
-        absent = np.asarray(absent[:2])
-        total = present + absent
-        if total.sum() == 0:
-            return
-        bound = ig_superset_bound(present, absent)
-        for a in range(int(present[0]) + 1):
-            for b in range(int(present[1]) + 1):
-                sub = np.array([a, b])
-                gain = information_gain_from_counts(sub, total - sub)
-                assert gain <= bound + 1e-9
+    @settings(max_examples=100, deadline=None)
+    @given(table=coverage_tables())
+    def test_admissible_and_attained(self, table):
+        """Every sub-coverage's IG is below the bound, and one reaches it."""
+        present, absent = table
+        totals = present + absent
+        best = best_sub_coverage_gain(present, totals)
+        assert bound(present, totals) == pytest.approx(best, abs=1e-9)
+
+    def test_fallback_above_the_class_cap_is_admissible(self):
+        n_classes = _VERTEX_CLASS_CAP + 1
+        rng = np.random.default_rng(1)
+        present = rng.integers(0, 2, size=n_classes)
+        totals = present + rng.integers(0, 6, size=n_classes)
+        assert bound(present, totals) >= best_sub_coverage_gain(present, totals) - 1e-9
+
+    def test_one_bound_per_row_in_any_chunking(self, monkeypatch):
+        present = np.array([[3, 0, 1], [0, 0, 0], [1, 2, 2]])
+        totals = np.array([5, 4, 3])
+        whole = ig_subtree_bound(present, totals).tolist()
+        assert whole == [bound(row, totals) for row in present]
+        # One vertex row per pass: every row is its own chunk.
+        monkeypatch.setattr(vectorized, "_VERTEX_ROWS", 1)
+        assert ig_subtree_bound(present, totals).tolist() == whole
 
 
 class TestDDPMine:

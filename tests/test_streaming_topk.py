@@ -8,11 +8,11 @@ IG from identical integer count arrays through the identical kernel,
 so "equal" means *exact* equality — items, supports, class counts and
 IG floats, in order — not equality up to tolerance or tie shuffling.
 
-This pins the pruning soundness claims the miner's bound stack makes
-(entropy cap, class-entropy cap, minority-prior-clamped ``IG_ub``)
-across hypothesis-generated databases including skewed priors
-(p > 1/2) and multiclass labels, where a naive use of the paper-mode
-bound would silently under-bound and drop true winners.
+This pins the soundness of the subtree bound the miner prunes with
+(:func:`repro.measures.vectorized.ig_subtree_bound`: the best class
+vertex, or the entropy caps above the class cap) across
+hypothesis-generated databases with skewed priors (p > 1/2) and 2-5
+classes, where an unsound bound would silently drop true winners.
 
 Also here: the ``suggest_min_support`` round-trip satellite — the
 top-k result's IG threshold maps back through the paper's ``theta*``
@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.transactions import TransactionDataset
-from repro.measures.vectorized import information_gain_batch
+from repro.measures.vectorized import _VERTEX_CLASS_CAP, information_gain_batch
 from repro.mining.frequent import frequent_itemsets
 from repro.obs import core as _obs
 from repro.selection.minsup import suggest_min_support
@@ -111,13 +111,28 @@ class TestDifferential:
 
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(
-        data=labeled_databases(n_classes=3),
+        data=st.integers(min_value=2, max_value=5).flatmap(labeled_databases),
         k=st.integers(min_value=1, max_value=10),
     )
     def test_topk_exact_for_multiclass(self, data, k):
-        # m > 2 disables the paper bound; the entropy caps must suffice.
         result = TopKMiner(k=k).mine(data)
         assert as_rows(result) == oracle_topk(data, k)
+
+    def test_topk_exact_above_the_class_cap(self):
+        """More classes than the vertex cap: the entropy caps prune."""
+        n_classes = _VERTEX_CLASS_CAP + 1
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, n_classes, size=90)
+        transactions = [
+            sorted({int(label) % 8, *rng.choice(8, size=3).tolist()})
+            for label in labels
+        ]
+        data = TransactionDataset(
+            transactions, labels.tolist(), n_items=8, n_classes=n_classes
+        )
+        result = TopKMiner(k=10).mine(data)
+        assert as_rows(result) == oracle_topk(data, 10)
+        assert result.subtrees_pruned > 0
 
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(
@@ -133,6 +148,7 @@ class TestDifferential:
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=labeled_databases(), k=st.integers(min_value=1, max_value=8))
     def test_exact_mode_bound_agrees_with_paper_mode(self, data, k):
+        # bound_mode has no effect on the search.
         paper = TopKMiner(k=k, bound_mode="paper").mine(data)
         exact = TopKMiner(k=k, bound_mode="exact").mine(data)
         assert as_rows(paper) == as_rows(exact)
@@ -147,8 +163,8 @@ class TestDifferential:
         assert as_rows(result) == replay
 
     def test_skewed_prior_regression(self):
-        """p(c=1) > 1/2: the raw paper-mode IG_ub under-bounds here, so an
-        unclamped pruner would drop true winners.  Fixed seed, dense check."""
+        """p(c=1) > 1/2: the raw paper-mode IG_ub under-bounds here, so a
+        pruner built on it would drop true winners.  Fixed seed, dense check."""
         rng = np.random.default_rng(7)
         transactions, labels = [], []
         for _ in range(60):
