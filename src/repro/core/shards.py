@@ -43,6 +43,7 @@ from ..obs import core as _obs
 from .bitset import (
     BitMatrix,
     class_counts,
+    pack_transactions,
     packed_ones,
     pattern_covers,
     popcount,
@@ -131,38 +132,24 @@ def _pack_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pack one shard's rows into (item words, label words)."""
     n_rows = len(transactions)
-    n_words = word_count(n_rows)
-    item_words = np.zeros((n_items, n_words), dtype=_WORD_DTYPE)
-    label_words = np.zeros((n_classes, n_words), dtype=_WORD_DTYPE)
-    if n_rows:
-        lengths = np.fromiter(
-            (len(t) for t in transactions), dtype=np.intp, count=n_rows
-        )
-        total = int(lengths.sum())
-        if total:
-            items = np.fromiter(
-                (i for t in transactions for i in t), dtype=np.intp, count=total
-            )
-            if items.min() < 0 or items.max() >= n_items:
-                raise ValueError(f"transaction items outside [0, {n_items})")
-            rows = np.repeat(np.arange(n_rows, dtype=np.intp), lengths)
-            scatter_bits(item_words, items, rows)
-        label_array = np.asarray(labels, dtype=np.intp)
-        if label_array.size and (
-            label_array.min() < 0 or label_array.max() >= n_classes
-        ):
-            raise ValueError(f"labels outside [0, {n_classes})")
-        scatter_bits(
-            label_words, label_array, np.arange(n_rows, dtype=np.intp)
-        )
-    return item_words, label_words
+    item_bits, dropped = pack_transactions(transactions, n_items)
+    if dropped:
+        raise ValueError(f"transaction items outside [0, {n_items})")
+    label_words = np.zeros((n_classes, word_count(n_rows)), dtype=_WORD_DTYPE)
+    label_array = np.asarray(labels, dtype=np.intp)
+    if label_array.size and (
+        label_array.min() < 0 or label_array.max() >= n_classes
+    ):
+        raise ValueError(f"labels outside [0, {n_classes})")
+    scatter_bits(label_words, label_array, np.arange(n_rows, dtype=np.intp))
+    return item_bits.words, label_words
 
 
 class ShardWriter:
     """Streamed shard builder: append rows, seal a shard every ``shard_rows``.
 
     Buffers at most one shard's rows in memory; each sealed shard is
-    packed with :func:`~repro.core.bitset.scatter_bits` (no dense
+    packed with :func:`~repro.core.bitset.pack_transactions` (no dense
     intermediate), written atomically (temp file + ``os.replace``) and
     hashed.  ``close`` seals the ragged final shard and writes the
     manifest.

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, cover_plan, planned_covers
+from ..core.bitset import BitMatrix, CoverPlan
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 from ..obs import core as _obs
@@ -44,7 +44,7 @@ class PatternFeaturizer:
         columns are kept (the paper's Item_FS).
 
     The featurizer is immutable: the kept item columns and the patterns'
-    cover plan (:func:`~repro.core.bitset.cover_plan`) are built once
+    cover plan (:class:`~repro.core.bitset.CoverPlan`) are built once
     here, so every transform reuses them.
     """
 
@@ -76,7 +76,7 @@ class PatternFeaturizer:
         else:
             self.item_columns = np.flatnonzero(item_mask)
         try:
-            self._plan = cover_plan([p.items for p in self.patterns], self.n_items)
+            self._plan = CoverPlan([p.items for p in self.patterns], self.n_items)
         except IndexError as exc:
             raise ValueError(f"{exc}: such a pattern can never match") from exc
 
@@ -99,16 +99,24 @@ class PatternFeaturizer:
         return names
 
     def item_bits(
-        self, data: TransactionDataset | Sequence[Sequence[int]]
+        self, data: TransactionDataset | BitMatrix | Sequence[Sequence[int]]
     ) -> BitMatrix:
         """Packed item tidsets over ``data``.
 
-        A :class:`TransactionDataset` over this item space contributes its
+        Packed item bits over this item space pass as they are.  A
+        :class:`TransactionDataset` over this item space contributes its
         cached masks (shared with mining, stats and MMRFS — one occurrence
         structure per fit); it was validated when it was built.  Other
         input is packed on the fly, which raises ``IndexError`` for an
         item outside ``[0, n_items)``.
         """
+        if isinstance(data, BitMatrix):
+            if data.n_masks != self.n_items:
+                raise ValueError(
+                    f"item bits hold {data.n_masks} item masks, "
+                    f"the featurizer has {self.n_items} items"
+                )
+            return data
         if isinstance(data, TransactionDataset) and data.n_items == self.n_items:
             return data.item_bits()
         transactions = (
@@ -118,10 +126,6 @@ class PatternFeaturizer:
         )
         return BitMatrix.vertical(transactions, self.n_items)
 
-    def _covers_into(self, item_bits: BitMatrix, words: np.ndarray) -> None:
-        for positions, covers in planned_covers(item_bits, self._plan):
-            words[positions] = covers
-
     def pattern_bits(self, item_bits: BitMatrix) -> BitMatrix:
         """Packed pattern-coverage masks: mask ``j`` marks the rows of
         ``item_bits`` that contain pattern ``j``."""
@@ -129,7 +133,7 @@ class PatternFeaturizer:
             (len(self.patterns), item_bits.words.shape[1]),
             dtype=item_bits.words.dtype,
         )
-        self._covers_into(item_bits, words)
+        self._plan.covers_into(item_bits, words)
         return BitMatrix(words, item_bits.n_bits)
 
     def feature_bits(self, item_bits: BitMatrix) -> BitMatrix:
@@ -141,17 +145,17 @@ class PatternFeaturizer:
         )
         kept = len(self.item_columns)
         words[:kept] = item_bits.words[self.item_columns]
-        self._covers_into(item_bits, words[kept:])
+        self._plan.covers_into(item_bits, words[kept:])
         return BitMatrix(words, item_bits.n_bits)
 
     def match_matrix(
-        self, data: TransactionDataset | Sequence[Sequence[int]]
+        self, data: TransactionDataset | BitMatrix | Sequence[Sequence[int]]
     ) -> np.ndarray:
         """Boolean (n_rows, n_patterns) pattern-presence matrix."""
         return self.pattern_bits(self.item_bits(data)).to_dense().T
 
     def transform(
-        self, data: TransactionDataset | Sequence[Sequence[int]]
+        self, data: TransactionDataset | BitMatrix | Sequence[Sequence[int]]
     ) -> np.ndarray:
         """Binary design matrix (n_rows, n_features) as float64."""
         with _obs.span(

@@ -29,7 +29,10 @@ from repro.measures import (
 )
 from repro.measures.bounds import fisher_upper_bound, ig_upper_bound
 from repro.measures.fisher import fisher_score
-from repro.measures.information_gain import information_gain
+from repro.measures.information_gain import (
+    information_gain,
+    information_gain_from_counts,
+)
 from repro.mining import Pattern, mine_class_patterns
 from repro.selection.relevance import FisherScoreRelevance, batch_relevance
 from tests.oracles.scoring import batch_pattern_stats, chi2, row_stats, to_stats
@@ -85,6 +88,30 @@ class TestMeasureKernels:
     def test_information_gain_matches_scalar(self, tables):
         batch = information_gain_batch(tables.present, tables.absent)
         assert_rows_match(batch, [information_gain(s) for s in to_stats(tables)])
+
+    @given(
+        tables=st.integers(2, 12).flatmap(
+            lambda m: st.lists(
+                st.lists(
+                    st.just(0) | st.integers(0, 40), min_size=2 * m, max_size=2 * m
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_information_gain_equals_scalar_float_for_float(self, tables):
+        """Both paths keep zero counts as ``0 log 0 = 0`` terms, so they sum
+        the same terms in the same order, from 2 classes to 12."""
+        counts = np.array(tables, dtype=np.int64)
+        m = counts.shape[1] // 2
+        present, absent = counts[:, :m], counts[:, m:]
+        batch = information_gain_batch(present, absent)
+        scalars = [
+            information_gain_from_counts(p, a) for p, a in zip(present, absent)
+        ]
+        assert batch.tolist() == scalars
 
     @given(tables=contingency_tables())
     @settings(max_examples=150, deadline=None)

@@ -79,17 +79,7 @@ def test_matches_dense_search_above_the_class_cap():
         for label in labels
     ]
     data = TransactionDataset(rows, labels.tolist(), n_items=8, n_classes=n_classes)
-    params = dict(min_support=0.05, delta=2, max_length=3)
-    patterns, gains, nodes, coverage = run_summary(ddpmine(data, **params))
-    dense = run_summary(direct_dense.ddpmine(data, **params))
-    exhaustive = run_summary(direct_dense.ddpmine(data, prune=False, **params))
-    assert (patterns, nodes, coverage) == (dense[0], dense[2], dense[3])
-    assert (patterns, coverage) == (exhaustive[0], exhaustive[3])
-    # Nine entropy terms are summed in a different order by numpy's batch
-    # reduction than by the scalar oracle, which drops the zero terms, so
-    # the gains agree to rounding here rather than bit for bit.
-    assert dense[1] == pytest.approx(gains, rel=1e-12)
-    assert exhaustive[1] == pytest.approx(gains, rel=1e-12)
+    assert_same_run(data, min_support=0.05, delta=2, max_length=3)
 
 
 def test_matches_dense_search_on_cleve_ablation_config():

@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.classifiers.naive_bayes import BernoulliNaiveBayes
+from repro.core.bitset import pack_transactions
 from repro.datasets import TransactionDataset
 from repro.features.pipeline import FrequentPatternClassifier
 from repro.features.transformer import PatternFeaturizer
@@ -132,7 +133,18 @@ class TestPredictionParity:
             max_length=3,
         ).fit(data)
         expected = design_path(pipeline, [()])
-        assert np.array_equal(compile_model(pipeline).predict([()]), expected)
+        compiled = compile_model(pipeline)
+        assert np.array_equal(compiled.predict([()]), expected)
+        # Packed request bits take the same fallback, with no row tuples:
+        # the design is built from the featurizer's packed features.
+        rows = [(), (0, 99), (-4,)]
+        item_bits, dropped = pack_transactions(rows, compiled.n_items)
+        assert dropped == 2
+        assert compiled._near_tie(compiled.decision_scores(item_bits))
+        sanitized, _ = sanitize_transactions(rows, compiled.n_items)
+        expected = design_path(pipeline, sanitized)
+        assert np.array_equal(compiled.predict(item_bits, sanitize=False), expected)
+        assert np.array_equal(compiled.labels(item_bits), expected)
 
     def test_fused_kinds(self):
         for kind, fused in (

@@ -8,7 +8,8 @@ prediction.  Hypothesis hammers both claims the same way
 ``test_mining_differential.py`` pins apriori == frequent_itemsets:
 
 * **matcher oracle** — on random pattern sets and random transactions
-  (including unknown item ids, duplicates and empty transactions), the
+  (including unknown item ids — negative, past the item space or past
+  int64 — duplicates and empty transactions), the
   compiled and the featurizer's ``match_matrix`` equal the row-subset
   oracle (:mod:`tests.oracles.matching`) on the sanitized input, at every
   chunk size;
@@ -42,12 +43,15 @@ N_ITEMS = 10
 
 
 def dirty_transactions():
-    """Random request batches with unknown ids (>= N_ITEMS), duplicates
-    and empty transactions — what a serving boundary actually receives."""
-    return st.lists(
-        st.lists(st.integers(min_value=0, max_value=N_ITEMS + 3), max_size=8),
-        max_size=20,
+    """Random request batches with unknown ids (negative, >= N_ITEMS, or
+    beyond int64), duplicates and empty transactions — what a serving
+    boundary actually receives."""
+    ids = st.one_of(
+        st.integers(min_value=0, max_value=N_ITEMS - 1),
+        st.integers(min_value=-3, max_value=N_ITEMS + 3),
+        st.sampled_from([2**63, 2**64 + 7, -(2**63) - 1, -(2**70)]),
     )
+    return st.lists(st.lists(ids, max_size=8), max_size=20)
 
 
 def pattern_sets():
