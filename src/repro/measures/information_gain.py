@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contingency import PatternStats
-from .entropy import entropy
+from .vectorized import _row_entropy
 
 __all__ = ["information_gain", "information_gain_from_counts"]
 
@@ -20,7 +20,13 @@ def information_gain_from_counts(
     present: np.ndarray | tuple[int, ...],
     absent: np.ndarray | tuple[int, ...],
 ) -> float:
-    """IG from per-class counts on the x=1 and x=0 branches."""
+    """IG from per-class counts on the x=1 and x=0 branches.
+
+    The three entropies come from the batch kernel's row entropy, which
+    keeps zero counts as ``0 log 0 = 0`` terms, so this equals
+    :func:`~repro.measures.vectorized.information_gain_batch` float for
+    float at any number of classes.
+    """
     present = np.asarray(present, dtype=float)
     absent = np.asarray(absent, dtype=float)
     n_present = present.sum()
@@ -28,13 +34,10 @@ def information_gain_from_counts(
     n = n_present + n_absent
     if n == 0:
         return 0.0
-    h_class = entropy(present + absent)
-    h_conditional = 0.0
-    if n_present > 0:
-        h_conditional += (n_present / n) * entropy(present)
-    if n_absent > 0:
-        h_conditional += (n_absent / n) * entropy(absent)
-    gain = h_class - h_conditional
+    h_class, h_present, h_absent = _row_entropy(
+        np.stack([present + absent, present, absent])
+    )
+    gain = h_class - ((n_present / n) * h_present + (n_absent / n) * h_absent)
     # Clamp tiny negative values from floating-point noise.
     return max(0.0, float(gain))
 

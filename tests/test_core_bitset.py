@@ -19,6 +19,7 @@ from repro.core import bitset
 from repro.core.bitset import (
     WORD_BITS,
     BitMatrix,
+    CoverPlan,
     class_counts,
     intersection_counts,
     pack_bits,
@@ -390,6 +391,30 @@ class TestPatternCoverKernel:
         label_words = pack_bits(np.ones((2, 10), dtype=bool))
         assert class_counts(items, label_words, []).shape == (0, 2)
 
+    @staticmethod
+    def _check_plan(items, itemsets):
+        out = np.full(
+            (len(itemsets), items.words.shape[1]), 0xA5, dtype=items.words.dtype
+        )
+        CoverPlan(itemsets, items.n_masks).covers_into(items, out)
+        for itemset, cover in zip(itemsets, out):
+            assert np.array_equal(cover, and_reduce(items, itemset))
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=cover_batches())
+    def test_cover_plan_matches_and_reduce(self, batch):
+        items, _, itemsets = batch
+        self._check_plan(items, itemsets)
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=cover_batches())
+    def test_cover_plan_over_many_blocks(self, batch):
+        items, _, itemsets = batch
+        with pytest.MonkeyPatch.context() as patch:
+            # At most 3 padded rows of 4 items over 1 word per block.
+            patch.setattr(bitset, "_COVER_BLOCK_BYTES", 3 * 4 * 8)
+            self._check_plan(items, itemsets)
+
     @pytest.mark.parametrize("itemset", [(0, 3), (5,), (1, -1)])
     def test_out_of_range_item_raises(self, itemset):
         items = BitMatrix.from_dense(np.ones((3, 70), dtype=bool))
@@ -400,6 +425,8 @@ class TestPatternCoverKernel:
             list(pattern_covers(items, [(0,), itemset]))
         with pytest.raises(IndexError):
             class_counts(items, packed_ones(70)[np.newaxis, :], [itemset])
+        with pytest.raises(IndexError):
+            CoverPlan([(0,), itemset], 3)
 
 
 class TestTransientBuffersBounded:
