@@ -120,8 +120,8 @@ def coverage_overlap(
         return np.zeros((0, 0))
     coverage = np.empty((n, data.n_rows), dtype=np.float64)
     itemsets = [p.items for p in patterns]
-    for positions, covers in pattern_covers(data.item_bits(), itemsets):
-        coverage[positions] = unpack_bits(covers, data.n_rows)
+    for start, covers in pattern_covers(data.item_bits(), itemsets):
+        coverage[start : start + len(covers)] = unpack_bits(covers, data.n_rows)
     intersection = coverage @ coverage.T
     sizes = coverage.sum(axis=1)
     union = sizes[:, np.newaxis] + sizes[np.newaxis, :] - intersection

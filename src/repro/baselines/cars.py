@@ -57,8 +57,8 @@ def rule_matches(
     """
     result = np.empty((len(rules), data.n_rows), dtype=bool)
     antecedents = [rule.antecedent for rule in rules]
-    for positions, covers in pattern_covers(data.item_bits(), antecedents):
-        result[positions] = unpack_bits(covers, data.n_rows)
+    for start, covers in pattern_covers(data.item_bits(), antecedents):
+        result[start : start + len(covers)] = unpack_bits(covers, data.n_rows)
     return result
 
 

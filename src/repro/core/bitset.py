@@ -20,12 +20,21 @@ never see garbage bits.
 which makes pattern coverage an AND-reduction over item masks and support
 a popcount — the classic vertical-format trick of Eclat/CHARM, applied
 here to the paper's feature-construction stage as well.
+
+One cover kernel serves every caller.  :class:`CoverPlan` lays a list of
+itemsets out as one gather table in itemset order, each row padded to the
+longest itemset by repeating its last item; a block of covers is then one
+gather and one AND-reduce, whatever the mix of lengths.  The featurizer
+writes the covers straight into its design rows
+(:meth:`CoverPlan.covers_into`); :func:`pattern_covers` yields them in
+order block by block, and :func:`class_counts` turns each block into
+per-class counts.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,11 +51,10 @@ __all__ = [
     "packed_ones",
     "scatter_bits",
     "pack_transactions",
-    "cover_plan",
-    "planned_covers",
     "CoverPlan",
     "pattern_covers",
     "class_counts",
+    "SupportQueries",
 ]
 
 WORD_BITS = 64
@@ -58,9 +66,10 @@ _POPCOUNT8 = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1
 ).sum(axis=1).astype(np.int64)
 _BITWISE_COUNT = getattr(np, "bitwise_count", None)
-#: Byte budget of one block of covers from :func:`pattern_covers`: bounds
-#: the transient ``(block, n_words)`` uint64 buffer of every batched cover
-#: and count, however many itemsets the batch holds.
+#: Byte budget of one block of the cover kernel's gather (:class:`CoverPlan`,
+#: padded width included): bounds the transient ``(block, width, n_words)``
+#: uint64 buffer of every batched cover and count, however many itemsets
+#: the batch holds.
 _COVER_BLOCK_BYTES = 4 << 20
 #: Rows flattened per step of :func:`pack_transactions`: bounds its
 #: transient id, row and bit arrays (about 40 bytes per id) on long
@@ -243,69 +252,15 @@ def packed_ones(n_bits: int) -> np.ndarray:
     return words
 
 
-def cover_plan(
-    itemsets: Sequence[Sequence[int]], n_items: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The itemsets grouped by length, for :func:`planned_covers`.
-
-    One ``(positions, gather)`` pair per distinct length, in ascending
-    length: ``gather[r]`` holds the items of ``itemsets[positions[r]]``.
-
-    Raises ``IndexError`` for an item outside ``[0, n_items)``.
-    """
-    groups: dict[int, list[int]] = {}
-    for position, items in enumerate(itemsets):
-        groups.setdefault(len(items), []).append(position)
-    plan = []
-    for length in sorted(groups):
-        positions = np.asarray(groups[length], dtype=np.intp)
-        gather = np.asarray(
-            [itemsets[p] for p in groups[length]], dtype=np.intp
-        ).reshape(len(positions), length)
-        if gather.size and (gather.min() < 0 or gather.max() >= n_items):
-            raise IndexError(f"itemset items outside [0, {n_items})")
-        plan.append((positions, gather))
-    return plan
-
-
-def planned_covers(
-    item_bits: "BitMatrix", plan: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Coverage masks of a :func:`cover_plan`, one bounded block at a time.
-
-    Yields ``(positions, covers)`` pairs: ``covers[r]`` is the AND of the
-    item masks of itemset ``positions[r]`` (the all-ones mask for the
-    empty itemset).  Every position appears in exactly one block.  A block
-    of ``length``-item itemsets is one gather and one
-    ``np.bitwise_and.reduce`` over a ``(block, length, n_words)`` array,
-    not a Python call per itemset; the gather holds at most
-    ``_COVER_BLOCK_BYTES`` of words, so no buffer grows with the number
-    of itemsets.
-    """
-    item_words = item_bits.words
-    row_bytes = max(1, item_words.shape[1] * 8)
-    for positions, gather in plan:
-        length = gather.shape[1]
-        block = max(1, _COVER_BLOCK_BYTES // (row_bytes * max(1, length)))
-        for start in range(0, len(positions), block):
-            columns = gather[start : start + block]
-            if length == 0:
-                covers = np.tile(packed_ones(item_bits.n_bits), (len(columns), 1))
-            elif length == 1:
-                covers = item_words[columns[:, 0]]
-            else:
-                covers = np.bitwise_and.reduce(item_words[columns], axis=1)
-            yield positions[start : start + block], covers
-
-
 class CoverPlan:
-    """Itemsets kept for covering many item bit matrices.
+    """Itemsets laid out for the pipeline's one cover kernel.
 
-    The featurizer behind every predict holds one.  ``table`` holds the
-    items of every itemset in itemset order, each row padded to the
-    longest itemset by repeating its last item (AND is idempotent, so
-    padding leaves every cover unchanged); ``empty`` lists the empty
-    itemsets, whose cover is all ones rather than a gather.
+    ``table`` holds the items of every itemset in itemset order, each row
+    padded to the longest itemset by repeating its last item (AND is
+    idempotent, so padding leaves every cover unchanged); ``empty`` lists
+    the empty itemsets, whose cover is all ones rather than a gather.
+    The featurizer holds one per fitted pattern set; :func:`pattern_covers`
+    and :func:`class_counts` build one per call.
 
     Raises ``IndexError`` for an item outside ``[0, n_items)``.
     """
@@ -327,44 +282,59 @@ class CoverPlan:
         self.table = flat[np.maximum(starts[:, np.newaxis] + offsets, 0)]
         self.empty = np.flatnonzero(lengths == 0)
 
+    def block_rows(self, n_words: int) -> int:
+        """Itemsets per block: as many as a gather of ``n_words``-word
+        masks, padded width included, fits in ``_COVER_BLOCK_BYTES``."""
+        row_bytes = max(1, self.table.shape[1]) * max(1, n_words) * 8
+        return max(1, _COVER_BLOCK_BYTES // row_bytes)
+
     def covers_into(self, item_bits: "BitMatrix", out: np.ndarray) -> None:
         """Write the cover of itemset ``j`` into ``out[j]``.
 
-        One gather and one AND-reduce straight into ``out`` per block of
-        itemsets whose gather fits ``_COVER_BLOCK_BYTES`` — a single block
-        for a served request or a chunk of a batch.
+        One gather and one AND-reduce straight into ``out`` per block —
+        a single block for a served request or a chunk of a batch.
+        Records nothing: it runs once per served request.
         """
         item_words = item_bits.words
-        table = self.table
-        if table.shape[1]:
-            row_bytes = table.shape[1] * max(1, item_words.shape[1]) * 8
-            block = max(1, _COVER_BLOCK_BYTES // row_bytes)
-            for start in range(0, len(table), block):
-                np.bitwise_and.reduce(
-                    item_words[table[start : start + block]],
-                    axis=1,
-                    out=out[start : start + block],
-                )
+        step = self.block_rows(item_words.shape[1])
+        for start in range(0, len(self.table), step):
+            np.bitwise_and.reduce(
+                item_words[self.table[start : start + step]],
+                axis=1,
+                out=out[start : start + step],
+            )
         if self.empty.size:
             out[self.empty] = packed_ones(item_bits.n_bits)
 
 
 def pattern_covers(
     item_bits: "BitMatrix", itemsets: Sequence[Sequence[int]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`planned_covers` of ``itemsets`` over ``item_bits``.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Covers of ``itemsets`` over ``item_bits``, in itemset order.
 
-    Records each block's size in the ``bitset.kernel_batch_words``
-    histogram; the featurizer's :class:`CoverPlan`, which runs once per
-    served request, records nothing.  Raises ``IndexError`` for an item
-    outside ``[0, n_masks)``.
+    Yields one ``(start, covers)`` pair per block of
+    :meth:`CoverPlan.block_rows` itemsets: ``covers[r]`` is the AND of the
+    item masks of ``itemsets[start + r]`` (all ones for the empty
+    itemset), and the blocks follow each other with no gap.  Each block
+    is one gather and one AND-reduce over the padded table, so no buffer
+    grows with the number of itemsets, and its size goes to the
+    ``bitset.kernel_batch_words`` histogram.
+    Raises ``IndexError`` for an item outside ``[0, n_masks)``.
     """
-    plan = cover_plan(itemsets, item_bits.n_masks)
+    plan = CoverPlan(itemsets, item_bits.n_masks)
+    item_words = item_bits.words
     session = _obs._ACTIVE
-    for positions, covers in planned_covers(item_bits, plan):
+    step = plan.block_rows(item_words.shape[1])
+    for start in range(0, len(plan.table), step):
+        covers = np.bitwise_and.reduce(
+            item_words[plan.table[start : start + step]], axis=1
+        )
+        lo, hi = np.searchsorted(plan.empty, (start, start + step))
+        if hi > lo:
+            covers[plan.empty[lo:hi] - start] = packed_ones(item_bits.n_bits)
         if session is not None:
             session.observe("bitset.kernel_batch_words", covers.size)
-        yield positions, covers
+        yield start, covers
 
 
 def class_counts(
@@ -376,15 +346,53 @@ def class_counts(
 
     The per-class support kernel of the pipeline: contingency tables,
     recounts, stream shard and out-of-core shard counts all reduce to it.
-    Covers come blockwise from :func:`pattern_covers`, so the transient
-    memory is one block whatever ``k`` is.
+    Covers come blockwise and in order from :func:`pattern_covers`, so
+    the transient memory is one block whatever ``k`` is.
     """
     label_words = np.asarray(label_words)
     counts = np.zeros((len(itemsets), label_words.shape[0]), dtype=np.int64)
-    for positions, covers in pattern_covers(item_bits, itemsets):
+    for start, covers in pattern_covers(item_bits, itemsets):
         for label, words in enumerate(label_words):
-            counts[positions, label] = popcount(covers & words)
+            counts[start : start + len(covers), label] = popcount(covers & words)
     return counts
+
+
+class SupportQueries:
+    """Single-pattern support queries of a dataset held as packed bits.
+
+    Mixed into :class:`~repro.datasets.transactions.TransactionDataset`
+    and :class:`~repro.core.shards.VerticalDataset`, which provide
+    ``n_rows``, ``n_items``, ``n_classes``, ``item_bits()`` and
+    ``label_bits()``.  A pattern with an item outside ``[0, n_items)``
+    covers no row.
+    """
+
+    def _cover(self, pattern: Iterable[int]) -> np.ndarray | None:
+        """Packed cover of ``pattern``, or None if an item is out of range."""
+        items = [int(i) for i in pattern]
+        if any(i < 0 or i >= self.n_items for i in items):
+            return None
+        [(_, covers)] = pattern_covers(self.item_bits(), [items])
+        return covers[0]
+
+    def support_count(self, pattern: Iterable[int]) -> int:
+        """Absolute support |D_alpha| of a pattern (itemset)."""
+        cover = self._cover(pattern)
+        return 0 if cover is None else int(popcount(cover))
+
+    def covers(self, pattern: Iterable[int]) -> np.ndarray:
+        """Boolean mask over rows: which transactions contain the pattern."""
+        cover = self._cover(pattern)
+        if cover is None:
+            return np.zeros(self.n_rows, dtype=bool)
+        return unpack_bits(cover, self.n_rows)
+
+    def class_support_counts(self, pattern: Iterable[int]) -> np.ndarray:
+        """Per-class absolute support of a pattern, indexed by class label."""
+        cover = self._cover(pattern)
+        if cover is None:
+            return np.zeros(self.n_classes, dtype=np.int64)
+        return popcount(self.label_bits().words & cover)
 
 
 class BitMatrix:

@@ -42,10 +42,8 @@ import numpy as np
 from ..obs import core as _obs
 from .bitset import (
     BitMatrix,
-    class_counts,
+    SupportQueries,
     pack_transactions,
-    packed_ones,
-    pattern_covers,
     popcount,
     scatter_bits,
     unpack_bits,
@@ -342,7 +340,7 @@ def shard_dataset(
     return writer.close()
 
 
-class VerticalDataset:
+class VerticalDataset(SupportQueries):
     """A dataset reconstructed from packed verticals — no transaction list.
 
     Duck-types the slice of :class:`TransactionDataset` the measures and
@@ -388,32 +386,6 @@ class VerticalDataset:
 
     def class_counts(self) -> np.ndarray:
         return popcount(self._label_bits.words).astype(np.int64)
-
-    def _valid_items(self, pattern: Iterable[int]) -> list[int] | None:
-        items = [int(i) for i in pattern]
-        if any(i < 0 or i >= self.n_items for i in items):
-            return None
-        return items
-
-    def support_count(self, pattern: Iterable[int]) -> int:
-        items = self._valid_items(pattern)
-        if items is None:
-            return 0
-        ones = packed_ones(self.n_rows)[np.newaxis]
-        return int(class_counts(self._item_bits, ones, [items])[0, 0])
-
-    def covers(self, pattern: Iterable[int]) -> np.ndarray:
-        items = self._valid_items(pattern)
-        if items is None:
-            return np.zeros(self.n_rows, dtype=bool)
-        [(_, covers)] = pattern_covers(self._item_bits, [items])
-        return unpack_bits(covers[0], self.n_rows)
-
-    def class_support_counts(self, pattern: Iterable[int]) -> np.ndarray:
-        items = self._valid_items(pattern)
-        if items is None:
-            return np.zeros(self.n_classes, dtype=np.int64)
-        return class_counts(self._item_bits, self._label_bits.words, [items])[0]
 
     def __len__(self) -> int:
         return self.n_rows

@@ -14,13 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import (
-    BitMatrix,
-    class_counts,
-    packed_ones,
-    pattern_covers,
-    unpack_bits,
-)
+from ..core.bitset import BitMatrix, SupportQueries
 from .schema import Dataset
 
 __all__ = ["ItemCatalog", "TransactionDataset"]
@@ -68,7 +62,7 @@ class ItemCatalog:
         return "{" + ", ".join(self.item_names[i] for i in sorted(items)) + "}"
 
 
-class TransactionDataset:
+class TransactionDataset(SupportQueries):
     """Itemized view of a dataset: one transaction (sorted item tuple) per row.
 
     Attributes
@@ -219,36 +213,6 @@ class TransactionDataset:
             dense = self.labels[np.newaxis, :] == classes[:, np.newaxis]
             self._label_bits = BitMatrix.from_dense(dense)
         return self._label_bits
-
-    def _valid_items(self, pattern: Iterable[int]) -> list[int] | None:
-        """Pattern items as a list, or None if any item is out of range."""
-        items = [int(i) for i in pattern]
-        if any(i < 0 or i >= self.n_items for i in items):
-            return None
-        return items
-
-    def support_count(self, pattern: Iterable[int]) -> int:
-        """Absolute support |D_alpha| of a pattern (itemset)."""
-        items = self._valid_items(pattern)
-        if items is None:
-            return 0
-        ones = packed_ones(self.n_rows)[np.newaxis]
-        return int(class_counts(self.item_bits(), ones, [items])[0, 0])
-
-    def covers(self, pattern: Iterable[int]) -> np.ndarray:
-        """Boolean mask over rows: which transactions contain the pattern."""
-        items = self._valid_items(pattern)
-        if items is None:
-            return np.zeros(self.n_rows, dtype=bool)
-        [(_, covers)] = pattern_covers(self.item_bits(), [items])
-        return unpack_bits(covers[0], self.n_rows)
-
-    def class_support_counts(self, pattern: Iterable[int]) -> np.ndarray:
-        """Per-class absolute support of a pattern, indexed by class label."""
-        items = self._valid_items(pattern)
-        if items is None:
-            return np.zeros(self.n_classes, dtype=np.int64)
-        return class_counts(self.item_bits(), self.label_bits().words, [items])[0]
 
     def __len__(self) -> int:
         return self.n_rows

@@ -20,7 +20,8 @@ per-class mining:
    (AND-reduce + popcount against the shard's label masks) and the
    per-shard int64 count vectors are merged order-invariantly (integer
    addition — the same merge discipline as ``repro.streaming.window``).
-   Counting is level-wise by itemset length.
+   Every candidate, of every length, is counted in one fan-out over the
+   shards, in ``(length, items)`` order.
 
 For ``miner="closed"`` the local pass mines *all* frequent itemsets one
 item longer than ``max_length``; global closedness is then exact: ``I``
@@ -244,7 +245,7 @@ def mine_sharded(
         # Progress heartbeats: a long sharded run is otherwise silent
         # until the final rollup, so both passes publish done/total
         # counters plus an ETA series through the obs channel.  Work
-        # units are pass-1 cells and pass-2 (level, shard) count jobs.
+        # units are pass-1 cells and pass-2 shard count jobs.
         _obs.add("progress.mine_sharded.shards_total", len(shards))
         _obs.add("progress.mine_sharded.rows_total", int(shards.n_rows))
         _obs.add("progress.mine_sharded.cells_total", len(jobs))
@@ -272,34 +273,28 @@ def mine_sharded(
         _obs.add("mining.sharded.local_jobs", len(jobs))
         _obs.add("mining.sharded.candidates", len(candidates))
 
-        # ---- pass 2: level-wise exact global counting -----------------
+        # ---- pass 2: exact global counting, one fan-out ---------------
+        ordered = sorted(candidates, key=lambda items: (len(items), items))
+        shard_jobs = list(enumerate(shards.handles))
+        _obs.add("progress.mine_sharded.count_shards_total", len(shard_jobs))
+        count_keys = None
+        if cache is not None:
+            count_keys = [_count_key(handle, ordered) for _, handle in shard_jobs]
+        shard_counts = checkpointed_map(
+            _count_shard, shard_jobs, count_keys, cache, COUNT_STAGE,
+            n_jobs=n_jobs, retry=retry, shared=ordered,
+        )
+        totals = np.zeros((len(ordered), shards.n_classes), dtype=np.int64)
+        for outcome in shard_counts:
+            totals += np.asarray(outcome["counts"], dtype=np.int64).reshape(
+                totals.shape
+            )
+        pass_done("progress.mine_sharded.count_shards_done", len(shard_jobs))
+
         counts: dict[tuple[int, ...], np.ndarray] = {
             (): class_totals.astype(np.int64)
         }
-        by_length: dict[int, list[tuple[int, ...]]] = {}
-        for items in candidates:
-            by_length.setdefault(len(items), []).append(items)
-
-        shard_jobs = list(enumerate(shards.handles))
-        for length in sorted(by_length):
-            level = sorted(by_length[length])
-            _obs.add(
-                "progress.mine_sharded.count_shards_total", len(shard_jobs)
-            )
-            count_keys = None
-            if cache is not None:
-                count_keys = [_count_key(handle, level) for _, handle in shard_jobs]
-            shard_counts = checkpointed_map(
-                _count_shard, shard_jobs, count_keys, cache, COUNT_STAGE,
-                n_jobs=n_jobs, retry=retry, shared=level,
-            )
-            level_totals = np.zeros((len(level), shards.n_classes), dtype=np.int64)
-            for outcome in shard_counts:
-                level_totals += np.asarray(outcome["counts"], dtype=np.int64)
-            pass_done("progress.mine_sharded.count_shards_done", len(shard_jobs))
-
-            for row, items in enumerate(level):
-                counts[items] = level_totals[row]
+        counts.update(zip(ordered, totals))
         span.set(counted_candidates=len(candidates))
         _obs.add("mining.sharded.counted_candidates", len(candidates))
 

@@ -211,8 +211,8 @@ def _packed_coverage(
     coverage_words = np.empty(
         (len(itemsets), item_bits.words.shape[1]), dtype=item_bits.words.dtype
     )
-    for positions, covers in pattern_covers(item_bits, itemsets):
-        coverage_words[positions] = covers
+    for start, covers in pattern_covers(item_bits, itemsets):
+        coverage_words[start : start + len(covers)] = covers
     if not data.n_classes:
         return coverage_words, np.zeros_like(coverage_words)
     # AND in place into the gathered label masks: one (n, n_words) buffer.

@@ -329,8 +329,8 @@ class TopKMiner:
             """Score every child of ``nodes`` at once, then walk them in order."""
             nonlocal nodes_expanded, candidates_scored, subtrees_pruned
             tidsets = np.empty((len(nodes), n_words), dtype=item_words.dtype)
-            for positions, covers in pattern_covers(item_bits, nodes):
-                tidsets[positions] = covers
+            for start, covers in pattern_covers(item_bits, nodes):
+                tidsets[start : start + len(covers)] = covers
             # Pairs run node by node, children in item order.
             starts = np.array([items[-1] + 1 if items else 0 for items in nodes])
             widths = n_items - starts

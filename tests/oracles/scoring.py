@@ -5,8 +5,8 @@ contingency.batch_contingency_tables` feeding the kernels of
 :mod:`repro.measures.vectorized` — is tested against.  Each pattern's
 coverage is its own :func:`and_reduce` over the dataset's item bitsets,
 and each measure is evaluated on one table at a time.  :func:`and_reduce`
-is also the per-pattern reference of the grouped cover kernel
-:func:`repro.core.bitset.pattern_covers`.
+is also the per-pattern reference of the padded cover kernel
+(:class:`repro.core.bitset.CoverPlan`, :func:`~repro.core.bitset.pattern_covers`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import bitset
@@ -322,7 +322,7 @@ def cover_batches(draw):
     """Item masks, packed label masks and itemsets of mixed lengths.
 
     Row counts straddle the word size (0, 1, 63, 64, 65) or are random;
-    itemsets include the empty one and repeat lengths so groups form.
+    itemsets include the empty one and mix lengths in any order.
     """
     n_rows = draw(st.sampled_from([0, 1, 63, 64, 65]) | st.integers(2, 200))
     n_items = draw(st.integers(min_value=1, max_value=10))
@@ -340,18 +340,40 @@ def cover_batches(draw):
     return items, label_words, itemsets
 
 
+def _mixed_batch():
+    """Thirty itemsets whose lengths fall, rise and repeat, with empty
+    itemsets between them, over 130 rows (three words): no item is 0, so
+    padding with item 0 would change covers, and a length-ordered kernel
+    would emit them out of itemset order."""
+    rng = np.random.default_rng(7)
+    items = BitMatrix.from_dense(rng.random((9, 130)) < 0.7)
+    labels = rng.integers(0, 3, size=130)
+    label_words = pack_bits(labels[np.newaxis, :] == np.arange(3)[:, np.newaxis])
+    lengths = [4, 0, 1, 3, 0, 0, 2, 4, 1, 0] * 3
+    itemsets = [
+        tuple(sorted(rng.choice(np.arange(1, 9), size=n, replace=False).tolist()))
+        for n in lengths
+    ]
+    return items, label_words, itemsets
+
+
+MIXED_BATCH = _mixed_batch()
+
+
 class TestPatternCoverKernel:
-    """The grouped cover kernel against one oracle ``and_reduce`` per itemset."""
+    """The padded cover kernel against one oracle ``and_reduce`` per itemset."""
 
     @staticmethod
     def _check(items, label_words, itemsets):
-        seen = []
-        for positions, covers in pattern_covers(items, itemsets):
-            assert covers.shape == (len(positions), items.words.shape[1])
-            for position, cover in zip(positions, covers):
-                assert np.array_equal(cover, and_reduce(items, itemsets[position]))
-            seen.extend(positions.tolist())
-        assert sorted(seen) == list(range(len(itemsets)))
+        end = 0
+        for start, covers in pattern_covers(items, itemsets):
+            # Blocks run in itemset order, each right after the last.
+            assert start == end and len(covers) > 0
+            assert covers.shape[1] == items.words.shape[1]
+            for itemset, cover in zip(itemsets[start:], covers):
+                assert np.array_equal(cover, and_reduce(items, itemset))
+            end = start + len(covers)
+        assert end == len(itemsets)
         expected = np.array(
             [popcount(label_words & and_reduce(items, s)) for s in itemsets],
             dtype=np.int64,
@@ -360,11 +382,13 @@ class TestPatternCoverKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(batch=cover_batches())
+    @example(batch=MIXED_BATCH)
     def test_matches_and_reduce(self, batch):
         self._check(*batch)
 
     @settings(max_examples=50, deadline=None)
     @given(batch=cover_batches())
+    @example(batch=MIXED_BATCH)
     def test_more_itemsets_than_one_block(self, batch):
         with pytest.MonkeyPatch.context() as patch:
             # At most 3 covers of up to 4 words per block.
@@ -376,8 +400,8 @@ class TestPatternCoverKernel:
         items = BitMatrix.from_dense(np.zeros((2, n_rows), dtype=bool))
         blocks = list(pattern_covers(items, [(), ()]))
         assert len(blocks) == 1
-        positions, covers = blocks[0]
-        assert positions.tolist() == [0, 1]
+        start, covers = blocks[0]
+        assert start == 0 and len(covers) == 2
         for cover in covers:
             # All ones, and the tail bits past n_rows stay zero.
             assert np.array_equal(cover, packed_ones(n_rows))
@@ -402,12 +426,14 @@ class TestPatternCoverKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(batch=cover_batches())
+    @example(batch=MIXED_BATCH)
     def test_cover_plan_matches_and_reduce(self, batch):
         items, _, itemsets = batch
         self._check_plan(items, itemsets)
 
     @settings(max_examples=50, deadline=None)
     @given(batch=cover_batches())
+    @example(batch=MIXED_BATCH)
     def test_cover_plan_over_many_blocks(self, batch):
         items, _, itemsets = batch
         with pytest.MonkeyPatch.context() as patch:
@@ -442,20 +468,24 @@ class TestTransientBuffersBounded:
             n_rows,
         )
         label_words = items.words[:2].copy()
-        itemsets = [
-            tuple(rng.choice(n_items, 2, replace=False).tolist()) for _ in range(k)
+        pairs = [
+            tuple(rng.choice(n_items, 2, replace=False).tolist()) for _ in range(k - 1)
         ]
         assert k * word_count(n_rows) * 8 > 256 << 20
-        tracemalloc.start()
-        try:
-            counts = class_counts(items, label_words, itemsets)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < self.BOUND
-        for j in (0, k - 1):
-            cover = and_reduce(items, itemsets[j])
-            assert counts[j].tolist() == popcount(label_words & cover).tolist()
+        # The first itemset pads every gather row to its length: a block
+        # sized without the padded width gathers 64 MB at length 16.
+        for longest in (2, 16):
+            itemsets = [tuple(range(longest))] + pairs
+            tracemalloc.start()
+            try:
+                counts = class_counts(items, label_words, itemsets)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < self.BOUND
+            for j in (0, k - 1):
+                cover = and_reduce(items, itemsets[j])
+                assert counts[j].tolist() == popcount(label_words & cover).tolist()
 
     def test_closed_miner_blocks_its_closure_buffer(self):
         rng = np.random.default_rng(2)
