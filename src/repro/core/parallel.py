@@ -30,10 +30,9 @@ Instrumentation (:mod:`repro.obs`) is fan-out aware: with a session
 active, process workers record into a fresh per-worker session whose
 export rides back with each result and is merged — re-parented under the
 launching span — in submission order, and thread workers adopt the
-launching span as their parent directly.  With no session active (and no
-fault plan staged) the submitted payloads are exactly the bare
-``(fn, item)`` calls of before.  Each retry round is announced on the
-obs event channel (``worker_retry``).
+launching span as their parent directly.  With no session active a
+process worker opens no session and returns the bare result.  Each retry
+round is announced on the obs event channel (``worker_retry``).
 
 Process workers expose a ``worker:<index>`` fault-injection point
 (:mod:`repro.testing.faults`), which is how the robustness suite stages
@@ -59,6 +58,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import BrokenExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Literal, Sequence, TypeVar
@@ -73,7 +73,6 @@ __all__ = [
     "parallel_map",
     "checkpointed_map",
     "process_pool_available",
-    "get_shared",
 ]
 
 #: Sentinel distinguishing "no shared payload" from a shared value of None.
@@ -83,20 +82,14 @@ _NO_SHARED = object()
 #: :func:`parallel_map`'s ``shared``).  Set once per worker by the pool
 #: initializer, so the payload crosses the process boundary exactly once
 #: per pool instead of once per submitted task.
-_SHARED: tuple | None = None
+_SHARED: Any = _NO_SHARED
 
 
 def _init_shared(payload: Any) -> None:
     """Process-pool initializer: stash the shared payload for this worker."""
     global _SHARED
-    _SHARED = (payload,)
+    _SHARED = payload
 
-
-def get_shared() -> Any:
-    """The pool-wide shared payload inside a worker (None-safe accessor)."""
-    if _SHARED is None:
-        raise RuntimeError("no shared payload was configured for this pool")
-    return _SHARED[0]
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -182,38 +175,21 @@ def _apply(fn: Callable, item: Any, shared: Any) -> Any:
     return fn(shared, item)
 
 
-def _worker_shared() -> Any:
-    """The shared payload inside a worker, or the no-shared sentinel."""
-    return _NO_SHARED if _SHARED is None else _SHARED[0]
-
-
-def _call_shared(fn: Callable, item: Any) -> Any:
-    """Bare worker call on the shared-payload path (no obs, no faults)."""
-    return fn(get_shared(), item)
-
-
 def _call_worker(payload: tuple) -> Any:
-    """Run one fan-out item in a process worker (no obs session).
+    """Run one fan-out item in a process worker.
 
-    Module-level so process pools can pickle it.  Used instead of a bare
-    submit only when a fault plan is staged, so the ``worker:<index>``
-    injection point exists on this path too.
+    Module-level so process pools can pickle it.  Passes the
+    ``worker:<index>`` fault point and applies the pool's shared payload.
+    When the parent has an obs session (``observed``) the item runs under
+    a fresh worker session, returned with the result for the parent to
+    absorb.
     """
-    fn, item, index = payload
+    fn, item, index, observed = payload
     _faults.fault_point("worker", str(index))
-    return _apply(fn, item, _worker_shared())
-
-
-def _call_with_worker_obs(payload: tuple) -> tuple:
-    """Run one fan-out item in a process worker under a fresh obs session.
-
-    Module-level so process pools can pickle it.  Returns the result
-    paired with the worker session's export for the parent to absorb.
-    """
-    fn, item, index = payload
-    _faults.fault_point("worker", str(index))
+    if not observed:
+        return _apply(fn, item, _SHARED)
     with _obs.worker_session() as worker:
-        result = _apply(fn, item, _worker_shared())
+        result = _apply(fn, item, _SHARED)
     return result, worker.export()
 
 
@@ -230,14 +206,13 @@ def _collect_batch(
     items: Sequence,
     indices: Sequence[int],
     workers: int,
-    task: Callable | None,
     results: dict[int, Any],
     shared: Any = _NO_SHARED,
 ) -> None:
     """Run ``indices`` through one process pool, recording into ``results``.
 
-    ``task`` is the picklable wrapper to submit (``None`` = bare
-    ``fn(item)``).  Collects in item order; a function-raised exception
+    Every item is submitted as one :func:`_call_worker` payload.
+    Collects in item order; a function-raised exception
     propagates immediately, while pool breakage is re-raised *after* all
     completed results have been harvested, so the caller retries only the
     genuinely lost items.
@@ -247,8 +222,8 @@ def _collect_batch(
     had already yielded every result before failing.
 
     ``shared`` (when given) is shipped to each worker exactly once via the
-    pool initializer, not per task; per-task payloads then carry only
-    ``fn`` and the item.
+    pool initializer, not per task; per-task payloads carry ``fn``, the
+    item, its index and whether a session observes the run.
     """
     if not indices:
         return
@@ -262,16 +237,8 @@ def _collect_batch(
     with ProcessPoolExecutor(**pool_kwargs) as pool:
         futures = {}
         for i in indices:
-            if task is None:
-                if shared is _NO_SHARED:
-                    payload: Any = (fn, items[i])
-                    futures[i] = pool.submit(fn, items[i])
-                else:
-                    payload = (fn, items[i])
-                    futures[i] = pool.submit(_call_shared, fn, items[i])
-            else:
-                payload = (fn, items[i], i)
-                futures[i] = pool.submit(task, payload)
+            payload = (fn, items[i], i, session is not None)
+            futures[i] = pool.submit(_call_worker, payload)
             if session is not None:
                 # Fan-out cost accounting: bytes pickled per submitted task
                 # (the shared payload is counted once above, not here).
@@ -300,19 +267,12 @@ def _process_map(
 ) -> list:
     """Process-pool fan-out with transparent retry of broken pools."""
     session = _obs.active()
-    if session is None and not _faults.faults_enabled():
-        task = None
-    elif session is None:
-        task = _call_worker
-    else:
-        task = _call_with_worker_obs
-
     results: dict[int, Any] = {}
     pending = list(range(len(items)))
     attempt = 0
     while True:
         try:
-            _collect_batch(fn, items, pending, workers, task, results, shared)
+            _collect_batch(fn, items, pending, workers, results, shared)
         except BrokenExecutor as exc:
             failed = [i for i in pending if i not in results]
             if not failed:
@@ -398,18 +358,15 @@ def parallel_map(
         raise ValueError(f"executor must be 'process' or 'thread', got {executor!r}")
 
     session = _obs.active()
-    if session is None:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_apply, fn, item, shared) for item in items
-            ]
-            return [future.result() for future in futures]
+    parent_id = session.current_span_id() if session is not None else None
 
-    parent_id = session.current_span_id()
     # Same process: workers record straight into the session, adopting
     # the launching span as their thread's root parent.
     def bound(item: ItemT) -> ResultT:
-        with session.thread_context(parent_id):
+        context = (
+            nullcontext() if session is None else session.thread_context(parent_id)
+        )
+        with context:
             return _apply(fn, item, shared)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

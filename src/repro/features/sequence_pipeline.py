@@ -15,6 +15,7 @@ import numpy as np
 from ..classifiers.base import Classifier
 from ..classifiers.linear_svm import LinearSVM
 from ..datasets.sequences import SequenceDataset
+from ..mining.itemsets import absolute_min_support, check_mining_args
 from ..mining.prefixspan import SequencePattern, is_subsequence, prefixspan
 from ..selection.mmrfs import mmrfs_indices
 
@@ -47,8 +48,7 @@ class SequencePatternClassifier:
         max_length: int = 4,
         max_selected: int | None = 200,
     ) -> None:
-        if not 0.0 < min_support <= 1.0:
-            raise ValueError("min_support is relative and must be in (0, 1]")
+        check_mining_args(min_support)
         if delta < 1:
             raise ValueError("delta must be >= 1")
         self.classifier = classifier if classifier is not None else LinearSVM()
@@ -70,7 +70,7 @@ class SequencePatternClassifier:
         for _, sequences in sorted(data.class_partition().items()):
             if not sequences:
                 continue
-            absolute = max(1, int(np.ceil(self.min_support * len(sequences))))
+            absolute = absolute_min_support(self.min_support, len(sequences))
             mined = prefixspan(
                 sequences, min_support=absolute, max_length=self.max_length
             )

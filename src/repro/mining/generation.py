@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.parallel import RetryPolicy, checkpointed_map
 from ..datasets.transactions import TransactionDataset
@@ -53,19 +53,20 @@ from .closed import closed_fpgrowth
 from .frequent import frequent_itemsets
 from .guards import MiningTimeLimitExceeded, _wall_clock_limit
 from .itemsets import (
+    GuardBehavior,
+    MinerName,
     MiningResult,
     PatternBudgetExceeded,
+    absolute_min_support,
     cap_union,
-    check_max_length,
+    check_mining_args,
+    table_min_support,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cache import ArtifactCache
 
 __all__ = ["mine_class_patterns"]
-
-MinerName = Literal["closed", "all"]
-GuardBehavior = Literal["raise", "items_only"]
 
 _MINERS = {
     "closed": closed_fpgrowth,
@@ -135,36 +136,23 @@ def _mine_partition(
     return {**patterns_to_json(kept), "degraded": None}
 
 
-def _partition_key(
-    label: int,
-    transactions: Sequence[Sequence[int]],
-    absolute: int,
-    miner: str,
-    min_length: int,
-    max_length: int | None,
-    max_patterns: int | None,
-    on_guard: GuardBehavior,
-    time_limit: float | None,
-) -> str:
+def _partition_key(job: tuple[int, Sequence[Sequence[int]], int], config: dict) -> str:
     """Content-addressed cache key for one partition's mining artifact.
 
-    Pins every input that shapes the artifact: a partition degraded under
-    ``on_guard="items_only"`` or a ``time_limit`` must never be replayed
-    into a run that would have raised or finished.
+    Pins every input that shapes the artifact, ``config`` being
+    :func:`_mine_partition`'s keyword arguments: a partition degraded
+    under ``on_guard="items_only"`` or a ``time_limit`` must never be
+    replayed into a run that would have raised or finished.
     """
     from ..runtime.cache import content_key, fingerprint
 
+    label, transactions, absolute = job
     return fingerprint(
         stage=_CACHE_STAGE,
         partition=int(label),
         transactions=content_key([list(t) for t in transactions]),
         min_support=absolute,
-        miner=miner,
-        min_length=min_length,
-        max_length=max_length,
-        max_patterns=max_patterns,
-        on_guard=on_guard,
-        time_limit=time_limit,
+        **config,
     )
 
 
@@ -228,13 +216,7 @@ def mine_class_patterns(
         result's ``min_support`` field holds the absolute global count
         equivalent of theta_0.
     """
-    if not 0.0 < min_support <= 1.0:
-        raise ValueError("min_support is relative and must be in (0, 1]")
-    if miner not in _MINERS:
-        raise KeyError(miner)
-    check_max_length(max_length)
-    if on_guard not in ("raise", "items_only"):
-        raise ValueError(f"on_guard must be 'raise' or 'items_only', got {on_guard!r}")
+    check_mining_args(min_support, max_length, miner, on_guard)
 
     with _obs.span(
         "mining.generate",
@@ -243,15 +225,12 @@ def mine_class_patterns(
         min_support=min_support,
         n_jobs=n_jobs if n_jobs is not None else 1,
     ) as generate_span:
-        jobs = []
-        for label, transactions in sorted(data.class_partition().items()):
-            if not transactions:
-                continue
-            absolute = max(1, int(-(-min_support * len(transactions) // 1)))  # ceil
-            jobs.append((label, transactions, absolute))
-
-        mine_one = partial(
-            _mine_partition,
+        jobs = [
+            (label, transactions, absolute_min_support(min_support, len(transactions)))
+            for label, transactions in sorted(data.class_partition().items())
+            if transactions
+        ]
+        config = dict(
             miner=miner,
             min_length=min_length,
             max_length=max_length,
@@ -259,18 +238,12 @@ def mine_class_patterns(
             on_guard=on_guard,
             time_limit=time_limit,
         )
-
         keys = None
         if cache is not None:
-            keys = [
-                _partition_key(
-                    label, transactions, absolute, miner, min_length,
-                    max_length, max_patterns, on_guard, time_limit,
-                )
-                for label, transactions, absolute in jobs
-            ]
+            keys = [_partition_key(job, config) for job in jobs]
         mined = checkpointed_map(
-            mine_one, jobs, keys, cache, _CACHE_STAGE, n_jobs=n_jobs, retry=retry
+            partial(_mine_partition, **config), jobs, keys, cache, _CACHE_STAGE,
+            n_jobs=n_jobs, retry=retry,
         )
 
         merged: set[tuple[int, ...]] = set()
@@ -283,12 +256,15 @@ def mine_class_patterns(
         # The payloads are per-pattern dicts; free them before the
         # full-dataset count, which is where mining's memory peaks.
         del mined
-        merged = cap_union(merged, max_patterns, on_guard)
         itemsets = sorted(merged, key=lambda items: (len(items), items))
+        itemsets = [
+            itemsets[i] for i in cap_union(itemsets, max_patterns, on_guard).tolist()
+        ]
 
-        global_absolute = max(1, int(round(min_support * data.n_rows)))
         with _obs.span("mining.recount", patterns=len(itemsets)):
-            table = MiningResult.counted(itemsets, data, global_absolute)
+            table = MiningResult.counted(
+                itemsets, data, table_min_support(min_support, data.n_rows)
+            )
         generate_span.set(
             partitions=len(jobs),
             merged_patterns=len(table),

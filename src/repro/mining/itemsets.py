@@ -12,7 +12,7 @@ API edges (the selected features, JSON payloads, ``.patterns``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -28,9 +28,19 @@ __all__ = [
     "canonical",
     "cap_union",
     "check_max_length",
+    "check_mining_args",
+    "absolute_min_support",
+    "table_min_support",
+    "MinerName",
+    "GuardBehavior",
     "MiningResult",
     "candidate_table",
 ]
+
+#: The per-class miners of feature generation, batch and sharded.
+MinerName = Literal["closed", "all"]
+#: What a tripped mining guard does: propagate, or degrade to items only.
+GuardBehavior = Literal["raise", "items_only"]
 
 
 def canonical(items: Iterable[int]) -> tuple[int, ...]:
@@ -44,30 +54,63 @@ def check_max_length(max_length: int | None) -> None:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
 
 
+def check_mining_args(
+    min_support: float,
+    max_length: int | None = None,
+    miner: str = "closed",
+    on_guard: str = "raise",
+) -> None:
+    """Reject what no per-class mining run accepts: a ``min_support``
+    outside (0, 1], a ``max_length`` below 1 or an unknown ``on_guard``
+    (``ValueError``), or an unknown ``miner`` (``KeyError``)."""
+    if not 0.0 < min_support <= 1.0:
+        raise ValueError("min_support is relative and must be in (0, 1]")
+    if miner not in get_args(MinerName):
+        raise KeyError(miner)
+    check_max_length(max_length)
+    if on_guard not in get_args(GuardBehavior):
+        raise ValueError(f"on_guard must be 'raise' or 'items_only', got {on_guard!r}")
+
+
+def absolute_min_support(min_support: float, n_rows: int) -> int:
+    """``ceil(min_support * n_rows)``, at least 1: the minimum count of a
+    relative ``min_support`` over ``n_rows`` rows, one integer for every
+    miner that takes a relative threshold."""
+    return max(1, int(-(-min_support * n_rows // 1)))
+
+
+def table_min_support(min_support: float, n_rows: int) -> int:
+    """A candidate table's ``min_support``: ``min_support * n_rows`` rounded."""
+    return max(1, int(round(min_support * n_rows)))
+
+
 def cap_union(
-    merged: set[tuple[int, ...]], max_patterns: int | None, on_guard: str
-) -> set[tuple[int, ...]]:
-    """Hold the merged per-class union of itemsets to the pattern budget.
+    itemsets: Sequence[tuple[int, ...]], max_patterns: int | None, on_guard: str
+) -> np.ndarray:
+    """Hold the merged per-class union of ``itemsets`` to the pattern budget.
 
     The budget bounds the *candidate feature set*, so the union across
-    class partitions must honor it too.  Over budget, ``on_guard="raise"``
-    raises :class:`PatternBudgetExceeded` with the union's size as
-    ``emitted``; ``"items_only"`` warns and keeps the first
-    ``max_patterns`` itemsets in canonical order instead of aborting.
+    class partitions must honor it too.  Returns the ascending positions
+    of the ``itemsets`` kept.  Over budget, ``on_guard="raise"`` raises
+    :class:`PatternBudgetExceeded` with the union's size as ``emitted``;
+    ``"items_only"`` warns and keeps the first ``max_patterns`` itemsets
+    in canonical order instead of aborting.
     """
-    if max_patterns is None or len(merged) <= max_patterns:
-        return merged
+    n_union = len(itemsets)
+    if max_patterns is None or n_union <= max_patterns:
+        return np.arange(n_union)
     if on_guard == "raise":
-        raise PatternBudgetExceeded(max_patterns, len(merged))
+        raise PatternBudgetExceeded(max_patterns, n_union)
     _obs.warn(
-        f"merged pattern union ({len(merged)}) exceeds the budget of "
+        f"merged pattern union ({n_union}) exceeds the budget of "
         f"{max_patterns}; keeping the first {max_patterns} in "
         "canonical order",
         guard="budget",
-        merged=len(merged),
+        merged=n_union,
         budget=max_patterns,
     )
-    return set(sorted(merged)[:max_patterns])
+    cut = sorted(range(n_union), key=itemsets.__getitem__)[:max_patterns]
+    return np.sort(np.array(cut, dtype=np.intp))
 
 
 class PatternBudgetExceeded(RuntimeError):

@@ -23,12 +23,15 @@ per-class mining:
    Every candidate, of every length, is counted in one fan-out over the
    shards, in ``(length, items)`` order.
 
-For ``miner="closed"`` the local pass mines *all* frequent itemsets one
-item longer than ``max_length``; global closedness is then exact: ``I``
-is closed in class ``c`` iff no immediate superset ``I ∪ {o}`` has the
-same class-``c`` count, and every such superset that matters is
-guaranteed to be a candidate (its count equals a frequent itemset's
-count, so it clears the class threshold, so SON surfaces it).
+The assembly decides thresholds, closedness and the budget on pass 2's
+``(k, m)`` counts array, with the batch path's argument checks and
+per-class thresholds (:mod:`repro.mining.itemsets`).  For
+``miner="closed"`` the local pass mines *all* frequent itemsets one item
+longer than ``max_length``; global closedness is then exact: ``I`` is
+closed in class ``c`` iff no immediate superset ``I ∪ {o}`` has the same
+class-``c`` count, and every such superset that matters is guaranteed
+to be a candidate (its count equals a frequent itemset's count, so it
+clears the class threshold, so SON surfaces it).
 
 Both passes are :func:`~repro.core.parallel.checkpointed_map` fan-outs
 over the content-addressed runtime cache (stages ``shard_mine`` /
@@ -40,7 +43,7 @@ fault-injection suite pins.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,19 +54,20 @@ from ..obs import core as _obs
 from ..testing import faults as _faults
 from .frequent import mine_words
 from .itemsets import (
+    GuardBehavior,
+    MinerName,
     MiningResult,
     PatternBudgetExceeded,
+    absolute_min_support,
     cap_union,
-    check_max_length,
+    check_mining_args,
+    table_min_support,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.cache import ArtifactCache
 
 __all__ = ["mine_sharded", "local_threshold"]
-
-MinerName = Literal["closed", "all"]
-GuardBehavior = Literal["raise", "items_only"]
 
 #: Cache stage names for the two passes' per-shard artifacts.
 MINE_STAGE = "shard_mine"
@@ -131,6 +135,31 @@ def _count_shard(candidates: list, job: tuple) -> dict:
     return {"counts": counts.tolist()}
 
 
+def _nonclosed(
+    ordered: list[tuple[int, ...]], lengths: np.ndarray, totals: np.ndarray
+) -> np.ndarray:
+    """``(k, m)`` mask: candidate ``i`` has an immediate superset with its
+    class-``c`` count, so it is not closed in class ``c``.
+
+    ``ordered`` is sorted by length and downward closed (a union of
+    locally frequent families), so every one-shorter subset of a
+    candidate is a row.  Each length's candidates are joined to their
+    subsets one dropped item column at a time, through one itemset → row
+    index, and compared with them count row against count row.
+    """
+    index = {items: row for row, items in enumerate(ordered)}
+    nonclosed = np.zeros(totals.shape, dtype=bool)
+    for length in range(2, int(lengths.max(initial=0)) + 1):
+        start, stop = np.searchsorted(lengths, [length, length + 1]).tolist()
+        columns = list(zip(*ordered[start:stop]))
+        for position in range(length):
+            subsets = zip(*columns[:position], *columns[position + 1 :])
+            parent = np.fromiter(map(index.__getitem__, subsets), np.intp, stop - start)
+            same_rows, same_classes = np.nonzero(totals[start:stop] == totals[parent])
+            nonclosed[parent[same_rows], same_classes] = True
+    return nonclosed
+
+
 def _mine_key(
     handle: ShardHandle,
     label: int,
@@ -183,18 +212,9 @@ def mine_sharded(
     count (the quantity the batch miner's enumeration budget meters) and
     a merged-union check — so budget trips and ``items_only``
     degradations are reproduced class for class.  The local candidate
-    pass itself is unbudgeted: it enumerates a different quantity (all
-    locally frequent itemsets at a proportional threshold), so metering
-    it with the result budget would trip on cells the batch path
-    happily mines.
+    pass itself is unbudgeted (see :func:`_mine_cell`).
     """
-    if not 0.0 < min_support <= 1.0:
-        raise ValueError("min_support is relative and must be in (0, 1]")
-    if miner not in ("closed", "all"):
-        raise KeyError(miner)
-    check_max_length(max_length)
-    if on_guard not in ("raise", "items_only"):
-        raise ValueError(f"on_guard must be 'raise' or 'items_only', got {on_guard!r}")
+    check_mining_args(min_support, max_length, miner, on_guard)
 
     with _obs.span(
         "mining.sharded",
@@ -205,14 +225,10 @@ def mine_sharded(
         n_jobs=n_jobs if n_jobs is not None else 1,
     ) as span:
         class_totals = shards.class_totals()
-        # Per-class global thresholds: the exact expression the batch path
-        # uses (including its float-ceil quirks) — differential equality
-        # demands bit-equal thresholds, not mathematically-equal ones.
-        absolute = {
-            c: max(1, int(-(-min_support * int(n_c) // 1)))
-            for c, n_c in enumerate(class_totals)
-            if n_c > 0
-        }
+        thresholds = [
+            absolute_min_support(min_support, n) for n in class_totals.tolist()
+        ]
+        classes = np.flatnonzero(class_totals > 0).tolist()
         # Closed mining needs immediate supersets one longer than the cap
         # to decide closedness of the longest returned patterns.
         local_max_length = (
@@ -222,25 +238,18 @@ def mine_sharded(
         )
 
         # ---- pass 1: local per-(shard, class) candidate mining --------
-        jobs: list[tuple] = []
-        for shard_index, handle in enumerate(shards.handles):
-            cell_rows = handle.class_counts()
-            for label in sorted(absolute):
-                if cell_rows[label] == 0:
-                    continue
-                jobs.append(
-                    (
-                        shard_index,
-                        label,
-                        handle,
-                        local_threshold(
-                            absolute[label],
-                            int(cell_rows[label]),
-                            int(class_totals[label]),
-                        ),
-                        local_max_length,
-                    )
-                )
+        jobs = [
+            (
+                shard_index,
+                label,
+                handle,
+                local_threshold(thresholds[label], rows, int(class_totals[label])),
+                local_max_length,
+            )
+            for shard_index, handle in enumerate(shards.handles)
+            for label, rows in zip(classes, handle.class_counts()[classes].tolist())
+            if rows
+        ]
 
         # Progress heartbeats: a long sharded run is otherwise silent
         # until the final rollup, so both passes publish done/total
@@ -265,16 +274,16 @@ def mine_sharded(
         )
         pass_done("progress.mine_sharded.cells_done", len(jobs))
 
-        degraded_classes: set[int] = set()
-        candidates: set[tuple[int, ...]] = set()
-        for outcome in mined:
-            candidates.update(tuple(items) for items in outcome["itemsets"])
+        candidates = {tuple(items) for cell in mined for items in cell["itemsets"]}
         span.set(local_jobs=len(jobs), candidates=len(candidates))
         _obs.add("mining.sharded.local_jobs", len(jobs))
         _obs.add("mining.sharded.candidates", len(candidates))
 
         # ---- pass 2: exact global counting, one fan-out ---------------
-        ordered = sorted(candidates, key=lambda items: (len(items), items))
+        # Lexicographic, then stably by length: ``(length, items)`` order
+        # without a key tuple per candidate.
+        ordered = sorted(candidates)
+        ordered.sort(key=len)
         shard_jobs = list(enumerate(shards.handles))
         _obs.add("progress.mine_sharded.count_shards_total", len(shard_jobs))
         count_keys = None
@@ -286,72 +295,42 @@ def mine_sharded(
         )
         totals = np.zeros((len(ordered), shards.n_classes), dtype=np.int64)
         for outcome in shard_counts:
-            totals += np.asarray(outcome["counts"], dtype=np.int64).reshape(
-                totals.shape
-            )
+            totals += np.asarray(outcome["counts"], np.int64).reshape(totals.shape)
         pass_done("progress.mine_sharded.count_shards_done", len(shard_jobs))
-
-        counts: dict[tuple[int, ...], np.ndarray] = {
-            (): class_totals.astype(np.int64)
-        }
-        counts.update(zip(ordered, totals))
         span.set(counted_candidates=len(candidates))
         _obs.add("mining.sharded.counted_candidates", len(candidates))
 
-        # ---- assembly: thresholds, closedness, budget, merge ----------
-        nonclosed: dict[int, set[tuple[int, ...]]] = {c: set() for c in absolute}
+        # ---- assembly on the counts: thresholds, closedness, budget ---
+        lengths = np.fromiter(map(len, ordered), dtype=np.intp, count=len(ordered))
+        member = totals >= thresholds
+        if max_length is not None:
+            member &= (lengths <= max_length)[:, None]
         if miner == "closed":
-            for items, vec in counts.items():
-                if len(items) < 2:
-                    continue
-                for position in range(len(items)):
-                    subset = items[:position] + items[position + 1 :]
-                    parent = counts.get(subset)
-                    if parent is None:
-                        continue
-                    for c in absolute:
-                        if vec[c] == parent[c]:
-                            nonclosed[c].add(subset)
-
-        merged: set[tuple[int, ...]] = set()
-        per_class_patterns: dict[int, int] = {}
-        for c in sorted(absolute):
-            if c in degraded_classes:
+            member &= ~_nonclosed(ordered, lengths, totals)
+        per_class = member.sum(axis=0).tolist()
+        degraded_classes: list[int] = []
+        for c in classes:
+            if max_patterns is None or per_class[c] <= max_patterns:
                 continue
-            class_patterns = [
-                items
-                for items, vec in counts.items()
-                if items
-                and int(vec[c]) >= absolute[c]
-                and (max_length is None or len(items) <= max_length)
-                and (miner != "closed" or items not in nonclosed[c])
-            ]
-            per_class_patterns[c] = len(class_patterns)
-            if max_patterns is not None and len(class_patterns) > max_patterns:
-                if on_guard != "items_only":
-                    raise PatternBudgetExceeded(max_patterns, len(class_patterns))
-                degraded_classes.add(c)
-                _obs.warn(
-                    f"class {c}: {len(class_patterns)} patterns exceed the "
-                    f"budget of {max_patterns}; degrading class {c} to "
-                    "items-only",
-                    partition=int(c),
-                    guard="budget",
-                )
-                continue
-            merged.update(
-                items for items in class_patterns if len(items) >= min_length
+            if on_guard != "items_only":
+                raise PatternBudgetExceeded(max_patterns, per_class[c])
+            degraded_classes.append(c)
+            _obs.warn(
+                f"class {c}: {per_class[c]} patterns exceed the "
+                f"budget of {max_patterns}; degrading class {c} to "
+                "items-only",
+                partition=c,
+                guard="budget",
             )
+        member[:, degraded_classes] = False
 
-        merged = cap_union(merged, max_patterns, on_guard)
-
-        final = sorted(merged, key=lambda items: (len(items), items))
+        rows = np.flatnonzero(member.any(axis=1) & (lengths >= min_length))
+        union = [ordered[r] for r in rows.tolist()]
+        kept = cap_union(union, max_patterns, on_guard)
         table = MiningResult.from_counts(
-            final,
-            np.array(
-                [counts[items] for items in final], dtype=np.int64
-            ).reshape(len(final), shards.n_classes),
-            min_support=max(1, int(round(min_support * shards.n_rows))),
+            [union[i] for i in kept.tolist()],
+            totals[rows[kept]],
+            min_support=table_min_support(min_support, shards.n_rows),
             n_rows=shards.n_rows,
             class_totals=class_totals,
         )

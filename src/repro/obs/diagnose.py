@@ -31,7 +31,6 @@ it — the same pattern the CLI uses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -230,6 +229,7 @@ def _sequence_entries(
     config: DiagnosisConfig,
 ) -> tuple[list[dict], int]:
     from ..measures.information_gain import information_gain_from_counts
+    from ..mining.itemsets import absolute_min_support
     from ..mining.prefixspan import is_subsequence, prefixspan
 
     vocabulary = corpus.vocabulary
@@ -241,7 +241,7 @@ def _sequence_entries(
 
     candidates: set[tuple[int, ...]] = set()
     for label, class_sequences in sorted(by_class.items()):
-        absolute = max(1, math.ceil(config.min_support * len(class_sequences)))
+        absolute = absolute_min_support(config.min_support, len(class_sequences))
         for pattern in prefixspan(
             class_sequences,
             min_support=absolute,

@@ -36,7 +36,7 @@ from ..core.bitset import pack_bits, popcount
 from ..datasets.transactions import TransactionDataset
 from ..measures.vectorized import score_covers
 from ..mining.frequent import search
-from ..mining.itemsets import Pattern, check_max_length
+from ..mining.itemsets import Pattern, absolute_min_support, check_mining_args
 
 __all__ = ["DirectMiningResult", "ddpmine"]
 
@@ -129,11 +129,9 @@ def ddpmine(
     DirectMiningResult
         Discovered patterns with their gain at discovery time.
     """
-    if not 0.0 < min_support <= 1.0:
-        raise ValueError("min_support is relative and must be in (0, 1]")
+    check_mining_args(min_support, max_length)
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    check_max_length(max_length)
     item_bits = data.item_bits()
     label_words = data.label_bits().words
     order = np.argsort(-item_bits.popcounts(), kind="stable")
@@ -148,7 +146,7 @@ def ddpmine(
         n_active = int(active.sum())
         if n_active == 0:
             break
-        min_count = max(1, int(np.ceil(min_support * n_active)))
+        min_count = absolute_min_support(min_support, n_active)
         items, gain, nodes = _best_pattern(
             item_bits.words, label_words, order, pack_bits(active),
             min_count, max_length,

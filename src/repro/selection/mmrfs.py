@@ -44,7 +44,7 @@ from ..core.bitset import pack_bits, pattern_covers, popcount, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
 from ..measures.contingency import ContingencyTables
-from ..measures.information_gain import information_gain_from_counts
+from ..measures.vectorized import information_gain_batch
 from ..mining.itemsets import MiningResult, Pattern, candidate_table
 from .redundancy import batch_redundancy_packed
 from .relevance import RelevanceMeasure, batch_relevance, get_relevance
@@ -237,10 +237,7 @@ def mmrfs_indices(
     """
     present = coverage.astype(np.int64) @ np.eye(n_classes, dtype=np.int64)[labels]
     absent = np.bincount(labels, minlength=n_classes) - present
-    relevances = np.array(
-        [information_gain_from_counts(p, a) for p, a in zip(present, absent)],
-        dtype=float,
-    )
+    relevances = information_gain_batch(present, absent)
     majority = present.argmax(axis=1)
     return _greedy(
         pack_bits(coverage),

@@ -125,8 +125,8 @@ class _FusedLinear:
 
     __slots__ = ("coef", "intercept", "kind", "tie_tolerance")
 
-    #: Features cast to float64 per GEMM block; bounds the cast buffer at
-    #: ``_CAST_BLOCK * chunk_rows * 8`` bytes so it stays cache-resident
+    #: Features cast to float64 per GEMM block; bounds each block's cast
+    #: at ``_CAST_BLOCK * chunk_rows * 8`` bytes so it stays cache-resident
     #: instead of round-tripping a rows x features float64 matrix through
     #: DRAM (the cast, not the GEMM, dominates at 10k patterns otherwise).
     _CAST_BLOCK = 256
@@ -148,18 +148,17 @@ class _FusedLinear:
         ``features`` is the chunk's boolean design, feature-major —
         (n_features, rows), the orientation the bit-unpacker produces
         without a strided copy.  The float64 cast happens ``_CAST_BLOCK``
-        features at a time into a reused buffer, and each partial GEMM
-        absorbs the transpose (``A.T @ B`` is a dgemm flag, not a copy),
-        so the full float64 design never exists.
+        features at a time; the cast keeps the transposed layout, so each
+        partial GEMM absorbs the transpose (``A.T @ B`` is a dgemm flag,
+        not a copy) and the full float64 design never exists.  The
+        intercept joins the first block's product.
         """
-        n_features, rows = features.shape
-        out = np.broadcast_to(self.intercept, (rows, len(self.intercept))).copy()
-        block = min(self._CAST_BLOCK, max(1, n_features))
-        buffer = np.empty((block, rows), dtype=np.float64)
-        for start in range(0, n_features, block):
-            chunk = buffer[: min(block, n_features - start)]
-            chunk[...] = features[start : start + block]
-            out += chunk.T @ self.coef[start : start + block]
+        block = self._CAST_BLOCK
+        out = features[:block].T.astype(np.float64) @ self.coef[:block]
+        out += self.intercept
+        for start in range(block, features.shape[0], block):
+            stop = start + block
+            out += features[start:stop].T.astype(np.float64) @ self.coef[start:stop]
         return out
 
 

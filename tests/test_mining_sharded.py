@@ -83,6 +83,10 @@ def mining_cases(draw):
         ),
         miner=draw(st.sampled_from(["closed", "all"])),
         max_length=draw(st.sampled_from([None, 2, 3, 4])),
+        # Up to 8 items give a class partition up to 255 patterns, so a
+        # small budget trips some partitions and spares others.
+        max_patterns=draw(st.one_of(st.none(), st.integers(0, 40))),
+        on_guard=draw(st.sampled_from(["raise", "items_only"])),
     )
 
 
@@ -96,11 +100,19 @@ class TestShardedEqualsBatch:
             miner=case["miner"],
             min_length=2,
             max_length=case["max_length"],
+            max_patterns=case["max_patterns"],
+            on_guard=case["on_guard"],
         )
-        batch = mine_class_patterns(data, **kwargs)
         shards = shard_dataset(
             data, tmp_path_factory.mktemp("shards"), case["shard_rows"]
         )
+        try:
+            batch = mine_class_patterns(data, **kwargs)
+        except PatternBudgetExceeded:
+            assert case["on_guard"] == "raise"
+            with pytest.raises(PatternBudgetExceeded):
+                mine_sharded(shards, **kwargs)
+            return
         sharded = mine_sharded(shards, **kwargs)
 
         assert _signature(sharded) == _signature(batch)
@@ -236,6 +248,25 @@ class TestBudgetParity:
         shards = shard_dataset(data, tmp_path, 25)
         with pytest.raises(PatternBudgetExceeded):
             mine_sharded(shards, min_support=0.1, max_patterns=budget)
+
+    def test_items_only_degrades_one_class_identically(self, tmp_path):
+        # Seed 40's two class partitions straddle a budget of 45: one
+        # degrades to items-only, the other keeps its patterns.
+        data = _dataset(40, 80, 6, 2)
+        kwargs = dict(min_support=0.1, max_patterns=45, on_guard="items_only")
+        with _obs.session() as sess:
+            batch = mine_class_patterns(data, **kwargs)
+        degraded = [
+            e["attrs"]["partition"]
+            for e in sess.events
+            if e["kind"] == "warning" and "partition" in e["attrs"]
+        ]
+        assert len(degraded) == 1 and len(batch) > 0
+        with _obs.session() as sess:
+            sharded = mine_sharded(shard_dataset(data, tmp_path, 25), **kwargs)
+        assert sess.counters["mining.sharded.degraded_classes"] == 1
+        assert _signature(sharded) == _signature(batch)
+        assert np.array_equal(sharded.counts, batch.counts)
 
     @pytest.mark.parametrize("shard_rows", [25, 10_000])
     def test_items_only_degrades_identically(self, tmp_path, shard_rows):
