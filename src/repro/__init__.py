@@ -25,7 +25,7 @@ Package map:
 * ``repro.measures``   — entropy, IG, Fisher score, the support bounds.
 * ``repro.selection``  — MMRFS (Algorithm 1) and the min_sup strategy.
 * ``repro.features``   — the B^d -> B^d' mapping and the full pipeline.
-* ``repro.classifiers``— SVM (SMO + linear DCD), C4.5, naive Bayes, kNN.
+* ``repro.classifiers``— SVM (SMO + linear DCD), C4.5, naive Bayes, logistic.
 * ``repro.baselines``  — CBA, CMAR, HARMONY associative classifiers.
 * ``repro.eval``       — stratified CV, metrics, model selection.
 * ``repro.experiments``— drivers regenerating every paper table and figure.
@@ -34,13 +34,7 @@ Package map:
 from .classifiers import DecisionTree, KernelSVM, LinearSVM
 from .datasets import Dataset, TransactionDataset, available_datasets, load_uci
 from .features import FrequentPatternClassifier, PatternFeaturizer
-from .measures import (
-    fisher_score,
-    fisher_upper_bound,
-    ig_upper_bound,
-    information_gain,
-    theta_star,
-)
+from .measures import fisher_upper_bound, ig_upper_bound, theta_star
 from .mining import closed_fpgrowth, frequent_itemsets, mine_class_patterns
 from .selection import mmrfs, suggest_min_support
 
@@ -62,8 +56,6 @@ __all__ = [
     "mine_class_patterns",
     "mmrfs",
     "suggest_min_support",
-    "information_gain",
-    "fisher_score",
     "ig_upper_bound",
     "fisher_upper_bound",
     "theta_star",

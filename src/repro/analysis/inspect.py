@@ -19,7 +19,7 @@ from ..core.bitset import pattern_covers, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..features.pipeline import FrequentPatternClassifier
 from ..measures.contingency import batch_contingency_tables
-from ..measures.information_gain import information_gain_from_counts
+from ..measures.vectorized import information_gain_batch
 
 __all__ = ["PatternSummary", "summarize_patterns", "feature_weights", "coverage_overlap"]
 
@@ -53,9 +53,10 @@ def summarize_patterns(
     if not patterns:
         return []
     tables = batch_contingency_tables(patterns, data)
+    gains = information_gain_batch(tables.present, tables.absent)
     summaries = []
-    rows = zip(patterns, tables.present, tables.absent, tables.thetas)
-    for pattern, present, absent, theta in rows:
+    rows = zip(patterns, tables.present, tables.thetas, gains)
+    for pattern, present, theta, gain in rows:
         rendered = (
             data.catalog.describe(pattern.items)
             if data.catalog is not None
@@ -72,7 +73,7 @@ def summarize_patterns(
                 relative_support=float(theta),
                 majority_class=majority,
                 purity=float(purity),
-                information_gain=information_gain_from_counts(present, absent),
+                information_gain=float(gain),
             )
         )
     summaries.sort(key=lambda s: -s.information_gain)

@@ -3,7 +3,7 @@
 The paper's framework is deliberately model-agnostic: frequent-pattern
 features feed "any learning algorithm" (Section 5).  All models here follow
 a minimal fit/predict protocol over dense numpy arrays, so the pipeline can
-swap SVM, C4.5, naive Bayes or kNN freely.
+swap SVM, C4.5, naive Bayes or logistic regression freely.
 """
 
 from __future__ import annotations

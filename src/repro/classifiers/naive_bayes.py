@@ -2,7 +2,7 @@
 
 Included to demonstrate the framework's model-agnosticism ("any learning
 algorithm can be used", paper Section 5): the same transformed feature space
-feeds SVM, C4.5, naive Bayes and kNN interchangeably.
+feeds SVM, C4.5, naive Bayes and logistic regression interchangeably.
 """
 
 from __future__ import annotations

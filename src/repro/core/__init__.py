@@ -50,8 +50,6 @@ _LAZY_EXPORTS = {
     "fisher_upper_bound": "repro.measures.bounds",
     "ig_upper_bound": "repro.measures.bounds",
     "theta_star": "repro.measures.bounds",
-    "fisher_score": "repro.measures.fisher",
-    "information_gain": "repro.measures.information_gain",
     "mine_class_patterns": "repro.mining.generation",
     "ddpmine": "repro.selection.direct",
     "MinSupSuggestion": "repro.selection.minsup",
@@ -67,8 +65,6 @@ __all__ = [
     "mmrfs",
     "ddpmine",
     "SelectionResult",
-    "information_gain",
-    "fisher_score",
     "ig_upper_bound",
     "fisher_upper_bound",
     "theta_star",

@@ -414,9 +414,11 @@ def checkpointed_map(
     item never costs the ones that completed.  Results come back in item
     order.
 
-    ``fn`` must return JSON-stable payloads (lists, not tuples) so that a
-    restored result equals a computed one.  With ``cache=None`` this is
-    exactly :func:`parallel_map` and ``keys`` is ignored.
+    ``fn`` must return JSON-serializable payloads.  A restored payload is
+    the computed one after a JSON round trip, so tuples come back as
+    lists: a caller that can see either must accept both.  With
+    ``cache=None`` this is exactly :func:`parallel_map` and ``keys`` is
+    ignored.
     """
     items = list(items)
     if cache is None:

@@ -15,8 +15,12 @@ import numpy as np
 from ..classifiers.base import Classifier
 from ..classifiers.linear_svm import LinearSVM
 from ..datasets.sequences import SequenceDataset
-from ..mining.itemsets import absolute_min_support, check_mining_args
-from ..mining.prefixspan import SequencePattern, is_subsequence, prefixspan
+from ..mining.itemsets import check_mining_args
+from ..mining.prefixspan import (
+    SequencePattern,
+    class_subsequences,
+    containment_matrix,
+)
 from ..selection.mmrfs import mmrfs_indices
 
 __all__ = ["SequencePatternClassifier"]
@@ -65,50 +69,27 @@ class SequencePatternClassifier:
         self._fitted = False
 
     # ------------------------------------------------------------------
-    def _mine_candidates(self, data: SequenceDataset) -> list[tuple[int, ...]]:
-        merged: set[tuple[int, ...]] = set()
-        for _, sequences in sorted(data.class_partition().items()):
-            if not sequences:
-                continue
-            absolute = absolute_min_support(self.min_support, len(sequences))
-            mined = prefixspan(
-                sequences, min_support=absolute, max_length=self.max_length
-            )
-            merged.update(
-                p.sequence for p in mined if p.length >= self.min_length
-            )
-        return sorted(merged)
-
-    @staticmethod
-    def _coverage_matrix(
-        candidates: list[tuple[int, ...]], data: SequenceDataset
-    ) -> np.ndarray:
-        matrix = np.zeros((len(candidates), data.n_rows), dtype=bool)
-        for row_index, sequence in enumerate(data.sequences):
-            for pattern_index, pattern in enumerate(candidates):
-                if is_subsequence(pattern, sequence):
-                    matrix[pattern_index, row_index] = True
-        return matrix
-
-    # ------------------------------------------------------------------
     def _design(self, data: SequenceDataset) -> np.ndarray:
         """Symbol-presence block plus selected-subsequence block."""
         symbols = np.zeros((data.n_rows, self.alphabet_size_))
         for row_index, sequence in enumerate(data.sequences):
             for item in set(sequence):
                 symbols[row_index, item] = 1.0
-        pattern_block = np.zeros((data.n_rows, len(self.selected_)))
-        for column, pattern in enumerate(self.selected_):
-            for row_index, sequence in enumerate(data.sequences):
-                if is_subsequence(pattern.sequence, sequence):
-                    pattern_block[row_index, column] = 1.0
+        patterns = [pattern.sequence for pattern in self.selected_]
+        pattern_block = containment_matrix(patterns, data.sequences).T
         return np.hstack([symbols, pattern_block])
 
     def fit(self, data: SequenceDataset) -> "SequencePatternClassifier":
         self.alphabet_size_ = data.alphabet_size
-        candidates = self._mine_candidates(data)
+        candidates = class_subsequences(
+            data.sequences,
+            data.labels,
+            self.min_support,
+            min_length=self.min_length,
+            max_length=self.max_length,
+        )
         self.mined_count_ = len(candidates)
-        coverage = self._coverage_matrix(candidates, data)
+        coverage = containment_matrix(candidates, data.sequences)
         chosen = mmrfs_indices(
             coverage, data.labels, data.n_classes, self.delta, self.max_selected
         )

@@ -10,6 +10,9 @@ This module is the analytical heart of the paper (Section 3.1.2 and 3.2):
   of q (H is concave in q, so its minimum over the feasible interval is at
   an endpoint), which is a valid — and slightly tighter on one side — bound.
 
+* ``fisher_score_binary(p, q, theta)`` — Eq. 5, the closed-form Fisher
+  score of a binary feature on a binary class that Eq. 6 maximizes.
+
 * ``fisher_upper_bound(theta, p)`` — Eq. 6: ``theta (1-p) / (p - theta)``
   for ``theta <= p`` (→ ∞ as theta → p) and the symmetric
   ``p (1-theta) / (theta - p)`` for ``theta > p``.
@@ -24,9 +27,9 @@ from __future__ import annotations
 from typing import Literal
 
 from .entropy import binary_entropy, conditional_entropy_binary
-from .fisher import fisher_score_binary
 
 __all__ = [
+    "fisher_score_binary",
     "feasible_q_interval",
     "h_lower_bound",
     "ig_upper_bound",
@@ -42,6 +45,32 @@ def _check_unit(name: str, value: float, open_left: bool = False) -> None:
     if not (low_ok and value <= 1.0):
         interval = "(0, 1]" if open_left else "[0, 1]"
         raise ValueError(f"{name} must be in {interval}, got {value}")
+
+
+def fisher_score_binary(p: float, q: float, theta: float) -> float:
+    """Closed-form Fisher score for binary class/feature (paper Eq. 5).
+
+    Uses the (p, q, theta) parameterization: Fr = Z / (Y - Z) with
+    Y = p(1-p)(1-theta) and Z = theta (p-q)^2; Fr = 0 when Y = 0.
+    Raises ``ValueError`` on infeasible parameter triples.
+    """
+    for name, value in (("p", p), ("q", q), ("theta", theta)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+    tolerance = 1e-12
+    if theta * q > p + tolerance or theta * (1 - q) > (1 - p) + tolerance:
+        raise ValueError(
+            f"infeasible (p={p}, q={q}, theta={theta}): "
+            "P(c|x=0) would fall outside [0, 1]"
+        )
+    y = p * (1.0 - p) * (1.0 - theta)
+    z = theta * (p - q) ** 2
+    if y <= 0.0:
+        return 0.0
+    denominator = y - z
+    if denominator <= 0.0:
+        return float("inf")
+    return z / denominator
 
 
 def feasible_q_interval(theta: float, p: float) -> tuple[float, float]:

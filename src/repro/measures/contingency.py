@@ -2,8 +2,9 @@
 
 Every discriminative measure in this package is a function of the 2 x m
 contingency table of a binary pattern feature X against the class variable C.
-:class:`PatternStats` carries that table plus the derived (theta, p, q)
-parameters used throughout the paper's analysis.
+:class:`ContingencyTables` carries the tables of ``k`` patterns as
+``(k, m)`` count arrays, the input of every kernel in
+:mod:`repro.measures.vectorized`.
 """
 
 from __future__ import annotations
@@ -17,66 +18,16 @@ from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import MiningResult, Pattern
 from ..obs import core as _obs
 
-__all__ = [
-    "PatternStats",
-    "ContingencyTables",
-    "batch_contingency_tables",
-]
-
-@dataclass(frozen=True)
-class PatternStats:
-    """Contingency summary of one binary feature against the class labels.
-
-    Attributes
-    ----------
-    present:
-        Per-class counts among rows where the pattern is present
-        (length = n_classes).
-    absent:
-        Per-class counts among rows where it is absent.
-    """
-
-    present: tuple[int, ...]
-    absent: tuple[int, ...]
-
-    @property
-    def n_rows(self) -> int:
-        return sum(self.present) + sum(self.absent)
-
-    @property
-    def support(self) -> int:
-        """Absolute support |D_alpha|."""
-        return sum(self.present)
-
-    @property
-    def theta(self) -> float:
-        """Relative support P(x = 1)."""
-        n = self.n_rows
-        return self.support / n if n else 0.0
-
-    @property
-    def class_totals(self) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(self.present, self.absent))
-
-    def prior(self, class_index: int = 1) -> float:
-        """p = P(c = class_index)."""
-        n = self.n_rows
-        return self.class_totals[class_index] / n if n else 0.0
-
-    def posterior(self, class_index: int = 1) -> float:
-        """q = P(c = class_index | x = 1); 0 when support is 0."""
-        support = self.support
-        return self.present[class_index] / support if support else 0.0
+__all__ = ["ContingencyTables", "batch_contingency_tables"]
 
 
 @dataclass(frozen=True)
 class ContingencyTables:
     """Contingency tables of ``k`` patterns as ``(k, m)`` count arrays.
 
-    The array-of-structs twin of ``list[PatternStats]``: row ``i`` of
-    ``present``/``absent`` is pattern ``i``'s per-class count among rows
-    where it is present/absent.  This is the input format of the
-    vectorized measure kernels in :mod:`repro.measures.vectorized`.
+    Row ``i`` of ``present``/``absent`` is pattern ``i``'s per-class count
+    among rows where it is present/absent.  This is the input format of
+    the vectorized measure kernels in :mod:`repro.measures.vectorized`.
     """
 
     present: np.ndarray

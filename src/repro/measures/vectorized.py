@@ -7,17 +7,17 @@ evaluates each family over the batched ``(k, m)`` contingency arrays of
 :func:`repro.measures.contingency.batch_contingency_tables` in one numpy
 pass per measure.
 
-The scalar definitions on :class:`PatternStats`
-(:func:`~repro.measures.information_gain.information_gain`,
-:func:`~repro.measures.fisher.fisher_score`) and a scalar chi² kept with
-the tests are the differential oracles.  Every kernel here mirrors its
-scalar twin's conventions — ``0 log 0 = 0``, empty tables score 0, a
-perfectly class-aligned feature has infinite Fisher score — and a
-hypothesis suite (``tests/test_measures_vectorized.py``) pins
-scalar-vs-vectorized agreement to 1e-12 including the degenerate rows
-(empty classes, support 0, support n, ``p ∈ {0, 1}`` priors); information
-gain agrees float for float, because the scalar path takes its entropies
-from this module's row entropy, zero counts included.
+These kernels are the library's only scoring path.  The scalar
+one-table-at-a-time definitions (IG, Fisher score and chi² on a
+``PatternStats`` table) live with the tests in ``tests/oracles/scoring.py``
+as the differential oracles.  Every kernel here mirrors its scalar twin's
+conventions — ``0 log 0 = 0``, empty tables score 0, a perfectly
+class-aligned feature has infinite Fisher score — and a hypothesis suite
+(``tests/test_measures_vectorized.py``) pins scalar-vs-vectorized
+agreement to 1e-12 including the degenerate rows (empty classes, support
+0, support n, ``p ∈ {0, 1}`` priors); information gain agrees float for
+float, because the oracle computes its entropies with a copy of this
+module's row entropy, zero counts included.
 
 Bound kernels (``ig_upper_bound_batch`` / ``fisher_upper_bound_batch``)
 accept theta *arrays*, so the Figure 2/3 support grids and the min_sup
@@ -87,9 +87,9 @@ def information_gain_batch(
 ) -> np.ndarray:
     """IG(C|X) of every pattern, from (k, m) contingency count arrays.
 
-    Equals :func:`repro.measures.information_gain.information_gain_from_counts`
-    row for row, float for float: empty tables score 0 and floating-point
-    noise is clamped at 0.
+    Equals the scalar oracle's ``information_gain_from_counts`` row for
+    row, float for float: empty tables score 0 and floating-point noise is
+    clamped at 0.
     """
     return _information_gain(*_count_arrays(present, absent))
 
@@ -110,7 +110,7 @@ def _information_gain(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
 def fisher_score_batch(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
     """Fisher score of every pattern, from (k, m) contingency count arrays.
 
-    Matches :func:`repro.measures.fisher.fisher_score_from_counts`: zero
+    Matches the scalar oracle's ``fisher_score_from_counts``: zero
     within-class variance yields 0 when there is also no between-class
     scatter and ``inf`` for a perfectly class-aligned feature.
     """

@@ -256,7 +256,10 @@ def mine_class_patterns(
         # The payloads are per-pattern dicts; free them before the
         # full-dataset count, which is where mining's memory peaks.
         del mined
-        itemsets = sorted(merged, key=lambda items: (len(items), items))
+        # Lexicographic, then stably by length: ``(length, items)`` order
+        # without a key tuple per itemset, as in ``mine_sharded``.
+        itemsets = sorted(merged)
+        itemsets.sort(key=len)
         itemsets = [
             itemsets[i] for i in cap_union(itemsets, max_patterns, on_guard).tolist()
         ]

@@ -10,15 +10,27 @@ machinery (IG relevance, MMRFS, coverage) over subsequence features.
 
 Sequences are tuples of item ids; a pattern ``p`` is *contained* in a
 sequence ``s`` if p is a (not necessarily contiguous) subsequence of s.
+
+:func:`class_subsequences` and :func:`containment_matrix` are the
+candidate step every sequence consumer shares: the per-class PrefixSpan
+union, and which candidate each sequence contains.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .itemsets import PatternBudgetExceeded
+import numpy as np
 
-__all__ = ["SequencePattern", "prefixspan", "is_subsequence"]
+from .itemsets import PatternBudgetExceeded, absolute_min_support
+
+__all__ = [
+    "SequencePattern",
+    "prefixspan",
+    "is_subsequence",
+    "class_subsequences",
+    "containment_matrix",
+]
 
 
 class SequencePattern:
@@ -120,3 +132,42 @@ def _grow(database, prefix, projection, min_support, max_length, emit) -> None:
                     break
         emit(new_prefix, len(new_projection))
         _grow(database, new_prefix, new_projection, min_support, max_length, emit)
+
+
+def class_subsequences(
+    sequences: Sequence[Sequence[int]],
+    labels: Sequence[int],
+    min_support: float,
+    min_length: int = 1,
+    max_length: int | None = None,
+    max_patterns: int | None = None,
+) -> list[tuple[int, ...]]:
+    """Union of every class's frequent subsequences, in lexicographic order.
+
+    Each class present in ``labels`` is mined on its own rows at the
+    relative ``min_support`` (through
+    :func:`~repro.mining.itemsets.absolute_min_support`), with
+    ``max_length`` and the ``max_patterns`` budget applied per class;
+    subsequences shorter than ``min_length`` are dropped.
+    """
+    by_class: dict[int, list[Sequence[int]]] = {}
+    for sequence, label in zip(sequences, labels):
+        by_class.setdefault(int(label), []).append(sequence)
+    merged: set[tuple[int, ...]] = set()
+    for _, class_sequences in sorted(by_class.items()):
+        absolute = absolute_min_support(min_support, len(class_sequences))
+        mined = prefixspan(class_sequences, absolute, max_length, max_patterns)
+        merged.update(p.sequence for p in mined if p.length >= min_length)
+    return sorted(merged)
+
+
+def containment_matrix(
+    patterns: Sequence[Sequence[int]], sequences: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Boolean ``(len(patterns), len(sequences))`` matrix: entry ``(i, j)``
+    is whether pattern ``i`` is a subsequence of sequence ``j``."""
+    matrix = np.zeros((len(patterns), len(sequences)), dtype=bool)
+    for i, pattern in enumerate(patterns):
+        for j, sequence in enumerate(sequences):
+            matrix[i, j] = is_subsequence(pattern, sequence)
+    return matrix

@@ -114,7 +114,7 @@ def _mine_cell(job: tuple) -> dict:
             np.asarray(handle.item_words()), rows, local_abs, max_length
         )
         span.set(candidates=len(itemsets))
-    return {"itemsets": [list(items) for items in itemsets]}
+    return {"itemsets": itemsets}
 
 
 def _count_shard(candidates: list, job: tuple) -> dict:

@@ -228,57 +228,44 @@ def _sequence_entries(
     class_names: Sequence[str],
     config: DiagnosisConfig,
 ) -> tuple[list[dict], int]:
-    from ..measures.information_gain import information_gain_from_counts
-    from ..mining.itemsets import absolute_min_support
-    from ..mining.prefixspan import is_subsequence, prefixspan
+    import numpy as np
+
+    from ..measures.vectorized import information_gain_batch
+    from ..mining.prefixspan import class_subsequences, containment_matrix
 
     vocabulary = corpus.vocabulary
     _, sequences = corpus.encode()
-    by_class: dict[int, list[tuple[int, ...]]] = {}
-    for sequence, label in zip(sequences, labels):
-        by_class.setdefault(label, []).append(sequence)
-    totals = _class_totals(labels, len(class_names))
-
-    candidates: set[tuple[int, ...]] = set()
-    for label, class_sequences in sorted(by_class.items()):
-        absolute = absolute_min_support(config.min_support, len(class_sequences))
-        for pattern in prefixspan(
-            class_sequences,
-            min_support=absolute,
-            max_length=config.max_length,
-            max_patterns=config.max_patterns,
-        ):
-            if len(pattern.sequence) >= config.min_length:
-                candidates.add(tuple(pattern.sequence))
+    candidates = class_subsequences(
+        sequences,
+        labels,
+        config.min_support,
+        min_length=config.min_length,
+        max_length=config.max_length,
+        max_patterns=config.max_patterns,
+    )
+    contains = containment_matrix(candidates, sequences)
+    n_classes = len(class_names)
+    present = contains.astype(np.int64) @ np.eye(n_classes, dtype=np.int64)[labels]
+    totals = np.array(_class_totals(labels, n_classes))
+    gains = information_gain_batch(present, totals - present)
+    # Majority by class rate, ties to the lowest class.
+    rates = present / np.where(totals > 0, totals, 1)
+    walls = [session.wall_s for session in corpus.sessions]
 
     entries = []
-    for items in sorted(candidates):
-        present = [
-            sum(
-                1
-                for sequence in by_class.get(label, ())
-                if is_subsequence(items, sequence)
-            )
-            for label in range(len(class_names))
-        ]
-        absent = [t - p for t, p in zip(totals, present)]
-        rates = [
-            p / t if t else 0.0 for p, t in zip(present, totals)
-        ]
-        majority = max(range(len(class_names)), key=lambda c: (rates[c], -c))
-        symbols = [vocabulary[i] for i in items]
+    for items, row, counts, gain, majority in zip(
+        candidates, contains, present, gains, rates.argmax(axis=1)
+    ):
         covered = 0.0
-        for session, sequence, label in zip(
-            corpus.sessions, sequences, labels
-        ):
-            if label == majority and is_subsequence(items, sequence):
-                covered += session.wall_s
+        for covers, label, wall in zip(row, labels, walls):
+            if covers and label == majority:
+                covered += wall
         entries.append(
             {
-                "items": symbols,
-                "ig": float(information_gain_from_counts(present, absent)),
-                "support": int(sum(present)),
-                "class_supports": [int(p) for p in present],
+                "items": [vocabulary[i] for i in items],
+                "ig": float(gain),
+                "support": int(counts.sum()),
+                "class_supports": [int(p) for p in counts],
                 "majority_class": class_names[majority],
                 "covered_wall_s": covered,
             }

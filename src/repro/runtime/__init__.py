@@ -25,6 +25,7 @@ from .cache import (
     CorruptArtifactError,
     canonical_json,
     content_key,
+    dump_json,
     fingerprint,
 )
 from .retry import DEFAULT_RETRY, RetryPolicy, WorkerCrashError, is_transient
@@ -34,6 +35,7 @@ __all__ = [
     "CorruptArtifactError",
     "canonical_json",
     "content_key",
+    "dump_json",
     "fingerprint",
     "DEFAULT_RETRY",
     "RetryPolicy",

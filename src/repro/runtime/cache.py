@@ -43,6 +43,7 @@ __all__ = [
     "CorruptArtifactError",
     "canonical_json",
     "content_key",
+    "dump_json",
     "fingerprint",
 ]
 
@@ -66,6 +67,13 @@ def canonical_json(obj: Any) -> str:
     """
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+    )
+
+
+def dump_json(payload: Any, path: Path) -> None:
+    """Deterministic JSON artifact write (sorted keys, fixed layout)."""
+    path.write_text(
+        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
 
 

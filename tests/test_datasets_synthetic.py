@@ -99,9 +99,8 @@ class TestGeneration:
 
     def test_patterns_beat_single_items(self, planted_spec):
         """The planted combo has higher IG than any single signal item."""
-        from repro.measures import information_gain
         from repro.mining import Pattern
-        from tests.oracles.scoring import batch_pattern_stats
+        from tests.oracles.scoring import batch_pattern_stats, information_gain
 
         dataset, structure = generate(planted_spec, return_structure=True)
         data = TransactionDataset.from_dataset(dataset)

@@ -190,8 +190,7 @@ class TestCandidateCap:
         assert len(capped.mined_patterns_) == 10
         assert len(uncapped.mined_patterns_) >= 10
         # The capped set is the IG head of the uncapped set.
-        from repro.measures import information_gain
-        from tests.oracles.scoring import batch_pattern_stats
+        from tests.oracles.scoring import batch_pattern_stats, information_gain
 
         stats = batch_pattern_stats(
             uncapped.mined_patterns_, planted_transactions

@@ -14,9 +14,9 @@ from repro.datasets import SyntheticSpec, TransactionDataset, generate, load_uci
 from repro.discretize import MDLP, discretize_table
 from repro.eval import cross_validate_pipeline, stratified_kfold
 from repro.features import FrequentPatternClassifier
-from repro.measures import ig_upper_bound, information_gain
+from repro.measures import ig_upper_bound
 from repro.selection import suggest_min_support
-from tests.oracles.scoring import pattern_stats
+from tests.oracles.scoring import information_gain, pattern_stats
 
 
 @pytest.fixture(scope="module")

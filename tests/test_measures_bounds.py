@@ -18,15 +18,13 @@ from hypothesis import strategies as st
 from repro.measures import (
     binary_entropy,
     feasible_q_interval,
-    fisher_score,
     fisher_score_binary,
     fisher_upper_bound,
     conditional_entropy_binary,
     ig_upper_bound,
-    information_gain,
     theta_star,
 )
-from tests.oracles.scoring import batch_pattern_stats
+from tests.oracles.scoring import batch_pattern_stats, fisher_score, information_gain
 
 probability = st.floats(0.02, 0.98)
 

@@ -1,4 +1,9 @@
-"""Tests for information gain, Fisher score and contingency statistics."""
+"""Tests for information gain, Fisher score and contingency statistics.
+
+The library scores every table with the batch kernels of
+:mod:`repro.measures.vectorized`; the behaviour checks below run them on
+one-row tables.  :class:`PatternStats` is the scalar oracle's table type.
+"""
 
 import numpy as np
 import pytest
@@ -6,18 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.measures import (
-    PatternStats,
-    binary_entropy,
-    fisher_score,
+    batch_contingency_tables,
+    fisher_score_batch,
     fisher_score_binary,
-    fisher_score_from_counts,
-    information_gain,
-    information_gain_from_counts,
+    information_gain_batch,
 )
 from repro.mining import Pattern
-from tests.oracles.scoring import batch_pattern_stats, pattern_stats
+from tests.oracles.scoring import PatternStats, batch_pattern_stats, pattern_stats
 
 counts = st.integers(0, 50)
+
+
+def ig(present, absent) -> float:
+    """IG of one table, through the batch kernel."""
+    return float(information_gain_batch([present], [absent])[0])
+
+
+def fisher(present, absent) -> float:
+    """Fisher score of one table, through the batch kernel."""
+    return float(fisher_score_batch([present], [absent])[0])
 
 
 class TestPatternStats:
@@ -56,16 +68,16 @@ class TestPatternStats:
 class TestInformationGain:
     def test_perfect_feature(self):
         # Feature exactly equals the class: IG = H(C) = 1 bit at p = 0.5.
-        assert information_gain_from_counts((0, 10), (10, 0)) == pytest.approx(1.0)
+        assert ig((0, 10), (10, 0)) == pytest.approx(1.0)
 
     def test_useless_feature(self):
-        assert information_gain_from_counts((5, 5), (5, 5)) == pytest.approx(0.0)
+        assert ig((5, 5), (5, 5)) == pytest.approx(0.0)
 
     def test_empty_is_zero(self):
-        assert information_gain_from_counts((0, 0), (0, 0)) == 0.0
+        assert ig((0, 0), (0, 0)) == 0.0
 
     def test_multiclass(self):
-        gain = information_gain_from_counts((10, 0, 0), (0, 5, 5))
+        gain = ig((10, 0, 0), (0, 5, 5))
         assert 0.8 < gain <= 1.6
 
     @settings(max_examples=100, deadline=None)
@@ -73,20 +85,20 @@ class TestInformationGain:
     def test_bounded_by_class_entropy(self, a, b, c, d):
         from repro.measures import entropy
 
-        gain = information_gain_from_counts((a, b), (c, d))
+        gain = ig((a, b), (c, d))
         assert 0.0 <= gain <= entropy([a + c, b + d]) + 1e-9
 
 
 class TestFisherScore:
     def test_useless_feature_zero(self):
-        assert fisher_score_from_counts((5, 5), (5, 5)) == 0.0
+        assert fisher((5, 5), (5, 5)) == 0.0
 
     def test_perfect_feature_infinite(self):
         # A perfectly class-aligned feature has zero within-class variance
         # and positive between-class scatter -> infinite Fisher score, in
         # both the closed form and the counts form.
         assert fisher_score_binary(0.5, 1.0, 0.5) == float("inf")
-        assert fisher_score_from_counts((10, 0), (0, 10)) == float("inf")
+        assert fisher((10, 0), (0, 10)) == float("inf")
 
     def test_from_counts_matches_closed_form(self):
         present = (4, 12)
@@ -95,7 +107,7 @@ class TestFisherScore:
         theta = sum(present) / n
         p = (present[1] + absent[1]) / n
         q = present[1] / sum(present)
-        assert fisher_score_from_counts(present, absent) == pytest.approx(
+        assert fisher(present, absent) == pytest.approx(
             fisher_score_binary(p, q, theta)
         )
 
@@ -112,7 +124,7 @@ class TestFisherScore:
         p = (b + d) / n
         q = b / support
         closed = fisher_score_binary(p, q, theta)
-        direct = fisher_score_from_counts((a, b), (c, d))
+        direct = fisher((a, b), (c, d))
         if a * c == 0 and b * d == 0:
             # The within-class variance (Eq. 4 denominator a*c/n0 + b*d/n1)
             # is exactly zero: both forms are at the pole, but the closed
@@ -126,7 +138,7 @@ class TestFisherScore:
             assert direct == pytest.approx(closed, abs=1e-9)
 
     def test_non_negative(self):
-        assert fisher_score_from_counts((1, 9), (9, 1)) >= 0.0
+        assert fisher((1, 9), (9, 1)) >= 0.0
 
     def test_infeasible_closed_form_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -139,9 +151,9 @@ class TestOnDataset:
         from repro.mining import mine_class_patterns
 
         mined = mine_class_patterns(planted_transactions, min_support=0.3)
-        stats = batch_pattern_stats(mined.patterns, planted_transactions)
-        gains = np.array([information_gain(s) for s in stats])
-        fishers = np.array([fisher_score(s) for s in stats])
+        tables = batch_contingency_tables(mined.patterns, planted_transactions)
+        gains = information_gain_batch(tables.present, tables.absent)
+        fishers = fisher_score_batch(tables.present, tables.absent)
         best_by_ig = int(np.argmax(gains))
         worst_by_ig = int(np.argmin(gains))
         assert fishers[best_by_ig] >= fishers[worst_by_ig]

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.datasets import TransactionDataset
 from repro.measures import (
     ContingencyTables,
-    PatternStats,
     batch_contingency_tables,
     chi2_batch,
     fisher_score_batch,
@@ -28,14 +27,18 @@ from repro.measures import (
     information_gain_batch,
 )
 from repro.measures.bounds import fisher_upper_bound, ig_upper_bound
-from repro.measures.fisher import fisher_score
-from repro.measures.information_gain import (
-    information_gain,
-    information_gain_from_counts,
-)
 from repro.mining import Pattern, mine_class_patterns
 from repro.selection.relevance import FisherScoreRelevance, batch_relevance
-from tests.oracles.scoring import batch_pattern_stats, chi2, row_stats, to_stats
+from tests.oracles.scoring import (
+    PatternStats,
+    batch_pattern_stats,
+    chi2,
+    fisher_score,
+    information_gain,
+    information_gain_from_counts,
+    row_stats,
+    to_stats,
+)
 
 TOLERANCE = 1e-12
 

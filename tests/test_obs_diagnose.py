@@ -156,6 +156,32 @@ class TestGoldenFixture:
         assert any("mining.generate" in item for item in top["items"])
 
 
+class TestSequencesGolden:
+    """Sequences mode pinned entry by entry: ``n_candidates`` and every
+    reported subsequence with its supports, majority class and covered
+    wall time for two seeds and both labelers; IG to float tolerance, as
+    in :class:`TestGoldenFixture`."""
+
+    GOLDEN = Path(__file__).parent / "data" / "diagnose_sequences_golden_v1.json"
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    @pytest.mark.parametrize("label", ["wall", "failure"])
+    def test_matches_golden_entries(self, seed, label):
+        golden = json.loads(self.GOLDEN.read_text(encoding="utf-8"))
+        expected = golden[f"{seed}/{label}"]
+        corpus = generate_sessions(default_config(600, seed=seed))
+        config = DiagnosisConfig(label=label, sequences=True)
+        labels, class_names = label_corpus(corpus, config)
+        report = diagnose_corpus(corpus, labels, class_names, config)
+        assert report.n_candidates == expected["n_candidates"]
+        assert len(report.entries) == len(expected["entries"])
+        for mine, theirs in zip(report.entries, expected["entries"]):
+            assert mine["ig"] == pytest.approx(theirs["ig"], abs=1e-12)
+            assert {k: v for k, v in mine.items() if k != "ig"} == {
+                k: v for k, v in theirs.items() if k != "ig"
+            }
+
+
 class TestExplainDiff:
     def test_explain_names_the_slowed_span(self):
         base = synthetic_trace(mine_wall=0.03)

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import TransactionDataset
-from repro.measures import information_gain_from_counts
 from repro.measures import vectorized
 from repro.measures.vectorized import _VERTEX_CLASS_CAP, ig_subtree_bound
 from repro.mining import mine_class_patterns
 from repro.selection import ddpmine
+from tests.oracles.scoring import information_gain_from_counts
 
 
 @st.composite
@@ -129,8 +129,7 @@ class TestDDPMine:
     def test_direct_matches_exhaustive_top_gain(self, planted_transactions):
         """The first direct pattern's IG matches the best IG over the
         exhaustively mined candidate set at the same support/length."""
-        from repro.measures import information_gain
-        from tests.oracles.scoring import batch_pattern_stats
+        from tests.oracles.scoring import batch_pattern_stats, information_gain
 
         data = planted_transactions
         direct = ddpmine(data, min_support=0.2, delta=1, max_length=3,

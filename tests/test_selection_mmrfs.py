@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import TransactionDataset
-from repro.measures import ContingencyTables, information_gain
+from repro.measures import ContingencyTables
 from repro.mining import Pattern, mine_class_patterns
 from repro.selection import (
     FisherScoreRelevance,
@@ -18,7 +18,7 @@ from repro.selection import (
 )
 from repro.obs.core import session
 from tests.oracles.mmrfs_dense import batch_redundancy, mmrfs_dense
-from tests.oracles.scoring import batch_pattern_stats
+from tests.oracles.scoring import batch_pattern_stats, information_gain
 
 
 class TestJaccard:

@@ -20,12 +20,11 @@ from hypothesis import strategies as st
 
 from repro.core.bitset import pack_bits
 from repro.datasets import TransactionDataset
-from repro.measures import information_gain
 from repro.mining import Pattern, mine_class_patterns
 from repro.obs.core import session
 from repro.selection.mmrfs import _greedy, mmrfs, top_k_by_relevance
 from tests.oracles.mmrfs_dense import dense_greedy, mmrfs_dense
-from tests.oracles.scoring import to_stats
+from tests.oracles.scoring import information_gain, to_stats
 
 # The package re-exports the function under the module's name.
 mmrfs_module = importlib.import_module("repro.selection.mmrfs")
