@@ -207,7 +207,7 @@ def _flat_ids(transactions: Sequence[Sequence[int]], total: int) -> np.ndarray:
 
 
 def pack_transactions(
-    transactions: Sequence[Sequence[int]], n_items: int
+    transactions: Sequence[Sequence[int]] | np.ndarray, n_items: int
 ) -> tuple["BitMatrix", int]:
     """Item-major packed bits of ``transactions`` and the ids dropped.
 
@@ -216,22 +216,42 @@ def pack_transactions(
     second value counts them, one per occurrence.  Duplicate ids within a
     row set the same bit once and are not counted.
 
+    ``transactions`` is a sequence of id rows or a 2-D integer id matrix,
+    one row per transaction: a categorical dataset's ``rows + offsets``
+    (:func:`repro.datasets.transactions.item_ids`) is one, so fit and
+    predict on a dataset pack through this same pass.
+
     One vectorized pass per block of ``_PACK_ROWS`` rows: the block's ids
-    are flattened once (:func:`_flat_ids`), masked to the item space and
-    ORed into the words with :func:`scatter_bits`.  The block bounds the
+    are flattened once (a matrix block is reshaped, rows of any other
+    form go through :func:`_flat_ids`), masked to the item space and ORed
+    into the words with :func:`scatter_bits`.  The block bounds the
     transient id, row and bit arrays whatever the number of rows.
     """
     n_rows = len(transactions)
     words = np.zeros((n_items, word_count(n_rows)), dtype=_WORD_DTYPE)
     dropped = 0
+    matrix = (
+        isinstance(transactions, np.ndarray)
+        and transactions.ndim == 2
+        and transactions.dtype.kind in "iu"
+    )
     rest = iter(transactions)
     for start in range(0, n_rows, _PACK_ROWS):
-        block = list(islice(rest, _PACK_ROWS))
-        lengths = list(map(len, block))
-        items = _flat_ids(block, sum(lengths))
-        rows = np.repeat(
-            np.arange(start, start + len(block), dtype=np.intp), lengths
-        )
+        if matrix:
+            block = transactions[start : start + _PACK_ROWS]
+            # uint64 ids past int64 wrap negative, which the unsigned
+            # compare below still drops.
+            items = block.astype(np.int64, copy=False).reshape(-1)
+            rows = np.repeat(
+                np.arange(start, start + len(block), dtype=np.intp), block.shape[1]
+            )
+        else:
+            block = list(islice(rest, _PACK_ROWS))
+            lengths = list(map(len, block))
+            items = _flat_ids(block, sum(lengths))
+            rows = np.repeat(
+                np.arange(start, start + len(block), dtype=np.intp), lengths
+            )
         # One unsigned compare tests both ends: a negative id views as a
         # value at least 2**63.
         known = items.view(np.uint64) < n_items
@@ -429,14 +449,15 @@ class BitMatrix:
 
     @classmethod
     def vertical(
-        cls, transactions: Sequence[Sequence[int]], n_items: int
+        cls, transactions: Sequence[Sequence[int]] | np.ndarray, n_items: int
     ) -> "BitMatrix":
         """Item-major tidset masks over a transaction database.
 
         Mask ``i`` (of ``n_items``) has bit ``t`` set iff item ``i`` is in
         transaction ``t`` — the transpose of the dense occurrence matrix,
-        packed by :func:`pack_transactions`.  Raises ``IndexError`` for an
-        item outside ``[0, n_items)``.
+        packed by :func:`pack_transactions` from id rows or a 2-D id
+        matrix.  Raises ``IndexError`` for an item outside
+        ``[0, n_items)``.
         """
         item_bits, dropped = pack_transactions(transactions, n_items)
         if dropped:

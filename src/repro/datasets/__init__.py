@@ -3,7 +3,7 @@
 from .schema import Attribute, Dataset
 from .sequences import SequenceDataset, SequenceSpec, generate_sequences
 from .synthetic import PlantedStructure, SyntheticSpec, generate, plant_structure
-from .transactions import ItemCatalog, TransactionDataset
+from .transactions import ItemCatalog, TransactionDataset, item_ids
 from .uci import (
     SCALABILITY_NAMES,
     SCALABILITY_SPECS,
@@ -18,6 +18,7 @@ __all__ = [
     "Dataset",
     "ItemCatalog",
     "TransactionDataset",
+    "item_ids",
     "PlantedStructure",
     "SyntheticSpec",
     "generate",

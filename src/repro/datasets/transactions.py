@@ -5,11 +5,19 @@ becomes a transaction of exactly ``k`` items, one per attribute, drawn from the
 global item space ``I = {o_1, ..., o_d}``.  Frequent-pattern miners operate on
 these transactions; classifiers operate on the equivalent binary matrix in
 ``B^d``.
+
+Because every row has one item per attribute, a dataset's transactions are
+one fixed-width id matrix, ``rows + offsets`` (:func:`item_ids`), ascending
+row by row.  One :func:`~repro.core.bitset.pack_transactions` pass over that
+matrix gives the packed item bits, both when a training set is itemized
+(:meth:`TransactionDataset.from_dataset`) and when a fitted model predicts
+on a dataset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,7 +25,25 @@ import numpy as np
 from ..core.bitset import BitMatrix, SupportQueries
 from .schema import Dataset
 
-__all__ = ["ItemCatalog", "TransactionDataset"]
+__all__ = ["ItemCatalog", "TransactionDataset", "item_ids"]
+
+
+def item_ids(dataset: Dataset) -> np.ndarray:
+    """The ``(n_rows, n_attributes)`` int64 item-id matrix of ``dataset``.
+
+    Entry ``(i, j)`` is attribute ``j``'s value index in row ``i`` plus the
+    attribute's offset, the :class:`ItemCatalog` numbering.  The offsets
+    ascend and each value index is below its attribute's arity, so every
+    row is strictly ascending: the rows are canonical transactions as they
+    are.  No names are rendered and no row is sorted.
+    """
+    attributes = dataset.attributes
+    offsets = np.fromiter(
+        accumulate((len(a.values) for a in attributes[:-1]), initial=0),
+        dtype=np.int64,
+        count=len(attributes),
+    )
+    return dataset.rows + offsets
 
 
 @dataclass(frozen=True)
@@ -86,9 +112,35 @@ class TransactionDataset(SupportQueries):
         catalog: ItemCatalog | None = None,
         name: str = "transactions",
     ) -> None:
-        self.transactions: list[tuple[int, ...]] = [
-            tuple(sorted(set(t))) for t in transactions
-        ]
+        self._setup(
+            [tuple(sorted(set(t))) for t in transactions],
+            labels,
+            n_items,
+            n_classes,
+            catalog,
+            name,
+        )
+
+    @classmethod
+    def _of_canonical(
+        cls, transactions: list[tuple[int, ...]], *args
+    ) -> "TransactionDataset":
+        """A dataset over rows that are already sorted, duplicate-free
+        tuples; the other arguments are those of ``__init__``."""
+        data = cls.__new__(cls)
+        data._setup(transactions, *args)
+        return data
+
+    def _setup(
+        self,
+        transactions: list[tuple[int, ...]],
+        labels: Sequence[int] | np.ndarray,
+        n_items: int,
+        n_classes: int | None,
+        catalog: ItemCatalog | None,
+        name: str,
+    ) -> None:
+        self.transactions: list[tuple[int, ...]] = transactions
         self.labels = np.asarray(labels, dtype=np.int32)
         if len(self.transactions) != len(self.labels):
             raise ValueError("transactions and labels must align")
@@ -119,19 +171,25 @@ class TransactionDataset(SupportQueries):
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "TransactionDataset":
-        """Itemize a categorical dataset via the (attr, value) -> item map."""
+        """Itemize a categorical dataset via the (attr, value) -> item map.
+
+        The rows of :func:`item_ids` are the transactions as they are (no
+        sort), and one :func:`~repro.core.bitset.pack_transactions` pass
+        over the id matrix fills the :meth:`item_bits` cache: the pass
+        ``FrequentPatternClassifier.predict`` runs on a dataset.
+        """
         catalog = ItemCatalog.from_dataset(dataset)
-        offsets = np.asarray(catalog.offsets, dtype=np.int32)
-        itemized = dataset.rows + offsets[np.newaxis, :]
-        transactions = [tuple(sorted(row.tolist())) for row in itemized]
-        return cls(
-            transactions=transactions,
-            labels=dataset.labels,
-            n_items=catalog.n_items,
-            n_classes=dataset.n_classes,
-            catalog=catalog,
-            name=dataset.name,
+        ids = item_ids(dataset)
+        data = cls._of_canonical(
+            list(map(tuple, ids.tolist())),
+            dataset.labels,
+            catalog.n_items,
+            dataset.n_classes,
+            catalog,
+            dataset.name,
         )
+        data._item_bits = BitMatrix.vertical(ids, data.n_items)
+        return data
 
     # ------------------------------------------------------------------
     # Views
@@ -181,13 +239,13 @@ class TransactionDataset(SupportQueries):
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> "TransactionDataset":
         indices = np.asarray(indices)
-        return TransactionDataset(
-            transactions=[self.transactions[int(i)] for i in indices],
-            labels=self.labels[indices],
-            n_items=self.n_items,
-            n_classes=self.n_classes,
-            catalog=self.catalog,
-            name=self.name,
+        return TransactionDataset._of_canonical(
+            [self.transactions[int(i)] for i in indices],
+            self.labels[indices],
+            self.n_items,
+            self.n_classes,
+            self.catalog,
+            self.name,
         )
 
     # ------------------------------------------------------------------

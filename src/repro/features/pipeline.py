@@ -306,6 +306,14 @@ class FrequentPatternClassifier:
         """Predicted labels; an item outside the fitted item space raises
         ``IndexError`` (the serving entry drops such items instead).
 
+        A categorical ``Dataset`` is packed straight from its id matrix
+        (``rows + offsets``) in one
+        :func:`~repro.core.bitset.pack_transactions` pass, the pass that
+        fills a training set's item bits; no item catalog, transaction
+        dataset or row tuple is built.  A ``TransactionDataset`` brings
+        its cached item bits.  See :meth:`CompiledModel.labels
+        <repro.serving.compiled.CompiledModel.labels>`.
+
         Reassigning ``featurizer_`` or ``model_`` recompiles on the next
         call; mutating either in place is not seen and needs a refit.
         """
@@ -317,15 +325,13 @@ class FrequentPatternClassifier:
             or compiled.model is not self.model_
         ):
             self._compile()
-        transactions = self._as_transactions(data)
-        with _obs.span("pipeline.predict", rows=transactions.n_rows):
-            return self.compiled_.labels(transactions)
+        with _obs.span("pipeline.predict", rows=data.n_rows):
+            return self.compiled_.labels(data)
 
     def score(self, data: Dataset | TransactionDataset) -> float:
-        """Mean accuracy on a labelled dataset."""
-        transactions = self._as_transactions(data)
-        predictions = self.predict(transactions)
-        return float((predictions == transactions.labels).mean())
+        """Mean accuracy on a labelled dataset, predicted as :meth:`predict`
+        does (a ``Dataset`` through its id matrix)."""
+        return float((self.predict(data) == data.labels).mean())
 
     # ------------------------------------------------------------------
     @property

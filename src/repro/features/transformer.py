@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from ..core.bitset import BitMatrix, CoverPlan
-from ..datasets.transactions import TransactionDataset
+from ..datasets.schema import Dataset
+from ..datasets.transactions import TransactionDataset, item_ids
 from ..mining.itemsets import Pattern
 from ..obs import core as _obs
 
@@ -99,16 +100,22 @@ class PatternFeaturizer:
         return names
 
     def item_bits(
-        self, data: TransactionDataset | BitMatrix | Sequence[Sequence[int]]
+        self,
+        data: Dataset | TransactionDataset | BitMatrix | Sequence[Sequence[int]],
     ) -> BitMatrix:
         """Packed item tidsets over ``data``.
 
         Packed item bits over this item space pass as they are.  A
         :class:`TransactionDataset` over this item space contributes its
         cached masks (shared with mining, stats and MMRFS — one occurrence
-        structure per fit); it was validated when it was built.  Other
-        input is packed on the fly, which raises ``IndexError`` for an
-        item outside ``[0, n_items)``.
+        structure per fit); it was validated when it was built.  A
+        categorical :class:`~repro.datasets.schema.Dataset` is packed
+        straight from its id matrix
+        (:func:`~repro.datasets.transactions.item_ids`) in one
+        :func:`~repro.core.bitset.pack_transactions` pass, with no item
+        catalog and no row tuples.  Other input is packed from its rows.
+        Packing raises ``IndexError`` for an item outside
+        ``[0, n_items)``.
         """
         if isinstance(data, BitMatrix):
             if data.n_masks != self.n_items:
@@ -119,6 +126,8 @@ class PatternFeaturizer:
             return data
         if isinstance(data, TransactionDataset) and data.n_items == self.n_items:
             return data.item_bits()
+        if isinstance(data, Dataset):
+            return BitMatrix.vertical(item_ids(data), self.n_items)
         transactions = (
             data.transactions
             if isinstance(data, TransactionDataset)
@@ -149,13 +158,15 @@ class PatternFeaturizer:
         return BitMatrix(words, item_bits.n_bits)
 
     def match_matrix(
-        self, data: TransactionDataset | BitMatrix | Sequence[Sequence[int]]
+        self,
+        data: Dataset | TransactionDataset | BitMatrix | Sequence[Sequence[int]],
     ) -> np.ndarray:
         """Boolean (n_rows, n_patterns) pattern-presence matrix."""
         return self.pattern_bits(self.item_bits(data)).to_dense().T
 
     def transform(
-        self, data: TransactionDataset | BitMatrix | Sequence[Sequence[int]]
+        self,
+        data: Dataset | TransactionDataset | BitMatrix | Sequence[Sequence[int]],
     ) -> np.ndarray:
         """Binary design matrix (n_rows, n_features) as float64."""
         with _obs.span(

@@ -24,10 +24,11 @@ turns the raw item ids into packed item bits and drops and counts the
 ids outside the item space, and the call records ``serving.*``
 telemetry.  Both entries also take item bits packed beforehand (the
 serving frontend packs each request itself, to attribute its dropped
-count).  :meth:`CompiledModel.labels` is the batch entry: a
-``TransactionDataset`` was validated when it was built, so its cached
-item bits are read as they are, and an item outside the item space
-raises ``IndexError``.
+count).  :meth:`CompiledModel.labels` is the batch entry: a categorical
+``Dataset`` is packed straight from its id matrix in the same one
+``pack_transactions`` pass, a ``TransactionDataset`` was validated when
+it was built, so its cached item bits are read as they are, and an item
+outside the item space raises ``IndexError``.
 ``tests/test_serving_differential.py`` pins the matcher to a row-subset
 oracle and the labels *exactly* to the design path.
 
@@ -48,6 +49,7 @@ from ..classifiers.linear_svm import LinearSVM
 from ..classifiers.logistic import LogisticRegression
 from ..classifiers.naive_bayes import BernoulliNaiveBayes
 from ..core.bitset import WORD_BITS, BitMatrix, pack_transactions
+from ..datasets.schema import Dataset
 from ..datasets.transactions import TransactionDataset
 from ..features.transformer import PatternFeaturizer
 from ..mining.itemsets import Pattern
@@ -103,9 +105,7 @@ def _as_transaction_list(data: Any) -> list:
     return list(data)
 
 
-def _n_rows(data: TransactionDataset | BitMatrix | list) -> int:
-    if isinstance(data, TransactionDataset):
-        return data.n_rows
+def _n_rows(data: Dataset | TransactionDataset | BitMatrix | list) -> int:
     if isinstance(data, BitMatrix):
         return data.n_bits
     return len(data)
@@ -366,28 +366,34 @@ class CompiledModel:
         return bool((gaps <= self._fused.tie_tolerance).any())
 
     def labels(
-        self, data: TransactionDataset | BitMatrix | Transactions
+        self, data: Dataset | TransactionDataset | BitMatrix | Transactions
     ) -> np.ndarray:
         """Predicted labels of rows already in the model's item space.
 
         The batch entry: nothing is sanitized (an item outside
         ``[0, n_items)`` raises ``IndexError``) and no ``serving.*``
-        telemetry is recorded.  ``data`` is a dataset, a transaction list
-        or packed item bits.  The labels are those of the design path,
+        telemetry is recorded.  ``data`` is packed once, by
+        :meth:`PatternFeaturizer.item_bits
+        <repro.features.transformer.PatternFeaturizer.item_bits>`: a
+        categorical ``Dataset`` straight from its id matrix, a
+        ``TransactionDataset`` from its cached bits, a transaction list
+        from its rows; packed item bits pass as they are.  The labels are
+        those of the design path,
         ``model.predict(featurizer.transform(data))``.  Linear learners
         get them from the fused head; when a row's scores are within
         rounding of a tie, or the learner is not linear, the design path
-        itself runs, on the packed bits when it was given them.
+        itself runs on the same packed bits.
         """
-        if not isinstance(data, (TransactionDataset, BitMatrix, list)):
+        if not isinstance(data, (Dataset, TransactionDataset, BitMatrix, list)):
             data = list(data)
         if _n_rows(data) == 0:
             return np.empty(0, dtype=np.int32)
+        item_bits = self.featurizer.item_bits(data)
         if self._fused is not None:
-            scores = self._scores(data)
+            scores = self._scores(item_bits)
             if not self._near_tie(scores):
                 return self._predict_from_scores(scores)
-        design = self.featurizer.transform(data)
+        design = self.featurizer.transform(item_bits)
         return np.asarray(self.model.predict(design), dtype=np.int32)
 
     def predict(
