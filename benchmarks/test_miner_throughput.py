@@ -116,7 +116,8 @@ def redundancy_workload():
     dense = rng.random((n_masks, n_rows)) < 0.3
     supports = dense.sum(axis=1).astype(np.int64)
     relevances = rng.random(n_masks)
-    return dense, pack_bits(dense), supports, relevances
+    # The packed stack is word-major, as MMRFS keeps it: (n_words, n_masks).
+    return dense, np.ascontiguousarray(pack_bits(dense).T), supports, relevances
 
 
 def _redundancy_dense(dense, supports, relevances, rounds=24):
@@ -133,7 +134,7 @@ def _redundancy_packed(packed, supports, relevances, rounds=24):
     last = None
     for reference in range(rounds):
         last = batch_redundancy_packed(
-            packed, supports, relevances, packed[reference],
+            packed, supports, relevances, packed[:, reference],
             int(supports[reference]), float(relevances[reference]),
         )
     return last

@@ -26,7 +26,7 @@ from typing import Any
 
 from .bitset import (
     BitMatrix,
-    intersection_counts,
+    and_popcount,
     pack_bits,
     packed_ones,
     popcount,
@@ -75,7 +75,7 @@ __all__ = [
     "unpack_bits",
     "popcount",
     "packed_ones",
-    "intersection_counts",
+    "and_popcount",
     "word_count",
     "parallel_map",
     "resolve_n_jobs",

@@ -21,6 +21,13 @@ which makes pattern coverage an AND-reduction over item masks and support
 a popcount — the classic vertical-format trick of Eclat/CHARM, applied
 here to the paper's feature-construction stage as well.
 
+Two stacks are counted again and again: MMRFS's candidate coverage (once
+per accepted pattern) and the closed miner's frontier tidsets (once per
+search step).  They are kept *word-major*, ``(n_words, n)``, word ``w`` of
+every mask in one contiguous row, and :func:`and_popcount` counts them by
+summing whole rows of per-word counts over the leading axis.
+:func:`popcount` serves row-major masks.
+
 One cover kernel serves every caller.  :class:`CoverPlan` lays a list of
 itemsets out as one gather table in itemset order, each row padded to the
 longest itemset by repeating its last item; a block of covers is then one
@@ -47,7 +54,7 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "popcount",
-    "intersection_counts",
+    "and_popcount",
     "packed_ones",
     "scatter_bits",
     "pack_transactions",
@@ -64,7 +71,7 @@ _WORD_DTYPE = np.dtype("<u8")
 #: gather + sum when the hardware popcount ufunc (numpy >= 2.0) is absent.
 _POPCOUNT8 = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1
-).sum(axis=1).astype(np.int64)
+).sum(axis=1).astype(np.uint8)
 _BITWISE_COUNT = getattr(np, "bitwise_count", None)
 #: Byte budget of one block of the cover kernel's gather (:class:`CoverPlan`,
 #: padded width included): bounds the transient ``(block, width, n_words)``
@@ -77,8 +84,8 @@ _COVER_BLOCK_BYTES = 4 << 20
 _PACK_ROWS = 4096
 #: ``1 << k`` for every bit position ``k`` of a word.
 _BIT_VALUES = np.left_shift(np.uint64(1), np.arange(WORD_BITS, dtype=np.uint64))
-#: Byte budget of one block of ``masks & mask`` in
-#: :func:`intersection_counts` (MMRFS's per-acceptance redundancy refresh).
+#: Byte budget of the uint64 AND of one block of word rows in
+#: :func:`and_popcount` (MMRFS's redundancy refresh, the closed miner's step).
 _INTERSECTION_BLOCK_BYTES = 1 << 20
 
 
@@ -138,29 +145,73 @@ def popcount(words: np.ndarray) -> np.ndarray:
         )
     if words.shape[-1] == 0:
         return np.zeros(words.shape[:-1], dtype=np.int64)
-    if _BITWISE_COUNT is not None:
-        return _BITWISE_COUNT(words).sum(axis=-1, dtype=np.int64)
-    counts = _POPCOUNT8[words.view(np.uint8)]
-    return counts.reshape(words.shape[:-1] + (-1,)).sum(axis=-1)
+    return _word_counts(words).sum(axis=-1, dtype=np.int64)
 
 
-def intersection_counts(masks: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``popcount(masks[k] & mask)`` for every row of ``masks``.
+def and_popcount(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_w popcount(a[w] & b[w])`` over the leading (word) axis.
 
-    The packed form of ``dense_masks[:, dense_mask].sum(axis=1)`` — one AND
-    plus a table gather instead of a boolean fancy-index per row.  A stack
-    of masks is ANDed in row blocks of at most ``_INTERSECTION_BLOCK_BYTES``,
-    so the transient buffer is bounded however many masks there are.
+    The counting kernel of the *word-major* stacks, shaped ``(n_words,
+    ...)``: MMRFS's candidate coverage and the closed miner's frontier
+    tidsets.  ``a`` and ``b`` have the same rank and number of words
+    (``ValueError`` otherwise), and their trailing axes broadcast:
+    ``and_popcount(stack, mask[:, None])`` counts every column of a stack
+    against one mask, and ``and_popcount(rows[:, :, None], items[:, None,
+    :])`` every (node, item) pair.  Returns int64 counts of the broadcast
+    trailing shape.
+
+    Summing over the leading axis adds whole rows of counts, which is
+    cheap, where :func:`popcount`'s sum over a 20-40-word last axis is
+    not.  The word rows are ANDed in blocks of at most
+    ``_INTERSECTION_BLOCK_BYTES`` (at least one word row), through
+    scratch buffers allocated once per call, and the counts accumulate in
+    ``uint16`` when no count can reach 65,536 bits, in ``uint32``
+    otherwise.
     """
-    if _obs._ACTIVE is not None:
-        _obs._ACTIVE.add("bitset.intersection_calls", 1)
-    block = max(1, _INTERSECTION_BLOCK_BYTES // max(1, mask.size * 8))
-    if masks.ndim == 1 or len(masks) <= block:
-        return popcount(masks & mask)
-    counts = np.empty(len(masks), dtype=np.int64)
-    for start in range(0, len(masks), block):
-        counts[start : start + block] = popcount(masks[start : start + block] & mask)
-    return counts
+    n_words = a.shape[0]
+    if b.ndim != a.ndim or b.shape[0] != n_words:
+        raise ValueError(
+            f"word-major stacks of shapes {a.shape} and {b.shape} do not align"
+        )
+    if n_words == 0:
+        return np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=np.int64)
+    # The shape of one word row of the AND (cheaper than broadcast_shapes).
+    row = np.broadcast(a[0], b[0])
+    shape, size = row.shape, row.size
+    session = _obs._ACTIVE
+    if session is not None:
+        session.add_many(
+            (("bitset.intersection_calls", 1), ("bitset.popcount_words", n_words * size))
+        )
+    if size == 0:
+        return np.zeros(shape, dtype=np.int64)
+    total = np.uint16 if n_words * WORD_BITS < 1 << 16 else np.uint32
+    block = max(1, _INTERSECTION_BLOCK_BYTES // (8 * size))
+    if block >= n_words:
+        return np.add.reduce(_word_counts(a & b), axis=0, dtype=total).astype(np.int64)
+    joint = np.empty((block,) + shape, dtype=_WORD_DTYPE)
+    counts = np.empty((block,) + shape, dtype=np.uint8)
+    partial = np.empty(shape, dtype=total)
+    result = np.zeros(shape, dtype=total)
+    for start in range(0, n_words, block):
+        stop = min(n_words, start + block)
+        rows = stop - start
+        np.bitwise_and(a[start:stop], b[start:stop], out=joint[:rows])
+        np.add.reduce(
+            _word_counts(joint[:rows], counts[:rows]), axis=0, dtype=total, out=partial
+        )
+        result += partial
+    return result.astype(np.int64)
+
+
+def _word_counts(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Set bits of each uint64 word, as uint8 of the same shape."""
+    if _BITWISE_COUNT is not None:
+        return _BITWISE_COUNT(words, out=out)
+    per_byte = _POPCOUNT8[words.view(np.uint8)]
+    return np.add.reduce(
+        per_byte.reshape(words.shape + (8,)), axis=-1, dtype=np.uint8, out=out
+    )
 
 
 def scatter_bits(

@@ -1,7 +1,6 @@
 """Dataset substrate: schemas, transaction encoding and benchmark generators."""
 
 from .schema import Attribute, Dataset
-from .sequences import SequenceDataset, SequenceSpec, generate_sequences
 from .synthetic import PlantedStructure, SyntheticSpec, generate, plant_structure
 from .transactions import ItemCatalog, TransactionDataset, item_ids
 from .uci import (
@@ -23,9 +22,6 @@ __all__ = [
     "SyntheticSpec",
     "generate",
     "plant_structure",
-    "SequenceDataset",
-    "SequenceSpec",
-    "generate_sequences",
     "load_uci",
     "available_datasets",
     "UCI_SPECS",

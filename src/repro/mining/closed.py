@@ -15,14 +15,16 @@ the closure of a tidset T iff it keeps T's support, ``|T & mask_i| == |T|``.
 The search expands a *batch* of nodes per numpy step, not one node per
 call.  An explicit stack holds batches of candidate nodes P ∪ {i}: their
 tidsets and supports, P's free-item and closure masks over the frequent
-items, i, |P| and the extension path.  One ``(nodes, n_frequent,
-n_words)`` AND plus one popcount gives the support of every (node, item)
-pair.  From it, every node's closure and its prefix-preservation test (no
-free item below i joins) are one compare and one masked ``any``; the
-survivors are recorded, items infrequent with a node leave its free mask
-for the whole subtree, and the frequent extensions above i are pushed as
-the next batches.  Nodes already at ``max_length`` items are recorded but
-not expanded.
+items, i, |P| and the extension path.  The tidsets of a batch and the
+frequent item masks are both held *word-major*, ``(n_words, nodes)`` and
+``(n_words, n_frequent)``, so one :func:`~repro.core.bitset.and_popcount`
+of the two, broadcast to ``(nodes, n_frequent)``, gives the support of
+every (node, item) pair.  From it, every node's closure and its
+prefix-preservation test (no free item below i joins) are one compare
+and one masked ``any``; the survivors are recorded, items infrequent with
+a node leave its free mask for the whole subtree, and the frequent
+extensions above i are pushed as the next batches.  Nodes already at
+``max_length`` items are recorded but not expanded.
 
 Records come out in batch order.  The depth-first preorder of the extension
 tree is the lexicographic order of the nodes' extension paths (a prefix
@@ -39,16 +41,17 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, packed_ones, popcount
+from ..core.bitset import BitMatrix, and_popcount, packed_ones
 from ..obs import core as _obs
 from .itemsets import MiningResult, PatternBudgetExceeded, check_max_length
 
 __all__ = ["closed_fpgrowth"]
 
-#: Byte budget of one search step: a batch's ``(nodes, n_frequent,
-#: n_words)`` uint64 AND, and the tidsets, masks and paths of the at most
-#: ``n_frequent`` children per node it pushes.  A step always takes at
-#: least one node, so a very wide database degrades to one per step.
+#: Byte budget of one search step: sized as if a batch's ``(nodes,
+#: n_frequent, n_words)`` uint64 AND were one buffer (``and_popcount``
+#: blocks it more finely), plus the tidsets, masks and paths of the at
+#: most ``n_frequent`` children per node it pushes.  A step always takes
+#: at least one node, so a very wide database degrades to one per step.
 _STEP_BYTES = 8 << 20
 
 
@@ -85,8 +88,9 @@ def closed_fpgrowth(
     if len(frequent_items) == 0:
         return MiningResult([], min_support, n_rows)
 
-    words = item_bits.words[frequent_items]
-    n_frequent, n_words = words.shape
+    # Word-major, like the frontier tidsets: (n_words, n_frequent).
+    words = np.ascontiguousarray(item_bits.words[frequent_items].T)
+    n_words, n_frequent = words.shape
     positions = np.arange(n_frequent)
     limit = n_frequent if max_length is None else min(max_length, n_frequent)
     # Per node of a step, for each of at most n_frequent children: a tidset
@@ -123,7 +127,7 @@ def closed_fpgrowth(
         # |P|, the extension paths and the supports.  The root is the
         # empty set's candidate: every item free, none in P.
         stack = [(
-            packed_ones(n_rows)[np.newaxis],
+            packed_ones(n_rows)[:, np.newaxis],
             np.ones((1, n_frequent), dtype=bool),
             np.zeros((1, n_frequent), dtype=bool),
             np.array([-1]),
@@ -137,7 +141,7 @@ def closed_fpgrowth(
             # A free item joins a node's closure iff it keeps the node's
             # support, and an item infrequent with a node can neither
             # extend it nor join a closure below it.
-            counts = popcount(rows[:, np.newaxis, :] & words[np.newaxis])
+            counts = and_popcount(rows[:, :, np.newaxis], words[:, np.newaxis, :])
             joins = free & (counts == support[:, np.newaxis])
             # Prefix preservation: no free item below i joins.
             violated = (joins & (positions < item[:, np.newaxis])).any(axis=1)
@@ -158,7 +162,7 @@ def closed_fpgrowth(
             for start in range(0, len(nodes), step):
                 node, ext = nodes[start : start + step], items[start : start + step]
                 stack.append((
-                    rows[node] & words[ext],
+                    rows[:, node] & words[:, ext],
                     free[node],
                     closure[node],
                     ext,

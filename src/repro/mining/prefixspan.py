@@ -1,12 +1,9 @@
 """PrefixSpan: frequent sequential pattern mining (Pei et al., ICDE 2001).
 
-The paper closes with "the framework is also applicable to more complex
-patterns, including sequences and graphs.  In the future, we will conduct
-research in this direction" — this module implements that extension for
-sequences: PrefixSpan with prefix-projected databases mines frequent
-*subsequences*, and :mod:`repro.datasets.sequences` +
-:class:`repro.features.sequence_pipeline` reuse the exact same selection
-machinery (IG relevance, MMRFS, coverage) over subsequence features.
+PrefixSpan with prefix-projected databases mines frequent
+*subsequences*; ``repro diagnose --sequences`` uses it to find ordered
+span patterns that separate the labelled runs (slow or failed) from the
+rest.
 
 Sequences are tuples of item ids; a pattern ``p`` is *contained* in a
 sequence ``s`` if p is a (not necessarily contiguous) subsequence of s.

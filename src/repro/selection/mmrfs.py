@@ -15,7 +15,12 @@ and the cover is *correct* if alpha's majority class equals i's label.
 
 Candidate scoring is vectorized: the candidate table's per-class counts
 yield the relevance vector, supports and majority classes of the whole
-set, and every coverage mask is kept packed 64 rows per uint64 word.
+set, and every coverage mask is kept packed 64 rows per uint64 word.  The
+coverage masks form one *word-major* stack ``(n_words, n_candidates)``,
+written block by block from the cover kernel, so a redundancy refresh is
+one :func:`~repro.core.bitset.and_popcount` that sums over the leading
+word axis; the correct-cover masks, read only in the scan's gathers and
+on acceptance, stay one row per candidate.
 
 The greedy loop works in *epochs*, one per accepted pattern.  Between two
 acceptances the gains and the under-covered rows are fixed, so the
@@ -27,8 +32,8 @@ finds the first useful candidate with one AND + popcount; everything
 before it is rejected in bulk.  Selecting beta can only *raise* each
 candidate's max-redundancy, so an acceptance re-scores only the candidates
 still live, with one :func:`batch_redundancy_packed` call over the live
-arrays, which are compacted (in index order, so ties still go to the
-lowest index) once rejections thin them out.  The result — patterns,
+arrays, which are compacted in place (in index order, so ties still go to
+the lowest index) once rejections thin them out.  The result — patterns,
 order, gain floats, coverage and the round counters — is exactly that of
 the one-round-per-candidate loop, which the test suite keeps as its
 oracle.
@@ -44,7 +49,6 @@ from ..core.bitset import pack_bits, pattern_covers, popcount, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
 from ..measures.contingency import ContingencyTables
-from ..measures.vectorized import information_gain_batch
 from ..mining.itemsets import MiningResult, Pattern, candidate_table
 from .redundancy import batch_redundancy_packed
 from .relevance import RelevanceMeasure, batch_relevance, get_relevance
@@ -53,7 +57,6 @@ __all__ = [
     "SelectedFeature",
     "SelectionResult",
     "mmrfs",
-    "mmrfs_indices",
     "top_k_by_relevance",
 ]
 
@@ -205,49 +208,39 @@ def _mmrfs_run(
 def _packed_coverage(
     itemsets: list[tuple[int, ...]], data: TransactionDataset, majority: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Packed coverage words of each itemset, and its *correct* cover words
-    (covered rows whose label is the itemset's majority class)."""
+    """The word-major coverage stack ``(n_words, n_itemsets)`` (column k is
+    itemset k's packed cover), and the row-major ``(n_itemsets, n_words)``
+    *correct* cover words (covered rows whose label is the itemset's
+    majority class)."""
     item_bits = data.item_bits()
     coverage_words = np.empty(
-        (len(itemsets), item_bits.words.shape[1]), dtype=item_bits.words.dtype
+        (item_bits.words.shape[1], len(itemsets)), dtype=item_bits.words.dtype
     )
     for start, covers in pattern_covers(item_bits, itemsets):
-        coverage_words[start : start + len(covers)] = covers
+        coverage_words[:, start : start + len(covers)] = covers.T
     if not data.n_classes:
-        return coverage_words, np.zeros_like(coverage_words)
-    # AND in place into the gathered label masks: one (n, n_words) buffer.
+        return coverage_words, np.zeros_like(coverage_words.T)
+    # Gathered once the cover blocks are gone, and ANDed in place: one
+    # (n, n_words) buffer.
     correct_words = data.label_bits().words[majority]
-    correct_words &= coverage_words
+    correct_words &= coverage_words.T
     return coverage_words, correct_words
 
 
-def mmrfs_indices(
-    coverage: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    delta: int,
-    max_selected: int | None,
-) -> list[int]:
-    """Algorithm 1 over a boolean ``(n_candidates, n_rows)`` coverage matrix.
-
-    The selection of the sequence pipeline, whose candidates are not
-    itemsets: information-gain relevance, majority class by count (ties to
-    the lowest class).  Returns the chosen candidate indices in
-    selection order.
-    """
-    present = coverage.astype(np.int64) @ np.eye(n_classes, dtype=np.int64)[labels]
-    absent = np.bincount(labels, minlength=n_classes) - present
-    relevances = information_gain_batch(present, absent)
-    majority = present.argmax(axis=1)
-    return _greedy(
-        pack_bits(coverage),
-        pack_bits(coverage & (majority[:, np.newaxis] == labels)),
-        coverage.sum(axis=1),
-        relevances,
-        coverage.shape[1],
-        delta,
-        max_selected,
-    ).chosen
+def _correct_words(
+    itemsets: list[tuple[int, ...]], data: TransactionDataset, majority: np.ndarray
+) -> np.ndarray:
+    """The correct cover words of :func:`_packed_coverage`, with no
+    coverage stack: each cover block is ANDed into the label masks."""
+    item_bits = data.item_bits()
+    if not data.n_classes:
+        return np.zeros(
+            (len(itemsets), item_bits.words.shape[1]), dtype=item_bits.words.dtype
+        )
+    correct_words = data.label_bits().words[majority]
+    for start, covers in pattern_covers(item_bits, itemsets):
+        correct_words[start : start + len(covers)] &= covers
+    return correct_words
 
 
 @dataclass
@@ -278,9 +271,10 @@ def _greedy(
 ) -> _GreedyRun:
     """The greedy loop of Algorithm 1 over packed coverage.
 
-    ``coverage_words[k]``/``correct_words[k]`` are candidate k's packed
-    cover and correct-cover masks.  The caller hands ``coverage_words``
-    over: compaction reuses its leading rows in place.
+    ``coverage_words[:, k]`` is candidate k's packed cover (the word-major
+    stack of :func:`_packed_coverage`) and ``correct_words[k]`` its
+    packed correct-cover mask.  The caller hands ``coverage_words`` over:
+    compaction reuses its leading columns in place.
     """
     run = _GreedyRun(coverage_counts=np.zeros(n_rows, dtype=np.int64))
     if not len(relevances):
@@ -308,12 +302,14 @@ def _greedy(
         under_words = pack_bits(under)
 
         accepted = (
-            coverage_words[row].copy(), int(supports[row]), float(relevances[row])
+            coverage_words[:, row].copy(), int(supports[row]), float(relevances[row])
         )
         if n_live < _COMPACT_BELOW * len(ids):
             keep = np.flatnonzero(live)
-            coverage_words[: len(keep)] = coverage_words[keep]
-            coverage_words = coverage_words[: len(keep)]
+            # One word row at a time: the transient copy is one row long.
+            for words in coverage_words:
+                words[: len(keep)] = words[keep]
+            coverage_words = coverage_words[:, : len(keep)]
             ids, supports, relevances, max_redundancy = (
                 ids[keep], supports[keep], relevances[keep], max_redundancy[keep]
             )
@@ -394,7 +390,7 @@ def top_k_by_relevance(
     relevances = batch_relevance(score, tables)
     majority = tables.majority_classes()
     order = np.argsort(-relevances, kind="stable")[:k]
-    _, correct_words = _packed_coverage(
+    correct_words = _correct_words(
         [table.itemsets[index] for index in order], data, majority[order]
     )
     return SelectionResult(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitset import intersection_counts
+from ..core.bitset import and_popcount
 
 __all__ = [
     "jaccard",
@@ -58,15 +58,16 @@ def batch_redundancy_packed(
 ) -> np.ndarray:
     """R(alpha_k, beta) for every candidate alpha_k against one pattern beta.
 
-    ``coverage_words`` is the uint64-packed coverage matrix
-    (n_candidates, n_words) and ``new_words`` the packed mask of the newly
-    selected pattern beta; ``supports``/``relevances`` are per candidate.
-    The joint counts are one AND + popcount, so MMRFS's per-acceptance
-    update is O(n_candidates * n_words).
+    ``coverage_words`` is the word-major packed coverage stack
+    ``(n_words, n_candidates)`` (column k is candidate k's mask) and
+    ``new_words`` the ``(n_words,)`` packed mask of the newly selected
+    pattern beta; ``supports``/``relevances`` are per candidate.  The
+    joint counts are one :func:`~repro.core.bitset.and_popcount`, so
+    MMRFS's per-acceptance update is O(n_candidates * n_words).
     """
     if new_support == 0:
         return np.zeros(len(supports), dtype=float)
-    joint = intersection_counts(coverage_words, new_words).astype(float)
+    joint = and_popcount(coverage_words, new_words[:, np.newaxis]).astype(float)
     union = supports.astype(float) + float(new_support) - joint
     with np.errstate(divide="ignore", invalid="ignore"):
         jaccard_values = np.where(union > 0, joint / union, 0.0)

@@ -277,12 +277,15 @@ class CompiledModel:
 
     def _ingest(
         self, data: Transactions | TransactionDataset | BitMatrix, sanitize: bool
-    ) -> tuple[BitMatrix | list, int]:
+    ) -> tuple[TransactionDataset | BitMatrix | list, int]:
         """``data`` and its dropped-id count: rows packed by
         :func:`~repro.core.bitset.pack_transactions` when ``sanitize``,
-        packed bits as they are, and otherwise a row list that
+        packed bits as they are, and otherwise the dataset (whose cached
+        item bits :meth:`_item_chunks` reads) or a row list that
         :meth:`_item_chunks` packs and validates."""
-        if isinstance(data, BitMatrix):
+        if isinstance(data, BitMatrix) or (
+            not sanitize and isinstance(data, TransactionDataset)
+        ):
             return data, 0
         transactions = _as_transaction_list(data)
         if not sanitize:

@@ -20,8 +20,8 @@ from repro.core.bitset import (
     WORD_BITS,
     BitMatrix,
     CoverPlan,
+    and_popcount,
     class_counts,
-    intersection_counts,
     pack_bits,
     packed_ones,
     pattern_covers,
@@ -30,7 +30,10 @@ from repro.core.bitset import (
     unpack_bits,
     word_count,
 )
+from repro.datasets import TransactionDataset
+from repro.mining import Pattern
 from repro.mining.closed import closed_fpgrowth
+from repro.selection import mmrfs
 from repro.selection.redundancy import batch_redundancy_packed
 from tests.oracles.direct_dense import occurrence_matrix
 from tests.oracles.itemset_miners import charm
@@ -93,11 +96,14 @@ class TestPackUnpack:
 
 class TestPopcount:
     @settings(max_examples=100, deadline=None)
-    @given(dense=bool_matrices())
-    def test_matches_dense_sum(self, dense):
-        assert np.array_equal(
-            popcount(pack_bits(dense)), dense.sum(axis=1).astype(np.int64)
-        )
+    @given(dense=bool_matrices(), fallback=st.booleans())
+    def test_matches_dense_sum(self, dense, fallback):
+        """Also through the byte-table fallback of numpy without
+        ``bitwise_count``."""
+        count = None if fallback else bitset._BITWISE_COUNT
+        with mock.patch.object(bitset, "_BITWISE_COUNT", count):
+            counts = popcount(pack_bits(dense))
+        assert np.array_equal(counts, dense.sum(axis=1).astype(np.int64))
 
     @pytest.mark.parametrize("width", EDGE_WIDTHS)
     def test_all_ones_row(self, width):
@@ -124,16 +130,16 @@ class TestIntersection:
     @settings(max_examples=100, deadline=None)
     @given(dense=bool_matrices(), block_rows=st.sampled_from([None, 1, 2]))
     def test_intersection_counts_match_dense(self, dense, block_rows):
-        """Also with row blocks of 1-2 masks, so the blocked loop runs."""
-        packed = pack_bits(dense)
+        """Also with blocks of 1-2 word rows, so the blocked loop runs."""
+        stack = np.ascontiguousarray(pack_bits(dense).T)
         expected = (dense & dense[-1]).sum(axis=1)
         budget = (
             bitset._INTERSECTION_BLOCK_BYTES
             if block_rows is None
-            else block_rows * packed.shape[1] * 8
+            else block_rows * stack.shape[1] * 8
         )
         with mock.patch.object(bitset, "_INTERSECTION_BLOCK_BYTES", budget):
-            counts = intersection_counts(packed, packed[-1])
+            counts = and_popcount(stack, stack[:, -1:])
         assert np.array_equal(counts, expected)
 
     @settings(max_examples=100, deadline=None)
@@ -154,6 +160,109 @@ class TestIntersection:
         assert popcount(and_reduce(matrix, [])) == 70
 
 
+class TestAndPopcount:
+    """The word-major kernel against ``popcount(row_major & mask)``."""
+
+    #: Block budgets: the default; 1 byte, less than any word row, so each
+    #: block takes exactly one; and 24 bytes, three words.
+    BUDGETS = st.sampled_from([None, 1, 24])
+
+    @staticmethod
+    def _run(a, b, budget=None, fallback=False):
+        budget = bitset._INTERSECTION_BLOCK_BYTES if budget is None else budget
+        with mock.patch.multiple(
+            bitset,
+            _INTERSECTION_BLOCK_BYTES=budget,
+            _BITWISE_COUNT=None if fallback else bitset._BITWISE_COUNT,
+        ):
+            return and_popcount(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dense=bool_matrices(),
+        seed=st.integers(0, 2**32 - 1),
+        budget=BUDGETS,
+        fallback=st.booleans(),
+    )
+    def test_stack_against_one_mask(self, dense, seed, budget, fallback):
+        rng = np.random.default_rng(seed)
+        row_major = pack_bits(dense)
+        mask = pack_bits(rng.random(dense.shape[1]) < 0.5)
+        counts = self._run(
+            np.ascontiguousarray(row_major.T), mask[:, np.newaxis], budget, fallback
+        )
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, popcount(row_major & mask))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nodes=bool_matrices(),
+        items=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        budget=BUDGETS,
+        fallback=st.booleans(),
+    )
+    def test_closed_step_broadcast(self, nodes, items, seed, budget, fallback):
+        """The closed miner's step: every (node, item) pair at once."""
+        rng = np.random.default_rng(seed)
+        rows = pack_bits(nodes)
+        words = pack_bits(rng.random((items, nodes.shape[1])) < 0.6)
+        counts = self._run(
+            np.ascontiguousarray(rows.T)[:, :, np.newaxis],
+            np.ascontiguousarray(words.T)[:, np.newaxis, :],
+            budget,
+            fallback,
+        )
+        expected = popcount(rows[:, np.newaxis, :] & words[np.newaxis])
+        assert counts.shape == (len(rows), items)
+        assert np.array_equal(counts, expected)
+
+    def test_non_contiguous_columns(self, rng):
+        """MMRFS compacts its stack into the leading columns of a view."""
+        row_major = pack_bits(rng.random((40, 200)) < 0.5)
+        stack = np.ascontiguousarray(row_major.T)[:, 5:30]
+        counts = self._run(stack, row_major[0][:, np.newaxis], budget=16)
+        assert np.array_equal(counts, popcount(row_major[5:30] & row_major[0]))
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_zero_words_and_zero_columns(self, budget):
+        no_words = self._run(
+            np.zeros((0, 5), dtype=np.uint64), np.zeros((0, 1), dtype=np.uint64), budget
+        )
+        assert no_words.shape == (5,) and not no_words.any()
+        no_columns = self._run(
+            np.zeros((3, 0), dtype=np.uint64), np.ones((3, 1), dtype=np.uint64), budget
+        )
+        assert no_columns.shape == (0,) and no_columns.dtype == np.int64
+        no_pairs = self._run(
+            np.zeros((3, 4, 1), dtype=np.uint64),
+            np.zeros((3, 1, 0), dtype=np.uint64),
+            budget,
+        )
+        assert no_pairs.shape == (4, 0)
+
+    def test_misaligned_stacks_raise(self):
+        stack = np.zeros((3, 4), dtype=np.uint64)
+        with pytest.raises(ValueError):
+            and_popcount(stack, np.zeros(3, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            and_popcount(stack, np.zeros((2, 1), dtype=np.uint64))
+
+    @pytest.mark.parametrize("n_bits", [65472, 65536, 66000])
+    @pytest.mark.parametrize("budget", [None, 16])
+    def test_accumulator_boundary(self, n_bits, budget, rng):
+        """Counts at and past the 16-bit accumulator's range: 65,472 bits
+        (1,023 words) is the widest uint16 stack, 65,536 the first wider."""
+        ones = packed_ones(n_bits)
+        random = pack_bits(rng.random(n_bits) < 0.5)
+        row_major = np.vstack([ones, random, np.zeros_like(ones)])
+        stack = np.ascontiguousarray(row_major.T)
+        for mask in (ones, random):
+            counts = self._run(stack, mask[:, np.newaxis], budget)
+            assert counts.tolist() == popcount(row_major & mask).tolist()
+        assert self._run(stack, ones[:, np.newaxis], budget)[0] == n_bits
+
+
 class TestJaccardKernel:
     @settings(max_examples=100, deadline=None)
     @given(dense=bool_matrices(), seed=st.integers(0, 2**32 - 1))
@@ -163,6 +272,7 @@ class TestJaccardKernel:
         supports = dense.sum(axis=1).astype(np.int64)
         relevances = rng.random(dense.shape[0])
         packed = pack_bits(dense)
+        stack = np.ascontiguousarray(packed.T)
         for reference in range(dense.shape[0]):
             dense_result = batch_redundancy(
                 dense,
@@ -173,7 +283,7 @@ class TestJaccardKernel:
                 float(relevances[reference]),
             )
             packed_result = batch_redundancy_packed(
-                packed,
+                stack,
                 supports,
                 relevances,
                 packed[reference],
@@ -531,3 +641,34 @@ class TestTransientBuffersBounded:
             p.items: p.support for p in charm(transactions, 40).patterns if len(p.items) <= 3
         }
         assert result.as_dict() == expected
+
+    def test_mmrfs_refresh_over_a_wide_stack(self):
+        rng = np.random.default_rng(5)
+        n_rows, n_items, k = 1 << 16, 24, 2000
+        dense = rng.random((n_rows, n_items)) < 0.3
+        labels = (dense[:, 0] ^ (rng.random(n_rows) < 0.2)).astype(np.int64)
+        data = TransactionDataset(
+            [tuple(np.flatnonzero(row).tolist()) for row in dense],
+            labels,
+            n_items=n_items,
+        )
+        del dense
+        data.item_bits(), data.label_bits()
+        triples = [
+            tuple(sorted(rng.choice(n_items, 3, replace=False).tolist()))
+            for _ in range(k)
+        ]
+        patterns = [Pattern(items, data.support_count(items)) for items in triples]
+        # MMRFS holds the coverage and correct-cover stacks; a refresh that
+        # ANDed the whole stack at once would add another stack and a
+        # uint8 copy of it on top.
+        stack = k * word_count(n_rows) * 8
+        assert stack > 8 << 20
+        tracemalloc.start()
+        try:
+            result = mmrfs(patterns, data, max_selected=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stack + (8 << 20)
+        assert len(result) == 10

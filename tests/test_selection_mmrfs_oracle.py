@@ -39,6 +39,11 @@ def _floats(values):
     return ["nan" if value != value else value for value in values]
 
 
+def _word_major(dense):
+    """The ``(n_words, n_candidates)`` coverage stack ``_greedy`` takes."""
+    return np.ascontiguousarray(pack_bits(dense).T)
+
+
 def _patched(chunk, compact_below):
     return mock.patch.multiple(
         mmrfs_module, _SCAN_CHUNK=chunk, _COMPACT_BELOW=compact_below
@@ -88,7 +93,7 @@ class TestGreedyCoreMatchesOracle:
         )
         with _patched(chunk, compact_below):
             run = _greedy(
-                pack_bits(coverage),
+                _word_major(coverage),
                 pack_bits(correct),
                 supports,
                 relevances,
@@ -118,7 +123,7 @@ class TestGreedyCoreMatchesOracle:
         )
         with _patched(1, mmrfs_module._COMPACT_BELOW):
             run = _greedy(
-                pack_bits(coverage), pack_bits(correct), coverage.sum(axis=1),
+                _word_major(coverage), pack_bits(correct), coverage.sum(axis=1),
                 relevances, 4, 1, None,
             )
         assert run.chosen == expected.chosen == [0, 3]
@@ -132,7 +137,7 @@ class TestGreedyCoreMatchesOracle:
             coverage, coverage, coverage.sum(axis=1), relevances, 1, None
         )
         run = _greedy(
-            pack_bits(coverage), pack_bits(coverage), coverage.sum(axis=1),
+            _word_major(coverage), pack_bits(coverage), coverage.sum(axis=1),
             relevances, 2, 1, None,
         )
         assert run.chosen == expected.chosen == [2]
@@ -141,7 +146,7 @@ class TestGreedyCoreMatchesOracle:
     def test_no_candidates(self):
         empty = np.zeros((0, 5), dtype=bool)
         run = _greedy(
-            pack_bits(empty), pack_bits(empty), np.zeros(0, dtype=np.int64),
+            _word_major(empty), pack_bits(empty), np.zeros(0, dtype=np.int64),
             np.zeros(0), 5, 1, None,
         )
         assert run.chosen == [] and run.rounds == 0

@@ -9,11 +9,14 @@ the batch-vs-serving ingestion contract.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.classifiers.naive_bayes import BernoulliNaiveBayes
+from repro.core import bitset
 from repro.core.bitset import pack_transactions
 from repro.datasets import TransactionDataset
 from repro.features.pipeline import FrequentPatternClassifier
@@ -247,6 +250,25 @@ class TestBatchServingContract:
         )
         with pytest.raises(IndexError, match="outside"):
             pipeline.predict(wider)
+
+    def test_unsanitized_dataset_reads_its_cached_bits(self):
+        pipeline, data = fitted_pipeline("svm")
+        compiled = compile_model(pipeline)
+        data.item_bits()
+        packer = mock.Mock(wraps=pack_transactions)
+        with mock.patch.object(bitset, "pack_transactions", packer), mock.patch(
+            "repro.serving.compiled.pack_transactions", packer
+        ):
+            labels = compiled.predict(data, sanitize=False)
+        assert packer.call_count == 0
+        assert np.array_equal(labels, compiled.predict(data.transactions))
+        assert np.array_equal(labels, design_path(pipeline, data))
+        # An item outside the model's item space still raises.
+        wider = TransactionDataset(
+            [(0, data.n_items + 2)], [0], n_items=data.n_items + 5
+        )
+        with pytest.raises(IndexError, match="outside"):
+            compiled.predict(wider, sanitize=False)
 
     def test_serving_predict_drops_and_counts_unknown_items(self):
         pipeline, _ = fitted_pipeline("svm")
