@@ -3,7 +3,6 @@
 from .closed import closed_fpgrowth
 from .frequent import frequent_itemsets
 from .generation import mine_class_patterns
-from .guards import MiningTimeLimitExceeded
 from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, canonical
 from .prefixspan import SequencePattern, is_subsequence, prefixspan
 from .sharded import mine_sharded
@@ -17,7 +16,6 @@ __all__ = [
     "canonical",
     "mine_class_patterns",
     "mine_sharded",
-    "MiningTimeLimitExceeded",
     "prefixspan",
     "SequencePattern",
     "is_subsequence",

@@ -18,25 +18,24 @@ serial default.
 Fault tolerance (all opt-in, default behavior unchanged):
 
 * ``cache`` — an :class:`~repro.runtime.cache.ArtifactCache`: each
-  partition's mined patterns are checkpointed under a key derived from the
+  partition's mined itemsets are checkpointed under a key derived from the
   partition's content hash and the full mining configuration (guard
-  behavior and time limit included), serialized through the
-  :mod:`repro.io.serialize` patterns format.  A re-run (or a crashed run
-  resumed) skips every partition whose artifact is present — hits are
-  byte-identical to re-mining because the key pins every input.  The
-  fan-out is :func:`~repro.core.parallel.checkpointed_map`: whichever
-  worker mines a partition persists it as it finishes, serial or
-  parallel, so a crash or a failing partition loses only the partitions
-  still in flight.
+  behavior included), as ``{"itemsets": [...], "degraded": ...}`` — the
+  itemset-list shape of :func:`~repro.mining.sharded.mine_sharded`'s
+  cells.  A re-run (or a crashed run resumed) skips every partition whose
+  artifact is present — hits are byte-identical to re-mining because the
+  key pins every input.  The fan-out is
+  :func:`~repro.core.parallel.checkpointed_map`: whichever worker mines a
+  partition persists it as it finishes, serial or parallel, so a crash or
+  a failing partition loses only the partitions still in flight.
 * ``retry`` — a :class:`~repro.core.parallel.RetryPolicy` forwarded to the
   process fan-out: killed workers are retried with backoff, completed
   partitions are never re-mined.
 * ``on_guard="items_only"`` — graceful degradation: a partition that trips
-  the pattern budget or the ``time_limit`` wall-clock guard contributes
-  *no patterns* (its rows fall back to the always-present single-item
-  features) instead of aborting the run; a warning event records the
-  degradation.  With the default ``on_guard="raise"`` guard trips
-  propagate exactly as before.
+  the pattern budget contributes *no patterns* (its rows fall back to the
+  always-present single-item features) instead of aborting the run; a
+  warning event records the degradation.  With the default
+  ``on_guard="raise"`` guard trips propagate exactly as before.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from ..obs import core as _obs
 from ..testing import faults as _faults
 from .closed import closed_fpgrowth
 from .frequent import frequent_itemsets
-from .guards import MiningTimeLimitExceeded, _wall_clock_limit
 from .itemsets import (
     GuardBehavior,
     MinerName,
@@ -60,6 +58,7 @@ from .itemsets import (
     absolute_min_support,
     cap_union,
     check_mining_args,
+    itemset_union,
     table_min_support,
 )
 
@@ -84,18 +83,14 @@ def _mine_partition(
     max_length: int | None,
     max_patterns: int | None,
     on_guard: GuardBehavior,
-    time_limit: float | None,
 ) -> dict:
     """Mine one class partition; module-level so process pools can pickle it.
 
-    Returns the partition's ``mine_partition`` artifact: the
-    :mod:`repro.io.serialize` patterns format plus ``"degraded"``, the
-    tripped guard's name or None.  Supports are partition-local (the
-    caller counts the merged set over the full dataset), kept so
-    checkpointed artifacts are self-describing.
+    Returns the partition's ``mine_partition`` artifact: ``"itemsets"``,
+    the mined itemsets of at least ``min_length`` items in the miner's
+    order, and ``"degraded"``, the tripped guard's name or None.  The
+    caller counts the union over the full dataset, so no support is kept.
     """
-    from ..io.serialize import patterns_to_json
-
     label, transactions, absolute = job
     _faults.fault_point("mine", str(label))
     mine_start = time.perf_counter() if _obs._ACTIVE is not None else 0.0
@@ -103,37 +98,30 @@ def _mine_partition(
         "mining.partition", miner=miner, rows=len(transactions), min_support=absolute
     ) as partition_span:
         try:
-            with _wall_clock_limit(time_limit):
-                result = _MINERS[miner](
-                    transactions,
-                    min_support=absolute,
-                    max_length=max_length,
-                    max_patterns=max_patterns,
-                )
-        except (PatternBudgetExceeded, MiningTimeLimitExceeded) as exc:
+            result = _MINERS[miner](
+                transactions,
+                min_support=absolute,
+                max_length=max_length,
+                max_patterns=max_patterns,
+            )
+        except PatternBudgetExceeded as exc:
             if on_guard != "items_only":
                 raise
-            guard = (
-                "budget" if isinstance(exc, PatternBudgetExceeded) else "time limit"
-            )
-            partition_span.set(degraded=guard)
+            partition_span.set(degraded="budget")
             _obs.warn(
-                f"class partition {label}: mining tripped the {guard} guard "
+                f"class partition {label}: mining tripped the budget guard "
                 f"({exc}); degrading this partition to items-only features",
                 partition=int(label),
-                guard=guard,
+                guard="budget",
             )
-            empty = MiningResult([], absolute, len(transactions))
-            return {**patterns_to_json(empty), "degraded": guard}
-        kept = result.take(
-            [i for i, items in enumerate(result.itemsets) if len(items) >= min_length]
-        )
-        partition_span.set(patterns=len(result), kept=len(kept))
+            return {"itemsets": [], "degraded": "budget"}
+        itemsets = [items for items in result.itemsets if len(items) >= min_length]
+        partition_span.set(patterns=len(result), kept=len(itemsets))
     if _obs._ACTIVE is not None:
         _obs.observe(
             "mining.partition.wall_s", time.perf_counter() - mine_start
         )
-    return {**patterns_to_json(kept), "degraded": None}
+    return {"itemsets": itemsets, "degraded": None}
 
 
 def _partition_key(job: tuple[int, Sequence[Sequence[int]], int], config: dict) -> str:
@@ -141,8 +129,8 @@ def _partition_key(job: tuple[int, Sequence[Sequence[int]], int], config: dict) 
 
     Pins every input that shapes the artifact, ``config`` being
     :func:`_mine_partition`'s keyword arguments: a partition degraded
-    under ``on_guard="items_only"`` or a ``time_limit`` must never be
-    replayed into a run that would have raised or finished.
+    under ``on_guard="items_only"`` must never be replayed into a run
+    that would have raised.
     """
     from ..runtime.cache import content_key, fingerprint
 
@@ -167,7 +155,6 @@ def mine_class_patterns(
     retry: RetryPolicy | None = None,
     cache: "ArtifactCache | None" = None,
     on_guard: GuardBehavior = "raise",
-    time_limit: float | None = None,
 ) -> MiningResult:
     """Mine frequent patterns per class partition and merge them.
 
@@ -203,9 +190,6 @@ def mine_class_patterns(
         warning event, and — if the *merged* union still exceeds
         ``max_patterns`` — keeps only the first ``max_patterns`` itemsets
         in canonical order rather than aborting.
-    time_limit:
-        Optional per-partition wall-clock guard in seconds (best-effort,
-        SIGALRM-based; see :mod:`repro.mining.guards`).
 
     Returns
     -------
@@ -236,7 +220,6 @@ def mine_class_patterns(
             max_length=max_length,
             max_patterns=max_patterns,
             on_guard=on_guard,
-            time_limit=time_limit,
         )
         keys = None
         if cache is not None:
@@ -246,20 +229,11 @@ def mine_class_patterns(
             n_jobs=n_jobs, retry=retry,
         )
 
-        merged: set[tuple[int, ...]] = set()
-        degraded_partitions = 0
-        for payload in mined:
-            if payload["degraded"] is not None:
-                degraded_partitions += 1
-                continue
-            merged.update(tuple(entry["items"]) for entry in payload["patterns"])
-        # The payloads are per-pattern dicts; free them before the
-        # full-dataset count, which is where mining's memory peaks.
+        degraded_partitions = sum(p["degraded"] is not None for p in mined)
+        itemsets = itemset_union(p["itemsets"] for p in mined)
+        # Restored artifacts hold lists: free them before the full-dataset
+        # count, which is where mining's memory peaks.
         del mined
-        # Lexicographic, then stably by length: ``(length, items)`` order
-        # without a key tuple per itemset, as in ``mine_sharded``.
-        itemsets = sorted(merged)
-        itemsets.sort(key=len)
         itemsets = [
             itemsets[i] for i in cap_union(itemsets, max_patterns, on_guard).tolist()
         ]

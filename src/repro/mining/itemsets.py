@@ -29,6 +29,7 @@ __all__ = [
     "cap_union",
     "check_max_length",
     "check_mining_args",
+    "itemset_union",
     "absolute_min_support",
     "table_min_support",
     "MinerName",
@@ -82,6 +83,21 @@ def absolute_min_support(min_support: float, n_rows: int) -> int:
 def table_min_support(min_support: float, n_rows: int) -> int:
     """A candidate table's ``min_support``: ``min_support * n_rows`` rounded."""
     return max(1, int(round(min_support * n_rows)))
+
+
+def itemset_union(
+    groups: Iterable[Iterable[Sequence[int]]],
+) -> list[tuple[int, ...]]:
+    """The union of several itemset lists as tuples, in (length, items) order.
+
+    The per-class drivers' union step.  Itemsets may be tuples (fresh
+    artifacts) or lists (artifacts restored from the cache).
+    """
+    # Lexicographic, then stably by length: ``(length, items)`` order
+    # without a key tuple per itemset.
+    union = sorted({tuple(items) for group in groups for items in group})
+    union.sort(key=len)
+    return union
 
 
 def cap_union(

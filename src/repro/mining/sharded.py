@@ -61,6 +61,7 @@ from .itemsets import (
     absolute_min_support,
     cap_union,
     check_mining_args,
+    itemset_union,
     table_min_support,
 )
 
@@ -274,16 +275,12 @@ def mine_sharded(
         )
         pass_done("progress.mine_sharded.cells_done", len(jobs))
 
-        candidates = {tuple(items) for cell in mined for items in cell["itemsets"]}
-        span.set(local_jobs=len(jobs), candidates=len(candidates))
+        ordered = itemset_union(cell["itemsets"] for cell in mined)
+        span.set(local_jobs=len(jobs), candidates=len(ordered))
         _obs.add("mining.sharded.local_jobs", len(jobs))
-        _obs.add("mining.sharded.candidates", len(candidates))
+        _obs.add("mining.sharded.candidates", len(ordered))
 
         # ---- pass 2: exact global counting, one fan-out ---------------
-        # Lexicographic, then stably by length: ``(length, items)`` order
-        # without a key tuple per candidate.
-        ordered = sorted(candidates)
-        ordered.sort(key=len)
         shard_jobs = list(enumerate(shards.handles))
         _obs.add("progress.mine_sharded.count_shards_total", len(shard_jobs))
         count_keys = None
@@ -297,8 +294,8 @@ def mine_sharded(
         for outcome in shard_counts:
             totals += np.asarray(outcome["counts"], np.int64).reshape(totals.shape)
         pass_done("progress.mine_sharded.count_shards_done", len(shard_jobs))
-        span.set(counted_candidates=len(candidates))
-        _obs.add("mining.sharded.counted_candidates", len(candidates))
+        span.set(counted_candidates=len(ordered))
+        _obs.add("mining.sharded.counted_candidates", len(ordered))
 
         # ---- assembly on the counts: thresholds, closedness, budget ---
         lengths = np.fromiter(map(len, ordered), dtype=np.intp, count=len(ordered))

@@ -26,7 +26,7 @@ fails with :class:`~repro.runtime.cache.CorruptArtifactError`.
 
 Failure handling within a run: process-pool worker deaths are retried
 (:data:`~repro.runtime.retry.DEFAULT_RETRY`), and partitions that trip
-the pattern-budget or wall-clock guard degrade to items-only features
+the pattern budget degrade to items-only features
 (``on_guard="items_only"``) instead of aborting the run.
 
 Every checkpointed stage is one
@@ -107,7 +107,6 @@ class ExperimentSpec:
     model: str = "svm"
     folds: int = 3
     seed: int = 0
-    time_limit: float | None = None
     #: Rows per mmap shard for out-of-core mining; ``None`` keeps the
     #: in-memory batch path.  The two paths produce identical artifacts
     #: (property-tested), so this is purely a memory/scale knob.
@@ -220,6 +219,17 @@ def run_experiment(
         resumed=resume,
     ):
         # -- stage 1: per-class mining (partition-level checkpoints) ----
+        mining = dict(
+            min_support=spec.min_support,
+            miner=spec.miner,
+            min_length=spec.min_length,
+            max_length=spec.max_length,
+            max_patterns=spec.max_patterns,
+            n_jobs=n_jobs,
+            retry=retry,
+            cache=cache,
+            on_guard="items_only",
+        )
         if spec.shard_rows is not None:
             # Out-of-core path: rows live in mmap shard files opened
             # zero-copy by the workers; per-shard artifacts go through
@@ -230,32 +240,9 @@ def run_experiment(
             shard_set = shard_dataset(
                 data, out_dir / "shards", shard_rows=spec.shard_rows
             )
-            mined = mine_sharded(
-                shard_set,
-                min_support=spec.min_support,
-                miner=spec.miner,
-                min_length=spec.min_length,
-                max_length=spec.max_length,
-                max_patterns=spec.max_patterns,
-                n_jobs=n_jobs,
-                retry=retry,
-                cache=cache,
-                on_guard="items_only",
-            )
+            mined = mine_sharded(shard_set, **mining)
         else:
-            mined = mine_class_patterns(
-                data,
-                min_support=spec.min_support,
-                miner=spec.miner,
-                min_length=spec.min_length,
-                max_length=spec.max_length,
-                max_patterns=spec.max_patterns,
-                n_jobs=n_jobs,
-                retry=retry,
-                cache=cache,
-                on_guard="items_only",
-                time_limit=spec.time_limit,
-            )
+            mined = mine_class_patterns(data, **mining)
         save_patterns(mined, out_dir / "patterns.json", catalog=data.catalog)
         _faults.fault_point("stage", "mine")
 

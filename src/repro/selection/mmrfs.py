@@ -28,15 +28,16 @@ candidates the one-at-a-time loop would reject in that epoch are exactly
 the prefix of the ``(-gain, index)`` order that correctly covers no
 under-covered row.  Each epoch therefore takes the top chunk of live
 candidates (doubling the chunk while it accepts nothing), sorts it, and
-finds the first useful candidate with one AND + popcount; everything
-before it is rejected in bulk.  Selecting beta can only *raise* each
-candidate's max-redundancy, so an acceptance re-scores only the candidates
-still live, with one :func:`batch_redundancy_packed` call over the live
-arrays, which are compacted in place (in index order, so ties still go to
-the lowest index) once rejections thin them out.  The result — patterns,
-order, gain floats, coverage and the round counters — is exactly that of
-the one-round-per-candidate loop, which the test suite keeps as its
-oracle.
+finds the first useful candidate with AND + popcount over blocks of its
+correct-cover words, stopping at the first block that holds one;
+everything before it is rejected in bulk.  Selecting beta can only
+*raise* each candidate's max-redundancy, so an acceptance re-scores only
+the candidates still live, with one :func:`batch_redundancy_packed` call
+over the live arrays, which are compacted in place (in index order, so
+ties still go to the lowest index) once rejections thin them out.  The
+result — patterns, order, gain floats, coverage and the round counters —
+is exactly that of the one-round-per-candidate loop, which the test
+suite keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ _SCAN_CHUNK = 256
 #: The live arrays are compacted once fewer than this share of their rows
 #: is still live.
 _COMPACT_BELOW = 0.75
+#: Byte budget of one block of an epoch scan's gathered correct-cover words.
+_SCAN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -337,11 +340,10 @@ def _greedy(
             else:
                 head = np.arange(len(rows))
             head = head[np.argsort(-gains[head], kind="stable")]
-            stops = ~np.isfinite(gains[head]) | (
-                popcount(correct_words[ids[rows[head]]] & under_words) > 0
+            hit = _first_stop(
+                correct_words, ids[rows[head]], gains[head], under_words
             )
-            hit = int(np.argmax(stops))
-            if stops[hit]:
+            if hit < len(head):
                 break
             live[rows[head]] = False
             n_live -= len(head)
@@ -362,6 +364,30 @@ def _greedy(
             break
         row = int(rows[head[hit]])
     return run
+
+
+def _first_stop(
+    correct_words: np.ndarray,
+    candidates: np.ndarray,
+    gains: np.ndarray,
+    under_words: np.ndarray,
+) -> int:
+    """Position of the first of ``candidates`` (in scan order, with their
+    ``gains``) that ends the scan: its gain is not finite, or it correctly
+    covers an under-covered row.  ``len(candidates)`` if none does.
+
+    The correct-cover words are gathered in blocks of
+    ``_SCAN_BLOCK_BYTES``, and the scan stops at the first block that
+    holds a stop.
+    """
+    block = max(1, _SCAN_BLOCK_BYTES // under_words.nbytes)
+    for start in range(0, len(candidates), block):
+        words = correct_words[candidates[start : start + block]]
+        words &= under_words
+        stops = ~np.isfinite(gains[start : start + block]) | (popcount(words) > 0)
+        if stops.any():
+            return start + int(np.argmax(stops))
+    return len(candidates)
 
 
 def top_k_by_relevance(

@@ -642,9 +642,12 @@ class TestTransientBuffersBounded:
         }
         assert result.as_dict() == expected
 
-    def test_mmrfs_refresh_over_a_wide_stack(self):
-        rng = np.random.default_rng(5)
-        n_rows, n_items, k = 1 << 16, 24, 2000
+    @staticmethod
+    def _mmrfs_peak(n_rows, seed, k=2000):
+        """MMRFS over ``k`` random 3-item patterns on ``n_rows`` rows:
+        (the tracemalloc peak, the bytes of one stack, the selection)."""
+        rng = np.random.default_rng(seed)
+        n_items = 24
         dense = rng.random((n_rows, n_items)) < 0.3
         labels = (dense[:, 0] ^ (rng.random(n_rows) < 0.2)).astype(np.int64)
         data = TransactionDataset(
@@ -659,16 +662,28 @@ class TestTransientBuffersBounded:
             for _ in range(k)
         ]
         patterns = [Pattern(items, data.support_count(items)) for items in triples]
-        # MMRFS holds the coverage and correct-cover stacks; a refresh that
-        # ANDed the whole stack at once would add another stack and a
-        # uint8 copy of it on top.
-        stack = k * word_count(n_rows) * 8
-        assert stack > 8 << 20
         tracemalloc.start()
         try:
             result = mmrfs(patterns, data, max_selected=10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, k * word_count(n_rows) * 8, result
+
+    def test_mmrfs_refresh_over_a_wide_stack(self):
+        peak, stack, result = self._mmrfs_peak(1 << 16, seed=5)
+        # MMRFS holds the coverage and correct-cover stacks; a refresh that
+        # ANDed the whole stack at once would add another stack and a
+        # uint8 copy of it on top.
+        assert stack > 8 << 20
         assert peak < 2 * stack + (8 << 20)
+        assert len(result) == 10
+
+    def test_mmrfs_scan_over_a_wide_database(self):
+        peak, stack, result = self._mmrfs_peak(1 << 17, seed=6, k=1000)
+        # Each epoch scan gathers correct-cover words for its chunk of 256
+        # candidates or more: 4 MB at 2,048 words, twice over for the AND,
+        # unless the gather is blocked.
+        assert word_count(1 << 17) == 2048
+        assert peak < 2 * stack + (4 << 20)
         assert len(result) == 10

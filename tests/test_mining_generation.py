@@ -1,25 +1,26 @@
 """Tests for per-class feature generation and guarded mining."""
 
+import inspect
 import shutil
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.shards import shard_dataset
+from repro.datasets import TransactionDataset
 from repro.mining import (
     MiningResult,
-    MiningTimeLimitExceeded,
     PatternBudgetExceeded,
     closed_fpgrowth,
     frequent_itemsets,
     mine_class_patterns,
     mine_sharded,
 )
-from repro.mining.guards import _wall_clock_limit
 from repro.obs import core as _obs
+from repro.runtime.cache import ArtifactCache
 from repro.selection import ddpmine
 from tests.oracles.itemset_miners import apriori, charm
 from tests.oracles.strategies import supports, transactions
@@ -72,6 +73,12 @@ class TestMineClassPatterns:
         a = mine_class_patterns(tiny_transactions, min_support=0.3)
         b = mine_class_patterns(tiny_transactions, min_support=0.3)
         assert [p.items for p in a] == [p.items for p in b]
+
+    def test_same_keywords_as_mine_sharded(self):
+        """The batch and sharded drivers differ only in where rows live."""
+        batch = list(inspect.signature(mine_class_patterns).parameters.values())
+        sharded = list(inspect.signature(mine_sharded).parameters.values())
+        assert batch[1:] == sharded[1:]
 
 
 #: Every itemset entry point, called on ``tiny_transactions`` with a cap.
@@ -129,7 +136,7 @@ class TestGuardedMine:
         with _obs.session() as sess:
             guarded = mine_class_patterns(
                 tiny_transactions, min_support=0.3, max_patterns=100_000,
-                on_guard="items_only", time_limit=30.0,
+                on_guard="items_only",
             )
         plain = mine_class_patterns(tiny_transactions, min_support=0.3)
         assert guarded.as_dict() == plain.as_dict()
@@ -153,8 +160,7 @@ class TestGuardedMine:
     def test_elapsed_recorded(self, tiny_transactions):
         with _obs.session() as sess:
             mine_class_patterns(
-                tiny_transactions, min_support=0.3, on_guard="items_only",
-                time_limit=30.0,
+                tiny_transactions, min_support=0.3, on_guard="items_only"
             )
         wall = sess.histograms["mining.partition.wall_s"]
         assert wall.count == len(tiny_transactions.class_partition())
@@ -208,39 +214,6 @@ class TestBudgetSemantics:
             assert excinfo.value.emitted == count
 
 
-def _sleepy_miner(transactions, min_support, max_patterns=None):
-    """A miner that never finishes — only the wall-clock guard stops it."""
-    while True:
-        time.sleep(0.01)
-
-
-class TestWallClockGuard:
-    def test_slow_miner_reported_infeasible(self, tiny_transactions):
-        start = time.perf_counter()
-        with pytest.raises(MiningTimeLimitExceeded) as excinfo:
-            with _wall_clock_limit(0.2):
-                _sleepy_miner(tiny_transactions.transactions, min_support=2)
-        elapsed = time.perf_counter() - start
-        assert excinfo.value.time_limit == 0.2
-        assert "wall-clock limit" in str(excinfo.value)
-        assert elapsed < 5.0
-
-    def test_fast_run_unaffected_by_limit(self, tiny_transactions):
-        with _obs.session() as sess:
-            limited = mine_class_patterns(
-                tiny_transactions, min_support=0.3, time_limit=30.0,
-                on_guard="items_only",
-            )
-        plain = mine_class_patterns(tiny_transactions, min_support=0.3)
-        assert limited.as_dict() == plain.as_dict()
-        assert "mining.generation.degraded_partitions" not in sess.counters
-
-    def test_exception_carries_limit(self):
-        exc = MiningTimeLimitExceeded(1.5)
-        assert exc.time_limit == 1.5
-        assert "1.5" in str(exc)
-
-
 class TestMergedBudget:
     def test_union_budget_enforced(self, planted_transactions):
         """The pattern budget bounds the merged candidate set, not just
@@ -279,31 +252,17 @@ class TestPartitionCacheKey:
         with pytest.raises(PatternBudgetExceeded):
             mine_class_patterns(planted_transactions, **budget, cache=cache)
 
-    def test_time_limit_is_part_of_the_key(self, tmp_path, tiny_transactions):
-        from repro.runtime.cache import ArtifactCache
-
-        cache = ArtifactCache(tmp_path)
-        mine_class_patterns(tiny_transactions, min_support=0.3, cache=cache)
-        with _obs.session() as sess:
-            mine_class_patterns(
-                tiny_transactions, min_support=0.3, cache=cache, time_limit=30.0
-            )
-        assert not [e for e in sess.events if e["kind"] == "stage_skipped"]
-        assert sess.counters["runtime.cache.writes"] == len(
-            tiny_transactions.class_partition()
-        )
-
 
 class TestPartitionArtifactFormat:
-    """``mine_partition`` artifacts written by the Pattern-list code (one
-    envelope per class partition of ``tiny_transactions`` at min_support
-    0.25) restore unchanged, and fresh ones are the same bytes."""
+    """``mine_partition`` artifacts (one envelope per class partition of
+    ``tiny_transactions`` at min_support 0.25, each an itemset list)
+    restore unchanged, and fresh ones are the same bytes.  Artifacts of
+    the earlier per-pattern format are recomputed, never parsed."""
 
-    FIXTURE = Path(__file__).parent / "data" / "mine_partition_v1"
+    FIXTURE = Path(__file__).parent / "data" / "mine_partition_v2"
+    V1_FIXTURE = Path(__file__).parent / "data" / "mine_partition_v1"
 
     def test_earlier_artifacts_restore(self, tmp_path, tiny_transactions):
-        from repro.runtime.cache import ArtifactCache
-
         stored = sorted(self.FIXTURE.glob("*.json"))
         assert len(stored) == tiny_transactions.n_classes
         shutil.copytree(self.FIXTURE, tmp_path / "mine_partition")
@@ -319,8 +278,6 @@ class TestPartitionArtifactFormat:
         assert np.array_equal(restored.counts, fresh.counts)
 
     def test_fresh_artifacts_are_the_same_bytes(self, tmp_path, tiny_transactions):
-        from repro.runtime.cache import ArtifactCache
-
         mine_class_patterns(
             tiny_transactions, min_support=0.25, cache=ArtifactCache(tmp_path)
         )
@@ -330,3 +287,94 @@ class TestPartitionArtifactFormat:
         ]
         for path in written:
             assert path.read_bytes() == (self.FIXTURE / path.name).read_bytes()
+
+    def test_v1_artifacts_are_recomputed_once(self, tmp_path, tiny_transactions):
+        v1 = {p.name: p.read_bytes() for p in self.V1_FIXTURE.glob("*.json")}
+        assert len(v1) == tiny_transactions.n_classes
+        shutil.copytree(self.V1_FIXTURE, tmp_path / "mine_partition")
+        cache = ArtifactCache(tmp_path)
+        fresh = mine_class_patterns(tiny_transactions, min_support=0.25)
+        for writes in (len(v1), 0):
+            with _obs.session() as sess:
+                result = mine_class_patterns(
+                    tiny_transactions, min_support=0.25, cache=cache
+                )
+            skipped = [e for e in sess.events if e["kind"] == "stage_skipped"]
+            assert len(skipped) == len(v1) - writes
+            assert sess.counters.get("runtime.cache.writes", 0) == writes
+            assert result.itemsets == fresh.itemsets
+            assert np.array_equal(result.counts, fresh.counts)
+        # The v1 envelopes are left as they were, beside the v2 ones.
+        stored = {
+            p.name: p.read_bytes()
+            for p in (tmp_path / "mine_partition").glob("*.json")
+        }
+        assert {name: stored[name] for name in v1} == v1
+        assert sorted(set(stored) - set(v1)) == sorted(
+            p.name for p in self.FIXTURE.glob("*.json")
+        )
+
+
+@st.composite
+def cached_mining_cases(draw):
+    """A random labelled database and ``mine_class_patterns`` arguments,
+    with budgets small enough to trip some partitions."""
+    rows = draw(transactions())
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    data = TransactionDataset(
+        [tuple(sorted(set(row))) for row in rows], labels, n_items=8, n_classes=3
+    )
+    return data, dict(
+        min_support=draw(st.sampled_from([0.05, 0.2, 0.5, 1.0])),
+        miner=draw(st.sampled_from(["closed", "all"])),
+        max_length=draw(st.sampled_from([None, 2, 3])),
+        max_patterns=draw(st.one_of(st.none(), st.integers(0, 16))),
+    )
+
+
+#: Class 0's 15 frequent itemsets trip a budget of 3; class 1's one does not.
+ONE_PARTITION_TRIPS = (
+    TransactionDataset([(0, 1, 2, 3)] * 3 + [(4,)] * 3, [0] * 3 + [1] * 3, n_items=5),
+    dict(min_support=0.5, miner="all", max_length=None, max_patterns=3),
+)
+
+
+class TestCacheRoundTrip:
+    """A second cached run restores every partition artifact — fresh ones
+    hold tuples, restored ones lists — into the uncached run's table,
+    under either guard behavior."""
+
+    @pytest.mark.parametrize("on_guard", ["raise", "items_only"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=cached_mining_cases())
+    @example(case=ONE_PARTITION_TRIPS)
+    def test_second_run_restores_every_partition(
+        self, tmp_path_factory, on_guard, case
+    ):
+        data, kwargs = case
+        kwargs = dict(kwargs, on_guard=on_guard)
+        cache = ArtifactCache(tmp_path_factory.mktemp("cache"))
+        try:
+            with _obs.session() as plain_sess:
+                plain = mine_class_patterns(data, **kwargs)
+        except PatternBudgetExceeded:
+            assert on_guard == "raise"
+            with pytest.raises(PatternBudgetExceeded):
+                mine_class_patterns(data, **kwargs, cache=cache)
+            return
+        partitions = sum(1 for rows in data.class_partition().values() if rows)
+        with _obs.session() as first_sess:
+            first = mine_class_patterns(data, **kwargs, cache=cache)
+        assert first_sess.counters.get("runtime.cache.writes", 0) == partitions
+        with _obs.session() as sess:
+            restored = mine_class_patterns(data, **kwargs, cache=cache)
+        skipped = [e for e in sess.events if e["kind"] == "stage_skipped"]
+        assert len(skipped) == partitions
+        assert sess.counters.get("runtime.cache.writes", 0) == 0
+        degraded = "mining.generation.degraded_partitions"
+        for table, run in ((first, first_sess), (restored, sess)):
+            assert run.counters.get(degraded) == plain_sess.counters.get(degraded)
+            assert table.itemsets == plain.itemsets
+            assert all(type(items) is tuple for items in table.itemsets)
+            assert np.array_equal(table.counts, plain.counts)
+            assert table.min_support == plain.min_support

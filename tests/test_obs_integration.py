@@ -1,5 +1,5 @@
 """Instrumentation threaded through the pipeline: counter exactness,
-cross-process trace merging, fallback warnings, and guard hygiene.
+cross-process trace merging and fallback warnings.
 
 The counter-exactness tests pin instrumentation to hand-computed values on
 tiny datasets, so a refactor that silently double-counts (or drops) work
@@ -7,8 +7,6 @@ fails loudly.
 """
 
 import os
-import signal
-import time
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from repro.datasets.transactions import TransactionDataset
 from repro.mining.closed import closed_fpgrowth
 from repro.mining.frequent import frequent_itemsets
 from repro.mining.generation import mine_class_patterns
-from repro.mining.guards import MiningTimeLimitExceeded, _wall_clock_limit
 from repro.mining.itemsets import Pattern, PatternBudgetExceeded
 from repro.obs import core as obs_core
 from repro.obs.core import session
@@ -188,65 +185,3 @@ class TestPoolUnavailableFallback:
             assert parallel_map(
                 _observed_square, [1, 2], n_jobs=2, executor="thread"
             ) == [1, 4]
-
-
-class TestWallClockGuardRestoration:
-    """Regression tests: the SIGALRM guard must not clobber outer alarms."""
-
-    def _clear_alarm(self):
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, signal.SIG_DFL)
-
-    def test_restores_previous_handler(self):
-        fired = []
-
-        def outer_handler(signum, frame):
-            fired.append(signum)
-
-        original = signal.signal(signal.SIGALRM, outer_handler)
-        try:
-            with _wall_clock_limit(5.0):
-                pass
-            assert signal.getsignal(signal.SIGALRM) is outer_handler
-        finally:
-            signal.signal(signal.SIGALRM, original)
-
-    def test_restores_remaining_outer_timer(self):
-        original = signal.signal(signal.SIGALRM, lambda s, f: None)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 30.0)
-            with _wall_clock_limit(5.0):
-                time.sleep(0.05)
-            remaining, _ = signal.setitimer(signal.ITIMER_REAL, 0.0)
-            # Re-armed with the outer delay minus the time the block used.
-            assert 0.0 < remaining <= 30.0 - 0.05 + 1e-3
-        finally:
-            self._clear_alarm()
-
-    def test_no_timer_left_armed_without_outer_timer(self):
-        with _wall_clock_limit(5.0):
-            pass
-        remaining, _ = signal.setitimer(signal.ITIMER_REAL, 0.0)
-        assert remaining == 0.0
-        signal.signal(signal.SIGALRM, signal.SIG_DFL)
-
-    def test_expired_outer_timer_fires_after_exit(self):
-        fired = []
-        original = signal.signal(signal.SIGALRM, lambda s, f: fired.append(s))
-        try:
-            # The outer deadline elapses *inside* the guarded block; on exit
-            # it must be re-armed (near-immediately), late rather than lost.
-            signal.setitimer(signal.ITIMER_REAL, 0.2)
-            with _wall_clock_limit(5.0):
-                time.sleep(0.4)
-            deadline = time.monotonic() + 2.0
-            while not fired and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert fired, "outer timer was cancelled instead of re-armed"
-        finally:
-            self._clear_alarm()
-
-    def test_limit_still_interrupts(self):
-        with pytest.raises(MiningTimeLimitExceeded):
-            with _wall_clock_limit(0.05):
-                time.sleep(5.0)

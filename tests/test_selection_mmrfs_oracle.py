@@ -2,8 +2,9 @@
 dense one-round-per-candidate oracle (``tests/oracles/mmrfs_dense.py``).
 
 Ties come from duplicated coverage rows and repeated relevances; the scan
-chunk is shrunk to 1-3 candidates so ties straddle chunk boundaries, and
-the compaction threshold is varied so the live arrays are compacted on
+chunk is shrunk to 1-3 candidates so ties straddle chunk boundaries, the
+scan's gather block to 1-3 candidates so stops land on every block
+position, and the compaction threshold is varied so the live arrays are compacted on
 every acceptance, never, or at the default share.  Relevances include
 ``inf``, ``-inf``, NaN and negative values, which drive the loop's
 non-finite stops.  Every comparison is exact.
@@ -31,6 +32,9 @@ mmrfs_module = importlib.import_module("repro.selection.mmrfs")
 
 CHUNKS = st.sampled_from([1, 2, 3, mmrfs_module._SCAN_CHUNK])
 COMPACT_BELOW = st.sampled_from([0.0, mmrfs_module._COMPACT_BELOW, 1.0])
+#: Scan block budgets in bytes: one word is 8 bytes, so the small ones
+#: gather one to three candidates per block.
+SCAN_BLOCKS = st.sampled_from([8, 24, mmrfs_module._SCAN_BLOCK_BYTES])
 SPECIAL = [math.inf, -math.inf, math.nan, -0.5, 0.0]
 
 
@@ -44,9 +48,12 @@ def _word_major(dense):
     return np.ascontiguousarray(pack_bits(dense).T)
 
 
-def _patched(chunk, compact_below):
+def _patched(chunk, compact_below, scan_block=mmrfs_module._SCAN_BLOCK_BYTES):
     return mock.patch.multiple(
-        mmrfs_module, _SCAN_CHUNK=chunk, _COMPACT_BELOW=compact_below
+        mmrfs_module,
+        _SCAN_CHUNK=chunk,
+        _COMPACT_BELOW=compact_below,
+        _SCAN_BLOCK_BYTES=scan_block,
     )
 
 
@@ -84,14 +91,19 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 class TestGreedyCoreMatchesOracle:
     @settings(max_examples=300, deadline=None)
-    @given(inputs=greedy_inputs(), chunk=CHUNKS, compact_below=COMPACT_BELOW)
-    def test_exactly_the_dense_loop(self, inputs, chunk, compact_below):
+    @given(
+        inputs=greedy_inputs(),
+        chunk=CHUNKS,
+        compact_below=COMPACT_BELOW,
+        scan_block=SCAN_BLOCKS,
+    )
+    def test_exactly_the_dense_loop(self, inputs, chunk, compact_below, scan_block):
         coverage, correct, relevances, delta, max_selected = inputs
         supports = coverage.sum(axis=1)
         expected = dense_greedy(
             coverage, correct, supports, relevances, delta, max_selected
         )
-        with _patched(chunk, compact_below):
+        with _patched(chunk, compact_below, scan_block):
             run = _greedy(
                 _word_major(coverage),
                 pack_bits(correct),
