@@ -58,6 +58,8 @@ __all__ = [
     "packed_ones",
     "scatter_bits",
     "pack_transactions",
+    "pack_labels",
+    "pack_rows",
     "CoverPlan",
     "pattern_covers",
     "class_counts",
@@ -312,6 +314,43 @@ def pack_transactions(
             items, rows = items[known], rows[known]
         scatter_bits(words, items, rows)
     return BitMatrix(words, n_rows), dropped
+
+
+def pack_labels(labels: Sequence[int] | np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-class row masks: mask ``c`` (of ``n_classes``) marks rows labelled c.
+
+    One scatter of one bit per row.  Raises ``ValueError`` for a label
+    outside ``[0, n_classes)``.
+    """
+    label_array = np.asarray(labels, dtype=np.intp)
+    n_rows = len(label_array)
+    if n_rows and (label_array.min() < 0 or label_array.max() >= n_classes):
+        raise ValueError(f"labels outside [0, {n_classes})")
+    words = np.zeros((n_classes, word_count(n_rows)), dtype=_WORD_DTYPE)
+    scatter_bits(words, label_array, np.arange(n_rows, dtype=np.intp))
+    return words
+
+
+def pack_rows(
+    transactions: Sequence[Sequence[int]],
+    labels: Sequence[int] | np.ndarray,
+    n_items: int,
+    n_classes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack one shard's rows into (item words, label words).
+
+    The one shard packer: the out-of-core writer seals its files with it
+    and the stream window its shards.  The item words are
+    :func:`pack_transactions`'s, the label words :func:`pack_labels`'s.
+    Raises ``ValueError`` for an item outside ``[0, n_items)``, a label
+    outside ``[0, n_classes)``, or rows and labels of different lengths.
+    """
+    if len(transactions) != len(labels):
+        raise ValueError("transactions and labels must align")
+    item_bits, dropped = pack_transactions(transactions, n_items)
+    if dropped:
+        raise ValueError(f"transaction items outside [0, {n_items})")
+    return item_bits.words, pack_labels(labels, n_classes)
 
 
 def packed_ones(n_bits: int) -> np.ndarray:

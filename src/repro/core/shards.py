@@ -43,7 +43,7 @@ from ..obs import core as _obs
 from .bitset import (
     BitMatrix,
     SupportQueries,
-    pack_transactions,
+    pack_rows,
     popcount,
     scatter_bits,
     unpack_bits,
@@ -122,35 +122,14 @@ class ShardHandle:
         return popcount(self.label_words()).astype(np.int64)
 
 
-def _pack_rows(
-    transactions: Sequence[Sequence[int]],
-    labels: Sequence[int],
-    n_items: int,
-    n_classes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack one shard's rows into (item words, label words)."""
-    n_rows = len(transactions)
-    item_bits, dropped = pack_transactions(transactions, n_items)
-    if dropped:
-        raise ValueError(f"transaction items outside [0, {n_items})")
-    label_words = np.zeros((n_classes, word_count(n_rows)), dtype=_WORD_DTYPE)
-    label_array = np.asarray(labels, dtype=np.intp)
-    if label_array.size and (
-        label_array.min() < 0 or label_array.max() >= n_classes
-    ):
-        raise ValueError(f"labels outside [0, {n_classes})")
-    scatter_bits(label_words, label_array, np.arange(n_rows, dtype=np.intp))
-    return item_bits.words, label_words
-
-
 class ShardWriter:
     """Streamed shard builder: append rows, seal a shard every ``shard_rows``.
 
     Buffers at most one shard's rows in memory; each sealed shard is
-    packed with :func:`~repro.core.bitset.pack_transactions` (no dense
-    intermediate), written atomically (temp file + ``os.replace``) and
-    hashed.  ``close`` seals the ragged final shard and writes the
-    manifest.
+    packed with :func:`~repro.core.bitset.pack_rows`, the shard packer
+    the stream window seals with too (no dense intermediate), written
+    atomically (temp file + ``os.replace``) and hashed.  ``close`` seals
+    the ragged final shard and writes the manifest.
     """
 
     def __init__(
@@ -188,7 +167,7 @@ class ShardWriter:
 
     def _seal(self) -> None:
         index = len(self._entries)
-        item_words, label_words = _pack_rows(
+        item_words, label_words = pack_rows(
             self._buffer_rows, self._buffer_labels, self.n_items, self.n_classes
         )
         payload = item_words.tobytes() + label_words.tobytes()

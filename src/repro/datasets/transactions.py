@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, SupportQueries
+from ..core.bitset import BitMatrix, SupportQueries, pack_labels
 from .schema import Dataset
 
 __all__ = ["ItemCatalog", "TransactionDataset", "item_ids"]
@@ -267,9 +267,9 @@ class TransactionDataset(SupportQueries):
     def label_bits(self) -> BitMatrix:
         """Packed per-class row masks: mask ``c`` marks rows with label c."""
         if self._label_bits is None:
-            classes = np.arange(self.n_classes, dtype=self.labels.dtype)
-            dense = self.labels[np.newaxis, :] == classes[:, np.newaxis]
-            self._label_bits = BitMatrix.from_dense(dense)
+            self._label_bits = BitMatrix(
+                pack_labels(self.labels, self.n_classes), self.n_rows
+            )
         return self._label_bits
 
     def __len__(self) -> int:

@@ -76,9 +76,9 @@ def closed_fpgrowth(
     if min_support < 1:
         raise ValueError("min_support is an absolute count and must be >= 1")
     check_max_length(max_length)
-    transactions = [tuple(set(t)) for t in transactions]
+    transactions = list(transactions)
     n_rows = len(transactions)
-    n_items = 1 + max((max(t) for t in transactions if t), default=-1)
+    n_items = 1 + max((max(t) for t in transactions if len(t)), default=-1)
     if n_rows == 0 or n_items == 0 or n_rows < min_support:
         return MiningResult([], min_support, n_rows)
 

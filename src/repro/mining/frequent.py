@@ -125,9 +125,9 @@ def frequent_itemsets(
     if min_support < 1:
         raise ValueError("min_support is an absolute count and must be >= 1")
     check_max_length(max_length)
-    transactions = [tuple(set(t)) for t in transactions]
+    transactions = list(transactions)
     n_rows = len(transactions)
-    n_items = 1 + max((max(t) for t in transactions if t), default=-1)
+    n_items = 1 + max((max(t) for t in transactions if len(t)), default=-1)
     item_bits = BitMatrix.vertical(transactions, n_items)
     itemsets, supports = mine_words(
         item_bits.words, packed_ones(n_rows), min_support, max_length, max_patterns

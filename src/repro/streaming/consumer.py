@@ -17,6 +17,12 @@ the fault-injected CI job.  A seal's record holds only what the seal
 changed (its shard, the counters, its ``windows`` entry and, when it
 re-selected, the new tracked set); the last seal of a stream records
 the full state.  Resume replays the records in seal order.
+
+Under an :mod:`repro.obs` session every seal opens a ``streaming.count``,
+a ``streaming.drift`` and a ``runtime.checkpoint`` span, and a
+re-selecting seal a ``streaming.topk`` (from :meth:`TopKMiner.mine`) and
+a ``streaming.select`` span, all children of ``streaming.run``: the layer
+names perfbench reports.
 """
 
 from __future__ import annotations
@@ -227,10 +233,12 @@ def _advance(state: _StreamState, epoch: int) -> None:
     spec = state.spec
     window = state.window
     started = time.perf_counter()
-    counts = window.counts()
-    class_totals = window.class_totals()
+    with _obs.span("streaming.count", epoch=epoch):
+        counts = window.counts()
+        class_totals = window.class_totals()
     had_baseline = state.monitor.has_baseline
-    report = state.monitor.evaluate(counts, class_totals)
+    with _obs.span("streaming.drift", epoch=epoch):
+        report = state.monitor.evaluate(counts, class_totals)
     reselected = False
     if report.drifted:
         data = window.window_dataset(name=f"stream-window-{epoch}")
@@ -241,13 +249,15 @@ def _advance(state: _StreamState, epoch: int) -> None:
             frontier_cap=spec.frontier_cap,
             bound_mode=spec.bound_mode,
         )
+        # TopKMiner.mine opens the streaming.topk span itself.
         topk = miner.mine(data)
-        selection = mmrfs(
-            topk.patterns,
-            data,
-            relevance=spec.relevance,
-            delta=spec.delta,
-        )
+        with _obs.span("streaming.select", epoch=epoch):
+            selection = mmrfs(
+                topk.patterns,
+                data,
+                relevance=spec.relevance,
+                delta=spec.delta,
+            )
         window.track([p.items for p in selection.patterns])
         state.monitor.rebase(window.counts(), class_totals)
         state.topk_json = topk.to_json()
@@ -371,7 +381,8 @@ def run_stream(
                 record = state.to_payload(sealed)
             else:
                 record = state.delta_payload(sealed)
-            cache.put(_SHARD_STAGE, fingerprint(run=key, seal=sealed), record)
+            with _obs.span("runtime.checkpoint", epoch=sealed):
+                cache.put(_SHARD_STAGE, fingerprint(run=key, seal=sealed), record)
             _faults.fault_point("stream", f"shard:{sealed}")
 
         report = _final_report(state, key, len(events))

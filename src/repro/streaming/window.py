@@ -26,20 +26,40 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, class_counts
+from ..core.bitset import BitMatrix, class_counts, pack_rows
 from ..datasets.transactions import TransactionDataset
 
 __all__ = ["SlidingWindowCounts"]
 
 
+def _canonical_row(
+    transaction: Iterable[int], label: int, n_items: int, n_classes: int
+) -> tuple[tuple[int, ...], int]:
+    """One stream row as a shard holds it: sorted, duplicate-free, in range.
+
+    Rows enter a shard only through here, from
+    :meth:`SlidingWindowCounts.append` or a restored payload, so nothing
+    downstream re-sorts them: not the shard packer, not
+    :meth:`SlidingWindowCounts.window_dataset`.
+    """
+    items = tuple(sorted(set(map(int, transaction))))
+    if items and (items[0] < 0 or items[-1] >= n_items):
+        raise ValueError(f"transaction {items} has items outside [0, {n_items})")
+    label = int(label)
+    if not 0 <= label < n_classes:
+        raise ValueError(f"label {label} outside [0, {n_classes})")
+    return items, label
+
+
 class _WindowShard:
     """One sealed (or open-tail) slice of the stream.
 
-    Holds the raw rows plus, once sealed, the packed vertical bitsets
-    and a per-pattern (k, m) count cache.  Counting work for a shard
-    happens exactly once per (shard, tracked-pattern-set) pair.  Only
-    the rows are persisted (:meth:`to_payload`), and a stream consumer
-    persists each sealed shard once, in the checkpoint of its own seal.
+    Holds the canonical rows plus, once sealed, the packed vertical
+    bitsets (one :func:`~repro.core.bitset.pack_rows` pass) and a
+    per-pattern (k, m) count cache.  Counting work for a shard happens
+    exactly once per (shard, tracked-pattern-set) pair.  Only the rows
+    are persisted (:meth:`to_payload`), and a stream consumer persists
+    each sealed shard once, in the checkpoint of its own seal.
     """
 
     def __init__(self, epoch: int, n_items: int, n_classes: int) -> None:
@@ -68,14 +88,10 @@ class _WindowShard:
 
     def _bits(self) -> tuple[BitMatrix, np.ndarray]:
         if self._item_bits is None:
-            data = TransactionDataset(
-                self.transactions,
-                np.asarray(self.labels, dtype=np.int32),
-                n_items=self.n_items,
-                n_classes=self.n_classes,
+            item_words, self._label_words = pack_rows(
+                self.transactions, self.labels, self.n_items, self.n_classes
             )
-            self._item_bits = data.item_bits()
-            self._label_words = data.label_bits().words
+            self._item_bits = BitMatrix(item_words, self.n_rows)
         return self._item_bits, self._label_words
 
     def class_totals(self) -> np.ndarray:
@@ -109,9 +125,17 @@ class _WindowShard:
     def from_payload(
         cls, payload: dict[str, Any], n_items: int, n_classes: int
     ) -> "_WindowShard":
+        """A shard from :meth:`to_payload`'s rows, canonicalized and checked
+        as :meth:`SlidingWindowCounts.append` does (``ValueError`` here,
+        not at the first count)."""
+        transactions, labels = payload["transactions"], payload["labels"]
+        if len(transactions) != len(labels):
+            raise ValueError("shard transactions and labels must align")
         shard = cls(int(payload["epoch"]), n_items, n_classes)
-        shard.transactions = [tuple(t) for t in payload["transactions"]]
-        shard.labels = [int(label) for label in payload["labels"]]
+        for transaction, label in zip(transactions, labels):
+            items, label = _canonical_row(transaction, label, n_items, n_classes)
+            shard.transactions.append(items)
+            shard.labels.append(label)
         return shard
 
 
@@ -168,14 +192,9 @@ class SlidingWindowCounts:
         are now immutable) and epochs ``<= e - window_shards`` were
         evicted — the consumer's cue to re-evaluate drift.
         """
-        items = tuple(sorted(set(int(i) for i in transaction)))
-        if items and (items[0] < 0 or items[-1] >= self.n_items):
-            raise ValueError(
-                f"transaction {items} has items outside [0, {self.n_items})"
-            )
-        label = int(label)
-        if not 0 <= label < self.n_classes:
-            raise ValueError(f"label {label} outside [0, {self.n_classes})")
+        items, label = _canonical_row(
+            transaction, label, self.n_items, self.n_classes
+        )
         epoch = self.seq // self.shard_rows
         shard = self._shards.get(epoch)
         if shard is None:
@@ -270,13 +289,17 @@ class SlidingWindowCounts:
         return np.asarray(labels, dtype=np.int32)
 
     def window_dataset(self, name: str = "stream-window") -> TransactionDataset:
-        """The live window as a batch dataset (for re-mining / oracles)."""
-        return TransactionDataset(
+        """The live window as a batch dataset (for re-mining / oracles).
+
+        Its rows are the shards' canonical rows, not re-sorted.
+        """
+        return TransactionDataset._of_canonical(
             self.window_transactions(),
             self.window_labels(),
-            n_items=self.n_items,
-            n_classes=self.n_classes,
-            name=name,
+            self.n_items,
+            self.n_classes,
+            None,
+            name,
         )
 
     # ------------------------------------------------------------------

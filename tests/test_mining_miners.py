@@ -13,6 +13,7 @@ The central invariants:
 * support is anti-monotone.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -142,6 +143,12 @@ class TestClosedMiners:
     def test_max_length(self):
         capped = closed_fpgrowth(WEATHER, 1, max_length=2)
         assert all(p.length <= 2 for p in capped)
+
+    def test_id_matrix_mines_like_its_rows(self):
+        """A 2-D id matrix is a sequence of rows; the miners take it as is."""
+        matrix = np.array(WEATHER)
+        for miner in (closed_fpgrowth, frequent_itemsets):
+            assert miner(matrix, 2).as_dict() == miner(WEATHER, 2).as_dict()
 
     @settings(max_examples=60, deadline=None)
     @given(transactions=transactions(), min_support=supports())
