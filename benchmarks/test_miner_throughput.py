@@ -12,12 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.bitset import BitMatrix, class_counts, pack_bits, packed_ones
+from repro.core.bitset import class_counts, pack_bits, packed_ones
 from repro.datasets import TransactionDataset, load_uci
 from repro.measures import theta_star
 from repro.mining import closed_fpgrowth, frequent_itemsets, mine_class_patterns
 from repro.selection import mmrfs, suggest_min_support
 from repro.selection.redundancy import batch_redundancy_packed
+from tests.oracles.dense_bits import bit_matrix
 from tests.oracles.itemset_miners import apriori, charm
 from tests.oracles.mmrfs_dense import batch_redundancy
 
@@ -85,7 +86,7 @@ def coverage_workload():
         tuple(sorted(rng.choice(n_items, size=4, replace=False)))
         for _ in range(256)
     ]
-    return dense, BitMatrix.from_dense(dense), patterns
+    return dense, bit_matrix(dense), patterns
 
 
 def _coverage_dense(dense, patterns):

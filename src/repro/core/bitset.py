@@ -530,14 +530,6 @@ class BitMatrix:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
-        """Pack a boolean ``(n_masks, n_bits)`` matrix row-wise."""
-        dense = np.asarray(dense, dtype=bool)
-        if dense.ndim != 2:
-            raise ValueError("dense must be 2-D")
-        return cls(pack_bits(dense), dense.shape[1])
-
-    @classmethod
     def vertical(
         cls, transactions: Sequence[Sequence[int]] | np.ndarray, n_items: int
     ) -> "BitMatrix":

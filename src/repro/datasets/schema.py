@@ -90,9 +90,12 @@ class Dataset:
         if not self.class_names:
             n_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
             self.class_names = tuple(f"c{i}" for i in range(n_classes))
-        for j, attribute in enumerate(self.attributes):
-            column = self.rows[:, j]
-            if len(column) and (column.min() < 0 or column.max() >= attribute.arity):
+        if self.rows.size:  # a reduction over an empty axis raises
+            arities = np.array([a.arity for a in self.attributes])
+            outside = (self.rows.min(axis=0) < 0) | (self.rows.max(axis=0) >= arities)
+            if outside.any():
+                j = int(outside.argmax())
+                attribute = self.attributes[j]
                 raise ValueError(
                     f"column {j} ({attribute.name!r}) contains value indices "
                     f"outside [0, {attribute.arity})"

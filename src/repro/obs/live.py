@@ -121,10 +121,15 @@ class _SliceRing:
 
     def _advance(self, epoch: int) -> None:
         """Update the latest epoch and retire slices that fell out of the
-        window.  Caller holds the lock."""
-        if self._latest_epoch is None or epoch > self._latest_epoch:
-            self._latest_epoch = epoch
-        floor = self._latest_epoch - self.n_slices
+        window.  Caller holds the lock.
+
+        Slices are only ever created inside the window, so while the
+        latest epoch stands no slice can have fallen out of it and the
+        eviction scan is skipped."""
+        if self._latest_epoch is not None and epoch <= self._latest_epoch:
+            return
+        self._latest_epoch = epoch
+        floor = epoch - self.n_slices
         for key in [key for key in self._slices if key <= floor]:
             self._retire(self._slices.pop(key))
 

@@ -108,7 +108,6 @@ class ServingFrontend:
         self.telemetry = telemetry or ServingTelemetry()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._closed = threading.Event()
-        self._stopped = threading.Event()
         self._lock = threading.Lock()
         self._workers: list[threading.Thread] = []
         self._next_worker_id = 0
@@ -137,12 +136,10 @@ class ServingFrontend:
 
     def _worker_loop(self, worker_id: int) -> None:
         while True:
-            try:
-                request = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stopped.is_set():
-                    return
-                continue
+            request = self._queue.get()
+            if request is None:  # close()'s stop sentinel
+                self._queue.task_done()
+                return
             claimed_at = time.perf_counter()
             queue_wait = max(claimed_at - request.enqueued_at, 0.0)
             # The model is pinned at claim time: a concurrent
@@ -255,13 +252,15 @@ class ServingFrontend:
         """Stop accepting requests; by default drain accepted work first.
 
         With ``drain=False`` queued-but-unstarted requests are cancelled
-        (their futures fail with :class:`ServingClosedError`).
+        (their futures fail with :class:`ServingClosedError`).  Once the
+        accepted work is done, every worker is sent one stop sentinel:
+        workers block on the queue, so nothing else wakes them.
         """
-        self._closed.set()
-        if drain:
-            self._queue.join()
-        else:
-            while True:
+        with self._lock:
+            first_close = not self._closed.is_set()
+            self._closed.set()
+        if first_close:
+            while not drain:
                 try:
                     request = self._queue.get_nowait()
                 except queue.Empty:
@@ -279,7 +278,12 @@ class ServingFrontend:
                     outcome="cancelled",
                 )
                 self._queue.task_done()
-        self._stopped.set()
+            self._queue.join()
+            # A worker death spawns its replacement before it returns its
+            # claim, so once the queue has joined exactly n_workers
+            # threads are waiting on it.
+            for _ in range(self.n_workers):
+                self._queue.put(None)
         with self._lock:
             workers = list(self._workers)
         for worker in workers:

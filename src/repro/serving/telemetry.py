@@ -232,17 +232,18 @@ class ServingTelemetry:
         now = self._clock() if now is None else float(now)
         latency_s = queue_wait_s + execute_s
         sampled = request_id % self.config.sample_every == 0
-        record: dict[str, Any] = {
-            "request_id": int(request_id),
-            "rows": int(rows),
-            "queue_wait_s": float(queue_wait_s),
-            "execute_s": float(execute_s),
-            "latency_s": float(latency_s),
-            "dropped_unknown_items": int(dropped_unknown),
-            "outcome": outcome,
-        }
-        if error is not None:
-            record["error"] = error
+        if sampled:
+            record: dict[str, Any] = {
+                "request_id": int(request_id),
+                "rows": int(rows),
+                "queue_wait_s": float(queue_wait_s),
+                "execute_s": float(execute_s),
+                "latency_s": float(latency_s),
+                "dropped_unknown_items": int(dropped_unknown),
+                "outcome": outcome,
+            }
+            if error is not None:
+                record["error"] = error
         with self._lock:
             self._cumulative["dropped_unknown_items"] += dropped_unknown
             if outcome == "cancelled":

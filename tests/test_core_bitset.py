@@ -35,6 +35,7 @@ from repro.mining import Pattern
 from repro.mining.closed import closed_fpgrowth
 from repro.selection import mmrfs
 from repro.selection.redundancy import batch_redundancy_packed
+from tests.oracles.dense_bits import bit_matrix
 from tests.oracles.direct_dense import occurrence_matrix
 from tests.oracles.itemset_miners import charm
 from tests.oracles.mmrfs_dense import batch_redundancy
@@ -145,7 +146,7 @@ class TestIntersection:
     @settings(max_examples=100, deadline=None)
     @given(dense=bool_matrices())
     def test_and_reduce_matches_dense_all(self, dense):
-        matrix = BitMatrix.from_dense(dense)
+        matrix = bit_matrix(dense)
         indices = list(range(dense.shape[0]))
         assert np.array_equal(
             unpack_bits(and_reduce(matrix, indices), matrix.n_bits),
@@ -153,7 +154,7 @@ class TestIntersection:
         )
 
     def test_and_reduce_empty_is_all_ones(self):
-        matrix = BitMatrix.from_dense(np.zeros((3, 70), dtype=bool))
+        matrix = bit_matrix(np.zeros((3, 70), dtype=bool))
         assert np.array_equal(
             unpack_bits(and_reduce(matrix, []), 70), np.ones(70, dtype=bool)
         )
@@ -438,7 +439,7 @@ def cover_batches(draw):
     n_items = draw(st.integers(min_value=1, max_value=10))
     n_classes = draw(st.integers(min_value=1, max_value=3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    items = BitMatrix.from_dense(rng.random((n_items, n_rows)) < 0.6)
+    items = bit_matrix(rng.random((n_items, n_rows)) < 0.6)
     labels = rng.integers(0, n_classes, size=n_rows)
     label_words = pack_bits(labels[np.newaxis, :] == np.arange(n_classes)[:, None])
     itemsets = draw(
@@ -456,7 +457,7 @@ def _mixed_batch():
     padding with item 0 would change covers, and a length-ordered kernel
     would emit them out of itemset order."""
     rng = np.random.default_rng(7)
-    items = BitMatrix.from_dense(rng.random((9, 130)) < 0.7)
+    items = bit_matrix(rng.random((9, 130)) < 0.7)
     labels = rng.integers(0, 3, size=130)
     label_words = pack_bits(labels[np.newaxis, :] == np.arange(3)[:, np.newaxis])
     lengths = [4, 0, 1, 3, 0, 0, 2, 4, 1, 0] * 3
@@ -507,7 +508,7 @@ class TestPatternCoverKernel:
 
     @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65])
     def test_empty_itemset_covers_every_row(self, n_rows):
-        items = BitMatrix.from_dense(np.zeros((2, n_rows), dtype=bool))
+        items = bit_matrix(np.zeros((2, n_rows), dtype=bool))
         blocks = list(pattern_covers(items, [(), ()]))
         assert len(blocks) == 1
         start, covers = blocks[0]
@@ -520,7 +521,7 @@ class TestPatternCoverKernel:
         assert class_counts(items, label_words, [()]).tolist() == [[n_rows]]
 
     def test_no_itemsets(self):
-        items = BitMatrix.from_dense(np.ones((2, 10), dtype=bool))
+        items = bit_matrix(np.ones((2, 10), dtype=bool))
         assert list(pattern_covers(items, [])) == []
         label_words = pack_bits(np.ones((2, 10), dtype=bool))
         assert class_counts(items, label_words, []).shape == (0, 2)
@@ -553,7 +554,7 @@ class TestPatternCoverKernel:
 
     @pytest.mark.parametrize("itemset", [(0, 3), (5,), (1, -1)])
     def test_out_of_range_item_raises(self, itemset):
-        items = BitMatrix.from_dense(np.ones((3, 70), dtype=bool))
+        items = bit_matrix(np.ones((3, 70), dtype=bool))
         if max(itemset) >= 3:
             with pytest.raises(IndexError):
                 and_reduce(items, itemset)

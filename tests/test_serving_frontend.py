@@ -10,8 +10,10 @@ seam).
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,6 +212,92 @@ class TestWorkerRoster:
         assert len(frontend._workers) == 3
         frontend.close()
         assert frontend._workers == []
+
+
+class TestBlockingWorkers:
+    """Idle workers block on the queue; ``close`` wakes each with a stop
+    sentinel.  Asserted on the calls the workers make and on thread
+    state, never on how long anything took."""
+
+    @staticmethod
+    def _spied_gets(calls):
+        real_get = queue.Queue.get
+
+        def get(q, block=True, timeout=None):
+            name = threading.current_thread().name
+            if name.startswith("serving-worker-"):
+                calls.append((name, block, timeout))
+            return real_get(q, block, timeout)
+
+        return mock.patch.object(queue.Queue, "get", get)
+
+    @staticmethod
+    def _close(frontend, **close_kwargs):
+        """close() on its own thread, so a hang fails instead of stalling."""
+        closer = threading.Thread(target=frontend.close, kwargs=close_kwargs)
+        closer.start()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+
+    def _close_and_check(self, frontend, calls, **close_kwargs):
+        with frontend._lock:
+            roster = list(frontend._workers)
+        self._close(frontend, **close_kwargs)
+        assert not any(worker.is_alive() for worker in roster)
+        assert frontend._workers == []
+        assert frontend._queue.qsize() == 0
+        assert frontend._queue.unfinished_tasks == 0
+        assert calls and all(
+            block is True and timeout is None for _, block, timeout in calls
+        )
+        assert {name for name, _, _ in calls} == {w.name for w in roster}
+
+    def test_idle_frontend_makes_no_timed_get(self, compiled):
+        calls = []
+        with self._spied_gets(calls):
+            frontend = ServingFrontend(compiled, n_workers=3)
+            assert frontend.predict([(0, 1), (2,)]) is not None
+            self._close_and_check(frontend, calls)
+
+    def test_more_workers_than_queue_slots_all_stop(self, compiled, workload):
+        batches, serial = workload
+        calls = []
+        with self._spied_gets(calls):
+            frontend = ServingFrontend(compiled, n_workers=4, queue_size=1)
+            futures = [frontend.submit(batch) for batch in batches]
+            self._close_and_check(frontend, calls)
+        for future, expected in zip(futures, serial):
+            assert np.array_equal(future.result(timeout=0), expected)
+
+    def test_close_without_drain_stops_every_worker(self, compiled):
+        calls = []
+        with self._spied_gets(calls):
+            frontend = ServingFrontend(compiled, n_workers=2, queue_size=8)
+            futures = [frontend.submit([(0,)]) for _ in range(8)]
+            self._close_and_check(frontend, calls, drain=False)
+        for future in futures:
+            assert future.done()
+
+    def test_worker_deaths_then_close_stop_every_worker(self, compiled, tmp_path):
+        faults = [Fault(point="serve_worker:claim", action="raise", times=3)]
+        calls = []
+        with injected_faults(faults, tmp_path / "fault-state"):
+            with self._spied_gets(calls):
+                frontend = ServingFrontend(compiled, n_workers=2, queue_size=1)
+                for _ in range(6):
+                    frontend.predict([(0, 1)])
+                self._close(frontend)
+        assert frontend.stats()["worker_deaths"] == 3
+        assert frontend._workers == []
+        assert frontend._queue.unfinished_tasks == 0
+        assert all(timeout is None for _, _, timeout in calls)
+
+    def test_second_close_returns(self, compiled):
+        frontend = ServingFrontend(compiled, n_workers=3, queue_size=1)
+        self._close(frontend, drain=False)
+        self._close(frontend)
+        assert frontend._workers == []
+        assert frontend._queue.qsize() == 0
 
 
 class TestLatencyAttribution:

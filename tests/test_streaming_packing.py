@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitset import BitMatrix, pack_labels, pack_rows
+from repro.core.bitset import pack_labels, pack_rows
 from repro.datasets.transactions import TransactionDataset
 from repro.runtime.cache import canonical_json
 from repro.streaming.window import SlidingWindowCounts
+from tests.oracles.dense_bits import bit_matrix
 
 N_ITEMS = 9
 PATTERNS = [(), (0,), (1, 2), (0, 3), (4, 5, 6), (8,)]
@@ -55,7 +56,7 @@ def oracle_words(rows, labels, n_classes):
     data = TransactionDataset(rows, labels, n_items=N_ITEMS, n_classes=n_classes)
     classes = np.arange(n_classes)
     dense = np.asarray(labels, dtype=np.int64)[np.newaxis, :] == classes[:, np.newaxis]
-    label_words = BitMatrix.from_dense(dense).words
+    label_words = bit_matrix(dense).words
     assert np.array_equal(data.label_bits().words, label_words)
     return data.item_bits().words, label_words
 
