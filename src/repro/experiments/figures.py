@@ -20,13 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets.transactions import TransactionDataset
+from ..measures.bounds import fisher_upper_bound, ig_upper_bound
 from ..measures.contingency import ContingencyTables
-from ..measures.vectorized import (
-    fisher_score_batch,
-    fisher_upper_bound_batch,
-    ig_upper_bound_batch,
-    information_gain_batch,
-)
+from ..measures.vectorized import fisher_score_batch, information_gain_batch
 from ..mining.generation import mine_class_patterns
 from ..mining.itemsets import MiningResult
 
@@ -201,10 +197,10 @@ def _measure_panel(
     # The bound curve over the whole support grid in one call.
     thetas = np.linspace(1.0 / data.n_rows, 1.0 - 1.0 / data.n_rows, bound_samples)
     if measure_name == "information_gain":
-        bound_array = ig_upper_bound_batch(thetas, prior, mode=bound_mode)
+        bound_array = ig_upper_bound(thetas, prior, mode=bound_mode)
     else:
         bound_array = np.minimum(
-            fisher_cap, fisher_upper_bound_batch(thetas, prior, mode=bound_mode)
+            fisher_cap, fisher_upper_bound(thetas, prior, mode=bound_mode)
         )
     bound_values = [float(v) for v in bound_array]
     return FigureData(

@@ -10,28 +10,33 @@ This module is the analytical heart of the paper (Section 3.1.2 and 3.2):
   of q (H is concave in q, so its minimum over the feasible interval is at
   an endpoint), which is a valid — and slightly tighter on one side — bound.
 
-* ``fisher_score_binary(p, q, theta)`` — Eq. 5, the closed-form Fisher
-  score of a binary feature on a binary class that Eq. 6 maximizes.
-
-* ``fisher_upper_bound(theta, p)`` — Eq. 6: ``theta (1-p) / (p - theta)``
-  for ``theta <= p`` (→ ∞ as theta → p) and the symmetric
+* ``fisher_upper_bound(theta, p)`` — Eq. 6: the closed-form Fisher score
+  of Eq. 5 at the same endpoint, ``theta (1-p) / (p - theta)`` for
+  ``theta <= p`` (→ ∞ as theta → p) and the symmetric
   ``p (1-theta) / (theta - p)`` for ``theta > p``.
 
 * ``theta_star(ig0, p)`` — the min_sup setting strategy of Section 3.2
   (Eq. 8): the largest support threshold whose IG upper bound is still
   <= ``ig0``, found by bisection on the monotone low-support branch.
+
+Both bounds take a float or an array of supports: a float returns a numpy
+``float64`` (a ``float`` subclass), an array evaluates a whole support grid
+— the Figure 2/3 curves — in one numpy pass.  The feasible-q interval, the
+conditional entropy at a ``(p, q, theta)`` triple and the Eq. 5 closed form
+are private steps of the two kernels.  Their scalar, one-theta-at-a-time
+definitions live with the tests in ``tests/oracles/bounds.py``, the
+differential reference.
 """
 
 from __future__ import annotations
 
 from typing import Literal
 
-from .entropy import binary_entropy, conditional_entropy_binary
+import numpy as np
+
+from .entropy import binary_entropy
 
 __all__ = [
-    "fisher_score_binary",
-    "feasible_q_interval",
-    "h_lower_bound",
     "ig_upper_bound",
     "fisher_upper_bound",
     "theta_star",
@@ -39,115 +44,104 @@ __all__ = [
 
 BoundMode = Literal["paper", "exact"]
 
-
-def _check_unit(name: str, value: float, open_left: bool = False) -> None:
-    low_ok = value > 0.0 if open_left else value >= 0.0
-    if not (low_ok and value <= 1.0):
-        interval = "(0, 1]" if open_left else "[0, 1]"
-        raise ValueError(f"{name} must be in {interval}, got {value}")
+#: Width of the support bracket at which :func:`theta_star` stops.
+_THETA_TOLERANCE = 1e-9
 
 
-def fisher_score_binary(p: float, q: float, theta: float) -> float:
-    """Closed-form Fisher score for binary class/feature (paper Eq. 5).
-
-    Uses the (p, q, theta) parameterization: Fr = Z / (Y - Z) with
-    Y = p(1-p)(1-theta) and Z = theta (p-q)^2; Fr = 0 when Y = 0.
-    Raises ``ValueError`` on infeasible parameter triples.
-    """
-    for name, value in (("p", p), ("q", q), ("theta", theta)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    tolerance = 1e-12
-    if theta * q > p + tolerance or theta * (1 - q) > (1 - p) + tolerance:
-        raise ValueError(
-            f"infeasible (p={p}, q={q}, theta={theta}): "
-            "P(c|x=0) would fall outside [0, 1]"
-        )
-    y = p * (1.0 - p) * (1.0 - theta)
-    z = theta * (p - q) ** 2
-    if y <= 0.0:
-        return 0.0
-    denominator = y - z
-    if denominator <= 0.0:
-        return float("inf")
-    return z / denominator
+def _check_inputs(theta, p: float, mode: str) -> tuple[np.ndarray, float]:
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.size and not ((thetas > 0.0) & (thetas <= 1.0)).all():
+        raise ValueError("theta must be in (0, 1]")
+    return thetas, _check_prior(p, mode)
 
 
-def feasible_q_interval(theta: float, p: float) -> tuple[float, float]:
-    """The interval of feasible posteriors q = P(c=1 | x=1).
+def _check_prior(p: float, mode: str) -> float:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if mode not in ("paper", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return float(p)
 
-    Feasibility requires the x=0 branch's conditional probability
-    ``(p - theta q) / (1 - theta)`` to lie in [0, 1], i.e.
+
+def _feasible_q(thetas: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the feasible posteriors ``q = P(c=1 | x=1)`` at each theta.
+
+    Feasibility requires the x=0 branch's ``(p - theta q) / (1 - theta)``
+    to lie in [0, 1], i.e.
     ``q in [max(0, (p + theta - 1)/theta), min(1, p/theta)]``.
     """
-    _check_unit("theta", theta, open_left=True)
-    _check_unit("p", p)
     # Mathematically (p + theta - 1)/theta <= 1 whenever p <= 1, but the
     # subtraction cancels catastrophically for p near 1 at tiny theta and
-    # can land 1 ulp above 1.0 — clamp so downstream entropy evaluation
-    # never sees an infeasible q.
-    q_low = min(1.0, max(0.0, (p + theta - 1.0) / theta))
-    q_high = min(1.0, p / theta)
+    # can land 1 ulp above 1.0 — clamp so the entropy never sees an
+    # infeasible q.
+    q_low = np.minimum(1.0, np.maximum(0.0, (p + thetas - 1.0) / thetas))
+    q_high = np.minimum(1.0, p / thetas)
     return q_low, q_high
 
 
-def h_lower_bound(theta: float, p: float, mode: BoundMode = "paper") -> float:
-    """Lower bound of H(C|X) over feasible q, for fixed theta and p.
+def _conditional_entropy(p: float, q: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """H(C|X) at feasible (p, q, theta): ``theta h(q) + (1-theta) h(r)``.
 
-    ``mode="paper"`` evaluates the endpoint the paper uses (q = 1 for
-    theta <= p, q = p/theta for theta > p — Eq. 3 and its symmetric case);
-    ``mode="exact"`` takes the minimum over both feasible endpoints.
+    ``r = (p - theta q)/(1 - theta)`` is P(c=1 | x=0); at theta = 1 its
+    branch weight is 0, which zeroes the (clamped, finite) term.
     """
-    q_low, q_high = feasible_q_interval(theta, p)
-    if mode == "paper":
-        return conditional_entropy_binary(p, q_high, theta)
-    if mode == "exact":
-        return min(
-            conditional_entropy_binary(p, q_low, theta),
-            conditional_entropy_binary(p, q_high, theta),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    r = (p - thetas * q) / np.where(thetas < 1.0, 1.0 - thetas, 1.0)
+    h_x0 = binary_entropy(np.clip(r, 0.0, 1.0))
+    return thetas * binary_entropy(q) + (1.0 - thetas) * h_x0
 
 
-def ig_upper_bound(theta: float, p: float, mode: BoundMode = "paper") -> float:
+def _fisher_score(p: float, q: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Closed-form Fisher score (paper Eq. 5) at feasible triples.
+
+    ``Fr = Z / (Y - Z)`` with ``Y = p(1-p)(1-theta)`` and
+    ``Z = theta (p-q)^2``; 0 where ``Y = 0`` and ``inf`` where ``Y <= Z``.
+    """
+    y = p * (1.0 - p) * (1.0 - thetas)
+    # np.square multiplies; ``** 2`` on a numpy scalar calls pow(), which
+    # can round differently, so a float theta would disagree with an array.
+    z = thetas * np.square(p - q)
+    denominator = y - z
+    scores = np.where(
+        denominator > 0.0, z / np.where(denominator > 0.0, denominator, 1.0), np.inf
+    )
+    return np.where(y <= 0.0, 0.0, scores)
+
+
+def ig_upper_bound(theta, p: float, mode: BoundMode = "paper"):
     """IG_ub(theta) = H(C) - H_lb(C|X) (paper Eq. 2).
 
     Every binary feature with relative support ``theta`` on a dataset with
-    class prior ``p`` has information gain <= this value.
+    class prior ``p`` has information gain <= this value.  ``theta`` is a
+    float in (0, 1] or an array of them; the result has its shape.
     """
-    return max(0.0, binary_entropy(p) - h_lower_bound(theta, p, mode=mode))
+    thetas, p = _check_inputs(theta, p, mode)
+    q_low, q_high = _feasible_q(thetas, p)
+    h_lb = _conditional_entropy(p, q_high, thetas)
+    if mode == "exact":
+        h_lb = np.minimum(h_lb, _conditional_entropy(p, q_low, thetas))
+    return np.maximum(0.0, binary_entropy(p) - h_lb)[()]
 
 
-def fisher_upper_bound(theta: float, p: float, mode: BoundMode = "paper") -> float:
+def fisher_upper_bound(theta, p: float, mode: BoundMode = "paper"):
     """Fisher score upper bound at support theta (paper Eq. 6 + symmetric).
 
     Returns ``inf`` at theta = p (a perfectly class-aligned feature is
-    feasible there).  ``mode`` mirrors :func:`ig_upper_bound`: "paper" uses
-    the q = 1 / q = p/theta endpoint, "exact" maximizes over both feasible
-    endpoints (Fr is monotone in (p - q)^2, so its maximum over q is at an
-    endpoint too).
+    feasible there) and 0 for a degenerate prior.  ``mode`` mirrors
+    :func:`ig_upper_bound`: "paper" uses the q = 1 / q = p/theta endpoint,
+    "exact" maximizes over both feasible endpoints (Fr is monotone in
+    (p - q)^2, so its maximum over q is at an endpoint too).
     """
-    q_low, q_high = feasible_q_interval(theta, p)
+    thetas, p = _check_inputs(theta, p, mode)
     if p in (0.0, 1.0):
-        return 0.0
-    if abs(theta - p) < 1e-15:
-        return float("inf")
-    if mode == "paper":
-        return fisher_score_binary(p, q_high, theta)
+        return np.zeros_like(thetas)[()]
+    q_low, q_high = _feasible_q(thetas, p)
+    scores = _fisher_score(p, q_high, thetas)
     if mode == "exact":
-        return max(
-            fisher_score_binary(p, q_low, theta),
-            fisher_score_binary(p, q_high, theta),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        scores = np.maximum(scores, _fisher_score(p, q_low, thetas))
+    return np.where(np.abs(thetas - p) < 1e-15, np.inf, scores)[()]
 
 
-def theta_star(
-    ig0: float,
-    p: float,
-    mode: BoundMode = "paper",
-    tolerance: float = 1e-9,
-) -> float:
+def theta_star(ig0: float, p: float, mode: BoundMode = "paper") -> float:
     """The min_sup setting strategy (paper Section 3.2, Eq. 8).
 
     Returns ``theta* = argmax_theta { IG_ub(theta) <= ig0 }`` on the
@@ -159,7 +153,7 @@ def theta_star(
     H(C)); ``ig0 <= 0`` returns 0.0 (every positive support can beat a
     non-positive threshold).
     """
-    _check_unit("p", p)
+    p = _check_prior(p, mode)
     if not p or p == 1.0:
         # Degenerate prior: H(C) = 0, every feature has IG 0 <= any ig0 >= 0.
         return p
@@ -169,11 +163,11 @@ def theta_star(
         return p  # the bound maxes out at H(C), reached at theta = p
     low, high = 0.0, p
     # Invariant: IG_ub(low) <= ig0 < IG_ub(high) (IG_ub(0+) = 0).
-    while high - low > tolerance:
+    while high - low > _THETA_TOLERANCE:
         middle = (low + high) / 2.0
         if middle in (low, high):  # float exhaustion
             break
-        if ig_upper_bound(middle, p, mode=mode) <= ig0:
+        if ig_upper_bound(middle, p, mode) <= ig0:
             low = middle
         else:
             high = middle

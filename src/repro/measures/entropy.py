@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["entropy", "binary_entropy", "conditional_entropy_binary"]
+__all__ = ["entropy", "binary_entropy"]
 
 
 def entropy(distribution: Sequence[float] | np.ndarray) -> float:
@@ -28,53 +28,16 @@ def entropy(distribution: Sequence[float] | np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def binary_entropy(p: float) -> float:
-    """H(p) for a Bernoulli(p) class variable, in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+def binary_entropy(p):
+    """H(p) for a Bernoulli(p) class variable, in bits.
 
-
-def _plogp(x: float) -> float:
-    """x * log2(x) with the 0 log 0 = 0 convention (x clipped at 0)."""
-    if x <= 0.0:
-        return 0.0
-    return x * float(np.log2(x))
-
-
-def conditional_entropy_binary(p: float, q: float, theta: float) -> float:
-    """H(C|X) for binary class and binary feature, per the paper's expansion.
-
-    Parameters (paper Section 3.1.2 notation):
-
-    * ``theta`` = P(x = 1), the feature's relative support;
-    * ``p``     = P(c = 1), the class prior;
-    * ``q``     = P(c = 1 | x = 1).
-
-    The triple must be *feasible*: ``theta * q <= p`` and
-    ``theta * (1 - q) <= 1 - p`` (conditional probabilities on the x = 0
-    branch must lie in [0, 1]).  Raises ``ValueError`` otherwise.
+    ``p`` is a float or an array of them, all in [0, 1]; the result has
+    its shape (a float returns a numpy ``float64``).  H(0) = H(1) = 0.
     """
-    for name, value in (("p", p), ("q", q), ("theta", theta)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    tolerance = 1e-12
-    if theta * q > p + tolerance or theta * (1 - q) > (1 - p) + tolerance:
-        raise ValueError(
-            f"infeasible (p={p}, q={q}, theta={theta}): "
-            "P(c|x=0) would fall outside [0, 1]"
-        )
-    if theta == 0.0:
-        return binary_entropy(p)
-    if theta == 1.0:
-        return binary_entropy(q)
-
-    # x = 1 branch.
-    h_x1 = -_plogp(q) - _plogp(1 - q)
-    # x = 0 branch: P(c=1|x=0) = (p - theta*q) / (1 - theta).
-    r = (p - theta * q) / (1 - theta)
-    r = min(1.0, max(0.0, r))
-    h_x0 = -_plogp(r) - _plogp(1 - r)
-    return float(theta * h_x1 + (1 - theta) * h_x0)
+    p = np.asarray(p, dtype=float)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError("p must be in [0, 1]")
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    log_q = np.log2(1.0 - p, out=np.zeros_like(p), where=p < 1)
+    # The leading 0.0 keeps H(0) and H(1) at +0.0 rather than -0.0.
+    return (0.0 - p * log_p - (1.0 - p) * log_q)[()]

@@ -1,11 +1,11 @@
 """Vectorized scoring kernels: whole candidate sets in single numpy passes.
 
 Every selection path (MMRFS, top-k, direct IG filtering) scores patterns by
-the same three measure families — information gain, Fisher score, chi² —
-plus the support-parameterized upper bounds of Section 3.1.2.  This module
-evaluates each family over the batched ``(k, m)`` contingency arrays of
-:func:`repro.measures.contingency.batch_contingency_tables` in one numpy
-pass per measure.
+the same three measure families — information gain, Fisher score, chi².
+This module evaluates each family over the batched ``(k, m)`` contingency
+arrays of :func:`repro.measures.contingency.batch_contingency_tables` in
+one numpy pass per measure.  The support-parameterized bounds of Section
+3.1.2 are numpy kernels too; they live in :mod:`repro.measures.bounds`.
 
 These kernels are the library's only scoring path.  The scalar
 one-table-at-a-time definitions (IG, Fisher score and chi² on a
@@ -18,10 +18,6 @@ agreement to 1e-12 including the degenerate rows (empty classes, support
 0, support n, ``p ∈ {0, 1}`` priors); information gain agrees float for
 float, because the oracle computes its entropies with a copy of this
 module's row entropy, zero counts included.
-
-Bound kernels (``ig_upper_bound_batch`` / ``fisher_upper_bound_batch``)
-accept theta *arrays*, so the Figure 2/3 support grids and the min_sup
-bisection sweep evaluate in one call instead of one Python call per theta.
 
 The branch-and-bound searches (:func:`repro.selection.ddpmine` and
 :class:`repro.streaming.TopKMiner`) prune with a different bound,
@@ -36,15 +32,12 @@ import numpy as np
 
 from ..core.bitset import popcount
 from ..obs import core as _obs
-from .bounds import BoundMode
 from .entropy import binary_entropy
 
 __all__ = [
     "information_gain_batch",
     "fisher_score_batch",
     "chi2_batch",
-    "ig_upper_bound_batch",
-    "fisher_upper_bound_batch",
     "ig_subtree_bound",
     "score_covers",
 ]
@@ -153,110 +146,6 @@ def chi2_batch(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Support-parameterized bounds over theta grids (Section 3.1.2 / 3.2).
-
-
-def _check_thetas(thetas: np.ndarray) -> np.ndarray:
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size and not ((thetas > 0.0) & (thetas <= 1.0)).all():
-        raise ValueError("every theta must be in (0, 1]")
-    return thetas
-
-
-def _check_prior(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return float(p)
-
-
-def _feasible_q_endpoints(
-    thetas: np.ndarray, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise :func:`repro.measures.bounds.feasible_q_interval`."""
-    # The min-with-1 clamp mirrors the scalar path: the subtraction can
-    # land 1 ulp above 1.0 for p near 1 at tiny theta.
-    q_low = np.minimum(1.0, np.maximum(0.0, (p + thetas - 1.0) / thetas))
-    q_high = np.minimum(1.0, p / thetas)
-    return q_low, q_high
-
-
-def _binary_entropy_array(x: np.ndarray) -> np.ndarray:
-    logx = np.log2(x, out=np.zeros_like(x), where=x > 0)
-    log1mx = np.log2(1.0 - x, out=np.zeros_like(x), where=x < 1)
-    return -x * logx - (1.0 - x) * log1mx
-
-
-def _conditional_entropy_array(
-    p: float, q: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
-    """H(C|X) at feasible (p, q, theta) triples, elementwise.
-
-    The grouped expansion ``theta h(q) + (1-theta) h(r)`` with
-    ``r = (p - theta q)/(1 - theta)`` also covers the theta = 0 / theta = 1
-    edges the scalar special-cases: the vanishing branch weight zeroes the
-    (clamped, finite) other term.
-    """
-    h_x1 = _binary_entropy_array(q)
-    r = (p - thetas * q) / np.where(thetas < 1.0, 1.0 - thetas, 1.0)
-    r = np.clip(r, 0.0, 1.0)
-    h_x0 = _binary_entropy_array(r)
-    return thetas * h_x1 + (1.0 - thetas) * h_x0
-
-
-def ig_upper_bound_batch(
-    thetas: np.ndarray, p: float, mode: BoundMode = "paper"
-) -> np.ndarray:
-    """``IG_ub(theta)`` over a whole support grid (paper Eq. 2, batched).
-
-    Elementwise identical to :func:`repro.measures.bounds.ig_upper_bound`:
-    one call evaluates the Figure 2 curve instead of one Python call (and
-    one feasibility re-check) per sampled theta.
-    """
-    thetas = _check_thetas(thetas)
-    p = _check_prior(p)
-    q_low, q_high = _feasible_q_endpoints(thetas, p)
-    h_lb = _conditional_entropy_array(p, q_high, thetas)
-    if mode == "exact":
-        h_lb = np.minimum(h_lb, _conditional_entropy_array(p, q_low, thetas))
-    elif mode != "paper":
-        raise ValueError(f"unknown mode {mode!r}")
-    return np.maximum(0.0, binary_entropy(p) - h_lb)
-
-
-def _fisher_binary_array(p: float, q: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Closed-form Fisher score (paper Eq. 5) at feasible triples, elementwise."""
-    y = p * (1.0 - p) * (1.0 - thetas)
-    z = thetas * (p - q) ** 2
-    denominator = y - z
-    scores = np.where(
-        denominator > 0.0, z / np.where(denominator > 0.0, denominator, 1.0), np.inf
-    )
-    return np.where(y <= 0.0, 0.0, scores)
-
-
-def fisher_upper_bound_batch(
-    thetas: np.ndarray, p: float, mode: BoundMode = "paper"
-) -> np.ndarray:
-    """``Fr_ub(theta)`` over a whole support grid (paper Eq. 6, batched).
-
-    Elementwise identical to
-    :func:`repro.measures.bounds.fisher_upper_bound`, including the
-    ``inf`` pole at ``theta = p`` and the 0 result for degenerate priors.
-    """
-    thetas = _check_thetas(thetas)
-    p = _check_prior(p)
-    if p in (0.0, 1.0):
-        return np.zeros_like(thetas)
-    q_low, q_high = _feasible_q_endpoints(thetas, p)
-    scores = _fisher_binary_array(p, q_high, thetas)
-    if mode == "exact":
-        scores = np.maximum(scores, _fisher_binary_array(p, q_low, thetas))
-    elif mode != "paper":
-        raise ValueError(f"unknown mode {mode!r}")
-    return np.where(np.abs(thetas - p) < 1e-15, np.inf, scores)
-
-
-# ----------------------------------------------------------------------
 # The subtree bound of the branch-and-bound searches.
 
 
@@ -285,7 +174,7 @@ def ig_subtree_bound(present: np.ndarray, class_totals: np.ndarray) -> np.ndarra
     if not 2 <= m <= _VERTEX_CLASS_CAP:
         thetas = present.sum(axis=1) / max(totals.sum(), 1.0)
         return np.minimum(
-            _binary_entropy_array(np.minimum(thetas, 0.5)), _row_entropy(totals)
+            binary_entropy(np.minimum(thetas, 0.5)), _row_entropy(totals)
         )
     vertices = _class_vertices(m)
     bounds = np.empty(len(present))

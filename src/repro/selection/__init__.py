@@ -3,7 +3,6 @@
 from .direct import DirectMiningResult, ddpmine
 from .minsup import MinSupSuggestion, suggest_min_support
 from .mmrfs import SelectedFeature, SelectionResult, mmrfs, top_k_by_relevance
-from .redundancy import jaccard, weighted_jaccard_redundancy
 from .relevance import (
     ChiSquareRelevance,
     FisherScoreRelevance,
@@ -20,8 +19,6 @@ __all__ = [
     "top_k_by_relevance",
     "SelectedFeature",
     "SelectionResult",
-    "jaccard",
-    "weighted_jaccard_redundancy",
     "RelevanceMeasure",
     "InformationGainRelevance",
     "FisherScoreRelevance",

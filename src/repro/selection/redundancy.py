@@ -9,6 +9,11 @@ The paper uses a relevance-weighted Jaccard coefficient over pattern
 Coverage-based (not item-based) overlap is what makes a non-closed pattern
 completely redundant w.r.t. its closure: their coverages are identical, so
 the Jaccard term is 1 and R equals the smaller relevance.
+
+:func:`batch_redundancy_packed` is the library's one implementation of
+Eq. 9: MMRFS refreshes every candidate's redundancy against each accepted
+pattern with it.  The one-pair scalar form is the test oracle in
+``tests/oracles/bounds.py``.
 """
 
 from __future__ import annotations
@@ -17,35 +22,7 @@ import numpy as np
 
 from ..core.bitset import and_popcount
 
-__all__ = [
-    "jaccard",
-    "weighted_jaccard_redundancy",
-    "batch_redundancy_packed",
-]
-
-
-def jaccard(count_a: int, count_b: int, count_both: int) -> float:
-    """Jaccard coefficient from absolute coverage counts."""
-    if count_both < 0 or count_a < count_both or count_b < count_both:
-        raise ValueError(
-            f"inconsistent counts: |a|={count_a}, |b|={count_b}, "
-            f"|a∩b|={count_both}"
-        )
-    union = count_a + count_b - count_both
-    if union == 0:
-        return 0.0
-    return count_both / union
-
-
-def weighted_jaccard_redundancy(
-    count_a: int,
-    count_b: int,
-    count_both: int,
-    relevance_a: float,
-    relevance_b: float,
-) -> float:
-    """R(alpha, beta) of Eq. 9, from counts and the two relevances."""
-    return jaccard(count_a, count_b, count_both) * min(relevance_a, relevance_b)
+__all__ = ["batch_redundancy_packed"]
 
 
 def batch_redundancy_packed(

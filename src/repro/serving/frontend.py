@@ -15,7 +15,9 @@ Delivery contract, enforced by the stress suite
   at ``serve_worker:claim``) re-enqueues the request it was holding
   and spawns a replacement worker, so in-flight work survives;
 * after :meth:`close`, new submissions are rejected but every already
-  accepted request is drained before workers stop.
+  accepted request is drained before workers stop.  A submit that
+  passed the closed check before :meth:`close` is accepted: ``close``
+  waits for it to land in the queue, so its future resolves too.
 
 Every request is recorded once.  It carries a monotonic
 ``request_id`` and its latency is split at the claim point into
@@ -109,6 +111,10 @@ class ServingFrontend:
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._closed = threading.Event()
         self._lock = threading.Lock()
+        # Submits past the closed check whose request is not yet queued;
+        # close() waits on _submits_landed until there are none.
+        self._submitting = 0
+        self._submits_landed = threading.Condition(self._lock)
         self._workers: list[threading.Thread] = []
         self._next_worker_id = 0
         self._next_request_id = 0
@@ -224,24 +230,31 @@ class ServingFrontend:
         Blocks while the bounded queue is full.  Raises
         :class:`ServingClosedError` once :meth:`close` has been called.
         """
-        if self._closed.is_set():
-            raise ServingClosedError("frontend is closed to new requests")
         with self._lock:
+            if self._closed.is_set():
+                raise ServingClosedError("frontend is closed to new requests")
             request_id = self._next_request_id
             self._next_request_id += 1
-        request = _Request(transactions, request_id)
-        # Queue-wait starts when the request actually enters the queue.
-        # A blocking put on a full queue would otherwise charge the
-        # whole back-pressure stall to queue latency, so re-stamp on
-        # every bounded retry: at most _ENQUEUE_RETRY_S of pre-insert
-        # time can leak into the reading.
-        while True:
-            request.enqueued_at = time.perf_counter()
-            try:
-                self._queue.put(request, timeout=_ENQUEUE_RETRY_S)
-                break
-            except queue.Full:
-                continue
+            self._submitting += 1
+        try:
+            request = _Request(transactions, request_id)
+            # Queue-wait starts when the request actually enters the
+            # queue.  A blocking put on a full queue would otherwise
+            # charge the whole back-pressure stall to queue latency, so
+            # re-stamp on every bounded retry: at most _ENQUEUE_RETRY_S
+            # of pre-insert time can leak into the reading.
+            while True:
+                request.enqueued_at = time.perf_counter()
+                try:
+                    self._queue.put(request, timeout=_ENQUEUE_RETRY_S)
+                    break
+                except queue.Full:
+                    continue
+        finally:
+            with self._lock:
+                self._submitting -= 1
+                if not self._submitting and self._closed.is_set():
+                    self._submits_landed.notify_all()
         return request.future
 
     def predict(self, transactions: Sequence[Sequence[int]]) -> Any:
@@ -251,14 +264,20 @@ class ServingFrontend:
     def close(self, drain: bool = True) -> None:
         """Stop accepting requests; by default drain accepted work first.
 
-        With ``drain=False`` queued-but-unstarted requests are cancelled
-        (their futures fail with :class:`ServingClosedError`).  Once the
-        accepted work is done, every worker is sent one stop sentinel:
-        workers block on the queue, so nothing else wakes them.
+        A submit that passed the closed check before this call is
+        accepted work: ``close`` first waits for its request to reach the
+        queue.  With ``drain=False`` queued-but-unstarted requests are
+        then cancelled (their futures fail with
+        :class:`ServingClosedError`).  Once the accepted work is done,
+        every worker is sent one stop sentinel: workers block on the
+        queue, so nothing else wakes them.
         """
         with self._lock:
             first_close = not self._closed.is_set()
             self._closed.set()
+            # Workers keep draining meanwhile, so a submit blocked on a
+            # full queue still lands.
+            self._submits_landed.wait_for(lambda: not self._submitting)
         if first_close:
             while not drain:
                 try:

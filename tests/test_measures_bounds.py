@@ -8,6 +8,11 @@ These are the paper's central theoretical claims, checked as properties:
 * theta_star is the generalized inverse of IG_ub on that branch;
 * empirical patterns mined from data always sit under the curves
   (Figures 2-3 as assertions).
+
+The feasible-q interval, H(C|X) at a (p, q, theta) triple and the Eq. 5
+closed form are private steps of the library's bound kernels; their
+scalar definitions in ``tests/oracles/bounds.py`` generate the feasible
+configurations the bounds are checked against.
 """
 
 import numpy as np
@@ -17,12 +22,14 @@ from hypothesis import strategies as st
 
 from repro.measures import (
     binary_entropy,
-    feasible_q_interval,
-    fisher_score_binary,
     fisher_upper_bound,
-    conditional_entropy_binary,
     ig_upper_bound,
     theta_star,
+)
+from tests.oracles.bounds import (
+    conditional_entropy_binary,
+    feasible_q_interval,
+    fisher_score_binary,
 )
 from tests.oracles.scoring import batch_pattern_stats, fisher_score, information_gain
 

@@ -1,4 +1,9 @@
-"""Tests for entropy primitives and the conditional-entropy expansion."""
+"""Tests for entropy primitives and the conditional-entropy expansion.
+
+H(C|X) at a (p, q, theta) triple is a private step of the library's bound
+kernels; its scalar expansion is checked here on the oracle in
+``tests/oracles/bounds.py``, which the bound kernels are pinned to.
+"""
 
 import math
 
@@ -7,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.measures import binary_entropy, conditional_entropy_binary, entropy
+from repro.measures import binary_entropy, entropy
+from tests.oracles.bounds import conditional_entropy_binary
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -51,6 +57,20 @@ class TestBinaryEntropy:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             binary_entropy(1.5)
+        with pytest.raises(ValueError):
+            binary_entropy(np.array([0.5, -0.1]))
+
+    def test_array_matches_elementwise(self):
+        values = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+        grid = binary_entropy(values)
+        assert grid.shape == values.shape
+        assert grid.tolist() == [binary_entropy(float(v)) for v in values]
+
+    def test_float_returns_positive_zero_at_extremes(self):
+        for p in (0.0, 1.0):
+            value = binary_entropy(p)
+            assert isinstance(value, float)
+            assert math.copysign(1.0, value) == 1.0
 
 
 class TestConditionalEntropyBinary:

@@ -2,7 +2,9 @@
 
 The library scores every table with the batch kernels of
 :mod:`repro.measures.vectorized`; the behaviour checks below run them on
-one-row tables.  :class:`PatternStats` is the scalar oracle's table type.
+one-row tables.  :class:`PatternStats` is the scalar oracle's table type,
+and the closed-form Fisher score of Eq. 5 is the bound oracle's
+``fisher_score_binary``.
 """
 
 import numpy as np
@@ -13,10 +15,10 @@ from hypothesis import strategies as st
 from repro.measures import (
     batch_contingency_tables,
     fisher_score_batch,
-    fisher_score_binary,
     information_gain_batch,
 )
 from repro.mining import Pattern
+from tests.oracles.bounds import fisher_score_binary
 from tests.oracles.scoring import PatternStats, batch_pattern_stats, pattern_stats
 
 counts = st.integers(0, 50)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.bitset import pack_bits
 from repro.datasets import TransactionDataset
 from repro.measures import ContingencyTables
 from repro.mining import Pattern, mine_class_patterns
@@ -10,13 +11,13 @@ from repro.selection import (
     FisherScoreRelevance,
     InformationGainRelevance,
     get_relevance,
-    jaccard,
     mmrfs,
     suggest_min_support,
     top_k_by_relevance,
-    weighted_jaccard_redundancy,
 )
 from repro.obs.core import session
+from repro.selection.redundancy import batch_redundancy_packed
+from tests.oracles.bounds import jaccard, weighted_jaccard_redundancy
 from tests.oracles.mmrfs_dense import batch_redundancy, mmrfs_dense
 from tests.oracles.scoring import batch_pattern_stats, information_gain
 
@@ -45,14 +46,20 @@ class TestJaccard:
 
 class TestBatchRedundancy:
     def test_matches_scalar_formula(self, rng):
+        """The library's one Eq. 9 kernel against the one-pair oracle."""
         n_rows = 30
         coverage = rng.random((4, n_rows)) < 0.5
         supports = coverage.sum(axis=1)
         relevances = rng.random(4)
         new_coverage = rng.random(n_rows) < 0.5
         new_support = int(new_coverage.sum())
-        result = batch_redundancy(
-            coverage, supports, relevances, new_coverage, new_support, 0.5
+        result = batch_redundancy_packed(
+            np.ascontiguousarray(pack_bits(coverage).T),
+            supports,
+            relevances,
+            pack_bits(new_coverage[np.newaxis, :])[0],
+            new_support,
+            0.5,
         )
         for k in range(4):
             both = int((coverage[k] & new_coverage).sum())

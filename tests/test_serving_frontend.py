@@ -11,6 +11,7 @@ seam).
 from __future__ import annotations
 
 import queue
+import sys
 import threading
 import time
 from unittest import mock
@@ -25,6 +26,7 @@ from repro.serving import (
     ServingTelemetry,
     compile_model,
 )
+from repro.serving import frontend as frontend_module
 from repro.testing.faults import Fault, injected_faults
 from tests.serving_common import fitted_pipeline
 
@@ -297,6 +299,91 @@ class TestBlockingWorkers:
         self._close(frontend, drain=False)
         self._close(frontend)
         assert frontend._workers == []
+        assert frontend._queue.qsize() == 0
+
+
+class TestSubmitCloseRace:
+    """A submit that passed the closed check before ``close()`` is
+    accepted work, so ``close()`` waits for its request to reach the
+    queue and its future resolves.  The submit is held between the check
+    and the put by a gate in the request constructor; the test asserts
+    on the future and the queue, never on how long anything took."""
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_submit_inside_close_resolves(self, compiled, monkeypatch, drain):
+        entered, release = threading.Event(), threading.Event()
+
+        class GatedRequest(frontend_module._Request):
+            __slots__ = ()
+
+            def __init__(self, *args) -> None:
+                entered.set()
+                release.wait()
+                super().__init__(*args)
+
+        monkeypatch.setattr(frontend_module, "_Request", GatedRequest)
+        frontend = ServingFrontend(compiled, n_workers=2)
+        futures = []
+        submitter = threading.Thread(
+            target=lambda: futures.append(frontend.submit([(0, 1)]))
+        )
+        submitter.start()
+        assert entered.wait(timeout=30)
+        closer = threading.Thread(target=frontend.close, kwargs={"drain": drain})
+        closer.start()
+        # Give an unguarded close() the chance to finish (stop sentinels
+        # queued, workers gone) before the gated request is let through.
+        closer.join(timeout=0.5)
+        release.set()
+        submitter.join(timeout=30)
+        closer.join(timeout=30)
+        assert not submitter.is_alive() and not closer.is_alive()
+        (future,) = futures
+        assert future.done()
+        if future.exception() is not None:
+            assert not drain
+            assert isinstance(future.exception(), ServingClosedError)
+        assert frontend._queue.qsize() == 0
+        assert frontend._queue.unfinished_tasks == 0
+        with pytest.raises(ServingClosedError):
+            frontend.submit([(0, 1)])
+
+    def test_clients_submitting_through_close_all_resolve(self, compiled):
+        """Eight clients submit until they are refused while close()
+        runs, with a short switch interval to interleave them with it:
+        every future a submit returned is resolved when close returns."""
+        accepted = []
+        lock = threading.Lock()
+        busy = threading.Event()
+        frontend = ServingFrontend(compiled, n_workers=4, queue_size=4)
+
+        def client() -> None:
+            while True:
+                try:
+                    future = frontend.submit([(0, 1)])
+                except ServingClosedError:
+                    return
+                with lock:
+                    accepted.append(future)
+                    if len(accepted) >= 64:
+                        busy.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            assert busy.wait(timeout=30)
+            frontend.close()
+            unresolved = sum(not future.done() for future in accepted)
+            for thread in clients:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert unresolved == 0
+        assert all(future.exception() is None for future in accepted)
         assert frontend._queue.qsize() == 0
 
 
