@@ -26,10 +26,14 @@ Row ``t`` of the shard occupies bit ``t`` of each mask, exactly as in
 :class:`BitMatrix`; the two blocks are the vertical item masks and the
 per-class row masks of that shard.  A ``shards.json`` manifest records
 dimensions and the SHA-256 of every shard file.
+
+A stream checkpoint embeds one shard in the same layout, as base64 text
+(:func:`encode_shard_words` / :func:`decode_shard_words`).
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -44,6 +48,7 @@ from .bitset import (
     BitMatrix,
     SupportQueries,
     pack_rows,
+    packed_ones,
     popcount,
     scatter_bits,
     unpack_bits,
@@ -57,6 +62,8 @@ __all__ = [
     "ShardSet",
     "ShardWriter",
     "VerticalDataset",
+    "decode_shard_words",
+    "encode_shard_words",
     "shard_dataset",
     "stitch",
 ]
@@ -64,6 +71,42 @@ __all__ = [
 SHARD_FORMAT_VERSION = 1
 MANIFEST_NAME = "shards.json"
 _WORD_DTYPE = np.dtype("<u8")
+
+
+def encode_shard_words(item_words: np.ndarray, label_words: np.ndarray) -> str:
+    """A shard's packed words as base64 text of its shard file bytes."""
+    return base64.b64encode(item_words.tobytes() + label_words.tobytes()).decode(
+        "ascii"
+    )
+
+
+def decode_shard_words(
+    text: str, n_rows: int, n_items: int, n_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(item words, label words) of :func:`encode_shard_words`'s text.
+
+    Checked as a shard of ``n_rows`` rows: ``ValueError`` for invalid
+    base64, a byte length other than the layout's, a set tail bit in any
+    mask, or a row with no label or more than one.  The arrays are
+    read-only views of the decoded bytes.
+    """
+    n_words = word_count(n_rows)
+    data = base64.b64decode(text, validate=True)
+    expected = (n_items + n_classes) * n_words * 8
+    if len(data) != expected:
+        raise ValueError(
+            f"shard of {n_rows} rows over {n_items} items and {n_classes} "
+            f"classes has {expected} bytes, got {len(data)}"
+        )
+    words = np.frombuffer(data, dtype=_WORD_DTYPE).reshape(
+        n_items + n_classes, n_words
+    )
+    if n_words and np.any(words[:, -1] & ~packed_ones(n_rows)[-1]):
+        raise ValueError(f"shard words set bits past row {n_rows}")
+    item_words, label_words = words[:n_items], words[n_items:]
+    if np.any(unpack_bits(label_words, n_rows).sum(axis=0) != 1):
+        raise ValueError("every shard row needs exactly one label")
+    return item_words, label_words
 
 
 @dataclass(frozen=True)

@@ -93,11 +93,15 @@ class StreamResult:
 
 
 def stream_fingerprint(spec: StreamSpec, events: Sequence[Event]) -> str:
-    """The run's identity: spec plus event-sequence content key."""
+    """The run's identity: spec plus event-sequence content key.
+
+    JSON writes a tuple as it writes a list, and ``tuple()`` of a tuple
+    copies nothing, so the events encode without a per-event copy.
+    """
     return fingerprint(
         format=_STREAM_FORMAT_VERSION,
         spec=asdict(spec),
-        events=content_key([[list(items), int(label)] for items, label in events]),
+        events=content_key([(tuple(items), int(label)) for items, label in events]),
     )
 
 

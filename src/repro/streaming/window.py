@@ -26,7 +26,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, class_counts, pack_rows
+from ..core.bitset import BitMatrix, class_counts, pack_rows, unpack_bits
+from ..core.shards import decode_shard_words, encode_shard_words
 from ..datasets.transactions import TransactionDataset
 
 __all__ = ["SlidingWindowCounts"]
@@ -37,10 +38,10 @@ def _canonical_row(
 ) -> tuple[tuple[int, ...], int]:
     """One stream row as a shard holds it: sorted, duplicate-free, in range.
 
-    Rows enter a shard only through here, from
-    :meth:`SlidingWindowCounts.append` or a restored payload, so nothing
-    downstream re-sorts them: not the shard packer, not
-    :meth:`SlidingWindowCounts.window_dataset`.
+    Rows enter a shard through here, from :meth:`SlidingWindowCounts.append`
+    or a row-form payload; a payload's packed words decode to rows already
+    in this form.  So nothing downstream re-sorts them: not the shard
+    packer, not :meth:`SlidingWindowCounts.window_dataset`.
     """
     items = tuple(sorted(set(map(int, transaction))))
     if items and (items[0] < 0 or items[-1] >= n_items):
@@ -57,9 +58,10 @@ class _WindowShard:
     Holds the canonical rows plus, once sealed, the packed vertical
     bitsets (one :func:`~repro.core.bitset.pack_rows` pass) and a
     per-pattern (k, m) count cache.  Counting work for a shard happens
-    exactly once per (shard, tracked-pattern-set) pair.  Only the rows
-    are persisted (:meth:`to_payload`), and a stream consumer persists
-    each sealed shard once, in the checkpoint of its own seal.
+    exactly once per (shard, tracked-pattern-set) pair.  The packed
+    words are what is persisted (:meth:`to_payload`), and a stream
+    consumer persists each sealed shard once, in the checkpoint of its
+    own seal.
     """
 
     def __init__(self, epoch: int, n_items: int, n_classes: int) -> None:
@@ -114,24 +116,48 @@ class _WindowShard:
         self._counts = None
 
     def to_payload(self) -> dict[str, Any]:
-        """The shard's rows; bitsets and counts rebuild on first use."""
+        """The shard's packed words, in the layout of an out-of-core shard
+        file (:func:`~repro.core.shards.encode_shard_words`); counts
+        rebuild on first use."""
+        item_bits, label_words = self._bits()
         return {
             "epoch": self.epoch,
-            "transactions": [list(t) for t in self.transactions],
-            "labels": list(self.labels),
+            "n_rows": self.n_rows,
+            "words": encode_shard_words(item_bits.words, label_words),
         }
 
     @classmethod
     def from_payload(
         cls, payload: dict[str, Any], n_items: int, n_classes: int
     ) -> "_WindowShard":
-        """A shard from :meth:`to_payload`'s rows, canonicalized and checked
-        as :meth:`SlidingWindowCounts.append` does (``ValueError`` here,
-        not at the first count)."""
+        """A shard from :meth:`to_payload`'s words, or from the row form
+        (``transactions``/``labels``) that checkpoints held before.
+
+        Words are decoded and checked, and seed the packed verticals; the
+        canonical rows come back in one ``np.nonzero`` pass.  Rows are
+        canonicalized and checked as :meth:`SlidingWindowCounts.append`
+        does.  Either way a bad payload raises ``ValueError`` here, not at
+        the first count.
+        """
+        shard = cls(int(payload["epoch"]), n_items, n_classes)
+        if "words" in payload:
+            n_rows = int(payload["n_rows"])
+            item_words, label_words = decode_shard_words(
+                payload["words"], n_rows, n_items, n_classes
+            )
+            rows, items = np.nonzero(unpack_bits(item_words, n_rows).T)
+            ends = np.bincount(rows, minlength=n_rows).cumsum().tolist()
+            flat = items.tolist()
+            shard.transactions = [
+                tuple(flat[start:end]) for start, end in zip([0] + ends, ends)
+            ]
+            shard.labels = unpack_bits(label_words, n_rows).argmax(axis=0).tolist()
+            shard._item_bits = BitMatrix(item_words, n_rows)
+            shard._label_words = label_words
+            return shard
         transactions, labels = payload["transactions"], payload["labels"]
         if len(transactions) != len(labels):
             raise ValueError("shard transactions and labels must align")
-        shard = cls(int(payload["epoch"]), n_items, n_classes)
         for transaction, label in zip(transactions, labels):
             items, label = _canonical_row(transaction, label, n_items, n_classes)
             shard.transactions.append(items)
@@ -308,8 +334,9 @@ class SlidingWindowCounts:
     def to_payload(self) -> dict[str, Any]:
         """JSON-stable snapshot sufficient to rebuild identical state.
 
-        Only raw rows are serialized — bitsets and count caches are
-        derived data and rebuild deterministically on first use.
+        Each live shard, the open tail included, is serialized as its
+        packed words (:meth:`shard_payload`); count caches are derived
+        data and rebuild deterministically on first use.
         """
         return {
             "format_version": 1,

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.bitset import unpack_bits
+from repro.core.shards import decode_shard_words
 from repro.runtime.cache import ArtifactCache, CorruptArtifactError, fingerprint
 from repro.runtime.experiment import ResumeMismatchError, ResumeMissingError
 from repro.streaming import StreamSpec, run_stream, stream_fingerprint
@@ -118,7 +120,15 @@ class TestDeltaRecords:
         assert chain[-1]["windows"] == result.report["windows"]
         for record, entry in zip(chain[:-1], result.report["windows"]):
             assert record["windows_entry"] == entry
-            assert len(record["shard"]["labels"]) == SPEC.shard_rows
+            shard = record["shard"]
+            assert shard["n_rows"] == SPEC.shard_rows
+            _, label_words = decode_shard_words(
+                shard["words"], shard["n_rows"], SPEC.n_items, SPEC.n_classes
+            )
+            labels = unpack_bits(label_words, SPEC.shard_rows).argmax(axis=0)
+            start = entry["epoch"] * SPEC.shard_rows
+            sealed = events[start : start + SPEC.shard_rows]
+            assert labels.tolist() == [label for _, label in sealed]
             assert ("patterns" in record) == entry["reselected"]
 
     def test_checkpoint_bytes_do_not_grow_with_the_history(self, tmp_path):
