@@ -2,8 +2,8 @@
 
 Every frontend records each request once into a
 :class:`~repro.serving.telemetry.ServingTelemetry`; ``telemetry=None``
-gives it the default one (windowed histograms and rate counters, no SLO
-rules, no event log).  That is the *plain* side here.  The *telemetry*
+gives it the default one (one slice ring of request histograms and
+counts, no SLO rules, no event log).  That is the *plain* side here.  The *telemetry*
 side passes a configured instance — an SLO rule evaluated per window
 rotation and 1-in-16 trace sampling on a 1 s slice — and may cost at
 most 10% more CPU than the plain side.

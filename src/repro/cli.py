@@ -264,7 +264,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from .experiments import run_accuracy_table, run_scalability_table
+    from .experiments import (
+        SCALABILITY_GRIDS,
+        grid_supports,
+        run_accuracy_table,
+        run_scalability_table,
+    )
 
     if args.number in (1, 2):
         model = "svm" if args.number == 1 else "c45"
@@ -277,18 +282,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         print(table.render())
         return 0
 
-    names = {3: "chess", 4: "waveform", 5: "letter"}
-    grids = {
-        3: (0.94, 0.88, 0.78, 0.69, 0.63),
-        4: (0.04, 0.03, 0.02, 0.016),
-        5: (0.225, 0.2, 0.175, 0.15),
-    }
-    name = names[args.number]
+    name, _ = SCALABILITY_GRIDS[args.number]
     data = _load_transactions(name, args.scale)
-    supports = [max(2, int(r * data.n_rows)) for r in grids[args.number]]
     table = run_scalability_table(
         data,
-        absolute_supports=supports,
+        absolute_supports=grid_supports(args.number, data.n_rows),
         title=f"Table {args.number} ({name}, n={data.n_rows})",
         pattern_budget=args.budget,
     )

@@ -28,7 +28,13 @@ from .paper_values import (
 )
 from .registry import DATASET_CONFIGS, ExperimentConfig, config_for
 from .report import ReportConfig, generate_report
-from .scalability import ScalabilityRow, ScalabilityTable, run_scalability_table
+from .scalability import (
+    SCALABILITY_GRIDS,
+    ScalabilityRow,
+    ScalabilityTable,
+    grid_supports,
+    run_scalability_table,
+)
 from .tables import (
     C45_VARIANTS,
     SVM_VARIANTS,
@@ -59,8 +65,10 @@ __all__ = [
     "AccuracyTable",
     "make_variant",
     "run_accuracy_table",
+    "SCALABILITY_GRIDS",
     "ScalabilityRow",
     "ScalabilityTable",
+    "grid_supports",
     "run_scalability_table",
     "PatternPoint",
     "FigureData",

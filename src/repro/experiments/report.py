@@ -20,7 +20,12 @@ from .paper_values import (
     PAPER_TABLE5,
     PaperScalabilityRow,
 )
-from .scalability import ScalabilityTable, run_scalability_table
+from .scalability import (
+    SCALABILITY_GRIDS,
+    ScalabilityTable,
+    grid_supports,
+    run_scalability_table,
+)
 from .tables import AccuracyTable, run_accuracy_table
 
 __all__ = ["ReportConfig", "generate_report"]
@@ -155,19 +160,19 @@ def generate_report(config: ReportConfig = ReportConfig()) -> str:
     )
 
     scalability = [] if not config.include_scalability else [
-        ("Table 3 — Chess", "chess", (0.94, 0.88, 0.78, 0.69, 0.63),
-         PAPER_TABLE3, 3196, config.scalability_scales[0], 150_000),
-        ("Table 4 — Waveform", "waveform", (0.04, 0.03, 0.02, 0.016),
-         PAPER_TABLE4, 5000, config.scalability_scales[1], 150_000),
-        ("Table 5 — Letter", "letter", (0.225, 0.2, 0.175, 0.15),
-         PAPER_TABLE5, 20000, config.scalability_scales[2], 50_000),
+        (3, "Table 3 — Chess", PAPER_TABLE3, 3196,
+         config.scalability_scales[0], 150_000),
+        (4, "Table 4 — Waveform", PAPER_TABLE4, 5000,
+         config.scalability_scales[1], 150_000),
+        (5, "Table 5 — Letter", PAPER_TABLE5, 20000,
+         config.scalability_scales[2], 50_000),
     ]
-    for title, name, grid, paper_rows, paper_n, scale, budget in scalability:
+    for number, title, paper_rows, paper_n, scale, budget in scalability:
+        name, _ = SCALABILITY_GRIDS[number]
         data = TransactionDataset.from_dataset(load_uci(name, scale=scale))
-        supports = [max(2, int(r * data.n_rows)) for r in grid]
         measured = run_scalability_table(
             data,
-            absolute_supports=supports,
+            absolute_supports=grid_supports(number, data.n_rows),
             title=title,
             pattern_budget=min(budget, config.pattern_budget),
             seed=config.seed,

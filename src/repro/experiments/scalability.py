@@ -29,7 +29,29 @@ from ..mining.generation import mine_class_patterns
 from ..mining.itemsets import MiningResult, PatternBudgetExceeded
 from ..selection.mmrfs import mmrfs
 
-__all__ = ["ScalabilityRow", "ScalabilityTable", "run_scalability_table"]
+__all__ = [
+    "SCALABILITY_GRIDS",
+    "ScalabilityRow",
+    "ScalabilityTable",
+    "grid_supports",
+    "run_scalability_table",
+]
+
+#: Tables 3-5: table number -> (dataset, min_sup grid).  The grid holds
+#: the paper's absolute thresholds as fractions of the dataset's rows, so
+#: a scaled-down dataset keeps the same relative sweep.
+SCALABILITY_GRIDS: dict[int, tuple[str, tuple[float, ...]]] = {
+    3: ("chess", (0.94, 0.88, 0.78, 0.69, 0.63)),
+    4: ("waveform", (0.04, 0.03, 0.02, 0.016)),
+    5: ("letter", (0.225, 0.2, 0.175, 0.15)),
+}
+
+
+def grid_supports(table: int, n_rows: int) -> list[int]:
+    """Table ``table``'s min_sup grid as absolute supports over ``n_rows``
+    rows (never below 2; the guarded ``min_sup = 1`` row is separate)."""
+    _, grid = SCALABILITY_GRIDS[table]
+    return [max(2, int(r * n_rows)) for r in grid]
 
 
 @dataclass

@@ -93,9 +93,9 @@ class FrequentPatternClassifier:
         :func:`~repro.mining.generation.mine_class_patterns`.  The fitted
         model is independent of ``n_jobs``.
     on_guard:
-        ``"raise"`` (default) propagates mining guard trips
-        (:class:`~repro.mining.itemsets.PatternBudgetExceeded`, time
-        limit); ``"items_only"`` degrades the tripping class partition to
+        ``"raise"`` (default) propagates a mining guard trip
+        (:class:`~repro.mining.itemsets.PatternBudgetExceeded`);
+        ``"items_only"`` degrades the tripping class partition to
         items-only features — a fit that would have aborted instead
         produces a model whose feature space simply lacks that
         partition's patterns (with a warning event).

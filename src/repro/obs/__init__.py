@@ -55,7 +55,7 @@ from .core import (
     worker_session,
 )
 from .emit import phase_rollup, trace_lines, write_trace
-from .live import SloMonitor, SloRule, WindowedCounter, WindowedHistogram
+from .live import SliceRing, SloMonitor, SloRule
 from .manifest import build_manifest, git_sha
 from .metrics import Histogram
 from .report import TraceData, load_trace, render_report
@@ -88,12 +88,11 @@ __all__ = [
     "Session",
     "SessionCorpus",
     "SessionizerConfig",
+    "SliceRing",
     "SloMonitor",
     "SloRule",
     "SynthConfig",
     "TraceData",
-    "WindowedCounter",
-    "WindowedHistogram",
     "active",
     "add",
     "aggregate_paths",

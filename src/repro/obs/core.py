@@ -45,6 +45,7 @@ from contextlib import contextmanager
 from typing import Any, Iterable, Iterator
 
 from .metrics import Histogram
+from .schema import event_line
 
 try:  # POSIX-only; absent on Windows
     import resource
@@ -288,16 +289,7 @@ class ObsSession:
 
     def event(self, kind: str, message: str, **attributes: Any) -> None:
         with self._lock:
-            self._events.append(
-                {
-                    "type": "event",
-                    "kind": kind,
-                    "message": message,
-                    "time_unix": time.time(),
-                    "pid": os.getpid(),
-                    "attrs": attributes,
-                }
-            )
+            self._events.append(event_line(kind, message, attributes))
             self._n_ops += 1
 
     # -- accessors (tests, report) -------------------------------------

@@ -9,12 +9,11 @@ benchmark JSON reports share.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .core import ObsSession
-from .schema import SCHEMA_VERSION
+from .schema import dump_line, manifest_line, rollup_line
 
 __all__ = ["phase_rollup", "trace_lines", "write_trace"]
 
@@ -48,23 +47,7 @@ def trace_lines(
     way the emitted copy is stamped with ``type`` and ``schema_version``.
     """
     spans = session.spans
-    head: dict[str, Any] = {"type": "manifest", "schema_version": SCHEMA_VERSION}
-    head.update(manifest if manifest is not None else session.manifest)
-    head["type"] = "manifest"
-    head["schema_version"] = SCHEMA_VERSION
-    # The validator requires these keys even for hand-rolled manifests.
-    for key, default in (
-        ("command", "unknown"),
-        ("argv", []),
-        ("config", {}),
-        ("git_sha", None),
-        ("python", ""),
-        ("platform", ""),
-        ("started_unix", 0.0),
-        ("datasets", []),
-    ):
-        head.setdefault(key, default)
-
+    head = manifest_line(manifest if manifest is not None else session.manifest)
     lines: list[dict] = [head]
     lines.extend(spans)
     counters = session.counters
@@ -80,16 +63,15 @@ def trace_lines(
         lines.append(line)
     lines.extend(session.events)
     lines.append(
-        {
-            "type": "rollup",
-            "phases": phase_rollup(spans),
-            "counters": counters,
-            "histograms": {
+        rollup_line(
+            phases=phase_rollup(spans),
+            counters=counters,
+            histograms={
                 name: histograms[name].summary() for name in sorted(histograms)
             },
-            "n_spans": len(spans),
-            "n_events": len(session.events),
-        }
+            n_spans=len(spans),
+            n_events=len(session.events),
+        )
     )
     return lines
 
@@ -103,6 +85,5 @@ def write_trace(
     path = Path(path)
     with path.open("w") as handle:
         for line in trace_lines(session, manifest):
-            handle.write(json.dumps(line, sort_keys=True, default=str))
-            handle.write("\n")
+            handle.write(dump_line(line))
     return path

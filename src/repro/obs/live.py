@@ -1,4 +1,4 @@
-"""Windowed instruments and SLO monitoring for long-running processes.
+"""The time-sliced window and SLO monitoring for long-running processes.
 
 The base instruments in :mod:`repro.obs.metrics` are *cumulative*: a
 :class:`~repro.obs.metrics.Histogram` answers "what was p99 since process
@@ -7,19 +7,22 @@ for a serving process that has been up for a week — a latency regression
 five minutes ago drowns in millions of old observations.  This module
 adds the *live* counterparts:
 
-* :class:`WindowedHistogram` — a time-sliced ring of N rotating
-  :class:`~repro.obs.metrics.Histogram` slices (default 6 × 10 s).
-  Each observation lands in the slice owning its timestamp's epoch
-  (``floor(now / slice_seconds)``); reading merges the live slices with
-  the same order-invariant bucket merge the process-pool absorption
-  path uses, so rolling p50/p90/p99 carry the identical ~4.4% error
-  bound — and slices older than the window are evicted, so the rollup
-  really is "the last minute", not "since boot".
-* :class:`WindowedCounter` — the rate half: per-slice sums with a
-  windowed total and a requests-per-second style :meth:`rate`.
-* ``lifetime()`` on both: evicted slices (and observations already too
-  old on arrival) fold into a retired part, so one observation per
-  event answers both "the last minute" and "since boot".
+* :class:`SliceRing` — the one windowed structure: a time-sliced ring of
+  N rotating slices (default 6 × 10 s) of a caller-supplied slice type.
+  A slice holds everything one event adds — for serving, four
+  histograms and the request counts
+  (:class:`~repro.serving.telemetry.RequestSlice`) — so one record
+  takes one lock and computes one epoch (``floor(now /
+  slice_seconds)``) for every field.  :meth:`SliceRing.live` merges the
+  live slices with the same order-invariant merge the process-pool
+  absorption path uses, so rolling p50/p90/p99 carry the identical
+  ~4.4% error bound, and returns the seconds of real time the window
+  covers — the one divisor of every rate read from it.  Slices older
+  than the window are evicted, so the rollup really is "the last
+  minute", not "since boot".
+* :meth:`SliceRing.lifetime`: evicted slices (and records already too
+  old on arrival) fold into a retired slice, so one record per event
+  answers both "the last minute" and "since boot".
 * :class:`SloRule` / :class:`SloMonitor` — declarative thresholds over
   a mapping of live metric values (p99 latency, error rate, queue
   saturation), evaluated per window rotation, with firing/resolved
@@ -27,12 +30,12 @@ adds the *live* counterparts:
   every transition emitted through the :mod:`repro.obs.core` event
   channel so traced runs record their alerts.
 
-Every method takes an optional explicit ``now`` and every class an
-injectable ``clock`` (default ``time.monotonic``), so the rotation and
-eviction semantics are deterministic under test — the property suite in
-``tests/test_obs_live.py`` proves merged-slice quantiles equal a single
-histogram of the same live observations, and the lifetime view equals a
-single histogram of *all* observations, in any observation order.
+Every read and record takes an optional explicit ``now`` and the ring
+an injectable ``clock`` (default ``time.monotonic``), so the rotation
+and eviction semantics are deterministic under test — the property
+suite in ``tests/test_obs_live.py`` proves the merged live slices equal
+one histogram (or sum) of the same in-window records, and the lifetime
+slice equals one of *all* records, in any arrival order.
 
 Like everything in ``repro.obs``, this module uses only the standard
 library and must not import from the rest of ``repro``.
@@ -47,15 +50,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from . import core as _core
-from .metrics import DEFAULT_SUBDIV, Histogram
 
 __all__ = [
     "DEFAULT_SLICES",
     "DEFAULT_SLICE_SECONDS",
+    "SliceRing",
     "SloMonitor",
     "SloRule",
-    "WindowedCounter",
-    "WindowedHistogram",
 ]
 
 #: Default number of rotating slices per window.
@@ -68,21 +69,28 @@ DEFAULT_SLICE_SECONDS = 10.0
 MAX_ALERT_HISTORY = 64
 
 
-class _SliceRing:
-    """Shared epoch bookkeeping for the windowed instruments.
+class SliceRing:
+    """A rolling window of mergeable slices keyed by time epoch.
+
+    ``factory`` makes an empty slice; a slice needs only
+    ``merge(other)`` (fold another slice in, order-invariantly).  The
+    ring never looks inside a slice: :meth:`record` hands the slice
+    owning a timestamp to the caller's update function, under the ring's
+    one lock.
 
     Slices are keyed by epoch ``floor(now / slice_seconds)``.  The live
     window is the ``n_slices`` most recent epochs *relative to the
-    latest epoch ever seen*; anything older is evicted on the next
-    recording or read.  Keying by the maximum epoch (rather than a
-    mutable cursor) makes retention a pure function of the observation
-    timestamps — the property the order-invariance tests pin down.
-    Evicted slices go to the subclass's ``_retire`` (its lifetime part).
+    latest epoch ever seen*; anything older is evicted into the retired
+    slice on the next record or read.  Keying by the maximum epoch
+    (rather than a mutable cursor) makes retention a pure function of
+    the record timestamps — the property the order-invariance tests pin
+    down.
     """
 
     __slots__ = (
         "n_slices",
         "slice_seconds",
+        "_factory",
         "_clock",
         "_slices",
         "_retired",
@@ -93,9 +101,10 @@ class _SliceRing:
 
     def __init__(
         self,
-        n_slices: int,
-        slice_seconds: float,
-        clock: Callable[[], float] | None,
+        factory: Callable[[], Any],
+        n_slices: int = DEFAULT_SLICES,
+        slice_seconds: float = DEFAULT_SLICE_SECONDS,
+        clock: Callable[[], float] | None = None,
     ) -> None:
         if n_slices < 1:
             raise ValueError("n_slices must be >= 1")
@@ -103,8 +112,10 @@ class _SliceRing:
             raise ValueError("slice_seconds must be > 0")
         self.n_slices = int(n_slices)
         self.slice_seconds = float(slice_seconds)
+        self._factory = factory
         self._clock = clock if clock is not None else time.monotonic
         self._slices: dict[int, Any] = {}
+        self._retired = factory()
         self._latest_epoch: int | None = None
         self._first_now: float | None = None
         self._lock = threading.Lock()
@@ -112,12 +123,6 @@ class _SliceRing:
     @property
     def window_seconds(self) -> float:
         return self.n_slices * self.slice_seconds
-
-    def _now(self, now: float | None) -> float:
-        return self._clock() if now is None else float(now)
-
-    def epoch(self, now: float) -> int:
-        return math.floor(now / self.slice_seconds)
 
     def _advance(self, epoch: int) -> None:
         """Update the latest epoch and retire slices that fell out of the
@@ -131,143 +136,57 @@ class _SliceRing:
         self._latest_epoch = epoch
         floor = epoch - self.n_slices
         for key in [key for key in self._slices if key <= floor]:
-            self._retire(self._slices.pop(key))
+            self._retired.merge(self._slices.pop(key))
 
-    def _live_epoch(self, now: float) -> int | None:
-        """Advance to ``now``'s epoch and return it, or None when ``now``
-        is already older than the window (an out-of-order arrival).
-        Caller holds the lock."""
-        if self._first_now is None or now < self._first_now:
-            self._first_now = now
-        epoch = self.epoch(now)
-        self._advance(epoch)
-        return epoch if epoch > self._latest_epoch - self.n_slices else None
-
-    def _covered_seconds(self, now: float) -> float:
-        """Seconds of real time the live window currently spans.
-
-        A freshly started instrument has not lived a full window yet, so
-        rates divide by elapsed-time-within-window instead of the full
-        window width (otherwise early rates read ~0).
-        """
-        window_floor = (self.epoch(now) - self.n_slices + 1) * self.slice_seconds
-        start = window_floor if self._first_now is None else max(
-            window_floor, self._first_now
-        )
-        return max(now - start, 1e-3)
-
-
-class WindowedHistogram(_SliceRing):
-    """A rolling-window histogram: N rotating log-bucket slices.
-
-    :meth:`merged` folds the live slices into one
-    :class:`~repro.obs.metrics.Histogram` via the order-invariant bucket
-    merge, so :meth:`summary` reports p50/p90/p99 *of the window* with
-    the base instrument's accuracy bound; :meth:`lifetime` is the same
-    since construction.
-    """
-
-    __slots__ = ("subdiv",)
-
-    def __init__(
-        self,
-        n_slices: int = DEFAULT_SLICES,
-        slice_seconds: float = DEFAULT_SLICE_SECONDS,
-        subdiv: int = DEFAULT_SUBDIV,
-        clock: Callable[[], float] | None = None,
+    def record(
+        self, update: Callable[..., None], *args: Any, now: float | None = None
     ) -> None:
-        super().__init__(n_slices, slice_seconds, clock)
-        self.subdiv = int(subdiv)
-        self._retired = Histogram(self.subdiv)
-
-    def _retire(self, slot: Histogram) -> None:
-        self._retired.merge(slot)
-
-    def observe(self, value: float, now: float | None = None) -> None:
-        now = self._now(now)
+        """Apply ``update(slice, *args)`` to the slice owning ``now``'s
+        epoch, or to the retired slice when ``now`` is already older than
+        the window (an out-of-order arrival)."""
+        now = self._clock() if now is None else float(now)
+        epoch = math.floor(now / self.slice_seconds)
         with self._lock:
-            epoch = self._live_epoch(now)
-            if epoch is None:
-                self._retired.observe(value)
-                return
-            slot = self._slices.get(epoch)
-            if slot is None:
-                slot = self._slices[epoch] = Histogram(self.subdiv)
-            slot.observe(value)
+            if self._first_now is None or now < self._first_now:
+                self._first_now = now
+            self._advance(epoch)
+            if epoch <= self._latest_epoch - self.n_slices:
+                slot = self._retired
+            else:
+                slot = self._slices.get(epoch)
+                if slot is None:
+                    slot = self._slices[epoch] = self._factory()
+            update(slot, *args)
 
-    def merged(self, now: float | None = None) -> Histogram:
-        """One histogram of everything still inside the window."""
-        now = self._now(now)
-        out = Histogram(self.subdiv)
+    def live(self, now: float | None = None) -> tuple[Any, float]:
+        """One slice merging everything inside the window, and the
+        seconds of real time the window covers.
+
+        The seconds are the divisor of every windowed rate.  A freshly
+        started ring has not lived a full window yet, so they run from
+        the first record (clamped to 1 ms) instead of the window floor —
+        otherwise early rates read ~0.
+        """
+        now = self._clock() if now is None else float(now)
+        epoch = math.floor(now / self.slice_seconds)
+        out = self._factory()
         with self._lock:
-            self._advance(self.epoch(now))
+            self._advance(epoch)
+            for slot in self._slices.values():
+                out.merge(slot)
+            start = (epoch - self.n_slices + 1) * self.slice_seconds
+            if self._first_now is not None:
+                start = max(start, self._first_now)
+        return out, max(now - start, 1e-3)
+
+    def lifetime(self) -> Any:
+        """One slice merging every record ever made."""
+        out = self._factory()
+        with self._lock:
+            out.merge(self._retired)
             for slot in self._slices.values():
                 out.merge(slot)
         return out
-
-    def summary(self, now: float | None = None) -> dict[str, Any]:
-        """Rolling count/sum/min/max/p50/p90/p99 of the live window."""
-        return self.merged(now).summary()
-
-    def lifetime(self) -> Histogram:
-        """One histogram of every observation ever made."""
-        with self._lock:
-            out = self._retired.copy()
-            for slot in self._slices.values():
-                out.merge(slot)
-        return out
-
-
-class WindowedCounter(_SliceRing):
-    """A rolling-window rate counter: per-slice sums plus a rate view."""
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        n_slices: int = DEFAULT_SLICES,
-        slice_seconds: float = DEFAULT_SLICE_SECONDS,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        super().__init__(n_slices, slice_seconds, clock)
-        self._retired = 0
-
-    def _retire(self, slot: float) -> None:
-        self._retired += slot
-
-    def add(self, value: float = 1, now: float | None = None) -> None:
-        now = self._now(now)
-        with self._lock:
-            epoch = self._live_epoch(now)
-            if epoch is None:
-                self._retired += value
-                return
-            self._slices[epoch] = self._slices.get(epoch, 0) + value
-
-    def total(self, now: float | None = None) -> float:
-        """Sum of everything recorded inside the live window."""
-        now = self._now(now)
-        with self._lock:
-            self._advance(self.epoch(now))
-            return float(sum(self._slices.values()))
-
-    def rate(self, now: float | None = None) -> float:
-        """Windowed per-second rate (total / seconds the window covers).
-
-        Early in an instrument's life the divisor is the elapsed time
-        since the first recording (clamped to 1 ms), not the full window
-        width, so a service that just started still reports a sane rate.
-        """
-        now = self._now(now)
-        with self._lock:
-            self._advance(self.epoch(now))
-            total = float(sum(self._slices.values()))
-            return total / self._covered_seconds(now)
-
-    def lifetime(self) -> float:
-        """Sum of everything ever recorded (int when every add was)."""
-        with self._lock:
-            return self._retired + sum(self._slices.values())
 
 
 @dataclass(frozen=True)

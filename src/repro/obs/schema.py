@@ -32,6 +32,10 @@ rollup's ``histograms`` key.  The validator (and every consumer —
 simply carries no distribution data.  Emission always writes the current
 :data:`SCHEMA_VERSION`.
 
+A session trace (:mod:`repro.obs.emit`) and a streamed serving event log
+build their lines with the same :func:`manifest_line`,
+:func:`event_line`, :func:`rollup_line` and :func:`dump_line`.
+
 The validator enforces structure, types and referential integrity (every
 span's ``parent`` must be null or the id of some span in the file); it is
 what ``repro report`` and the CI observability job run against emitted
@@ -41,12 +45,18 @@ traces.
 from __future__ import annotations
 
 import json
+import os
+import time
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 __all__ = [
     "SCHEMA_VERSION",
     "SUPPORTED_VERSIONS",
+    "dump_line",
+    "event_line",
+    "manifest_line",
+    "rollup_line",
     "validate_lines",
     "validate_file",
 ]
@@ -81,6 +91,60 @@ _SPAN_KEYS = {
     "thread",
     "attrs",
 }
+
+
+def manifest_line(manifest: Mapping[str, Any]) -> dict[str, Any]:
+    """The trace's first line: ``manifest`` stamped with ``type`` and
+    :data:`SCHEMA_VERSION`, with every key the validator requires even
+    for a hand-rolled manifest."""
+    head = {**manifest, "type": "manifest", "schema_version": SCHEMA_VERSION}
+    for key, default in (
+        ("command", "unknown"),
+        ("argv", []),
+        ("config", {}),
+        ("git_sha", None),
+        ("python", ""),
+        ("platform", ""),
+        ("started_unix", 0.0),
+        ("datasets", []),
+    ):
+        head.setdefault(key, default)
+    return head
+
+
+def event_line(kind: str, message: str, attrs: Mapping[str, Any]) -> dict[str, Any]:
+    """One ``event`` line, stamped with the current time and pid."""
+    return {
+        "type": "event",
+        "kind": kind,
+        "message": message,
+        "time_unix": time.time(),
+        "pid": os.getpid(),
+        "attrs": dict(attrs),
+    }
+
+
+def rollup_line(
+    phases: Mapping[str, Any],
+    counters: Mapping[str, int | float],
+    histograms: Mapping[str, Mapping[str, Any]],
+    n_spans: int,
+    n_events: int,
+) -> dict[str, Any]:
+    """The trace's last line; ``histograms`` maps names to summaries."""
+    return {
+        "type": "rollup",
+        "phases": dict(phases),
+        "counters": dict(counters),
+        "histograms": {name: dict(summary) for name, summary in histograms.items()},
+        "n_spans": n_spans,
+        "n_events": n_events,
+    }
+
+
+def dump_line(line: Mapping[str, Any]) -> str:
+    """One line object as its JSONL text (sorted keys, newline-ended)."""
+    return json.dumps(line, sort_keys=True, default=str) + "\n"
 
 
 def _check_span(line_no: int, obj: dict, errors: list[str]) -> None:

@@ -334,16 +334,16 @@ class ServingFrontend:
         request that reached an outcome, cancelled ones included; the
         latency rollups cover the requests that ran.
         """
-        telemetry = self.telemetry
-        totals = telemetry.totals()
+        totals = self.telemetry.totals()
         del totals["sampled_traces"]
+        lifetime = self.telemetry.window.lifetime()
         return {
             **totals,
             "n_workers": self.n_workers,
             "queue_capacity": self.queue_size,
             "queue_depth": self._queue.qsize(),
-            "latency_s": telemetry.latency.lifetime().summary(),
-            "queue_wait_s": telemetry.queue_wait.lifetime().summary(),
-            "execute_s": telemetry.execute.lifetime().summary(),
-            "batch_rows": telemetry.batch_rows.lifetime().summary(),
+            "latency_s": lifetime.latency.summary(),
+            "queue_wait_s": lifetime.queue_wait.summary(),
+            "execute_s": lifetime.execute.summary(),
+            "batch_rows": lifetime.batch_rows.summary(),
         }

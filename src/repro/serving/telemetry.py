@@ -9,19 +9,21 @@ that record.  It answers "since start" as well as the operational
 questions — *what is p99 right now*, *did the error rate move in the
 last minute* — for a long-running process:
 
-* **windowed instruments** (:mod:`repro.obs.live`): rolling-window
-  latency / queue-wait / execute / batch-size histograms plus
-  requests/rows/errors rate counters, all sliced into rotating epochs
-  so old traffic ages out of the window into each instrument's
-  lifetime part;
+* **one slice ring** (:class:`~repro.obs.live.SliceRing`): each slice is
+  a :class:`RequestSlice` — latency / queue-wait / execute / batch-size
+  histograms plus the request, row, error, cancelled and dropped-item
+  counts — so a request is one record under one lock into one epoch.
+  A snapshot merges the live slices once and divides every windowed
+  rate by the same covered seconds; old traffic ages out of the window
+  into the ring's retired slice, which the lifetime totals read;
 * **per-request tracing**: the frontend reports every completed request
   (monotonic ``request_id``, queue-wait vs execute split, row count,
   dropped-unknown-item count, outcome ok/error/cancelled).  A
   deterministic 1-in-``sample_every`` sample (``request_id %
-  sample_every == 0``) is kept in a bounded in-memory ring and
+  sample_every == 0``) is kept in a bounded in-memory list and
   optionally appended to a :class:`TraceEventLog` — a JSONL sink whose
-  record shape is trace-schema-v2 compatible, so ``repro report`` can
-  read a serving event log like any other trace;
+  lines come from the trace schema's own builders, so ``repro report``
+  can read a serving event log like any other trace;
 * **SLO monitoring**: declarative :class:`~repro.obs.live.SloRule`
   thresholds over the windowed values (``p99_latency_s``,
   ``error_rate``, ``queue_saturation``, ``requests_per_s``), evaluated
@@ -38,8 +40,6 @@ transitions are deterministic under test.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -47,19 +47,14 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from ..obs import core as _obs
-from ..obs.live import (
-    DEFAULT_SLICE_SECONDS,
-    DEFAULT_SLICES,
-    SloMonitor,
-    SloRule,
-    WindowedCounter,
-    WindowedHistogram,
-)
+from ..obs.live import DEFAULT_SLICE_SECONDS, SliceRing, SloMonitor, SloRule
 from ..obs.manifest import build_manifest
-from ..obs.schema import SCHEMA_VERSION
+from ..obs.metrics import Histogram
+from ..obs.schema import dump_line, event_line, manifest_line, rollup_line
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
+    "RequestSlice",
     "ServingTelemetry",
     "TelemetryConfig",
     "TraceEventLog",
@@ -69,17 +64,8 @@ __all__ = [
 #: Identifier stamped on every snapshot so consumers can detect drift.
 SNAPSHOT_SCHEMA = "repro.serving.telemetry/v1"
 
-#: Metric names a telemetry instance publishes to its SLO monitor.
-SLO_METRICS = (
-    "p99_latency_s",
-    "error_rate",
-    "queue_saturation",
-    "requests_per_s",
-)
-
-
 #: Sampled request records kept in memory for the snapshot.
-_RING_SIZE = 256
+_MAX_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -102,8 +88,10 @@ class TraceEventLog:
     The file it produces is a *valid schema-v2 trace*: one manifest
     line, then one ``event`` line per appended record, then one rollup
     line on :meth:`close` — so ``repro report`` renders a serving event
-    log and ``repro.obs.validate_file`` accepts it.  Lines are flushed
-    as written; a crash loses only the rollup, not the events.
+    log and ``repro.obs.validate_file`` accepts it.  Every line is built
+    by the same :mod:`repro.obs.schema` builder a session trace uses.
+    Lines are flushed as written; a crash loses only the rollup, not the
+    events.
     """
 
     def __init__(
@@ -116,57 +104,86 @@ class TraceEventLog:
         self._lock = threading.Lock()
         self._events = 0
         self._closed = False
-        head = build_manifest(command=command, config=dict(config or {}))
-        head["schema_version"] = SCHEMA_VERSION
         self._handle = self.path.open("w", encoding="utf-8")
-        self._write(head)
+        self._write(manifest_line(build_manifest(command, config)))
 
-    def _write(self, obj: dict[str, Any]) -> None:
-        self._handle.write(json.dumps(obj, sort_keys=True, default=str))
-        self._handle.write("\n")
+    def _write(self, line: dict[str, Any]) -> None:
+        self._handle.write(dump_line(line))
         self._handle.flush()
 
     def append_event(
         self, kind: str, message: str, attrs: Mapping[str, Any]
     ) -> None:
-        line = {
-            "type": "event",
-            "kind": kind,
-            "message": message,
-            "time_unix": time.time(),
-            "pid": os.getpid(),
-            "attrs": dict(attrs),
-        }
+        line = event_line(kind, message, attrs)
         with self._lock:
             if self._closed:
                 return
             self._events += 1
             self._write(line)
 
-    def close(
-        self,
-        counters: Mapping[str, int | float] | None = None,
-        histograms: Mapping[str, Mapping[str, Any]] | None = None,
-    ) -> None:
+    def close(self, counters: Mapping[str, int | float] | None = None) -> None:
         """Finalize the file with the schema-required rollup line."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._write(
-                {
-                    "type": "rollup",
-                    "phases": {},
-                    "counters": dict(counters or {}),
-                    "histograms": {
-                        name: dict(summary)
-                        for name, summary in (histograms or {}).items()
-                    },
-                    "n_spans": 0,
-                    "n_events": self._events,
-                }
-            )
+            self._write(rollup_line({}, counters or {}, {}, 0, self._events))
             self._handle.close()
+
+
+class RequestSlice:
+    """Everything the requests of one time slice add to the account.
+
+    The :class:`~repro.obs.live.SliceRing` slice type of
+    :class:`ServingTelemetry`: four histograms and five counts, filled by
+    one :meth:`record` per request and combined by :meth:`merge` (bucket
+    merge and integer sums, so any merge order gives the same slice).
+    A cancelled request never ran: it adds to the counts but to no
+    histogram.
+    """
+
+    def __init__(self) -> None:
+        self.latency = Histogram()
+        self.queue_wait = Histogram()
+        self.execute = Histogram()
+        self.batch_rows = Histogram()
+        self.requests = 0
+        self.rows = 0
+        self.errors = 0
+        self.cancelled = 0
+        self.dropped_unknown_items = 0
+
+    def record(
+        self,
+        rows: int,
+        queue_wait_s: float,
+        execute_s: float,
+        dropped_unknown: int,
+        outcome: str,
+    ) -> None:
+        self.requests += 1
+        self.rows += rows
+        self.dropped_unknown_items += dropped_unknown
+        if outcome == "cancelled":
+            self.cancelled += 1
+            return
+        if outcome == "error":
+            self.errors += 1
+        self.latency.observe(queue_wait_s + execute_s)
+        self.queue_wait.observe(queue_wait_s)
+        self.execute.observe(execute_s)
+        self.batch_rows.observe(rows)
+
+    def merge(self, other: "RequestSlice") -> None:
+        self.latency.merge(other.latency)
+        self.queue_wait.merge(other.queue_wait)
+        self.execute.merge(other.execute)
+        self.batch_rows.merge(other.batch_rows)
+        self.requests += other.requests
+        self.rows += other.rows
+        self.errors += other.errors
+        self.cancelled += other.cancelled
+        self.dropped_unknown_items += other.dropped_unknown_items
 
 
 class ServingTelemetry:
@@ -180,31 +197,18 @@ class ServingTelemetry:
     ) -> None:
         self.config = config or TelemetryConfig()
         self._clock = clock if clock is not None else time.monotonic
-        geometry = dict(
-            slice_seconds=self.config.slice_seconds, clock=self._clock
+        self.window = SliceRing(
+            RequestSlice, slice_seconds=self.config.slice_seconds, clock=self._clock
         )
-        self.latency = WindowedHistogram(**geometry)
-        self.queue_wait = WindowedHistogram(**geometry)
-        self.execute = WindowedHistogram(**geometry)
-        self.batch_rows = WindowedHistogram(**geometry)
-        self.requests = WindowedCounter(**geometry)
-        self.rows = WindowedCounter(**geometry)
-        self.errors = WindowedCounter(**geometry)
         self.slo = SloMonitor(self.config.slos)
         self.event_log = event_log
         self._lock = threading.Lock()
-        # requests/rows/errors totals are the rate counters' lifetimes.
-        self._cumulative: dict[str, int] = {
-            "cancelled": 0,
-            "dropped_unknown_items": 0,
-            "worker_deaths": 0,
-            "sampled_traces": 0,
-        }
-        self._ring: list[dict[str, Any]] = []
+        self._worker_deaths = 0
+        self._sampled_traces = 0
+        self._samples: list[dict[str, Any]] = []
         self._last_eval_epoch: int | None = None
         self._queue_depth_fn: Callable[[], int] | None = None
         self._queue_capacity: int | None = None
-        self._started_unix = time.time()
         self._started = self._clock()
 
     # -- wiring --------------------------------------------------------
@@ -227,12 +231,23 @@ class ServingTelemetry:
         now: float | None = None,
     ) -> None:
         """One request that reached an outcome (ok, error or cancelled);
-        the only writer of request accounting.  The histograms skip
-        cancelled requests, which never ran."""
+        the only writer of request accounting: one record into the slice
+        ring.  The histograms skip cancelled requests, which never ran."""
         now = self._clock() if now is None else float(now)
+        self.window.record(
+            RequestSlice.record, rows, queue_wait_s, execute_s,
+            dropped_unknown, outcome, now=now,
+        )
+        _obs.add("serving.requests_served")
+        if dropped_unknown:
+            _obs.add("serving.unknown_items_dropped", dropped_unknown)
         latency_s = queue_wait_s + execute_s
-        sampled = request_id % self.config.sample_every == 0
-        if sampled:
+        if outcome != "cancelled":
+            _obs.observe("serving.request_latency_s", latency_s)
+            _obs.observe("serving.queue_wait_s", queue_wait_s)
+            _obs.observe("serving.execute_s", execute_s)
+            _obs.observe("serving.batch_rows", rows)
+        if request_id % self.config.sample_every == 0:
             record: dict[str, Any] = {
                 "request_id": int(request_id),
                 "rows": int(rows),
@@ -244,42 +259,22 @@ class ServingTelemetry:
             }
             if error is not None:
                 record["error"] = error
-        with self._lock:
-            self._cumulative["dropped_unknown_items"] += dropped_unknown
-            if outcome == "cancelled":
-                self._cumulative["cancelled"] += 1
-            if sampled:
-                self._cumulative["sampled_traces"] += 1
-                self._ring.append(record)
-                del self._ring[:-_RING_SIZE]
-        self.requests.add(1, now)
-        self.rows.add(rows, now)
-        _obs.add("serving.requests_served")
-        if dropped_unknown:
-            _obs.add("serving.unknown_items_dropped", dropped_unknown)
-        if outcome == "error":
-            self.errors.add(1, now)
-        if outcome != "cancelled":
-            self.latency.observe(latency_s, now)
-            self.queue_wait.observe(queue_wait_s, now)
-            self.execute.observe(execute_s, now)
-            self.batch_rows.observe(rows, now)
-            _obs.observe("serving.request_latency_s", latency_s)
-            _obs.observe("serving.queue_wait_s", queue_wait_s)
-            _obs.observe("serving.execute_s", execute_s)
-            _obs.observe("serving.batch_rows", rows)
-        if sampled and self.event_log is not None:
-            self.event_log.append_event(
-                "serving.request",
-                f"request {request_id} {outcome} "
-                f"({rows} rows, {1e3 * latency_s:.2f} ms)",
-                record,
-            )
+            with self._lock:
+                self._sampled_traces += 1
+                self._samples.append(record)
+                del self._samples[:-_MAX_SAMPLES]
+            if self.event_log is not None:
+                self.event_log.append_event(
+                    "serving.request",
+                    f"request {request_id} {outcome} "
+                    f"({rows} rows, {1e3 * latency_s:.2f} ms)",
+                    record,
+                )
         self.maybe_evaluate(now)
 
     def record_worker_death(self) -> None:
         with self._lock:
-            self._cumulative["worker_deaths"] += 1
+            self._worker_deaths += 1
         _obs.add("serving.worker_deaths")
         if self.event_log is not None:
             self.event_log.append_event(
@@ -289,31 +284,35 @@ class ServingTelemetry:
     def totals(self) -> dict[str, int]:
         """Lifetime counters since construction (the snapshot's
         ``cumulative`` section and the trace rollup's counters)."""
+        lifetime = self.window.lifetime()
         with self._lock:
-            totals = dict(self._cumulative)
-        totals["requests"] = int(self.requests.lifetime())
-        totals["rows"] = int(self.rows.lifetime())
-        totals["errors"] = int(self.errors.lifetime())
-        return totals
+            return {
+                "cancelled": lifetime.cancelled,
+                "dropped_unknown_items": lifetime.dropped_unknown_items,
+                "worker_deaths": self._worker_deaths,
+                "sampled_traces": self._sampled_traces,
+                "requests": lifetime.requests,
+                "rows": int(lifetime.rows),
+                "errors": lifetime.errors,
+            }
 
     # -- SLO evaluation ------------------------------------------------
+    def _saturation(self) -> tuple[int | None, float | None]:
+        """The bound queue's depth and depth / capacity (None unbound)."""
+        if self._queue_depth_fn is None or not self._queue_capacity:
+            return None, None
+        depth = self._queue_depth_fn()
+        return depth, depth / self._queue_capacity
+
     def slo_values(self, now: float | None = None) -> dict[str, float | None]:
         """The live metric values the SLO rules are evaluated against."""
-        now = self._clock() if now is None else float(now)
-        latency = self.latency.summary(now)
-        window_requests = self.requests.total(now)
-        window_errors = self.errors.total(now)
-        error_rate = (
-            window_errors / window_requests if window_requests > 0 else None
-        )
-        saturation: float | None = None
-        if self._queue_depth_fn is not None and self._queue_capacity:
-            saturation = self._queue_depth_fn() / self._queue_capacity
+        live, seconds = self.window.live(now)
+        requests = float(live.requests)
         return {
-            "p99_latency_s": latency.get("p99"),
-            "error_rate": error_rate,
-            "queue_saturation": saturation,
-            "requests_per_s": self.requests.rate(now),
+            "p99_latency_s": live.latency.summary().get("p99"),
+            "error_rate": live.errors / requests if requests > 0 else None,
+            "queue_saturation": self._saturation()[1],
+            "requests_per_s": requests / seconds,
         }
 
     def maybe_evaluate(self, now: float | None = None) -> list[dict[str, Any]]:
@@ -348,51 +347,49 @@ class ServingTelemetry:
 
     # -- exposition ----------------------------------------------------
     def snapshot(self, now: float | None = None) -> dict[str, Any]:
-        """Everything a scraper needs, as one JSON-stable plain dict."""
+        """Everything a scraper needs, as one JSON-stable plain dict.
+
+        The windowed section is one merge of the live slices, and its
+        three rates divide by the same covered seconds."""
         now = self._clock() if now is None else float(now)
         self.maybe_evaluate(now)
         cumulative = self.totals()
         with self._lock:
-            samples = [dict(r) for r in self._ring]
-        window_requests = self.requests.total(now)
-        window_errors = self.errors.total(now)
-        queue: dict[str, Any] = {"depth": None, "capacity": None, "saturation": None}
-        if self._queue_depth_fn is not None and self._queue_capacity:
-            depth = self._queue_depth_fn()
-            queue = {
-                "depth": depth,
-                "capacity": self._queue_capacity,
-                "saturation": depth / self._queue_capacity,
-            }
+            samples = [dict(r) for r in self._samples]
+        live, seconds = self.window.live(now)
+        requests = float(live.requests)
+        rows = float(live.rows)
+        errors = float(live.errors)
+        depth, saturation = self._saturation()
         return {
             "schema": SNAPSHOT_SCHEMA,
             "time_unix": time.time(),
             "uptime_s": max(now - self._started, 0.0),
             "window": {
-                "n_slices": DEFAULT_SLICES,
+                "n_slices": self.window.n_slices,
                 "slice_seconds": self.config.slice_seconds,
-                "seconds": self.latency.window_seconds,
+                "seconds": self.window.window_seconds,
                 "sample_every": self.config.sample_every,
             },
             "cumulative": cumulative,
             "windowed": {
-                "requests": window_requests,
-                "rows": self.rows.total(now),
-                "errors": window_errors,
-                "requests_per_s": self.requests.rate(now),
-                "rows_per_s": self.rows.rate(now),
-                "errors_per_s": self.errors.rate(now),
-                "error_rate": (
-                    window_errors / window_requests
-                    if window_requests > 0
-                    else 0.0
-                ),
-                "latency_s": self.latency.summary(now),
-                "queue_wait_s": self.queue_wait.summary(now),
-                "execute_s": self.execute.summary(now),
-                "batch_rows": self.batch_rows.summary(now),
+                "requests": requests,
+                "rows": rows,
+                "errors": errors,
+                "requests_per_s": requests / seconds,
+                "rows_per_s": rows / seconds,
+                "errors_per_s": errors / seconds,
+                "error_rate": errors / requests if requests > 0 else 0.0,
+                "latency_s": live.latency.summary(),
+                "queue_wait_s": live.queue_wait.summary(),
+                "execute_s": live.execute.summary(),
+                "batch_rows": live.batch_rows.summary(),
             },
-            "queue": queue,
+            "queue": {
+                "depth": depth,
+                "capacity": None if depth is None else self._queue_capacity,
+                "saturation": saturation,
+            },
             "slo": self.slo.snapshot(),
             "samples": samples,
         }

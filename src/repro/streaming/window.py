@@ -4,7 +4,7 @@ Batch mining rebuilds the vertical occurrence structure from scratch
 for every dataset; a stream consumer cannot afford that per event.
 :class:`SlidingWindowCounts` maintains the same per-class pattern
 supports incrementally, with the same discipline
-:class:`repro.obs.live.WindowedHistogram` proved out for latency
+:class:`repro.obs.live.SliceRing` proved out for serving request
 slices: the window is a **ring of shards**, each shard a small
 immutable :class:`~repro.core.bitset.BitMatrix` vertical built once
 when the shard seals, and window totals are an order-invariant integer

@@ -1,11 +1,13 @@
-"""Tests for the windowed instruments and SLO monitor (repro.obs.live).
+"""Tests for the slice ring and SLO monitor (repro.obs.live).
 
-The acceptance property: merging the live slices of a
-``WindowedHistogram`` must equal — bucket for bucket — one ``Histogram``
-fed the same observations that are still inside the window, regardless
-of the order the observations arrived in.  Retention is a pure function
-of the observation timestamps (latest epoch ever seen defines the
-window), which is what makes the property order-invariant at all.
+The acceptance property: merging the live slices of a ``SliceRing`` of
+serving :class:`~repro.serving.telemetry.RequestSlice` s must equal —
+bucket for bucket, count for count — one plain ``Histogram`` (or sum)
+per field of the records still inside the window, regardless of the
+order the records arrived in, and the lifetime slice must equal one of
+*every* record.  Retention is a pure function of the record timestamps
+(latest epoch ever seen defines the window), which is what makes the
+property order-invariant at all.
 """
 
 import math
@@ -15,14 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import session as obs_session
-from repro.obs.live import (
-    MAX_ALERT_HISTORY,
-    SloMonitor,
-    SloRule,
-    WindowedCounter,
-    WindowedHistogram,
-)
+from repro.obs.live import MAX_ALERT_HISTORY, SliceRing, SloMonitor, SloRule
 from repro.obs.metrics import Histogram
+from repro.serving.telemetry import RequestSlice
 
 
 class FakeClock:
@@ -33,12 +30,72 @@ class FakeClock:
         return self.now
 
 
-# (timestamp, value) pairs spread over many slice epochs, so shuffled
-# orders exercise out-of-order arrival, eviction and late drops.
-observations_strategy = st.lists(
+def request_ring(n_slices=6, slice_seconds=10.0, clock=None):
+    return SliceRing(
+        RequestSlice,
+        n_slices=n_slices,
+        slice_seconds=slice_seconds,
+        clock=clock or FakeClock(),
+    )
+
+
+def record(ring, now=None, rows=1, queue_wait=0.0, execute=1.0,
+           dropped=0, outcome="ok"):
+    ring.record(
+        RequestSlice.record, rows, queue_wait, execute, dropped, outcome,
+        now=now,
+    )
+
+
+HISTOGRAM_FIELDS = ("latency", "queue_wait", "execute", "batch_rows")
+COUNT_FIELDS = ("requests", "rows", "errors", "cancelled", "dropped_unknown_items")
+
+
+def plain_fields(records):
+    """One plain Histogram per histogram field and one sum per count of
+    ``records`` — the reference a merged slice must equal."""
+    hists = {name: Histogram() for name in HISTOGRAM_FIELDS}
+    counts = dict.fromkeys(COUNT_FIELDS, 0)
+    for _, queue_wait, execute, rows, dropped, outcome in records:
+        counts["requests"] += 1
+        counts["rows"] += rows
+        counts["dropped_unknown_items"] += dropped
+        counts["errors"] += outcome == "error"
+        counts["cancelled"] += outcome == "cancelled"
+        if outcome == "cancelled":
+            continue
+        hists["latency"].observe(queue_wait + execute)
+        hists["queue_wait"].observe(queue_wait)
+        hists["execute"].observe(execute)
+        hists["batch_rows"].observe(rows)
+    return hists, counts
+
+
+def assert_slice_equals(merged, hists, counts):
+    for name in HISTOGRAM_FIELDS:
+        got, want = getattr(merged, name), hists[name]
+        assert got.counts == want.counts, name
+        assert got.zeros == want.zeros, name
+        assert got.count == want.count, name
+        assert got.min == want.min, name
+        assert got.max == want.max, name
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            a, b = got.quantile(q), want.quantile(q)
+            assert a == b or (math.isnan(a) and math.isnan(b)), (name, q)
+    assert {name: getattr(merged, name) for name in COUNT_FIELDS} == counts
+
+
+# (timestamp, queue wait, execute, rows, dropped items, outcome) spread
+# over many slice epochs, so shuffled orders exercise out-of-order
+# arrival, eviction and too-old arrivals.
+records_strategy = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=120.0, allow_nan=False),
         st.floats(min_value=1e-6, max_value=1e3, allow_nan=False),
+        st.floats(min_value=1e-6, max_value=1e3, allow_nan=False),
+        st.integers(0, 50),
+        st.integers(0, 3),
+        st.sampled_from(("ok", "error", "cancelled")),
     ),
     min_size=1,
     max_size=120,
@@ -46,129 +103,131 @@ observations_strategy = st.lists(
 
 
 class TestWindowedHistogramProperty:
+    """The ring's windowed histogram fields (and its counts)."""
+
     @given(
-        observations=observations_strategy,
+        records=records_strategy,
         order_seed=st.randoms(use_true_random=False),
         n_slices=st.integers(1, 8),
     )
     @settings(max_examples=80, deadline=None)
     def test_merged_slices_equal_one_histogram_any_order(
-        self, observations, order_seed, n_slices
+        self, records, order_seed, n_slices
     ):
         slice_seconds = 5.0
-        clock = FakeClock()
-        windowed = WindowedHistogram(
-            n_slices=n_slices, slice_seconds=slice_seconds, clock=clock
-        )
-        shuffled = list(observations)
+        ring = request_ring(n_slices, slice_seconds)
+        shuffled = list(records)
         order_seed.shuffle(shuffled)
-        for when, value in shuffled:
-            windowed.observe(value, now=when)
+        for when, queue_wait, execute, rows, dropped, outcome in shuffled:
+            record(ring, when, rows, queue_wait, execute, dropped, outcome)
 
-        # Reference: one plain histogram over exactly the observations
-        # whose epoch is still inside the window relative to the *max*
-        # epoch ever seen.  Too-old arrivals were dropped on entry.
-        latest = max(math.floor(t / slice_seconds) for t, _ in observations)
-        reference = Histogram()
-        for when, value in observations:
-            if math.floor(when / slice_seconds) > latest - n_slices:
-                reference.observe(value)
+        # Reference: exactly the records whose epoch is still inside the
+        # window relative to the *max* epoch ever seen.  Too-old arrivals
+        # went to the retired slice on entry.
+        latest = max(math.floor(r[0] / slice_seconds) for r in records)
+        in_window = [
+            r for r in records
+            if math.floor(r[0] / slice_seconds) > latest - n_slices
+        ]
+        merged, _ = ring.live(now=latest * slice_seconds)
+        assert_slice_equals(merged, *plain_fields(in_window))
 
-        merged = windowed.merged(now=latest * slice_seconds)
-        assert merged.counts == reference.counts
-        assert merged.zeros == reference.zeros
-        assert merged.count == reference.count
-        assert merged.min == reference.min
-        assert merged.max == reference.max
-        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
-            got, want = merged.quantile(q), reference.quantile(q)
-            assert got == want or (math.isnan(got) and math.isnan(want))
-
-        # The lifetime view loses nothing: slices evicted by rotation and
-        # observations too old on arrival are folded into the retired
-        # part, so it equals one histogram of *every* observation.
-        everything = Histogram()
-        everything.observe_many(value for _, value in observations)
-        lifetime = windowed.lifetime()
-        assert lifetime.counts == everything.counts
-        assert lifetime.zeros == everything.zeros
-        assert lifetime.count == everything.count == len(observations)
-        assert lifetime.min == everything.min
-        assert lifetime.max == everything.max
+        # The lifetime slice loses nothing: slices evicted by rotation
+        # and records too old on arrival are folded into the retired
+        # slice, so it equals one histogram (or sum) of *every* record.
+        lifetime = ring.lifetime()
+        assert_slice_equals(lifetime, *plain_fields(records))
+        assert lifetime.requests == len(records)
 
     def test_rotation_evicts_old_slices(self):
-        clock = FakeClock()
-        windowed = WindowedHistogram(n_slices=3, slice_seconds=10.0, clock=clock)
-        windowed.observe(1.0, now=5.0)  # epoch 0
-        windowed.observe(2.0, now=15.0)  # epoch 1
-        assert windowed.summary(now=15.0)["count"] == 2
+        ring = request_ring(n_slices=3, slice_seconds=10.0)
+        record(ring, now=5.0, execute=1.0)  # epoch 0
+        record(ring, now=15.0, execute=2.0)  # epoch 1
+        assert ring.live(now=15.0)[0].latency.summary()["count"] == 2
 
         # Epoch 3: epoch 0 falls out (window = epochs 1..3).
-        windowed.observe(3.0, now=35.0)
-        summary = windowed.summary(now=35.0)
+        record(ring, now=35.0, execute=3.0)
+        summary = ring.live(now=35.0)[0].latency.summary()
         assert summary["count"] == 2
         assert summary["min"] == 2.0
 
         # Jump far ahead: everything ages out, then new data lands.
-        assert windowed.summary(now=500.0)["count"] == 0
-        windowed.observe(9.0, now=500.0)
-        assert windowed.summary(now=500.0)["count"] == 1
+        assert ring.live(now=500.0)[0].latency.summary()["count"] == 0
+        record(ring, now=500.0, execute=9.0)
+        assert ring.live(now=500.0)[0].latency.summary()["count"] == 1
+        assert ring.lifetime().latency.count == 4
 
     def test_too_old_out_of_order_observation_is_dropped(self):
-        windowed = WindowedHistogram(
-            n_slices=2, slice_seconds=10.0, clock=FakeClock()
-        )
-        windowed.observe(1.0, now=50.0)  # epoch 5; window = epochs 4..5
-        windowed.observe(2.0, now=10.0)  # epoch 1: older than the window
-        assert windowed.summary(now=50.0)["count"] == 1
+        ring = request_ring(n_slices=2, slice_seconds=10.0)
+        record(ring, now=50.0, rows=3)  # epoch 5; window = epochs 4..5
+        # Epoch 1 is older than the window: every field of the record
+        # goes to the retired slice at once.
+        record(ring, now=10.0, rows=4, dropped=2, outcome="error")
+        live, _ = ring.live(now=50.0)
+        assert live.latency.count == live.batch_rows.count == 1
+        assert (live.requests, live.rows, live.errors) == (1, 3, 0)
+        assert live.dropped_unknown_items == 0
+        lifetime = ring.lifetime()
+        assert lifetime.latency.count == lifetime.batch_rows.count == 2
+        assert (lifetime.requests, lifetime.rows, lifetime.errors) == (2, 7, 1)
+        assert lifetime.dropped_unknown_items == 2
 
     def test_invalid_geometry_raises(self):
         with pytest.raises(ValueError):
-            WindowedHistogram(n_slices=0)
+            SliceRing(RequestSlice, n_slices=0)
         with pytest.raises(ValueError):
-            WindowedHistogram(slice_seconds=0.0)
+            SliceRing(RequestSlice, slice_seconds=0.0)
 
 
 class TestWindowedCounter:
+    """The ring's windowed counts and the one rate divisor."""
+
     def test_total_tracks_only_the_window(self):
-        counter = WindowedCounter(
-            n_slices=2, slice_seconds=10.0, clock=FakeClock()
-        )
-        counter.add(5, now=5.0)  # epoch 0
-        counter.add(7, now=15.0)  # epoch 1
-        assert counter.total(now=15.0) == 12.0
-        counter.add(1, now=25.0)  # epoch 2: epoch 0 evicted
-        assert counter.total(now=25.0) == 8.0
-        counter.add(4, now=3.0)  # epoch 0 again: too old on arrival
-        assert counter.total(now=25.0) == 8.0
-        # The lifetime total keeps the evicted and the too-old adds.
-        assert counter.lifetime() == 17
+        ring = request_ring(n_slices=2, slice_seconds=10.0)
+        record(ring, now=5.0, rows=5)  # epoch 0
+        record(ring, now=15.0, rows=7)  # epoch 1
+        assert ring.live(now=15.0)[0].rows == 12
+        record(ring, now=25.0, rows=1)  # epoch 2: epoch 0 evicted
+        assert ring.live(now=25.0)[0].rows == 8
+        record(ring, now=3.0, rows=4)  # epoch 0 again: too old on arrival
+        live, _ = ring.live(now=25.0)
+        assert (live.requests, live.rows) == (2, 8)
+        # The lifetime counts keep the evicted and the too-old records.
+        lifetime = ring.lifetime()
+        assert (lifetime.requests, lifetime.rows) == (4, 17)
 
     def test_rate_uses_elapsed_time_before_window_fills(self):
-        # 2 s into life with 10 events the rate must read ~5/s, not
+        # 2 s into life with 10 rows the rate must read ~5/s, not
         # 10 / full-window-width.
-        counter = WindowedCounter(
-            n_slices=6, slice_seconds=10.0, clock=FakeClock()
-        )
-        counter.add(10, now=100.0)
-        assert counter.rate(now=102.0) == pytest.approx(5.0)
+        ring = request_ring(n_slices=6, slice_seconds=10.0)
+        record(ring, now=100.0, rows=10)
+        live, seconds = ring.live(now=102.0)
+        assert seconds == pytest.approx(2.0)
+        assert live.rows / seconds == pytest.approx(5.0)
 
     def test_rate_uses_window_width_once_filled(self):
-        counter = WindowedCounter(n_slices=2, slice_seconds=10.0, clock=FakeClock())
-        counter.add(40, now=5.0)
-        counter.add(40, now=15.0)
-        # Divisor is elapsed-since-first-recording (t=5) while that is
-        # later than the window floor: 80 events over 14 s.
-        assert counter.rate(now=19.0) == pytest.approx(80.0 / 14.0)
+        ring = request_ring(n_slices=2, slice_seconds=10.0)
+        record(ring, now=5.0, rows=40)
+        record(ring, now=15.0, rows=40)
+        # Divisor is elapsed-since-first-record (t=5) while that is later
+        # than the window floor: 80 rows over 14 s.
+        live, seconds = ring.live(now=19.0)
+        assert live.rows / seconds == pytest.approx(80.0 / 14.0)
         # Far later the window floor dominates: at t=95 the window
         # covers epochs 8..9 (floor t=80), and everything was evicted.
-        assert counter.rate(now=95.0) == 0.0
+        live, seconds = ring.live(now=95.0)
+        assert seconds == pytest.approx(15.0)
+        assert live.rows / seconds == 0.0
 
     def test_clock_default_is_used_when_now_omitted(self):
         clock = FakeClock(now=42.0)
-        counter = WindowedCounter(clock=clock)
-        counter.add(3)
-        assert counter.total() == 3.0
+        ring = request_ring(clock=clock)
+        record(ring, rows=3)
+        live, seconds = ring.live()
+        assert live.rows == 3
+        assert seconds == pytest.approx(1e-3)  # clamped: no time has passed
+        clock.now = 44.0
+        assert ring.live()[1] == pytest.approx(2.0)
 
 
 class TestSloMonitor:

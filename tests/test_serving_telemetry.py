@@ -1,12 +1,17 @@
 """Tests for the serving telemetry sidecar (repro.serving.telemetry).
 
 Covers the snapshot contract (stable, JSON-serializable keys), the
-deterministic 1-in-k trace sampling, the schema-v2 validity of the
-``TraceEventLog`` sink, SLO evaluation cadence, and the Prometheus text
-exposition.
+one rate divisor of the windowed section, the deterministic 1-in-k trace
+sampling, the schema-v2 validity of the ``TraceEventLog`` sink, SLO
+evaluation cadence, the Prometheus text exposition, and seeded replays
+pinned against recorded digests of every read.
 """
 
+import hashlib
 import json
+import random
+import sys
+import threading
 
 import pytest
 
@@ -14,12 +19,15 @@ from repro.obs import load_trace, validate_file
 from repro.obs.live import SloRule
 from repro.serving import (
     SNAPSHOT_SCHEMA,
+    ServingFrontend,
     ServingTelemetry,
     TelemetryConfig,
     TraceEventLog,
+    compile_model,
     render_prometheus,
 )
-from repro.serving.telemetry import _RING_SIZE
+from repro.serving.telemetry import _MAX_SAMPLES
+from tests.serving_common import fitted_pipeline
 
 
 class FakeClock:
@@ -118,9 +126,82 @@ class TestSnapshot:
         queue = telemetry.snapshot()["queue"]
         assert queue == {"depth": 16, "capacity": 64, "saturation": 0.25}
 
+    def test_errors_per_s_shares_the_request_rate_divisor(self):
+        # 100 ok requests one second apart, then one error: the error
+        # rate over the window and errors_per_s must agree, i.e. errors
+        # divide by the same covered seconds as requests.
+        clock = FakeClock()
+        telemetry = ServingTelemetry(clock=clock)
+        for second in range(100):
+            clock.now = float(second)
+            telemetry.record_request(
+                request_id=second, rows=1, queue_wait_s=0.0, execute_s=0.001
+            )
+        clock.now = 100.0
+        telemetry.record_request(
+            request_id=100, rows=1, queue_wait_s=0.0, execute_s=0.001,
+            outcome="error", error="ValueError",
+        )
+        windowed = telemetry.snapshot()["windowed"]
+        assert windowed["errors"] == 1
+        assert windowed["requests"] == 51  # t = 50..100 inside 6 x 10 s
+        assert windowed["requests_per_s"] == pytest.approx(51 / 50)
+        assert windowed["errors_per_s"] == pytest.approx(
+            windowed["requests_per_s"]
+            * windowed["errors"]
+            / windowed["requests"]
+        )
+        assert windowed["errors_per_s"] == pytest.approx(0.02)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TelemetryConfig(sample_every=0)
+
+
+class TestConcurrentRecording:
+    def test_no_lost_updates_under_contention(self):
+        # More recording threads than cores, switching as often as the
+        # interpreter allows, with a new slice every 20 records so slices
+        # are created and evicted under contention: every field of every
+        # record must land, in the window or in the retired slice.
+        telemetry = make_telemetry(sample_every=7)
+        n_threads, per_thread = 8, 1000
+
+        def worker(base):
+            for i in range(per_thread):
+                telemetry.record_request(
+                    request_id=base + i, rows=2, queue_wait_s=0.001,
+                    execute_s=0.002, dropped_unknown=1,
+                    outcome=("ok", "error", "cancelled")[i % 3],
+                    now=i * 0.05,
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t * per_thread,))
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = n_threads * per_thread
+        cancelled = n_threads * len(range(2, per_thread, 3))
+        errors = n_threads * len(range(1, per_thread, 3))
+        totals = telemetry.totals()
+        assert totals["requests"] == total
+        assert totals["rows"] == 2 * total
+        assert totals["dropped_unknown_items"] == total
+        assert (totals["errors"], totals["cancelled"]) == (errors, cancelled)
+        assert totals["sampled_traces"] == len(range(0, total, 7))
+        lifetime = telemetry.window.lifetime()
+        assert lifetime.latency.count == lifetime.batch_rows.count
+        assert lifetime.latency.count == total - cancelled
 
 
 class TestSampling:
@@ -137,14 +218,14 @@ class TestSampling:
 
     def test_sample_ring_is_bounded(self):
         telemetry = make_telemetry(sample_every=1)
-        total = _RING_SIZE + 50
+        total = _MAX_SAMPLES + 50
         for i in range(total):
             telemetry.record_request(
                 request_id=i, rows=1, queue_wait_s=0.0, execute_s=0.001
             )
         samples = telemetry.snapshot()["samples"]
         assert [s["request_id"] for s in samples] == list(
-            range(total - _RING_SIZE, total)
+            range(total - _MAX_SAMPLES, total)
         )
 
 
@@ -269,3 +350,131 @@ class TestPrometheus:
         assert "quantile=" not in text
         assert "repro_serving_requests_total 0" in text
         assert "slo_firing" not in text  # no rules configured
+
+
+def _read(frontend):
+    """Every exposition surface of one read, as canonical JSON text.
+
+    Wall-clock stamps (``time_unix``, the SLO alerts' ``time``) and
+    ``errors_per_s`` with its gauge are left out; the replay test checks
+    ``errors_per_s`` on its own."""
+    telemetry = frontend.telemetry
+    snapshot = telemetry.snapshot()
+    del snapshot["time_unix"]
+    for alert in snapshot["slo"]["alerts"]:
+        del alert["time"]
+    prometheus = [
+        line
+        for line in render_prometheus(snapshot).splitlines()
+        if "window_errors_per_second" not in line
+    ]
+    errors_per_s = snapshot["windowed"].pop("errors_per_s")
+    read = {
+        "snapshot": snapshot,
+        "prometheus": prometheus,
+        "totals": telemetry.totals(),
+        "slo_values": telemetry.slo_values(),
+        "stats": frontend.stats(),
+    }
+    return json.dumps(read, sort_keys=True), errors_per_s, snapshot["windowed"]
+
+
+def _replay(seed, model):
+    """A seeded mix of ok, error and cancelled requests on a monotonic
+    fake clock, read at random points and once after a final pause."""
+    rng = random.Random(seed)
+    slice_seconds = rng.choice((0.5, 1.0, 10.0))
+    clock = FakeClock(now=rng.uniform(0.0, 100.0))
+    telemetry = ServingTelemetry(
+        TelemetryConfig(
+            slice_seconds=slice_seconds,
+            sample_every=rng.choice((4, 16)),
+            slos=(
+                SloRule("p99", "p99_latency_s", 0.02),
+                SloRule("errors", "error_rate", 0.2),
+            ),
+        ),
+        clock=clock,
+    )
+    frontend = ServingFrontend(
+        model, n_workers=1, queue_size=8, telemetry=telemetry
+    )
+    reads = []
+    try:
+        for request_id in range(rng.randint(1, 60)):
+            clock.now += (
+                rng.choice((0.0, 0.1, 1.0, 7.0)) * slice_seconds * rng.random()
+            )
+            outcome = rng.choices(("ok", "error", "cancelled"), (8, 1, 1))[0]
+            telemetry.record_request(
+                request_id=request_id,
+                rows=rng.randint(1, 9),
+                queue_wait_s=rng.uniform(0.0, 0.01),
+                execute_s=rng.expovariate(100.0),
+                dropped_unknown=rng.choice((0, 0, 0, 2)),
+                outcome=outcome,
+                error="ValueError" if outcome == "error" else None,
+            )
+            if rng.random() < 0.05:
+                reads.append(_read(frontend))
+        clock.now += rng.uniform(0.0, 8.0) * slice_seconds
+        reads.append(_read(frontend))
+    finally:
+        frontend.close()
+    return reads
+
+
+#: sha256 prefixes of each seed's reads, recorded from the implementation
+#: the slice ring replaced (one separately clocked windowed instrument
+#: per field).  Only ``errors_per_s`` was meant to change.
+REPLAY_DIGESTS = {
+    0: "0cc45d5c0bc2fa7e",
+    1: "6fa3bac48281a3c4",
+    2: "b86de5b5f6e83774",
+    3: "63197d7adfbd3c3c",
+    4: "3dd4eecb84473156",
+    5: "199543242b8abd33",
+    6: "7618ae638b85c7f9",
+    7: "f8fb6862cb8794bb",
+    8: "e6c08aebc2d25b4e",
+    9: "02a2a0ff05da2552",
+    10: "aab4bc6d488ad3da",
+    11: "9111c65461b047ce",
+    12: "5aaa8a78cf4aca64",
+    13: "901c46928f843660",
+    14: "3c1d9be3c82c8068",
+    15: "cae4f132698a435e",
+    16: "47dfdcce08782aef",
+    17: "19c7f3df4ce90414",
+    18: "710e8aad5569f4b5",
+    19: "1bcd9b0081aa9cb5",
+    20: "d2a5b2046a5e9e42",
+    21: "b9d1fef297d084c1",
+    22: "9970fd2c4aad76be",
+    23: "b9603be0b1a78581",
+}
+
+
+class TestReplayUnchanged:
+    @pytest.fixture(scope="class")
+    def replays(self):
+        model = compile_model(fitted_pipeline("naive_bayes")[0])
+        return {seed: _replay(seed, model) for seed in REPLAY_DIGESTS}
+
+    def test_reads_match_recorded_digests(self, replays):
+        for seed, reads in replays.items():
+            text = "\n".join(read for read, _, _ in reads)
+            digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+            assert digest == REPLAY_DIGESTS[seed], f"seed {seed}"
+
+    def test_errors_per_s_divides_by_the_request_rate_seconds(self, replays):
+        for seed, reads in replays.items():
+            for _, errors_per_s, windowed in reads:
+                if windowed["requests"] == 0:
+                    assert errors_per_s == 0.0
+                    continue
+                assert errors_per_s == pytest.approx(
+                    windowed["requests_per_s"]
+                    * windowed["errors"]
+                    / windowed["requests"]
+                ), f"seed {seed}"
