@@ -222,7 +222,9 @@ def scatter_bits(
     """OR bit ``bits[k]`` of mask ``masks[k]`` into packed ``words`` in place.
 
     ``words`` is a ``(n_masks, n_words)`` packed array; each ``(mask, bit)``
-    pair sets one bit.  Duplicate pairs are harmless (OR is idempotent).
+    pair of the broadcast ``masks`` and ``bits`` sets one bit (a column of
+    bit numbers beside a matrix of masks sets bit ``r`` of every mask in
+    row ``r``).  Duplicate pairs are harmless (OR is idempotent).
     The update never touches tail words beyond the given bit positions, so
     the tail-zero invariant is preserved as long as every ``bit`` is within
     the matrix's ``n_bits``.
@@ -274,11 +276,14 @@ def pack_transactions(
     (:func:`repro.datasets.transactions.item_ids`) is one, so fit and
     predict on a dataset pack through this same pass.
 
-    One vectorized pass per block of ``_PACK_ROWS`` rows: the block's ids
-    are flattened once (a matrix block is reshaped, rows of any other
-    form go through :func:`_flat_ids`), masked to the item space and ORed
-    into the words with :func:`scatter_bits`.  The block bounds the
-    transient id, row and bit arrays whatever the number of rows.
+    One vectorized pass per block of ``_PACK_ROWS`` rows, ORing the
+    block's ids into the words with one :func:`scatter_bits`.  A matrix
+    block whose largest id, compared unsigned, lies in the item space
+    scatters as it is, its row numbers broadcast along each row.  Any
+    other block is flattened (a matrix block reshaped, rows of any other
+    form through :func:`_flat_ids`) and masked to the item space first.
+    The block bounds the transient id, row and bit arrays whatever the
+    number of rows.
     """
     n_rows = len(transactions)
     words = np.zeros((n_items, word_count(n_rows)), dtype=_WORD_DTYPE)
@@ -291,13 +296,17 @@ def pack_transactions(
     rest = iter(transactions)
     for start in range(0, n_rows, _PACK_ROWS):
         if matrix:
-            block = transactions[start : start + _PACK_ROWS]
-            # uint64 ids past int64 wrap negative, which the unsigned
-            # compare below still drops.
-            items = block.astype(np.int64, copy=False).reshape(-1)
-            rows = np.repeat(
-                np.arange(start, start + len(block), dtype=np.intp), block.shape[1]
+            # uint64 ids past int64 wrap negative; a negative id views
+            # as an unsigned value of at least 2**63.
+            items = transactions[start : start + _PACK_ROWS].astype(
+                np.int64, copy=False
             )
+            rows = np.arange(start, start + len(items), dtype=np.intp)
+            if not items.size or items.view(np.uint64).max() < n_items:
+                scatter_bits(words, items, rows[:, np.newaxis])
+                continue
+            rows = np.repeat(rows, items.shape[1])
+            items = items.reshape(-1)
         else:
             block = list(islice(rest, _PACK_ROWS))
             lengths = list(map(len, block))
@@ -365,10 +374,14 @@ def packed_ones(n_bits: int) -> np.ndarray:
 class CoverPlan:
     """Itemsets laid out for the pipeline's one cover kernel.
 
-    ``table`` holds the items of every itemset in itemset order, each row
-    padded to the longest itemset by repeating its last item (AND is
-    idempotent, so padding leaves every cover unchanged); ``empty`` lists
-    the empty itemsets, whose cover is all ones rather than a gather.
+    ``table`` is position-major, ``(width, n_itemsets)``: column ``j``
+    holds the items of itemset ``j``, padded to the longest itemset by
+    repeating its last item (AND is idempotent, so padding leaves every
+    cover unchanged).  ``empty`` lists the empty itemsets, whose cover is
+    all ones rather than a gather.  A block of covers is one ``take`` of
+    item masks, ``(width, block, n_words)``, ANDed over the leading axis,
+    so each step of the reduce ANDs a whole contiguous ``(block,
+    n_words)`` slab.
     The featurizer holds one per fitted pattern set; :func:`pattern_covers`
     and :func:`class_counts` build one per call.
 
@@ -386,17 +399,34 @@ class CoverPlan:
             raise IndexError(f"itemset items outside [0, {n_items})")
         width = int(lengths.max(initial=0))
         starts = np.cumsum(lengths) - lengths
-        # Column c of row j reads item min(c, len_j - 1) of itemset j; an
-        # empty itemset's row reads any valid position and is overwritten.
-        offsets = np.minimum(np.arange(width), lengths[:, np.newaxis] - 1)
-        self.table = flat[np.maximum(starts[:, np.newaxis] + offsets, 0)]
+        # Row c of column j reads item min(c, len_j - 1) of itemset j; an
+        # empty itemset's column reads any valid position and is overwritten.
+        offsets = np.minimum(np.arange(width)[:, np.newaxis], lengths - 1)
+        self.table = flat[np.maximum(starts + offsets, 0)]
         self.empty = np.flatnonzero(lengths == 0)
+
+    def __len__(self) -> int:
+        return self.table.shape[1]
 
     def block_rows(self, n_words: int) -> int:
         """Itemsets per block: as many as a gather of ``n_words``-word
         masks, padded width included, fits in ``_COVER_BLOCK_BYTES``."""
-        row_bytes = max(1, self.table.shape[1]) * max(1, n_words) * 8
+        row_bytes = max(1, self.table.shape[0]) * max(1, n_words) * 8
         return max(1, _COVER_BLOCK_BYTES // row_bytes)
+
+    def covers(
+        self,
+        item_words: np.ndarray,
+        start: int,
+        stop: int,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Covers of itemsets ``start:stop`` over ``item_words``, written
+        into ``out`` when given.  Empty itemsets read as all-ones words,
+        tail bits included: the caller sets them."""
+        return np.bitwise_and.reduce(
+            item_words.take(self.table[:, start:stop], axis=0), axis=0, out=out
+        )
 
     def covers_into(self, item_bits: "BitMatrix", out: np.ndarray) -> None:
         """Write the cover of itemset ``j`` into ``out[j]``.
@@ -407,12 +437,8 @@ class CoverPlan:
         """
         item_words = item_bits.words
         step = self.block_rows(item_words.shape[1])
-        for start in range(0, len(self.table), step):
-            np.bitwise_and.reduce(
-                item_words[self.table[start : start + step]],
-                axis=1,
-                out=out[start : start + step],
-            )
+        for start in range(0, len(self), step):
+            self.covers(item_words, start, start + step, out[start : start + step])
         if self.empty.size:
             out[self.empty] = packed_ones(item_bits.n_bits)
 
@@ -435,10 +461,8 @@ def pattern_covers(
     item_words = item_bits.words
     session = _obs._ACTIVE
     step = plan.block_rows(item_words.shape[1])
-    for start in range(0, len(plan.table), step):
-        covers = np.bitwise_and.reduce(
-            item_words[plan.table[start : start + step]], axis=1
-        )
+    for start in range(0, len(plan), step):
+        covers = plan.covers(item_words, start, start + step)
         lo, hi = np.searchsorted(plan.empty, (start, start + step))
         if hi > lo:
             covers[plan.empty[lo:hi] - start] = packed_ones(item_bits.n_bits)

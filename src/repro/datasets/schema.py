@@ -65,6 +65,9 @@ class Dataset:
     into ``class_names``.
 
     Use :meth:`from_values` to build a dataset from string-valued rows.
+    ``offsets[j]`` is attribute ``j``'s first item id, the running sum of
+    the arities before it; it is derived once, from the arity vector the
+    value-index check reads, so ``attributes`` is not to be reassigned.
     """
 
     name: str
@@ -72,6 +75,7 @@ class Dataset:
     rows: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...] = field(default_factory=tuple)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.rows = np.asarray(self.rows, dtype=np.int32)
@@ -90,8 +94,9 @@ class Dataset:
         if not self.class_names:
             n_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
             self.class_names = tuple(f"c{i}" for i in range(n_classes))
+        arities = np.array([len(a.values) for a in self.attributes], dtype=np.int64)
+        self.offsets = arities.cumsum() - arities
         if self.rows.size:  # a reduction over an empty axis raises
-            arities = np.array([a.arity for a in self.attributes])
             outside = (self.rows.min(axis=0) < 0) | (self.rows.max(axis=0) >= arities)
             if outside.any():
                 j = int(outside.argmax())

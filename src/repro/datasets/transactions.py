@@ -17,7 +17,6 @@ on a dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,18 +31,13 @@ def item_ids(dataset: Dataset) -> np.ndarray:
     """The ``(n_rows, n_attributes)`` int64 item-id matrix of ``dataset``.
 
     Entry ``(i, j)`` is attribute ``j``'s value index in row ``i`` plus the
-    attribute's offset, the :class:`ItemCatalog` numbering.  The offsets
-    ascend and each value index is below its attribute's arity, so every
-    row is strictly ascending: the rows are canonical transactions as they
-    are.  No names are rendered and no row is sorted.
+    attribute's offset (``dataset.offsets``, kept since construction), the
+    :class:`ItemCatalog` numbering.  The offsets ascend and each value
+    index is below its attribute's arity, so every row is strictly
+    ascending: the rows are canonical transactions as they are.  No names
+    are rendered and no row is sorted.
     """
-    attributes = dataset.attributes
-    offsets = np.fromiter(
-        accumulate((len(a.values) for a in attributes[:-1]), initial=0),
-        dtype=np.int64,
-        count=len(attributes),
-    )
-    return dataset.rows + offsets
+    return dataset.rows + dataset.offsets
 
 
 @dataclass(frozen=True)

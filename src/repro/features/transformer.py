@@ -10,7 +10,7 @@ the patterns fixed at training time — no test leakage.
 pipeline trains on its :meth:`~PatternFeaturizer.transform`, and the
 compiled model (:mod:`repro.serving.compiled`), behind both the
 pipeline's ``predict`` and the serving path, scores its packed
-:meth:`~PatternFeaturizer.feature_bits`.
+:meth:`~PatternFeaturizer.feature_words`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, CoverPlan
+from ..core.bitset import BitMatrix, CoverPlan, unpack_bits
 from ..datasets.schema import Dataset
 from ..datasets.transactions import TransactionDataset, item_ids
 from ..mining.itemsets import Pattern
@@ -145,17 +145,24 @@ class PatternFeaturizer:
         self._plan.covers_into(item_bits, words)
         return BitMatrix(words, item_bits.n_bits)
 
-    def feature_bits(self, item_bits: BitMatrix) -> BitMatrix:
+    def feature_words(
+        self, item_bits: BitMatrix, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The packed ``I ∪ Fs`` design, feature-major: the kept item masks
-        of ``item_bits``, then the pattern-coverage masks."""
-        words = np.empty(
-            (self.n_features, item_bits.words.shape[1]),
-            dtype=item_bits.words.dtype,
-        )
+        of ``item_bits``, then the pattern-coverage masks, as ``(n_features,
+        n_words)`` words.  They are written into ``out`` when given, which
+        may be the leading rows of a larger buffer."""
+        if out is None:
+            out = np.empty(
+                (self.n_features, item_bits.words.shape[1]),
+                dtype=item_bits.words.dtype,
+            )
         kept = len(self.item_columns)
-        words[:kept] = item_bits.words[self.item_columns]
-        self._plan.covers_into(item_bits, words[kept:])
-        return BitMatrix(words, item_bits.n_bits)
+        # The columns are item ids, so "clip" clips nothing; it spares
+        # the bounds-checked mode's buffered write.
+        item_bits.words.take(self.item_columns, axis=0, out=out[:kept], mode="clip")
+        self._plan.covers_into(item_bits, out[kept:])
+        return out
 
     def match_matrix(
         self,
@@ -180,5 +187,5 @@ class PatternFeaturizer:
             _obs.add("features.transform_cells", n_rows * self.n_features)
             # Transpose the bools, then cast: a strided float64 write is
             # several times slower than a strided bool one.
-            dense = self.feature_bits(item_bits).to_dense()
+            dense = unpack_bits(self.feature_words(item_bits), n_rows)
             return np.ascontiguousarray(dense.T).astype(np.float64)

@@ -124,6 +124,10 @@ class SliceRing:
     def window_seconds(self) -> float:
         return self.n_slices * self.slice_seconds
 
+    def epoch(self, now: float) -> int:
+        """The epoch of the slice that owns timestamp ``now``."""
+        return math.floor(now / self.slice_seconds)
+
     def _advance(self, epoch: int) -> None:
         """Update the latest epoch and retire slices that fell out of the
         window.  Caller holds the lock.
@@ -145,7 +149,7 @@ class SliceRing:
         epoch, or to the retired slice when ``now`` is already older than
         the window (an out-of-order arrival)."""
         now = self._clock() if now is None else float(now)
-        epoch = math.floor(now / self.slice_seconds)
+        epoch = self.epoch(now)
         with self._lock:
             if self._first_now is None or now < self._first_now:
                 self._first_now = now
@@ -168,7 +172,7 @@ class SliceRing:
         otherwise early rates read ~0.
         """
         now = self._clock() if now is None else float(now)
-        epoch = math.floor(now / self.slice_seconds)
+        epoch = self.epoch(now)
         out = self._factory()
         with self._lock:
             self._advance(epoch)

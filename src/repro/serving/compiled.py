@@ -9,14 +9,16 @@ loaded from the registry.
 
 * **fused decision function** — LinearSVM, LogisticRegression and
   BernoulliNaiveBayes are linear in the binary design, so compile time
-  extracts one ``(n_features, n_outputs)`` coefficient matrix plus
-  intercept, and predict scores the packed features in cache-blocked
-  GEMMs, never materializing the float64 design.  Other learners
-  (DecisionTree) predict on the exact design,
+  extracts one ``(n_features + 1, n_outputs)`` coefficient matrix whose
+  last row is the intercept, and predict scores the packed features in
+  cache-blocked GEMMs, never materializing the float64 design of a long
+  chunk.  Other learners (DecisionTree) predict on the exact design,
   ``model.predict(featurizer.transform(rows))``.
 * **bounded batching** — the batch is processed ``chunk_rows`` rows at a
   time, so a million-row request streams through a fixed-size working
-  set.
+  set.  A request that fits in one chunk is one straight-line pass over
+  its packed bits: the design words into one buffer, one unpack, one
+  GEMM, the tie check and the label map.
 
 Two entries, two ingestion rules.  :meth:`CompiledModel.predict` is the
 serving boundary: one :func:`~repro.core.bitset.pack_transactions` pass
@@ -40,7 +42,7 @@ requests from any number of threads — the property the serving frontend
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from ..classifiers.base import Classifier
 from ..classifiers.linear_svm import LinearSVM
 from ..classifiers.logistic import LogisticRegression
 from ..classifiers.naive_bayes import BernoulliNaiveBayes
-from ..core.bitset import WORD_BITS, BitMatrix, pack_transactions
+from ..core.bitset import WORD_BITS, BitMatrix, pack_transactions, unpack_bits
 from ..datasets.schema import Dataset
 from ..datasets.transactions import TransactionDataset
 from ..features.transformer import PatternFeaturizer
@@ -70,6 +72,8 @@ __all__ = [
 DEFAULT_CHUNK_ROWS = 2048
 
 Transactions = Sequence[Sequence[int]]
+
+_ALL_ONES = ~np.uint64(0)
 
 
 def sanitize_transactions(
@@ -114,7 +118,9 @@ def _n_rows(data: Dataset | TransactionDataset | BitMatrix | list) -> int:
 class _FusedLinear:
     """``scores = X @ coef + intercept`` extracted from a linear learner.
 
-    ``coef`` rows follow the featurizer's design layout.  ``scale`` bounds
+    ``coef`` rows follow the featurizer's design layout, and its last row
+    is the intercept: the weight of an always-one feature that ends every
+    design the head scores, so the GEMM adds it.  ``scale`` bounds
     the sum of the absolute terms of one score in the learner's own
     arithmetic.  Summed in any order, ``n`` terms round by at most
     ``n * eps / 2 * scale`` (Higham, *Accuracy and Stability of Numerical
@@ -123,39 +129,38 @@ class _FusedLinear:
     wider than ``tie_tolerance`` is the learner's label.
     """
 
-    __slots__ = ("coef", "intercept", "kind", "tie_tolerance")
+    __slots__ = ("coef", "kind", "tie_tolerance")
 
-    #: Features cast to float64 per GEMM block; bounds each block's cast
-    #: at ``_CAST_BLOCK * chunk_rows * 8`` bytes so it stays cache-resident
+    #: Byte budget of the float64 cast of one GEMM block: a 2048-row chunk
+    #: casts 256 features at a time, so the cast stays cache-resident
     #: instead of round-tripping a rows x features float64 matrix through
-    #: DRAM (the cast, not the GEMM, dominates at 10k patterns otherwise).
-    _CAST_BLOCK = 256
+    #: DRAM (the cast, not the GEMM, dominates at 10k patterns otherwise),
+    #: and a request of a few rows casts its whole design for one GEMM.
+    _CAST_BYTES = 4 << 20
 
     def __init__(
         self, coef: np.ndarray, intercept: np.ndarray, kind: str, scale: float
     ) -> None:
-        self.coef = np.ascontiguousarray(coef, dtype=np.float64)
-        self.intercept = np.asarray(intercept, dtype=np.float64)
+        self.coef = np.vstack([coef, intercept]).astype(np.float64)
         self.kind = kind
         # Naive Bayes sums two terms per feature plus the prior; the
         # other learners one term per feature plus the bias.
-        n_terms = 2 * self.coef.shape[0] + 2
+        n_terms = 2 * len(coef) + 2
         self.tie_tolerance = 4 * n_terms * np.finfo(np.float64).eps * max(scale, 1.0)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         """Decision scores for one chunk.
 
-        ``features`` is the chunk's boolean design, feature-major —
-        (n_features, rows), the orientation the bit-unpacker produces
-        without a strided copy.  The float64 cast happens ``_CAST_BLOCK``
-        features at a time; the cast keeps the transposed layout, so each
-        partial GEMM absorbs the transpose (``A.T @ B`` is a dgemm flag,
-        not a copy) and the full float64 design never exists.  The
-        intercept joins the first block's product.
+        ``features`` is the chunk's boolean design followed by a row of
+        ones, feature-major — (n_features + 1, rows), the orientation the
+        bit-unpacker produces without a strided copy.  The float64 cast
+        happens ``_CAST_BYTES`` at a time; the cast keeps the transposed
+        layout, so each partial GEMM absorbs the transpose (``A.T @ B`` is
+        a dgemm flag, not a copy) and the full float64 design of a long
+        chunk never exists.
         """
-        block = self._CAST_BLOCK
+        block = max(1, self._CAST_BYTES // (8 * max(1, features.shape[1])))
         out = features[:block].T.astype(np.float64) @ self.coef[:block]
-        out += self.intercept
         for start in range(block, features.shape[0], block):
             stop = start + block
             out += features[start:stop].T.astype(np.float64) @ self.coef[start:stop]
@@ -221,6 +226,9 @@ class CompiledModel:
         self.model = model
         self.chunk_rows = int(chunk_rows)
         self._fused = _extract_fused(model)
+        if self._fused is not None:
+            # The label of each score column, as the labels are returned.
+            self._classes = np.asarray(model.classes_, dtype=np.int32)
 
     # ------------------------------------------------------------------
     @property
@@ -256,24 +264,24 @@ class CompiledModel:
         }
 
     # ------------------------------------------------------------------
-    def _item_chunks(
-        self, data: TransactionDataset | BitMatrix | list
-    ) -> Iterator[BitMatrix]:
-        """Packed item tidsets of ``data``, at most ``chunk_rows`` rows each.
+    def _item_chunks(self, item_bits: BitMatrix) -> list[BitMatrix]:
+        """``item_bits`` in chunks of at most ``chunk_rows`` rows.
 
-        :meth:`PatternFeaturizer.item_bits
-        <repro.features.transformer.PatternFeaturizer.item_bits>` of
-        ``data`` (packed bits as given, a dataset's cached masks, or a
-        transaction list packed, which raises ``IndexError`` for an
-        unknown item), sliced in whole 64-row words, so a ``chunk_rows``
+        A request that fits in one chunk is its own chunk, with no copy.
+        Longer input is sliced in whole 64-row words, so a ``chunk_rows``
         below 64 still reads one word.
         """
-        item_bits = self.featurizer.item_bits(data)
+        words = item_bits.words
         step = max(1, self.chunk_rows // WORD_BITS)
-        for start in range(0, item_bits.words.shape[1], step):
-            stop = min(item_bits.n_bits, (start + step) * WORD_BITS)
-            words = item_bits.words[:, start : start + step]
-            yield BitMatrix(words, stop - start * WORD_BITS)
+        if words.shape[1] <= step:
+            return [item_bits]
+        return [
+            BitMatrix(
+                words[:, start : start + step],
+                min(item_bits.n_bits, (start + step) * WORD_BITS) - start * WORD_BITS,
+            )
+            for start in range(0, words.shape[1], step)
+        ]
 
     def _ingest(
         self, data: Transactions | TransactionDataset | BitMatrix, sanitize: bool
@@ -303,11 +311,9 @@ class CompiledModel:
         """
         data, _ = self._ingest(transactions, sanitize)
         blocks = [
-            self.featurizer.pattern_bits(item_bits).to_dense().T
-            for item_bits in self._item_chunks(data)
+            self.featurizer.pattern_bits(chunk).to_dense().T
+            for chunk in self._item_chunks(self.featurizer.item_bits(data))
         ]
-        if not blocks:
-            return np.zeros((0, self.n_patterns), dtype=bool)
         if len(blocks) == 1:
             # A transposed view of the pattern-major unpack, no copy for
             # single-chunk batches.
@@ -315,16 +321,28 @@ class CompiledModel:
         return np.concatenate(blocks, axis=0)
 
     # -- prediction ----------------------------------------------------
-    def _scores(self, data: TransactionDataset | BitMatrix | list) -> np.ndarray:
+    def _chunk_scores(self, chunk: BitMatrix) -> np.ndarray:
+        """Fused decision scores of one chunk of packed item bits.
+
+        The featurizer writes the chunk's design words into one buffer
+        whose last row is all ones, the intercept's feature; one unpack
+        and the head's GEMM score it.  The ones row's bits past the
+        chunk's rows are never unpacked.
+        """
+        words = np.empty(
+            (self.n_features + 1, chunk.words.shape[1]), dtype=chunk.words.dtype
+        )
+        self.featurizer.feature_words(chunk, words[:-1])
+        words[-1] = _ALL_ONES
+        return self._fused.scores(unpack_bits(words, chunk.n_bits))
+
+    def _scores(self, item_bits: BitMatrix) -> np.ndarray:
         """Fused decision scores, one chunk of packed features at a time."""
         assert self._fused is not None
-        blocks = [
-            self._fused.scores(self.featurizer.feature_bits(item_bits).to_dense())
-            for item_bits in self._item_chunks(data)
-        ]
-        if not blocks:
-            return np.empty((0, self._fused.intercept.shape[0]), dtype=np.float64)
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+        chunks = self._item_chunks(item_bits)
+        if len(chunks) == 1:
+            return self._chunk_scores(chunks[0])
+        return np.concatenate([self._chunk_scores(chunk) for chunk in chunks])
 
     def decision_scores(self, transactions: Transactions | BitMatrix) -> np.ndarray:
         """Per-class decision scores (rows, n_outputs), float64.
@@ -336,18 +354,17 @@ class CompiledModel:
             raise TypeError(
                 f"{type(self.model).__name__} has no fused decision function"
             )
-        return self._scores(self._ingest(transactions, sanitize=True)[0])
+        data, _ = self._ingest(transactions, sanitize=True)
+        return self._scores(self.featurizer.item_bits(data))
 
     def _predict_from_scores(self, scores: np.ndarray) -> np.ndarray:
         """Label mapping replicating each learner's own argmax conventions."""
-        classes = self.model.classes_
-        assert classes is not None
+        classes = self._classes
         if len(classes) == 1:
             return np.full(len(scores), classes[0], dtype=np.int32)
         if self._fused.kind == "linear_svm" and scores.shape[1] == 1:
             # Binary SVM: one margin column, sign decides.
-            chosen = (scores[:, 0] > 0).astype(int)
-            return classes[chosen].astype(np.int32)
+            return classes[(scores[:, 0] > 0).astype(np.intp)]
         if self._fused.kind == "logistic":
             # LogisticRegression argmaxes over the softmax probabilities,
             # not the raw scores; replicate the exact transform so rounding
@@ -355,18 +372,18 @@ class CompiledModel:
             from ..classifiers.logistic import _softmax
 
             scores = _softmax(scores)
-        return classes[np.argmax(scores, axis=1)].astype(np.int32)
+        return classes[np.argmax(scores, axis=1)]
 
     def _near_tie(self, scores: np.ndarray) -> bool:
         """True when some row's label hangs on the rounding of its scores."""
-        if len(self.model.classes_) == 1:
+        if len(self._classes) == 1:
             return False
         if scores.shape[1] == 1:  # binary SVM: the margin's sign decides
             gaps = np.abs(scores[:, 0])
         else:
             top = np.partition(scores, -2, axis=1)
             gaps = top[:, -1] - top[:, -2]
-        return bool((gaps <= self._fused.tie_tolerance).any())
+        return bool(np.count_nonzero(gaps <= self._fused.tie_tolerance))
 
     def labels(
         self, data: Dataset | TransactionDataset | BitMatrix | Transactions

@@ -326,7 +326,7 @@ class ServingTelemetry:
         if not self.slo.rules:
             return []
         now = self._clock() if now is None else float(now)
-        epoch = int(now // self.config.slice_seconds)
+        epoch = self.window.epoch(now)
         with self._lock:
             if self._last_eval_epoch is None:
                 self._last_eval_epoch = epoch

@@ -318,6 +318,29 @@ class TestSloEvaluation:
         alerts = [a["state"] for a in slo["alerts"]]
         assert alerts == ["firing", "resolved"]
 
+    def test_evaluates_exactly_when_the_ring_opens_a_slice(self):
+        # At 0.1 s slices, floor division and true division disagree on
+        # the epoch of many of the stamps 0.1 ... 19.9 (2.3 // 0.1 is
+        # 22.0, 2.3 / 0.1 is 23.0); the evaluation epoch is the ring's.
+        clock = FakeClock()
+        telemetry = make_telemetry(
+            clock=clock,
+            slice_seconds=0.1,
+            sample_every=1000,
+            slos=(SloRule("p99", "p99_latency_s", 0.1),),
+        )
+        slices: set[int] = set()
+        for k in range(1, 200):
+            clock.now = k / 10
+            before = telemetry.slo.snapshot()["evaluations"]
+            telemetry.record_request(
+                request_id=k, rows=1, queue_wait_s=0.0, execute_s=0.001
+            )
+            opened = set(telemetry.window._slices) - slices
+            slices |= opened
+            evaluated = telemetry.slo.snapshot()["evaluations"] - before
+            assert evaluated == (1 if opened and k > 1 else 0), clock.now
+
 
 class TestPrometheus:
     def test_renders_counters_gauges_and_summaries(self):
