@@ -38,7 +38,6 @@ from .shards import (
     ShardHandle,
     ShardSet,
     ShardWriter,
-    VerticalDataset,
     shard_dataset,
     stitch,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "ShardHandle",
     "ShardSet",
     "ShardWriter",
-    "VerticalDataset",
     "shard_dataset",
     "stitch",
 ]

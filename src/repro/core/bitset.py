@@ -41,7 +41,7 @@ per-class counts.
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,10 +60,11 @@ __all__ = [
     "pack_transactions",
     "pack_labels",
     "pack_rows",
+    "unpack_transactions",
+    "concat_bits",
     "CoverPlan",
     "pattern_covers",
     "class_counts",
-    "SupportQueries",
 ]
 
 WORD_BITS = 64
@@ -362,6 +363,37 @@ def pack_rows(
     return item_bits.words, pack_labels(labels, n_classes)
 
 
+def unpack_transactions(item_bits: "BitMatrix") -> list[tuple[int, ...]]:
+    """The rows of item-major bits: the inverse of :func:`pack_transactions`.
+
+    Row ``t`` is the ascending tuple of the masks with bit ``t`` set, so
+    the rows come out canonical (sorted, no duplicates), as Python ints.
+    One unpack, transposed to row-major, and one ``np.flatnonzero`` of it.
+    """
+    dense = np.ascontiguousarray(item_bits.to_dense().T)
+    flat = (np.flatnonzero(dense) % max(1, item_bits.n_masks)).tolist()
+    ends = np.count_nonzero(dense, axis=1).cumsum().tolist()
+    return [tuple(flat[start:end]) for start, end in zip([0] + ends, ends)]
+
+
+def concat_bits(n_masks: int, parts: Sequence["BitMatrix"]) -> "BitMatrix":
+    """The ``n_masks`` masks of ``parts`` laid end to end.  A part that
+    starts on a word boundary is copied word for word, any other has its
+    set bits scattered: the transient memory is one part's dense bits."""
+    n_bits = sum(part.n_bits for part in parts)
+    words = np.zeros((n_masks, word_count(n_bits)), dtype=_WORD_DTYPE)
+    base = 0
+    for part in parts:
+        if base % WORD_BITS == 0:
+            start = base // WORD_BITS
+            words[:, start : start + part.words.shape[1]] = part.words
+        else:
+            masks, bits = np.nonzero(part.to_dense())
+            scatter_bits(words, masks, bits + base)
+        base += part.n_bits
+    return BitMatrix(words, n_bits)
+
+
 def packed_ones(n_bits: int) -> np.ndarray:
     """All-ones mask of ``n_bits`` bits (tail bits of the last word zero)."""
     words = np.full(word_count(n_bits), ~np.uint64(0), dtype=_WORD_DTYPE)
@@ -388,7 +420,7 @@ class CoverPlan:
     Raises ``IndexError`` for an item outside ``[0, n_items)``.
     """
 
-    __slots__ = ("table", "empty")
+    __slots__ = ("table", "empty", "_row_bytes")
 
     def __init__(self, itemsets: Sequence[Sequence[int]], n_items: int) -> None:
         lengths = np.fromiter(map(len, itemsets), dtype=np.intp, count=len(itemsets))
@@ -404,6 +436,8 @@ class CoverPlan:
         offsets = np.minimum(np.arange(width)[:, np.newaxis], lengths - 1)
         self.table = flat[np.maximum(starts + offsets, 0)]
         self.empty = np.flatnonzero(lengths == 0)
+        # Bytes of one itemset's gather per mask word, padded width included.
+        self._row_bytes = max(1, width) * 8
 
     def __len__(self) -> int:
         return self.table.shape[1]
@@ -411,8 +445,7 @@ class CoverPlan:
     def block_rows(self, n_words: int) -> int:
         """Itemsets per block: as many as a gather of ``n_words``-word
         masks, padded width included, fits in ``_COVER_BLOCK_BYTES``."""
-        row_bytes = max(1, self.table.shape[0]) * max(1, n_words) * 8
-        return max(1, _COVER_BLOCK_BYTES // row_bytes)
+        return _COVER_BLOCK_BYTES // (self._row_bytes * (n_words or 1)) or 1
 
     def covers(
         self,
@@ -489,44 +522,6 @@ def class_counts(
         for label, words in enumerate(label_words):
             counts[start : start + len(covers), label] = popcount(covers & words)
     return counts
-
-
-class SupportQueries:
-    """Single-pattern support queries of a dataset held as packed bits.
-
-    Mixed into :class:`~repro.datasets.transactions.TransactionDataset`
-    and :class:`~repro.core.shards.VerticalDataset`, which provide
-    ``n_rows``, ``n_items``, ``n_classes``, ``item_bits()`` and
-    ``label_bits()``.  A pattern with an item outside ``[0, n_items)``
-    covers no row.
-    """
-
-    def _cover(self, pattern: Iterable[int]) -> np.ndarray | None:
-        """Packed cover of ``pattern``, or None if an item is out of range."""
-        items = [int(i) for i in pattern]
-        if any(i < 0 or i >= self.n_items for i in items):
-            return None
-        [(_, covers)] = pattern_covers(self.item_bits(), [items])
-        return covers[0]
-
-    def support_count(self, pattern: Iterable[int]) -> int:
-        """Absolute support |D_alpha| of a pattern (itemset)."""
-        cover = self._cover(pattern)
-        return 0 if cover is None else int(popcount(cover))
-
-    def covers(self, pattern: Iterable[int]) -> np.ndarray:
-        """Boolean mask over rows: which transactions contain the pattern."""
-        cover = self._cover(pattern)
-        if cover is None:
-            return np.zeros(self.n_rows, dtype=bool)
-        return unpack_bits(cover, self.n_rows)
-
-    def class_support_counts(self, pattern: Iterable[int]) -> np.ndarray:
-        """Per-class absolute support of a pattern, indexed by class label."""
-        cover = self._cover(pattern)
-        if cover is None:
-            return np.zeros(self.n_classes, dtype=np.int64)
-        return popcount(self.label_bits().words & cover)
 
 
 class BitMatrix:

@@ -39,21 +39,23 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..obs import core as _obs
 from .bitset import (
     BitMatrix,
-    SupportQueries,
+    concat_bits,
     pack_rows,
     packed_ones,
     popcount,
-    scatter_bits,
     unpack_bits,
     word_count,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..datasets.transactions import TransactionDataset
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -61,7 +63,6 @@ __all__ = [
     "ShardHandle",
     "ShardSet",
     "ShardWriter",
-    "VerticalDataset",
     "decode_shard_words",
     "encode_shard_words",
     "shard_dataset",
@@ -362,97 +363,24 @@ def shard_dataset(
     return writer.close()
 
 
-class VerticalDataset(SupportQueries):
-    """A dataset reconstructed from packed verticals — no transaction list.
+def stitch(shard_set: ShardSet, name: str | None = None) -> TransactionDataset:
+    """A shard set as one in-memory
+    :class:`~repro.datasets.transactions.TransactionDataset`.
 
-    Duck-types the slice of :class:`TransactionDataset` the measures and
-    MMRFS layers consume (``n_rows``/``n_items``/``n_classes``/``labels``
-    /``item_bits()``/``label_bits()``/``class_counts()``/``covers()``),
-    while holding only the packed words: 1/8 byte per (item, row) cell
-    versus 8 bytes for the float design matrix, which is what lets
-    selection run at the 10M-row scale the shards mine at.
+    The shards' item and label words are laid end to end by
+    :func:`~repro.core.bitset.concat_bits`, so the memory cost is the
+    *packed* size of the full dataset (n_masks x n_rows / 8 bytes), never
+    a dense matrix, and arbitrary shard sizes stitch correctly.  Raises
+    ``ValueError`` if a row has no label or more than one.
     """
+    from ..datasets.transactions import TransactionDataset
 
-    def __init__(
-        self,
-        item_bits: BitMatrix,
-        label_bits: BitMatrix,
-        n_classes: int,
-        name: str = "vertical",
-    ) -> None:
-        if item_bits.n_bits != label_bits.n_bits:
-            raise ValueError("item and label masks must cover the same rows")
-        self._item_bits = item_bits
-        self._label_bits = label_bits
-        self.n_rows = item_bits.n_bits
-        self.n_items = item_bits.n_masks
-        self.n_classes = int(n_classes)
-        self.name = name
-        self._labels: np.ndarray | None = None
-
-    @property
-    def labels(self) -> np.ndarray:
-        if self._labels is None:
-            dense = unpack_bits(self._label_bits.words, self.n_rows)
-            labels = np.full(self.n_rows, -1, dtype=np.int32)
-            for c in range(self.n_classes):
-                labels[dense[c]] = c
-            self._labels = labels
-        return self._labels
-
-    def item_bits(self) -> BitMatrix:
-        return self._item_bits
-
-    def label_bits(self) -> BitMatrix:
-        return self._label_bits
-
-    def class_counts(self) -> np.ndarray:
-        return popcount(self._label_bits.words).astype(np.int64)
-
-    def __len__(self) -> int:
-        return self.n_rows
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"VerticalDataset(rows={self.n_rows}, items={self.n_items}, "
-            f"classes={self.n_classes})"
-        )
-
-
-def stitch(shard_set: ShardSet, name: str | None = None) -> VerticalDataset:
-    """Concatenate a shard set's masks into one :class:`VerticalDataset`.
-
-    Memory cost is the *packed* size of the full dataset (n_masks x
-    n_rows / 8 bytes) — never a dense matrix.  Shards whose global row
-    offset is word-aligned (``offset % 64 == 0``) are copied word-for-
-    word; a ragged offset falls back to a per-shard scatter of set bits,
-    so arbitrary shard sizes stitch correctly (tail bits stay zero, the
-    invariant the property tests pin).
-    """
-    n_words = word_count(shard_set.n_rows)
-    item_words = np.zeros((shard_set.n_items, n_words), dtype=_WORD_DTYPE)
-    label_words = np.zeros((shard_set.n_classes, n_words), dtype=_WORD_DTYPE)
-    base = 0
-    for handle in shard_set.handles:
-        for target, source in (
-            (item_words, handle.item_words()),
-            (label_words, handle.label_words()),
-        ):
-            if handle.n_rows == 0:
-                continue
-            if base % 64 == 0:
-                start = base // 64
-                # OR (not assign): the previous ragged shard may already
-                # have scattered bits into this shard's first word.
-                target[:, start : start + source.shape[1]] |= source
-            else:
-                dense = unpack_bits(source, handle.n_rows)
-                masks, rows = np.nonzero(dense)
-                scatter_bits(target, masks, rows + base)
-        base += handle.n_rows
-    return VerticalDataset(
-        BitMatrix(item_words, shard_set.n_rows),
-        BitMatrix(label_words, shard_set.n_rows),
-        shard_set.n_classes,
+    handles = shard_set.handles
+    return TransactionDataset.from_bits(
+        concat_bits(shard_set.n_items, [handle.item_bits() for handle in handles]),
+        concat_bits(
+            shard_set.n_classes,
+            [BitMatrix(handle.label_words(), handle.n_rows) for handle in handles],
+        ),
         name=name if name is not None else shard_set.name,
     )

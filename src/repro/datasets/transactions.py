@@ -21,7 +21,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, SupportQueries, pack_labels
+from ..core.bitset import (
+    BitMatrix,
+    pack_bits,
+    pack_labels,
+    pack_transactions,
+    pattern_covers,
+    popcount,
+    unpack_bits,
+    unpack_transactions,
+)
 from .schema import Dataset
 
 __all__ = ["ItemCatalog", "TransactionDataset", "item_ids"]
@@ -82,15 +91,18 @@ class ItemCatalog:
         return "{" + ", ".join(self.item_names[i] for i in sorted(items)) + "}"
 
 
-class TransactionDataset(SupportQueries):
-    """Itemized view of a dataset: one transaction (sorted item tuple) per row.
+class TransactionDataset:
+    """A labelled transaction database held as packed words.
+
+    The state is built once, at construction: the item-major occurrence
+    masks (:meth:`item_bits`), the per-class row masks (:meth:`label_bits`)
+    and the labels.  Every stage reads the words; the row form
+    (:attr:`transactions`) is a view derived from them on first use.
 
     Attributes
     ----------
-    transactions:
-        ``list[tuple[int, ...]]`` — each transaction is sorted ascending.
     labels:
-        ``np.ndarray[int32]`` class label per transaction.
+        ``np.ndarray[int32]`` class label per row.
     n_items:
         Size ``d`` of the item space.
     catalog:
@@ -99,98 +111,103 @@ class TransactionDataset(SupportQueries):
 
     def __init__(
         self,
-        transactions: Sequence[Sequence[int]],
+        transactions: Sequence[Sequence[int]] | np.ndarray,
         labels: Sequence[int] | np.ndarray,
         n_items: int,
         n_classes: int | None = None,
         catalog: ItemCatalog | None = None,
         name: str = "transactions",
     ) -> None:
-        self._setup(
-            [tuple(sorted(set(t))) for t in transactions],
-            labels,
-            n_items,
-            n_classes,
-            catalog,
-            name,
-        )
-
-    @classmethod
-    def _of_canonical(
-        cls, transactions: list[tuple[int, ...]], *args
-    ) -> "TransactionDataset":
-        """A dataset over rows that are already sorted, duplicate-free
-        tuples; the other arguments are those of ``__init__``."""
-        data = cls.__new__(cls)
-        data._setup(transactions, *args)
-        return data
-
-    def _setup(
-        self,
-        transactions: list[tuple[int, ...]],
-        labels: Sequence[int] | np.ndarray,
-        n_items: int,
-        n_classes: int | None,
-        catalog: ItemCatalog | None,
-        name: str,
-    ) -> None:
-        self.transactions: list[tuple[int, ...]] = transactions
-        self.labels = np.asarray(labels, dtype=np.int32)
-        if len(self.transactions) != len(self.labels):
+        """Pack ``transactions`` (id rows in any order, duplicates allowed,
+        or a 2-D id matrix) in one :func:`~repro.core.bitset.pack_transactions`
+        pass.  ``ValueError`` if rows and labels differ in length, or for an
+        item outside ``[0, n_items)`` or a label outside ``[0, n_classes)``
+        (default: the largest label plus one)."""
+        labels = np.asarray(labels, dtype=np.int32)
+        if len(transactions) != len(labels):
             raise ValueError("transactions and labels must align")
-        for t in self.transactions:
-            if t and (t[0] < 0 or t[-1] >= n_items):
-                raise ValueError(f"transaction {t} has items outside [0, {n_items})")
-        self.n_items = int(n_items)
+        item_bits, dropped = pack_transactions(transactions, n_items)
+        if dropped:
+            row = next(
+                tuple(sorted(set(map(int, t))))
+                for t in transactions
+                if any(not 0 <= int(i) < n_items for i in t)
+            )
+            raise ValueError(f"transaction {row} has items outside [0, {n_items})")
         if n_classes is None:
-            n_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
-        self.n_classes = int(n_classes)
+            n_classes = int(labels.max()) + 1 if len(labels) else 0
         # One class per row: a support is the sum of its per-class counts.
-        bad = (self.labels < 0) | (self.labels >= self.n_classes)
+        bad = (labels < 0) | (labels >= n_classes)
         if bad.any():
             raise ValueError(
-                f"label {int(self.labels[np.argmax(bad)])} is outside "
-                f"[0, {self.n_classes})"
+                f"label {int(labels[np.argmax(bad)])} is outside [0, {n_classes})"
             )
+        label_bits = BitMatrix(pack_labels(labels, n_classes), len(labels))
+        self._hold(item_bits, label_bits, labels, catalog, name)
+
+    @classmethod
+    def from_bits(
+        cls,
+        item_bits: BitMatrix,
+        label_bits: BitMatrix,
+        catalog: ItemCatalog | None = None,
+        name: str = "transactions",
+    ) -> "TransactionDataset":
+        """A dataset over packed words a caller already holds, kept as they
+        are: mask ``c`` of ``label_bits`` marks the rows of class ``c``.
+
+        Raises ``ValueError`` if the two cover different rows, or a row
+        has no label or more than one.
+        """
+        if item_bits.n_bits != label_bits.n_bits:
+            raise ValueError("item and label masks must cover the same rows")
+        marks = label_bits.to_dense()
+        if np.any(marks.sum(axis=0) != 1):
+            raise ValueError("every row needs exactly one label")
+        labels = np.nonzero(marks.T)[1].astype(np.int32)
+        data = cls.__new__(cls)
+        data._hold(item_bits, label_bits, labels, catalog, name)
+        return data
+
+    def _hold(self, item_bits, label_bits, labels, catalog, name) -> None:
+        # Never mutated after construction (subset() returns a new
+        # instance), so the derived rows stay valid for the object's life.
+        self._item_bits = item_bits
+        self._label_bits = label_bits
+        self.labels = labels
+        self.n_items = item_bits.n_masks
+        self.n_classes = label_bits.n_masks
         self.catalog = catalog
         self.name = name
-        # Packed occurrence/label masks, built on first use.  Transactions
-        # and labels are never mutated after construction (subset() returns
-        # a new instance), so the caches stay valid for the object's life.
-        self._item_bits: BitMatrix | None = None
-        self._label_bits: BitMatrix | None = None
+        self._transactions: list[tuple[int, ...]] | None = None
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "TransactionDataset":
         """Itemize a categorical dataset via the (attr, value) -> item map.
 
-        The rows of :func:`item_ids` are the transactions as they are (no
-        sort), and one :func:`~repro.core.bitset.pack_transactions` pass
-        over the id matrix fills the :meth:`item_bits` cache: the pass
+        One :func:`~repro.core.bitset.pack_transactions` pass over the id
+        matrix of :func:`item_ids`: the pass
         ``FrequentPatternClassifier.predict`` runs on a dataset.
         """
         catalog = ItemCatalog.from_dataset(dataset)
-        ids = item_ids(dataset)
-        data = cls._of_canonical(
-            list(map(tuple, ids.tolist())),
-            dataset.labels,
-            catalog.n_items,
-            dataset.n_classes,
-            catalog,
-            dataset.name,
-        )
-        data._item_bits = BitMatrix.vertical(ids, data.n_items)
-        return data
+        ids, labels = item_ids(dataset), dataset.labels
+        return cls(ids, labels, catalog.n_items, dataset.n_classes, catalog, dataset.name)
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     @property
     def n_rows(self) -> int:
-        return len(self.transactions)
+        return self._item_bits.n_bits
+
+    @property
+    def transactions(self) -> list[tuple[int, ...]]:
+        """The rows in dataset order, each a sorted, duplicate-free tuple:
+        :func:`~repro.core.bitset.unpack_transactions` of the item words,
+        derived once on first use."""
+        if self._transactions is None:
+            self._transactions = unpack_transactions(self._item_bits)
+        return self._transactions
 
     def to_binary_matrix(self) -> np.ndarray:
         """The ``B^d`` representation: shape (n_rows, n_items), dtype float64.
@@ -198,22 +215,10 @@ class TransactionDataset(SupportQueries):
         Floats (not bools) so the matrix feeds directly into the numeric
         classifiers.
         """
-        matrix = np.zeros((self.n_rows, self.n_items), dtype=np.float64)
-        for i, transaction in enumerate(self.transactions):
-            matrix[i, list(transaction)] = 1.0
-        return matrix
+        return self._item_bits.to_dense().T.astype(np.float64, order="C")
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes)
-
-    def class_partition(self) -> dict[int, list[tuple[int, ...]]]:
-        """Transactions split by class label (feature-generation step 1)."""
-        partition: dict[int, list[tuple[int, ...]]] = {
-            c: [] for c in range(self.n_classes)
-        }
-        for transaction, label in zip(self.transactions, self.labels):
-            partition[int(label)].append(transaction)
-        return partition
 
     def content_hash(self) -> str:
         """Deterministic hex digest of the transactions and labels.
@@ -232,38 +237,55 @@ class TransactionDataset(SupportQueries):
         return digest.hexdigest()[:16]
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> "TransactionDataset":
-        indices = np.asarray(indices)
-        return TransactionDataset._of_canonical(
-            [self.transactions[int(i)] for i in indices],
-            self.labels[indices],
-            self.n_items,
-            self.n_classes,
-            self.catalog,
-            self.name,
+        """The rows ``indices``, in that order (repeats allowed), over the
+        same item and class spaces: one unpack, select and pack of each
+        stack of words."""
+        rows = np.asarray(indices, dtype=np.intp)
+        item_bits, label_bits = (
+            BitMatrix(pack_bits(bits.to_dense()[:, rows]), len(rows))
+            for bits in (self._item_bits, self._label_bits)
+        )
+        return TransactionDataset.from_bits(
+            item_bits, label_bits, self.catalog, self.name
         )
 
-    # ------------------------------------------------------------------
-    # Pattern support utilities (shared by miners, measures and MMRFS)
-    # ------------------------------------------------------------------
-    def item_bits(self) -> BitMatrix:
-        """Packed item-major occurrence masks, computed once and cached.
+    # Pattern support queries: an item outside [0, n_items) covers no row.
+    def _cover(self, pattern: Iterable[int]) -> np.ndarray | None:
+        """Packed cover of ``pattern``, or None if an item is out of range."""
+        items = [int(i) for i in pattern]
+        if any(i < 0 or i >= self.n_items for i in items):
+            return None
+        [(_, covers)] = pattern_covers(self._item_bits, [items])
+        return covers[0]
 
-        Mask ``i`` marks (bit per row) the transactions containing item
-        ``i``.  Every support/coverage query on this dataset — mining,
-        contingency stats, MMRFS coverage, design-matrix construction —
-        shares this one structure instead of rebuilding a dense boolean
-        occurrence matrix.
+    def support_count(self, pattern: Iterable[int]) -> int:
+        """Absolute support |D_alpha| of a pattern (itemset)."""
+        cover = self._cover(pattern)
+        return 0 if cover is None else int(popcount(cover))
+
+    def covers(self, pattern: Iterable[int]) -> np.ndarray:
+        """Boolean mask over rows: which transactions contain the pattern."""
+        cover = self._cover(pattern)
+        if cover is None:
+            return np.zeros(self.n_rows, dtype=bool)
+        return unpack_bits(cover, self.n_rows)
+
+    def class_support_counts(self, pattern: Iterable[int]) -> np.ndarray:
+        """Per-class absolute support of a pattern, indexed by class label."""
+        cover = self._cover(pattern)
+        if cover is None:
+            return np.zeros(self.n_classes, dtype=np.int64)
+        return popcount(self._label_bits.words & cover)
+
+    def item_bits(self) -> BitMatrix:
+        """Packed item-major occurrence masks: mask ``i`` marks (bit per
+        row) the transactions containing item ``i``.  Mining, contingency
+        stats, MMRFS coverage and the design matrix all read these words.
         """
-        if self._item_bits is None:
-            self._item_bits = BitMatrix.vertical(self.transactions, self.n_items)
         return self._item_bits
 
     def label_bits(self) -> BitMatrix:
         """Packed per-class row masks: mask ``c`` marks rows with label c."""
-        if self._label_bits is None:
-            self._label_bits = BitMatrix(
-                pack_labels(self.labels, self.n_classes), self.n_rows
-            )
         return self._label_bits
 
     def __len__(self) -> int:

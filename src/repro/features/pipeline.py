@@ -105,7 +105,7 @@ class FrequentPatternClassifier:
     The candidates stay one counted table from mining to selection, and
     :class:`Pattern` objects are built only for the selected features.
     Every support/coverage computation of fit shares the training set's
-    cached packed occurrence structure
+    packed occurrence structure
     (:meth:`~repro.datasets.transactions.TransactionDataset.item_bits`),
     built once per fit rather than once per stage.
     """
@@ -311,7 +311,7 @@ class FrequentPatternClassifier:
         :func:`~repro.core.bitset.pack_transactions` pass, the pass that
         fills a training set's item bits; no item catalog, transaction
         dataset or row tuple is built.  A ``TransactionDataset`` brings
-        its cached item bits.  See :meth:`CompiledModel.labels
+        its item words.  See :meth:`CompiledModel.labels
         <repro.serving.compiled.CompiledModel.labels>`.
 
         Reassigning ``featurizer_`` or ``model_`` recompiles on the next

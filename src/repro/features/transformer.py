@@ -107,7 +107,7 @@ class PatternFeaturizer:
 
         Packed item bits over this item space pass as they are.  A
         :class:`TransactionDataset` over this item space contributes its
-        cached masks (shared with mining, stats and MMRFS — one occurrence
+        item words (shared with mining, stats and MMRFS — one occurrence
         structure per fit); it was validated when it was built.  A
         categorical :class:`~repro.datasets.schema.Dataset` is packed
         straight from its id matrix
@@ -128,12 +128,8 @@ class PatternFeaturizer:
             return data.item_bits()
         if isinstance(data, Dataset):
             return BitMatrix.vertical(item_ids(data), self.n_items)
-        transactions = (
-            data.transactions
-            if isinstance(data, TransactionDataset)
-            else list(data)
-        )
-        return BitMatrix.vertical(transactions, self.n_items)
+        rows = data.transactions if isinstance(data, TransactionDataset) else list(data)
+        return BitMatrix.vertical(rows, self.n_items)
 
     def pattern_bits(self, item_bits: BitMatrix) -> BitMatrix:
         """Packed pattern-coverage masks: mask ``j`` marks the rows of

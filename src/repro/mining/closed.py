@@ -43,9 +43,14 @@ import numpy as np
 
 from ..core.bitset import BitMatrix, and_popcount, packed_ones
 from ..obs import core as _obs
-from .itemsets import MiningResult, PatternBudgetExceeded, check_max_length
+from .itemsets import (
+    MiningResult,
+    PatternBudgetExceeded,
+    check_max_length,
+    transaction_bits,
+)
 
-__all__ = ["closed_fpgrowth"]
+__all__ = ["closed_bits", "closed_fpgrowth"]
 
 #: Byte budget of one search step: sized as if a batch's ``(nodes,
 #: n_frequent, n_words)`` uint64 AND were one buffer (``and_popcount``
@@ -65,7 +70,7 @@ def closed_fpgrowth(
 
     Output: every itemset X with support >= min_support such that no proper
     superset of X has the same support.  Order of patterns is deterministic
-    (preorder of the prefix-preserving extension tree).
+    (preorder of the prefix-preserving extension tree): :func:`closed_bits`.
 
     Raises
     ------
@@ -73,16 +78,26 @@ def closed_fpgrowth(
         If ``max_patterns`` closed patterns would be exceeded (see the
         budget semantics documented on the exception).
     """
+    return closed_bits(
+        transaction_bits(transactions), min_support, max_length, max_patterns
+    )
+
+
+def closed_bits(
+    item_bits: BitMatrix,
+    min_support: int,
+    max_length: int | None = None,
+    max_patterns: int | None = None,
+) -> MiningResult:
+    """:func:`closed_fpgrowth` over packed item masks (the words entry each
+    class partition of ``mine_class_patterns`` is mined through)."""
     if min_support < 1:
         raise ValueError("min_support is an absolute count and must be >= 1")
     check_max_length(max_length)
-    transactions = list(transactions)
-    n_rows = len(transactions)
-    n_items = 1 + max((max(t) for t in transactions if len(t)), default=-1)
+    n_rows, n_items = item_bits.n_bits, item_bits.n_masks
     if n_rows == 0 or n_items == 0 or n_rows < min_support:
         return MiningResult([], min_support, n_rows)
 
-    item_bits = BitMatrix.vertical(transactions, n_items)
     column_counts = item_bits.popcounts()
     frequent_items = np.nonzero(column_counts >= min_support)[0]
     if len(frequent_items) == 0:

@@ -25,9 +25,14 @@ import numpy as np
 
 from ..core.bitset import BitMatrix, packed_ones, popcount
 from ..obs import core as _obs
-from .itemsets import MiningResult, PatternBudgetExceeded, check_max_length
+from .itemsets import (
+    MiningResult,
+    PatternBudgetExceeded,
+    check_max_length,
+    transaction_bits,
+)
 
-__all__ = ["frequent_itemsets", "mine_words", "search"]
+__all__ = ["frequent_bits", "frequent_itemsets", "mine_words", "search"]
 
 def search(
     item_words: np.ndarray,
@@ -122,13 +127,23 @@ def frequent_itemsets(
         If ``max_patterns`` is given and the enumeration exceeds it.  Used by
         the scalability experiments to detect the min_sup = 1 blow-up.
     """
+    return frequent_bits(
+        transaction_bits(transactions), min_support, max_length, max_patterns
+    )
+
+
+def frequent_bits(
+    item_bits: BitMatrix,
+    min_support: int,
+    max_length: int | None = None,
+    max_patterns: int | None = None,
+) -> MiningResult:
+    """:func:`frequent_itemsets` over packed item masks (the words entry
+    each class partition of ``mine_class_patterns`` is mined through)."""
     if min_support < 1:
         raise ValueError("min_support is an absolute count and must be >= 1")
     check_max_length(max_length)
-    transactions = list(transactions)
-    n_rows = len(transactions)
-    n_items = 1 + max((max(t) for t in transactions if len(t)), default=-1)
-    item_bits = BitMatrix.vertical(transactions, n_items)
+    n_rows = item_bits.n_bits
     itemsets, supports = mine_words(
         item_bits.words, packed_ones(n_rows), min_support, max_length, max_patterns
     )

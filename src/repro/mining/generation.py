@@ -42,14 +42,15 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
+from ..core.bitset import BitMatrix, pack_bits, unpack_transactions
 from ..core.parallel import RetryPolicy, checkpointed_map
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
 from ..testing import faults as _faults
-from .closed import closed_fpgrowth
-from .frequent import frequent_itemsets
+from .closed import closed_bits
+from .frequent import frequent_bits
 from .itemsets import (
     GuardBehavior,
     MinerName,
@@ -68,8 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["mine_class_patterns"]
 
 _MINERS = {
-    "closed": closed_fpgrowth,
-    "all": frequent_itemsets,
+    "closed": closed_bits,
+    "all": frequent_bits,
 }
 
 #: Cache stage name for per-partition mining artifacts.
@@ -77,7 +78,7 @@ _CACHE_STAGE = "mine_partition"
 
 
 def _mine_partition(
-    job: tuple[int, Sequence[Sequence[int]], int],
+    job: tuple[int, BitMatrix, int],
     miner: MinerName,
     min_length: int,
     max_length: int | None,
@@ -91,15 +92,15 @@ def _mine_partition(
     order, and ``"degraded"``, the tripped guard's name or None.  The
     caller counts the union over the full dataset, so no support is kept.
     """
-    label, transactions, absolute = job
+    label, item_bits, absolute = job
     _faults.fault_point("mine", str(label))
     mine_start = time.perf_counter() if _obs._ACTIVE is not None else 0.0
     with _obs.span(
-        "mining.partition", miner=miner, rows=len(transactions), min_support=absolute
+        "mining.partition", miner=miner, rows=item_bits.n_bits, min_support=absolute
     ) as partition_span:
         try:
             result = _MINERS[miner](
-                transactions,
+                item_bits,
                 min_support=absolute,
                 max_length=max_length,
                 max_patterns=max_patterns,
@@ -124,7 +125,7 @@ def _mine_partition(
     return {"itemsets": itemsets, "degraded": None}
 
 
-def _partition_key(job: tuple[int, Sequence[Sequence[int]], int], config: dict) -> str:
+def _partition_key(job: tuple[int, BitMatrix, int], config: dict) -> str:
     """Content-addressed cache key for one partition's mining artifact.
 
     Pins every input that shapes the artifact, ``config`` being
@@ -134,11 +135,11 @@ def _partition_key(job: tuple[int, Sequence[Sequence[int]], int], config: dict) 
     """
     from ..runtime.cache import content_key, fingerprint
 
-    label, transactions, absolute = job
+    label, item_bits, absolute = job
     return fingerprint(
         stage=_CACHE_STAGE,
         partition=int(label),
-        transactions=content_key([list(t) for t in transactions]),
+        transactions=content_key([list(t) for t in unpack_transactions(item_bits)]),
         min_support=absolute,
         **config,
     )
@@ -209,10 +210,17 @@ def mine_class_patterns(
         min_support=min_support,
         n_jobs=n_jobs if n_jobs is not None else 1,
     ) as generate_span:
+        # Each nonempty class's partition, in label order: the item words
+        # compacted to the class's rows (one unpack, a select and pack each).
+        dense = data.item_bits().to_dense()
         jobs = [
-            (label, transactions, absolute_min_support(min_support, len(transactions)))
-            for label, transactions in sorted(data.class_partition().items())
-            if transactions
+            (
+                label,
+                BitMatrix(pack_bits(dense[:, data.labels == label]), count),
+                absolute_min_support(min_support, count),
+            )
+            for label, count in enumerate(data.class_counts().tolist())
+            if count
         ]
         config = dict(
             miner=miner,

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
-from ..core.bitset import class_counts
+from ..core.bitset import BitMatrix, class_counts
 from ..obs import core as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,6 +28,7 @@ __all__ = [
     "canonical",
     "cap_union",
     "check_max_length",
+    "transaction_bits",
     "check_mining_args",
     "itemset_union",
     "absolute_min_support",
@@ -53,6 +54,14 @@ def check_max_length(max_length: int | None) -> None:
     """Reject a pattern-length cap below one item (``None`` means no cap)."""
     if max_length is not None and max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
+
+
+def transaction_bits(transactions: Sequence[Sequence[int]]) -> BitMatrix:
+    """Item-major bits of a miner's row-form input, over items
+    ``0 .. max item``; raises ``IndexError`` for a negative item."""
+    transactions = list(transactions)
+    n_items = 1 + max((max(t) for t in transactions if len(t)), default=-1)
+    return BitMatrix.vertical(transactions, n_items)
 
 
 def check_mining_args(

@@ -196,12 +196,10 @@ def _itemset_entries(
     )
     if not len(mined):
         return [], 0
+    # MMRFS runs to its coverage stop: the covered-wall tie-break of
+    # _finalize must see every pattern tied on IG before the cut to top.
     selection = mmrfs(
-        mined,
-        data,
-        relevance="information_gain",
-        delta=config.delta,
-        max_selected=config.top,
+        mined, data, relevance="information_gain", delta=config.delta
     )
     entries = []
     for feature in selection.selected:
@@ -219,7 +217,7 @@ def _itemset_entries(
                 ),
             }
         )
-    return _finalize(entries), len(mined)
+    return _finalize(entries)[: config.top], len(mined)
 
 
 def _sequence_entries(

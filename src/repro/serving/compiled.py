@@ -29,7 +29,7 @@ serving frontend packs each request itself, to attribute its dropped
 count).  :meth:`CompiledModel.labels` is the batch entry: a categorical
 ``Dataset`` is packed straight from its id matrix in the same one
 ``pack_transactions`` pass, a ``TransactionDataset`` was validated when
-it was built, so its cached item bits are read as they are, and an item
+it was built, so its item words are read as they are, and an item
 outside the item space raises ``IndexError``.
 ``tests/test_serving_differential.py`` pins the matcher to a row-subset
 oracle and the labels *exactly* to the design path.
@@ -101,12 +101,6 @@ def sanitize_transactions(
                 dropped += 1
         cleaned.append(tuple(sorted(ids)))
     return cleaned, dropped
-
-
-def _as_transaction_list(data: Any) -> list:
-    if isinstance(data, TransactionDataset):
-        return list(data.transactions)
-    return list(data)
 
 
 def _n_rows(data: Dataset | TransactionDataset | BitMatrix | list) -> int:
@@ -286,19 +280,21 @@ class CompiledModel:
     def _ingest(
         self, data: Transactions | TransactionDataset | BitMatrix, sanitize: bool
     ) -> tuple[TransactionDataset | BitMatrix | list, int]:
-        """``data`` and its dropped-id count: rows packed by
-        :func:`~repro.core.bitset.pack_transactions` when ``sanitize``,
-        packed bits as they are, and otherwise the dataset (whose cached
-        item bits :meth:`_item_chunks` reads) or a row list that
-        :meth:`_item_chunks` packs and validates."""
+        """``data`` and its dropped-id count.  Packed bits pass as they
+        are, and so does a dataset whose words the featurizer reads: one
+        over this item space, or any when not ``sanitize``.  Other rows
+        are packed by :func:`~repro.core.bitset.pack_transactions` when
+        ``sanitize``, and otherwise returned as a list that the featurizer
+        packs and validates."""
         if isinstance(data, BitMatrix) or (
-            not sanitize and isinstance(data, TransactionDataset)
+            isinstance(data, TransactionDataset)
+            and (not sanitize or data.n_items == self.n_items)
         ):
             return data, 0
-        transactions = _as_transaction_list(data)
+        rows = data.transactions if isinstance(data, TransactionDataset) else list(data)
         if not sanitize:
-            return transactions, 0
-        return pack_transactions(transactions, self.n_items)
+            return rows, 0
+        return pack_transactions(rows, self.n_items)
 
     def match_matrix(
         self, transactions: Transactions | BitMatrix, sanitize: bool = True
@@ -396,7 +392,7 @@ class CompiledModel:
         :meth:`PatternFeaturizer.item_bits
         <repro.features.transformer.PatternFeaturizer.item_bits>`: a
         categorical ``Dataset`` straight from its id matrix, a
-        ``TransactionDataset`` from its cached bits, a transaction list
+        ``TransactionDataset`` from its item words, a transaction list
         from its rows; packed item bits pass as they are.  The labels are
         those of the design path,
         ``model.predict(featurizer.transform(data))``.  Linear learners

@@ -26,7 +26,14 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, class_counts, pack_rows, unpack_bits
+from ..core.bitset import (
+    BitMatrix,
+    class_counts,
+    concat_bits,
+    pack_rows,
+    unpack_bits,
+    unpack_transactions,
+)
 from ..core.shards import decode_shard_words, encode_shard_words
 from ..datasets.transactions import TransactionDataset
 
@@ -39,9 +46,8 @@ def _canonical_row(
     """One stream row as a shard holds it: sorted, duplicate-free, in range.
 
     Rows enter a shard through here, from :meth:`SlidingWindowCounts.append`
-    or a row-form payload; a payload's packed words decode to rows already
-    in this form.  So nothing downstream re-sorts them: not the shard
-    packer, not :meth:`SlidingWindowCounts.window_dataset`.
+    or a row-form payload; a payload's packed words are checked by
+    :func:`~repro.core.shards.decode_shard_words` instead.
     """
     items = tuple(sorted(set(map(int, transaction))))
     if items and (items[0] < 0 or items[-1] >= n_items):
@@ -55,20 +61,19 @@ def _canonical_row(
 class _WindowShard:
     """One sealed (or open-tail) slice of the stream.
 
-    Holds the canonical rows plus, once sealed, the packed vertical
-    bitsets (one :func:`~repro.core.bitset.pack_rows` pass) and a
-    per-pattern (k, m) count cache.  Counting work for a shard happens
-    exactly once per (shard, tracked-pattern-set) pair.  The packed
-    words are what is persisted (:meth:`to_payload`), and a stream
-    consumer persists each sealed shard once, in the checkpoint of its
-    own seal.
+    Holds the labels, the packed vertical bitsets (one
+    :func:`~repro.core.bitset.pack_rows` pass, or a restored payload's
+    words, with no rows) and a per-pattern (k, m) count cache.  Counting
+    work for a shard happens exactly once per (shard, tracked-pattern-set)
+    pair.  The packed words are what is persisted (:meth:`to_payload`),
+    once per sealed shard, in the checkpoint of its own seal.
     """
 
     def __init__(self, epoch: int, n_items: int, n_classes: int) -> None:
         self.epoch = epoch
         self.n_items = n_items
         self.n_classes = n_classes
-        self.transactions: list[tuple[int, ...]] = []
+        self._rows: list[tuple[int, ...]] | None = []
         self.labels: list[int] = []
         self._item_bits: BitMatrix | None = None
         self._label_words: np.ndarray | None = None
@@ -77,7 +82,15 @@ class _WindowShard:
 
     @property
     def n_rows(self) -> int:
-        return len(self.transactions)
+        return len(self.labels)
+
+    @property
+    def transactions(self) -> list[tuple[int, ...]]:
+        """The canonical rows, derived from the words on first use by a
+        shard restored from them."""
+        if self._rows is None:
+            self._rows = unpack_transactions(self._item_bits)
+        return self._rows
 
     def append(self, transaction: tuple[int, ...], label: int) -> None:
         self.transactions.append(transaction)
@@ -133,11 +146,10 @@ class _WindowShard:
         """A shard from :meth:`to_payload`'s words, or from the row form
         (``transactions``/``labels``) that checkpoints held before.
 
-        Words are decoded and checked, and seed the packed verticals; the
-        canonical rows come back in one ``np.nonzero`` pass.  Rows are
-        canonicalized and checked as :meth:`SlidingWindowCounts.append`
-        does.  Either way a bad payload raises ``ValueError`` here, not at
-        the first count.
+        Words are decoded and checked, and seed the packed verticals; no
+        row is rebuilt.  Rows are canonicalized and checked as
+        :meth:`SlidingWindowCounts.append` does.  Either way a bad payload
+        raises ``ValueError`` here, not at the first count.
         """
         shard = cls(int(payload["epoch"]), n_items, n_classes)
         if "words" in payload:
@@ -145,12 +157,7 @@ class _WindowShard:
             item_words, label_words = decode_shard_words(
                 payload["words"], n_rows, n_items, n_classes
             )
-            rows, items = np.nonzero(unpack_bits(item_words, n_rows).T)
-            ends = np.bincount(rows, minlength=n_rows).cumsum().tolist()
-            flat = items.tolist()
-            shard.transactions = [
-                tuple(flat[start:end]) for start, end in zip([0] + ends, ends)
-            ]
+            shard._rows = None
             shard.labels = unpack_bits(label_words, n_rows).argmax(axis=0).tolist()
             shard._item_bits = BitMatrix(item_words, n_rows)
             shard._label_words = label_words
@@ -315,17 +322,16 @@ class SlidingWindowCounts:
         return np.asarray(labels, dtype=np.int32)
 
     def window_dataset(self, name: str = "stream-window") -> TransactionDataset:
-        """The live window as a batch dataset (for re-mining / oracles).
-
-        Its rows are the shards' canonical rows, not re-sorted.
-        """
-        return TransactionDataset._of_canonical(
-            self.window_transactions(),
-            self.window_labels(),
-            self.n_items,
-            self.n_classes,
-            None,
-            name,
+        """The live window as a batch dataset (for re-mining / oracles):
+        the shards' sealed words laid end to end, oldest first."""
+        bits = [shard._bits() for shard in self._live_shards()]
+        return TransactionDataset.from_bits(
+            concat_bits(self.n_items, [item_bits for item_bits, _ in bits]),
+            concat_bits(
+                self.n_classes,
+                [BitMatrix(words, item_bits.n_bits) for item_bits, words in bits],
+            ),
+            name=name,
         )
 
     # ------------------------------------------------------------------

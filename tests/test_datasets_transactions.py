@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import ItemCatalog, TransactionDataset
+from tests.oracles.transactions import class_partition
 
 
 class TestItemCatalog:
@@ -45,7 +46,7 @@ class TestTransactionDataset:
         assert (matrix.sum(axis=1) == tiny_dataset.n_attributes).all()
 
     def test_class_partition_covers_everything(self, tiny_transactions):
-        partition = tiny_transactions.class_partition()
+        partition = class_partition(tiny_transactions)
         total = sum(len(ts) for ts in partition.values())
         assert total == tiny_transactions.n_rows
 

@@ -25,6 +25,7 @@ from repro.datasets.transactions import TransactionDataset
 from repro.mining import PatternBudgetExceeded, closed, closed_fpgrowth
 from repro.obs.core import session
 from repro.selection.minsup import suggest_min_support
+from tests.oracles.transactions import class_partition
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "closed_golden_v1.json"
 
@@ -128,7 +129,7 @@ def golden_partitions(name, scale, min_support):
     if min_support == "auto":
         theta = suggest_min_support(data.labels, 0.05).theta
         min_support = max(theta, 1.0 / data.n_rows)
-    for label, transactions in sorted(data.class_partition().items()):
+    for label, transactions in sorted(class_partition(data).items()):
         absolute = max(1, int(-(-min_support * len(transactions) // 1)))
         yield label, transactions, absolute
 

@@ -24,6 +24,7 @@ from repro.runtime.cache import ArtifactCache
 from repro.selection import ddpmine
 from tests.oracles.itemset_miners import apriori, charm
 from tests.oracles.strategies import supports, transactions
+from tests.oracles.transactions import class_partition
 
 ALL_MINERS = [apriori, frequent_itemsets, closed_fpgrowth, charm]
 
@@ -52,7 +53,7 @@ class TestMineClassPatterns:
         """A pattern frequent in either class partition appears in the union."""
         result = mine_class_patterns(planted_transactions, min_support=0.35)
         itemsets = {p.items for p in result}
-        partition = planted_transactions.class_partition()
+        partition = class_partition(planted_transactions)
         for label, transactions in partition.items():
             threshold = int(-(-0.35 * len(transactions) // 1))
             per_class = closed_fpgrowth(transactions, threshold)
@@ -149,7 +150,7 @@ class TestGuardedMine:
                 planted_transactions, min_support=0.05, max_patterns=50,
                 on_guard="items_only",
             )
-        partitions = len(planted_transactions.class_partition())
+        partitions = len(class_partition(planted_transactions))
         assert sess.counters["mining.generation.degraded_partitions"] == partitions
         assert len(result) == 0
         guards = {
@@ -163,7 +164,7 @@ class TestGuardedMine:
                 tiny_transactions, min_support=0.3, on_guard="items_only"
             )
         wall = sess.histograms["mining.partition.wall_s"]
-        assert wall.count == len(tiny_transactions.class_partition())
+        assert wall.count == len(class_partition(tiny_transactions))
         assert wall.min >= 0.0
 
 
@@ -362,7 +363,7 @@ class TestCacheRoundTrip:
             with pytest.raises(PatternBudgetExceeded):
                 mine_class_patterns(data, **kwargs, cache=cache)
             return
-        partitions = sum(1 for rows in data.class_partition().values() if rows)
+        partitions = sum(1 for rows in class_partition(data).values() if rows)
         with _obs.session() as first_sess:
             first = mine_class_patterns(data, **kwargs, cache=cache)
         assert first_sess.counters.get("runtime.cache.writes", 0) == partitions

@@ -21,6 +21,7 @@ from repro.mining import Pattern, PatternBudgetExceeded, closed_fpgrowth
 from repro.mining import frequent_itemsets
 from tests.oracles.itemset_miners import apriori, brute_force_closed, charm
 from tests.oracles.strategies import supports, transactions
+from tests.oracles.transactions import class_partition
 
 WEATHER = [
     (0, 3, 5),
@@ -175,7 +176,7 @@ class TestClosedMiners:
 class TestOnPlantedData:
     def test_planted_combo_is_mined(self, planted_transactions):
         """Closed mining at moderate support finds length-3 patterns."""
-        partition = planted_transactions.class_partition()
+        partition = class_partition(planted_transactions)
         class0 = partition[0]
         result = closed_fpgrowth(class0, min_support=max(1, len(class0) // 5))
         assert any(p.length >= 3 for p in result)

@@ -30,7 +30,12 @@ from repro.obs.diagnose import (
     label_corpus,
 )
 from repro.obs.report import TraceData
-from repro.obs.sessions import label_by_failure, label_by_quantile
+from repro.obs.sessions import (
+    Session,
+    SessionCorpus,
+    label_by_failure,
+    label_by_quantile,
+)
 from repro.obs.synth import default_config, generate_sessions
 from repro.testing.faults import Fault, injected_faults
 
@@ -200,6 +205,30 @@ class TestExplainDiff:
         report = explain_diff(synthetic_trace(), synthetic_trace())
         for entry in report.entries:
             assert entry["ig"] == pytest.approx(0.0)
+
+
+class TestCoveredWallTieBreak:
+    """Among patterns tied on IG, the one covering the most majority-class
+    wall time ranks first, even when MMRFS accepts it after ``top`` others."""
+
+    def test_largest_covered_wall_wins_past_the_first_top_accepted(self):
+        def session(items, wall):
+            return Session("t", items, items, wall, False)
+
+        # Six candidate sessions, each with one item of its own: six
+        # single-item patterns tied on IG.  The last in item order covers
+        # the slowest session.
+        walls = [1.0, 1.0, 1.0, 1.0, 1.0, 9.0]
+        candidates = [session((f"c{k}",), wall) for k, wall in enumerate(walls)]
+        corpus = SessionCorpus([session((), 1.0)] * 6 + candidates)
+        labels = [0] * 6 + [1] * 6
+        report = diagnose_corpus(
+            corpus, labels, ("base", "candidate"), DiagnosisConfig(top=2)
+        )
+        assert len({entry["ig"] for entry in report.entries}) == 1
+        assert report.top["items"] == ["c5"]
+        assert report.top["covered_wall_s"] == 9.0
+        assert [entry["rank"] for entry in report.entries] == [1, 2]
 
 
 class TestDiagnoseCli:
